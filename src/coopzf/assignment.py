@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import json
 
-from .errors import InvalidParameterError, PreconditionViolationError
+from .errors import InvalidParameterError, PreconditionViolationError, _document_errors
 
 
 @dataclass
@@ -49,9 +49,10 @@ class MessageAssignment:
 
 def assignment_from_json(text: str) -> MessageAssignment:
     """Rebuild a :class:`MessageAssignment` from its JSON form."""
-    obj = json.loads(text)
-    sets = {i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])}
-    return MessageAssignment(K=int(obj["K"]), transmit_sets=sets)
+    with _document_errors("assignment"):
+        obj = json.loads(text)
+        sets = {i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])}
+        return MessageAssignment(K=int(obj["K"]), transmit_sets=sets)
 
 
 @dataclass
@@ -125,11 +126,13 @@ def reduce_wyner(assignment: MessageAssignment, M: int) -> MessageAssignment:
     for i, T in assignment.transmit_sets.items():
         if len(T) > M:
             raise PreconditionViolationError(f"|T_{i}| = {len(T)} exceeds M = {M}")
-    reduced = {
-        i: frozenset(t for t in T if i - M <= t <= i + M - 1)
-        for i, T in assignment.transmit_sets.items()
-    }
+    reduced = {i: _chain_window(T, i, M) for i, T in assignment.transmit_sets.items()}
     return MessageAssignment(K=assignment.K, transmit_sets=reduced)
+
+
+def _chain_window(T: frozenset[int], i: int, M: int) -> frozenset[int]:
+    """The part of ``T`` inside message ``i``'s chain window ``[i-M, i+M-1]``."""
+    return frozenset(t for t in T if i - M <= t <= i + M - 1)
 
 
 def validate_backhaul(assignment: MessageAssignment, B: Fraction | int) -> bool:

@@ -8,7 +8,8 @@ Subcommands compose through JSON on stdin/stdout::
     echo '{"K": 8, "transmit_sets": [...]}' | coopzf certify --backhaul --B 1
 
 Exit codes: 0 success; 1 failed verification, unsound certificate, or
-table mismatch; 2 usage or invalid parameters; 3 resource guard trip.
+table mismatch; 2 usage, invalid parameters, or a malformed stdin
+document; 3 resource guard trip.
 The default random seed is 0, overridable by ``--seed`` or the
 ``COOPZF_SEED`` environment variable (the flag wins).
 """
@@ -36,6 +37,7 @@ from .errors import (
     ResourceLimitError,
     SolverFailureError,
     UnsupportedError,
+    _document_errors,
 )
 from .oracle import (
     AvoidanceSchedule,
@@ -77,11 +79,7 @@ _EXPECTED_TABLE1 = {
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment parameters ready for :func:`run`.
-
-    ``stdin_text`` is normally None (read the real stdin on demand);
-    tests inject documents through it.
-    """
+    """Parsed experiment parameters ready for :func:`run`."""
 
     command: str
     kind: str | None = None
@@ -96,19 +94,12 @@ class ExperimentConfig:
     fmt: str = "json"
     node_limit: int | None = None
     time_limit: float | None = None
-    stdin_text: str | None = None
 
 
 def _require(value, flag: str):
     if value is None:
         raise InvalidParameterError(f"missing required flag {flag}")
     return value
-
-
-def _read_document(config: ExperimentConfig) -> str:
-    if config.stdin_text is not None:
-        return config.stdin_text
-    return sys.stdin.read()
 
 
 def _build_topology(config: ExperimentConfig):
@@ -185,7 +176,7 @@ def _run_scheme(config: ExperimentConfig) -> int:
 
 
 def _run_verify(config: ExperimentConfig) -> int:
-    scheme, topology, assignment = scheme_from_json(_read_document(config))
+    scheme, topology, assignment = scheme_from_json(sys.stdin.read())
     if topology is None or assignment is None:
         raise InvalidParameterError(
             "verify needs a scheme document with embedded topology and transmit_sets"
@@ -202,19 +193,24 @@ def _run_verify(config: ExperimentConfig) -> int:
 
 
 def _run_report(config: ExperimentConfig) -> int:
-    scheme, _, assignment = scheme_from_json(_read_document(config))
+    scheme, _, assignment = scheme_from_json(sys.stdin.read())
     if assignment is None:
         raise InvalidParameterError("report needs a scheme document with transmit_sets")
     _emit(dof_report(scheme, assignment).to_json())
     return 0
 
 
+def _search_limits(config: ExperimentConfig) -> dict:
+    """The exact-search guards the caller set; unset ones keep the oracle defaults."""
+    limits = {"node_limit": config.node_limit, "time_limit": config.time_limit}
+    return {key: value for key, value in limits.items() if value is not None}
+
+
 def _run_oracle(config: ExperimentConfig) -> int:
     mode = _require(config.mode, "--m1/--coop/--max-activation")
     topology, lattice = _build_topology(config)
     if mode == "m1":
-        limit = config.node_limit if config.node_limit is not None else 36
-        value, schedule = max_avoidance_m1(topology, node_limit=limit, time_limit=config.time_limit)
+        value, schedule = max_avoidance_m1(topology, **_search_limits(config))
         out = {
             "value": value,
             "pairs": [list(p) for p in sorted(schedule.pairs)],
@@ -235,10 +231,7 @@ def _run_oracle(config: ExperimentConfig) -> int:
         return 0
     if mode == "coop":
         B = _require(config.B, "--B")
-        limit = config.node_limit if config.node_limit is not None else 12
-        value, witness = max_avoidance_cooperative(
-            topology, B, node_limit=limit, time_limit=config.time_limit
-        )
+        value, witness = max_avoidance_cooperative(topology, B, **_search_limits(config))
         out = {
             "value": value,
             "active": sorted(witness.active),
@@ -248,10 +241,9 @@ def _run_oracle(config: ExperimentConfig) -> int:
         _emit(json.dumps(out))
         return 0
     if mode == "max_activation":
-        assignment = assignment_from_json(_read_document(config))
-        limit = config.node_limit if config.node_limit is not None else 24
+        assignment = assignment_from_json(sys.stdin.read())
         value, witness = max_activation_for_assignment(
-            topology, assignment, node_limit=limit, time_limit=config.time_limit
+            topology, assignment, **_search_limits(config)
         )
         out = {
             "value": value,
@@ -266,13 +258,13 @@ def _run_oracle(config: ExperimentConfig) -> int:
 def _run_certify(config: ExperimentConfig) -> int:
     mode = _require(config.mode, "--backhaul/--groups/--states/--lower-bound")
     if mode == "backhaul":
-        assignment = assignment_from_json(_read_document(config))
+        assignment = assignment_from_json(sys.stdin.read())
         B = _as_int(_require(config.B, "--B"), "--B")
         result = backhaul_converse(assignment, B)
         _emit(json.dumps(result.to_json()))
         return 0
     if mode == "groups":
-        assignment = assignment_from_json(_read_document(config))
+        assignment = assignment_from_json(sys.stdin.read())
         _, lattice = build_hexagonal(_require(config.n, "--n"))
         certificate = algorithm1_certify(lattice, assignment)
         problems = validate_certificate(lattice, assignment, certificate)
@@ -281,26 +273,20 @@ def _run_certify(config: ExperimentConfig) -> int:
         _emit(json.dumps(obj))
         return 0 if not problems else 1
     if mode == "states":
-        obj_in = json.loads(_read_document(config))
-        pairs = frozenset((int(r), int(t)) for r, t in obj_in["pairs"])
+        with _document_errors("schedule"):
+            pairs = frozenset((int(r), int(t)) for r, t in json.loads(sys.stdin.read())["pairs"])
         schedule = AvoidanceSchedule(pairs=pairs, value=len(pairs))
         _, lattice = build_hexagonal(_require(config.n, "--n"))
         certificate = triangle_state_bound(lattice, schedule)
         _emit(json.dumps(certificate.to_json()))
         return 0
     if mode == "lower_bound":
-        scheme, topology, assignment = scheme_from_json(_read_document(config))
+        scheme, topology, assignment = scheme_from_json(sys.stdin.read())
         if topology is None or assignment is None:
             raise InvalidParameterError(
                 "lower-bound check needs embedded topology and transmit_sets"
             )
-        ok = certify_lower_bound(
-            topology,
-            scheme,
-            assignment,
-            node_limit=config.node_limit,
-            time_limit=config.time_limit,
-        )
+        ok = certify_lower_bound(topology, scheme, assignment, **_search_limits(config))
         _emit(
             json.dumps(
                 {"certified": bool(ok), "active": len(scheme.active_messages), "K": scheme.K}
@@ -426,16 +412,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--time-limit", type=float, default=None, help="exact-search seconds guard")
 
 
-def _add_topology_flags(sub: argparse.ArgumentParser, extra: tuple[str, ...] = ()) -> None:
+def _add_topology_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--wyner", dest="kind", action="store_const", const="wyner")
     group.add_argument("--lc", dest="kind", action="store_const", const="lc")
     group.add_argument("--two-dim", dest="kind", action="store_const", const="two_dim")
     group.add_argument("--hex", dest="kind", action="store_const", const="hex")
-    for name in extra:
-        group.add_argument(
-            f"--{name}", dest="kind", action="store_const", const=name.replace("-", "_")
-        )
 
 
 def _parser() -> argparse.ArgumentParser:

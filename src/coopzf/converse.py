@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .assignment import MessageAssignment, metrics
+from .assignment import MessageAssignment, _chain_window, metrics
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
 from .oracle import AvoidanceSchedule, validate_schedule
 from .topology import (
@@ -765,7 +765,7 @@ def appendix_receiver_set(
     for i in range(1, K + 1):
         T = assignment.transmit_sets[i]
         if i in in_S:
-            T = frozenset(t for t in T if i - M <= t <= i + M - 1)
+            T = _chain_window(T, i, M)
         reduced_sets[i] = T
     A = frozenset(range(1, K + 1)) - set(kept)
     return A, MessageAssignment(K=K, transmit_sets=reduced_sets)

@@ -5,10 +5,14 @@ Every error raised intentionally by this package derives from
 subclasses distinguish caller mistakes (bad parameters, violated
 preconditions, unsupported inputs) from internal failures (a linear solve
 that unexpectedly degenerates, a decomposition search that comes up empty)
-and from deliberate resource guards on exponential searches.
+and from deliberate resource guards on exponential searches.  The JSON
+readers share one context manager that reports a malformed document as
+an invalid parameter.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class CoopZfError(Exception):
@@ -37,3 +41,14 @@ class DecompositionFailureError(CoopZfError):
 
 class ResourceLimitError(CoopZfError):
     """An exact search exceeded its node or time budget."""
+
+
+@contextmanager
+def _document_errors(kind: str):
+    """Re-raise JSON syntax and document-shape errors as :class:`InvalidParameterError`."""
+    try:
+        yield
+    except (ValueError, LookupError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InvalidParameterError(
+            f"malformed {kind} document ({type(exc).__name__}: {exc})"
+        ) from exc

@@ -319,14 +319,9 @@ def certify_lower_bound(
     if validate_scheme(topology, assignment, scheme):
         return False
     stats = metrics(assignment)
+    limits = {"node_limit": node_limit} if node_limit is not None else {}
     if stats.M <= 1:
-        value, _ = max_avoidance_m1(
-            topology, node_limit=node_limit if node_limit is not None else 36,
-            time_limit=time_limit,
-        )
+        value, _ = max_avoidance_m1(topology, time_limit=time_limit, **limits)
     else:
-        value, _ = max_avoidance_cooperative(
-            topology, stats.B, node_limit=node_limit if node_limit is not None else 12,
-            time_limit=time_limit,
-        )
+        value, _ = max_avoidance_cooperative(topology, stats.B, time_limit=time_limit, **limits)
     return value >= len(scheme.active_messages)

@@ -19,8 +19,11 @@ import json
 import math
 
 from .assignment import MessageAssignment
-from .errors import DecompositionFailureError, InvalidParameterError
+from .errors import DecompositionFailureError, InvalidParameterError, _document_errors
 from .topology import HexLattice, NetworkTopology, topology_from_json
+
+# Search-node cap for the divisible-chains removal search.
+_DECOMPOSE_NODE_BUDGET = 500_000
 
 
 @dataclass
@@ -129,6 +132,57 @@ def validate_scheme(
     return problems
 
 
+def _finish(
+    K: int,
+    tsets: dict[int, frozenset[int]],
+    serving: dict[int, int],
+    cancel: dict[int, tuple[int, ...]],
+    pudof: Fraction,
+    backhaul: Fraction,
+    name: str,
+    family: tuple,
+) -> tuple[MessageAssignment, ZfScheme]:
+    """Build the assignment and scheme; every transmitter no active message uses is silenced."""
+    active = frozenset(serving)
+    used = frozenset().union(*(tsets[i] for i in active))
+    scheme = ZfScheme(
+        K=K,
+        active_messages=active,
+        serving=serving,
+        cancel_at=cancel,
+        deactivated_transmitters=frozenset(range(1, K + 1)) - used,
+        declared_pudof=pudof,
+        declared_backhaul=backhaul,
+        name=name,
+        family=family,
+    )
+    return MessageAssignment(K=K, transmit_sets=tsets), scheme
+
+
+def _embed(K: int, placements, name: str, family: tuple) -> tuple[MessageAssignment, ZfScheme]:
+    """Lay block schemes into a ``K``-user network.
+
+    Each placement is ``(assignment, scheme, rx, tx)``: local user ``p``
+    of the block becomes global receiver ``rx[p-1]`` and transmitter
+    ``tx[p-1]``.  Users no placement covers get empty transmit sets.  The
+    declared puDoF and backhaul are the block-size-weighted sums of the
+    blocks' declared values, so exact closed forms carry through.
+    """
+    tsets = {i: frozenset() for i in range(1, K + 1)}
+    serving: dict[int, int] = {}
+    cancel: dict[int, tuple[int, ...]] = {}
+    pudof = backhaul = Fraction(0)
+    for asg, sch, rx, tx in placements:
+        for p in range(1, asg.K + 1):
+            tsets[rx[p - 1]] = frozenset(tx[q - 1] for q in asg.transmit_sets[p])
+        for p in sch.active_messages:
+            serving[rx[p - 1]] = tx[sch.serving[p] - 1]
+            cancel[rx[p - 1]] = tuple(rx[c - 1] for c in sch.cancel_at[p])
+        pudof += asg.K * sch.declared_pudof
+        backhaul += asg.K * sch.declared_backhaul
+    return _finish(K, tsets, serving, cancel, pudof / K, backhaul / K, name, family)
+
+
 def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
     """Chain-network scheme with integer backhaul budget ``B``.
 
@@ -162,21 +216,16 @@ def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
             tsets[m] = frozenset(range(o + 2 * B + 1, m))
             serving[m] = m - 1
             cancel[m] = tuple(range(m - 1, o + 2 * B + 1, -1))
-    assignment = MessageAssignment(K=K, transmit_sets=tsets)
-    active = frozenset(serving)
-    used = frozenset().union(*(tsets[i] for i in active))
-    scheme = ZfScheme(
-        K=K,
-        active_messages=active,
-        serving=serving,
-        cancel_at=cancel,
-        deactivated_transmitters=frozenset(range(1, K + 1)) - used,
-        declared_pudof=Fraction(4 * B - 1, 4 * B),
-        declared_backhaul=Fraction(B),
-        name=f"wyner_backhaul_B{B}",
-        family=("linear", 1),
+    return _finish(
+        K,
+        tsets,
+        serving,
+        cancel,
+        Fraction(4 * B - 1, 4 * B),
+        Fraction(B),
+        f"wyner_backhaul_B{B}",
+        ("linear", 1),
     )
-    return assignment, scheme
 
 
 def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment, ZfScheme]:
@@ -218,21 +267,16 @@ def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment,
             tsets[m] = frozenset(range(o + M + 1 + s, o + i - L + s + 1))
             serving[m] = o + i - L + s
             cancel[m] = tuple(range(m - 1, o + L + M, -1))
-    assignment = MessageAssignment(K=K, transmit_sets=tsets)
-    active = frozenset(serving)
-    used = frozenset().union(*(tsets[i] for i in active))
-    scheme = ZfScheme(
-        K=K,
-        active_messages=active,
-        serving=serving,
-        cancel_at=cancel,
-        deactivated_transmitters=frozenset(range(1, K + 1)) - used,
-        declared_pudof=Fraction(2 * M, F),
-        declared_backhaul=Fraction(M * (M + 1), F),
-        name=f"locally_connected_L{L}_M{M}",
-        family=("linear", L),
+    return _finish(
+        K,
+        tsets,
+        serving,
+        cancel,
+        Fraction(2 * M, F),
+        Fraction(M * (M + 1), F),
+        f"locally_connected_L{L}_M{M}",
+        ("linear", L),
     )
-    return assignment, scheme
 
 
 def convex_combination(parts) -> tuple[MessageAssignment, ZfScheme]:
@@ -272,37 +316,15 @@ def convex_combination(parts) -> tuple[MessageAssignment, ZfScheme]:
             raise InvalidParameterError(
                 f"cannot combine schemes of families {family} and {sch.family}"
             )
-    tsets: dict[int, frozenset[int]] = {}
-    serving: dict[int, int] = {}
-    cancel: dict[int, tuple[int, ...]] = {}
-    active: set[int] = set()
-    deact: set[int] = set()
+    placements = []
     o = 0
     for asg, sch, count in blocks:
         for _ in range(count):
-            for i in range(1, asg.K + 1):
-                tsets[o + i] = frozenset(t + o for t in asg.transmit_sets[i])
-            for i in sch.active_messages:
-                active.add(o + i)
-                serving[o + i] = sch.serving[i] + o
-                cancel[o + i] = tuple(c + o for c in sch.cancel_at[i])
-            deact.update(d + o for d in sch.deactivated_transmitters)
+            span = range(o + 1, o + asg.K + 1)
+            placements.append((asg, sch, span, span))
             o += asg.K
-    K = o
-    assignment = MessageAssignment(K=K, transmit_sets=tsets)
     name = "+".join(f"{count}x{sch.name}" for _, sch, count in blocks)
-    scheme = ZfScheme(
-        K=K,
-        active_messages=frozenset(active),
-        serving=serving,
-        cancel_at=cancel,
-        deactivated_transmitters=frozenset(deact),
-        declared_pudof=Fraction(len(active), K),
-        declared_backhaul=Fraction(sum(len(T) for T in tsets.values()), K),
-        name=name,
-        family=family,
-    )
-    return assignment, scheme
+    return _embed(o, placements, name, family)
 
 
 def table1_row(L: int) -> dict:
@@ -320,13 +342,8 @@ def table1_row(L: int) -> dict:
     """
     if L not in (2, 3, 4, 5, 6):
         raise InvalidParameterError("L must be one of 2..6")
-    if L == 2:
-        n2, n3 = 1, 0
-    elif L == 6:
-        n2, n3 = 0, 1
-    else:
-        g = math.gcd(L - 2, 6 - L)
-        n2, n3 = (6 - L) // g, (L - 2) // g
+    g = math.gcd(L - 2, 6 - L)
+    n2, n3 = (6 - L) // g, (L - 2) // g
     F2, F3 = 4 + L, 6 + L
     users_m2, users_m3 = n2 * F2, n3 * F3
     K_min = users_m2 + users_m3
@@ -412,10 +429,7 @@ def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
     if N % 12 != 0:
         raise InvalidParameterError("sqrt(K) must be a multiple of 12")
     row_asg, row_sch = two_dim_row_scheme(N)
-    tsets: dict[int, frozenset[int]] = {i: frozenset() for i in range(1, K + 1)}
-    serving: dict[int, int] = {}
-    cancel: dict[int, tuple[int, ...]] = {}
-    active: set[int] = set()
+    placements = []
     for rho in range(1, N + 1):
         if rho % 3 == 1:
             t_row = rho
@@ -423,31 +437,10 @@ def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
             t_row = rho - 1
         else:
             continue
-        rx_off = (rho - 1) * N
-        tx_off = (t_row - 1) * N
-        for p in range(1, N + 1):
-            tsets[rx_off + p] = frozenset(tx_off + q for q in row_asg.transmit_sets[p])
-        for p in row_sch.active_messages:
-            m = rx_off + p
-            active.add(m)
-            serving[m] = tx_off + row_sch.serving[p]
-            cancel[m] = tuple(rx_off + c for c in row_sch.cancel_at[p])
-    assignment = MessageAssignment(K=K, transmit_sets=tsets)
-    used = set()
-    for i in active:
-        used |= tsets[i]
-    scheme = ZfScheme(
-        K=K,
-        active_messages=frozenset(active),
-        serving=serving,
-        cancel_at=cancel,
-        deactivated_transmitters=frozenset(range(1, K + 1)) - used,
-        declared_pudof=Fraction(len(active), K),
-        declared_backhaul=Fraction(sum(len(T) for T in tsets.values()), K),
-        name=f"two_dim_N{N}",
-        family=("two_dim", N),
-    )
-    return assignment, scheme
+        rx = range((rho - 1) * N + 1, rho * N + 1)
+        tx = range((t_row - 1) * N + 1, t_row * N + 1)
+        placements.append((row_asg, row_sch, rx, tx))
+    return _embed(K, placements, f"two_dim_N{N}", ("two_dim", N))
 
 
 def hexagonal_coset_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfScheme]:
@@ -460,21 +453,18 @@ def hexagonal_coset_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfSc
     """
     K = len(lattice.coords)
     circles = sorted(i for i in lattice.coords if lattice.cosets[i] == "circle")
-    tsets = {i: frozenset([i]) if i in set(circles) else frozenset() for i in lattice.coords}
-    assignment = MessageAssignment(K=K, transmit_sets=tsets)
+    tsets = {i: frozenset([i] if lattice.cosets[i] == "circle" else []) for i in lattice.coords}
     share = Fraction(len(circles), K)
-    scheme = ZfScheme(
-        K=K,
-        active_messages=frozenset(circles),
-        serving={i: i for i in circles},
-        cancel_at={i: () for i in circles},
-        deactivated_transmitters=frozenset(lattice.coords) - frozenset(circles),
-        declared_pudof=share,
-        declared_backhaul=share,
-        name="hexagonal_coset",
-        family=("hexagonal", lattice.n or 0),
+    return _finish(
+        K,
+        tsets,
+        {i: i for i in circles},
+        {i: () for i in circles},
+        share,
+        share,
+        "hexagonal_coset",
+        ("hexagonal", lattice.n or 0),
     )
-    return assignment, scheme
 
 
 def _chains_of(lattice: HexLattice, removed: frozenset[int]) -> list[list[int]] | None:
@@ -621,9 +611,7 @@ def _search_removal_all_chains_divisible(
     return result[0] if result else None
 
 
-def decompose_hexagonal_to_linear(
-    lattice: HexLattice, node_budget: int = 500_000
-) -> tuple[frozenset[int], list[list[int]]]:
+def decompose_hexagonal_to_linear(lattice: HexLattice) -> tuple[frozenset[int], list[list[int]]]:
     """Silence a third of a hexagonal grid so the rest splits into chains.
 
     After removal, each remaining node's neighbors within its chain are
@@ -637,7 +625,6 @@ def decompose_hexagonal_to_linear(
 
     Args:
         lattice: grid-built lattice with side ``n`` divisible by 3.
-        node_budget: search-node cap for the divisible-chains search.
 
     Returns:
         ``(deactivated, chains)`` with ``|deactivated| = K/3`` and
@@ -654,7 +641,7 @@ def decompose_hexagonal_to_linear(
     target = K // 3
     removed: frozenset[int] | None = None
     if (K - target) % 8 == 0:
-        removed = _search_removal_all_chains_divisible(lattice, target, 8, node_budget)
+        removed = _search_removal_all_chains_divisible(lattice, target, 8, _DECOMPOSE_NODE_BUDGET)
     if removed is not None:
         chains = _chains_of(lattice, removed)
         if chains is not None:
@@ -712,43 +699,18 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
             (pick the grid side accordingly), or the lattice is not a
             grid with side divisible by 3.
     """
-    removed, chains = decompose_hexagonal_to_linear(lattice)
+    _, chains = decompose_hexagonal_to_linear(lattice)
+    placements = []
     for chain in chains:
         if len(chain) % 8 != 0:
             raise InvalidParameterError(
                 f"chain of length {len(chain)} is not divisible by 8; "
                 "the cooperative block scheme needs full blocks of 8"
             )
-    K = len(lattice.coords)
-    tsets: dict[int, frozenset[int]] = {i: frozenset() for i in lattice.coords}
-    serving: dict[int, int] = {}
-    cancel: dict[int, tuple[int, ...]] = {}
-    active: set[int] = set()
-    for chain in chains:
-        casg, csch = locally_connected_scheme(len(chain), 2, 3)
-        for p in range(1, len(chain) + 1):
-            tsets[chain[p - 1]] = frozenset(chain[q - 1] for q in casg.transmit_sets[p])
-        for p in csch.active_messages:
-            m = chain[p - 1]
-            active.add(m)
-            serving[m] = chain[csch.serving[p] - 1]
-            cancel[m] = tuple(chain[c - 1] for c in csch.cancel_at[p])
-    assignment = MessageAssignment(K=K, transmit_sets=tsets)
-    used = set()
-    for i in active:
-        used |= tsets[i]
-    scheme = ZfScheme(
-        K=K,
-        active_messages=frozenset(active),
-        serving=serving,
-        cancel_at=cancel,
-        deactivated_transmitters=frozenset(lattice.coords) - used,
-        declared_pudof=Fraction(len(active), K),
-        declared_backhaul=Fraction(sum(len(T) for T in tsets.values()), K),
-        name="hexagonal_cooperative",
-        family=("hexagonal", lattice.n or 0),
+        placements.append((*locally_connected_scheme(len(chain), 2, 3), chain, chain))
+    return _embed(
+        len(lattice.coords), placements, "hexagonal_cooperative", ("hexagonal", lattice.n or 0)
     )
-    return assignment, scheme
 
 
 def scheme_to_json(
@@ -787,26 +749,27 @@ def scheme_from_json(
     text: str,
 ) -> tuple[ZfScheme, NetworkTopology | None, MessageAssignment | None]:
     """Inverse of :func:`scheme_to_json`; embedded sections are optional."""
-    obj = json.loads(text)
-    declared = obj.get("declared", {})
-    scheme = ZfScheme(
-        K=int(obj["K"]),
-        active_messages=frozenset(obj["active"]),
-        serving={int(i): t for i, t in obj["serving"].items()},
-        cancel_at={int(i): tuple(c) for i, c in obj["cancel_at"].items()},
-        deactivated_transmitters=frozenset(obj["deactivated"]),
-        declared_pudof=Fraction(declared.get("pudof", "0")),
-        declared_backhaul=Fraction(declared.get("backhaul", "0")),
-        name=obj.get("name", ""),
-        family=tuple(obj.get("family", ())),
-    )
-    topology = None
-    if "topology" in obj:
-        topology = topology_from_json(json.dumps(obj["topology"]))
-    assignment = None
-    if "transmit_sets" in obj:
-        assignment = MessageAssignment(
-            K=scheme.K,
-            transmit_sets={i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])},
+    with _document_errors("scheme"):
+        obj = json.loads(text)
+        declared = obj.get("declared", {})
+        scheme = ZfScheme(
+            K=int(obj["K"]),
+            active_messages=frozenset(obj["active"]),
+            serving={int(i): t for i, t in obj["serving"].items()},
+            cancel_at={int(i): tuple(c) for i, c in obj["cancel_at"].items()},
+            deactivated_transmitters=frozenset(obj["deactivated"]),
+            declared_pudof=Fraction(declared.get("pudof", "0")),
+            declared_backhaul=Fraction(declared.get("backhaul", "0")),
+            name=obj.get("name", ""),
+            family=tuple(obj.get("family", ())),
         )
+        topology = None
+        if "topology" in obj:
+            topology = topology_from_json(json.dumps(obj["topology"]))
+        assignment = None
+        if "transmit_sets" in obj:
+            assignment = MessageAssignment(
+                K=scheme.K,
+                transmit_sets={i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])},
+            )
     return scheme, topology, assignment

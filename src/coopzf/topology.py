@@ -23,7 +23,7 @@ from fractions import Fraction
 import json
 import math
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _document_errors
 
 # Coset names for lattice points z = a + b*w (w a primitive sixth root of
 # unity); the class of (a + b) mod 3 determines which edges leave z.
@@ -79,9 +79,10 @@ class NetworkTopology:
 
 def topology_from_json(text: str) -> NetworkTopology:
     """Rebuild a :class:`NetworkTopology` from :meth:`NetworkTopology.to_json`."""
-    obj = json.loads(text)
-    hears = {i + 1: frozenset(row) for i, row in enumerate(obj["hears"])}
-    return NetworkTopology(kind=obj["kind"], K=int(obj["K"]), params=obj["params"], hears=hears)
+    with _document_errors("topology"):
+        obj = json.loads(text)
+        hears = {i + 1: frozenset(row) for i, row in enumerate(obj["hears"])}
+        return NetworkTopology(kind=obj["kind"], K=int(obj["K"]), params=obj["params"], hears=hears)
 
 
 def build_wyner(K: int) -> NetworkTopology:

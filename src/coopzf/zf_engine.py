@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .assignment import MessageAssignment, metrics
-from .errors import SolverFailureError
+from .errors import InvalidParameterError, SolverFailureError
 from .schemes import DofReport, ZfScheme
 from .topology import NetworkTopology
 
@@ -183,13 +183,19 @@ def design_beams(
     substitution applies; anything else falls back to a dense solve.
 
     Raises:
+        InvalidParameterError: an active message's serving transmitter
+            is outside its transmit set.
         SolverFailureError: a cancellation system is singular (measure
             zero under generic channels).
     """
     beams: dict[int, dict[int, complex]] = {}
     for i in sorted(scheme.active_messages):
-        T = sorted(assignment.transmit_sets[i])
-        serving = scheme.serving[i]
+        T = sorted(assignment.transmit_sets.get(i, ()))
+        serving = scheme.serving.get(i)
+        if serving not in T:
+            raise InvalidParameterError(
+                f"serving transmitter {serving} of message {i} is outside its transmit set {T}"
+            )
         cancel = scheme.cancel_at[i]
         v = _chain_solve(channels, topology.hears, T, serving, cancel)
         if v is None:

@@ -6,7 +6,9 @@ import io
 import json
 import sys
 
-from coopzf import wyner_backhaul_scheme
+import pytest
+
+from coopzf import build_wyner, wyner_backhaul_scheme
 from coopzf.cli import main, report_table1
 
 
@@ -61,6 +63,43 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     report = json.loads(out)
     assert report["pass"] is False
     assert report["max_residual"] > 1e-8
+
+
+def test_verify_rejects_serving_outside_transmit_set(capsys, monkeypatch):
+    # message 2 is known only at transmitter 1 but claims transmitter 2
+    doc = {
+        "K": 2,
+        "active": [2],
+        "serving": {"2": 2},
+        "cancel_at": {"2": []},
+        "deactivated": [],
+        "topology": json.loads(build_wyner(2).to_json()),
+        "transmit_sets": [[], [1]],
+    }
+    code, out, err = _run(["verify"], capsys, monkeypatch, stdin=json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert "outside its transmit set" in err
+
+
+_MALFORMED_ROUTES = [
+    ["verify"],
+    ["report"],
+    ["certify", "--backhaul", "--B", "1"],
+    ["certify", "--groups", "--n", "3"],
+    ["certify", "--states", "--n", "3"],
+    ["certify", "--lower-bound"],
+    ["oracle", "--max-activation", "--wyner", "--K", "4"],
+]
+
+
+@pytest.mark.parametrize("document", ["{}", "not json", "[]", '{"K": "x", "pairs": 3}'])
+@pytest.mark.parametrize("argv", _MALFORMED_ROUTES, ids=" ".join)
+def test_malformed_stdin_exits_two(capsys, monkeypatch, argv, document):
+    code, out, err = _run(argv, capsys, monkeypatch, stdin=document)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed")
 
 
 def test_seed_resolution_order(capsys, monkeypatch):

@@ -46,6 +46,14 @@ def _generators():
         K = table1_row(L)["K_min"]
         a, s = table1_scheme(K, L)
         out.append((build_locally_connected(K, L), a, s))
+    a, s = convex_combination(
+        [
+            (lambda: locally_connected_scheme(7, 3, 2), 2),
+            (lambda: locally_connected_scheme(9, 3, 3), 0),
+            (lambda: locally_connected_scheme(9, 3, 3), 1),
+        ]
+    )
+    out.append((build_locally_connected(23, 3), a, s))
     a, s = two_dim_scheme(144)
     out.append((build_two_dim(144), a, s))
     topo, lat = build_hexagonal(6)
@@ -106,6 +114,8 @@ def test_wide_chain_block_divisibility_required():
 def test_generators_pass_structural_validation():
     for topo, a, s in _generators():
         assert validate_scheme(topo, a, s) == [], s.name
+        used = set().union(*(a.transmit_sets[i] for i in s.active_messages))
+        assert s.deactivated_transmitters == set(range(1, s.K + 1)) - used, s.name
 
 
 def test_generators_declare_exact_metrics():

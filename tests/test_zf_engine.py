@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from coopzf import (
     BeamDesign,
     ChannelRealization,
+    InvalidParameterError,
     MessageAssignment,
     ZfScheme,
     build_hexagonal,
@@ -170,6 +173,24 @@ def test_uncovered_interference_is_reported_not_raised():
     rows = {row["rx"]: row for row in report.per_receiver}
     assert rows[2]["max_interf"] > 0.0
     assert rows[1]["max_interf"] == 0.0  # receiver 1 hears only transmitter 1
+
+
+def test_serving_outside_transmit_set_is_rejected():
+    # message 2 is known only at transmitter 1 but claims transmitter 2
+    topo = build_wyner(2)
+    channels = sample_channels(topo, 0)
+    assignment = MessageAssignment(K=2, transmit_sets={1: frozenset(), 2: frozenset({1})})
+    scheme = ZfScheme(
+        K=2,
+        active_messages=frozenset({2}),
+        serving={2: 2},
+        cancel_at={2: ()},
+        deactivated_transmitters=frozenset(),
+        declared_pudof=Fraction(1, 2),
+        declared_backhaul=Fraction(1, 2),
+    )
+    with pytest.raises(InvalidParameterError, match="outside its transmit set"):
+        design_beams(topo, channels, assignment, scheme)
 
 
 def test_all_inactive_scheme_passes_vacuously():
