@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .assignment import MessageAssignment, assignment_from_json, metrics
+from .assignment import assignment_from_json
 from .converse import (
     algorithm1_certify,
     backhaul_converse,

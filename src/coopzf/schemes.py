@@ -7,8 +7,10 @@ which transmitters stay silent.  Generators cover linear chains under
 an integer backhaul budget, locally connected linear networks, convex
 combinations of block schemes, the best known block mixtures for
 L = 2..6, square-grid networks, and hexagonal-sectored networks (both
-the non-cooperative coset plan and the cooperative plan obtained by
-carving the lattice into non-interfering chains).
+the non-cooperative coset plan and the cooperative plan, which silences
+the circles and diamonds of every odd row so that each pair of rows
+becomes one isolated chain; it covers every side that is a multiple
+of 6).
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ import math
 from .assignment import MessageAssignment
 from .errors import DecompositionFailureError, InvalidParameterError, _document_errors
 from .topology import HexLattice, NetworkTopology, topology_from_json
-
-# Search-node cap for the divisible-chains removal search.
-_DECOMPOSE_NODE_BUDGET = 500_000
 
 
 @dataclass
@@ -508,120 +507,18 @@ def _chains_of(lattice: HexLattice, removed: frozenset[int]) -> list[list[int]] 
     return chains
 
 
-def _search_removal_all_chains_divisible(
-    lattice: HexLattice, target_removed: int, divisor: int, node_budget: int
-) -> frozenset[int] | None:
-    """Depth-first search for a removal set leaving paths of divisible length.
-
-    Nodes are decided in index order (keep first, then remove).  Kept
-    nodes are tracked with union-find; branches creating a degree-3 node
-    or a cycle are cut, and a component that can no longer grow must
-    already have length divisible by ``divisor``.  Returns None when the
-    node budget runs out or no such removal exists.
-    """
-    n = lattice.n
-    if n is None:
-        return None
-    K = len(lattice.coords)
-    nbrs = {i: sorted(lattice.neighbors[i]) for i in lattice.coords}
-    lower = {i: [j for j in nbrs[i] if j < i] for i in lattice.coords}
-    state = [0] * (K + 1)  # 0 undecided, 1 kept, 2 removed
-    parent = list(range(K + 1))
-    size = [1] * (K + 1)
-    maxi = list(range(K + 1))
-    visited = 0
-    result: list[frozenset[int]] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def closed_component_ok(i: int) -> bool:
-        # Deciding node i settles the full neighborhood of node i-n-1
-        # (the largest-index neighbor on the grid is i-n-1+n+1 = i).
-        u = i - n - 1
-        if u >= 1 and state[u] == 1:
-            r = find(u)
-            if maxi[r] <= u and size[r] % divisor != 0:
-                return False
-        return True
-
-    def dfs(i: int, removed: int) -> bool:
-        nonlocal visited
-        visited += 1
-        if visited > node_budget:
-            return False
-        if removed > target_removed or (i - 1 - removed) > K - target_removed:
-            return False
-        if i > K:
-            if removed != target_removed:
-                return False
-            comp_sizes: dict[int, int] = {}
-            for j in range(1, K + 1):
-                if state[j] == 1:
-                    r = find(j)
-                    comp_sizes[r] = comp_sizes.get(r, 0) + 1
-            if all(s % divisor == 0 for s in comp_sizes.values()):
-                result.append(frozenset(j for j in range(1, K + 1) if state[j] == 2))
-                return True
-            return False
-        kept_nbrs = [j for j in lower[i] if state[j] == 1]
-        ok = len(kept_nbrs) <= 2
-        if ok:
-            for j in kept_nbrs:
-                if sum(1 for x in nbrs[j] if x != i and state[x] == 1) >= 2:
-                    ok = False
-                    break
-        if ok:
-            roots = set()
-            for j in kept_nbrs:
-                r = find(j)
-                if r in roots:
-                    ok = False
-                    break
-                roots.add(r)
-        if ok:
-            state[i] = 1
-            undo = []
-            for j in kept_nbrs:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    if size[ri] < size[rj]:
-                        ri, rj = rj, ri
-                    undo.append((rj, parent[rj], ri, size[ri], maxi[ri]))
-                    parent[rj] = ri
-                    size[ri] += size[rj]
-                    maxi[ri] = max(maxi[ri], maxi[rj])
-            if closed_component_ok(i) and dfs(i + 1, removed):
-                return True
-            state[i] = 0
-            for rj, pj, ri, si, mi in reversed(undo):
-                parent[rj] = pj
-                size[ri] = si
-                maxi[ri] = mi
-        if removed < target_removed:
-            state[i] = 2
-            if closed_component_ok(i) and dfs(i + 1, removed + 1):
-                return True
-            state[i] = 0
-        return False
-
-    dfs(1, 0)
-    return result[0] if result else None
-
-
 def decompose_hexagonal_to_linear(lattice: HexLattice) -> tuple[frozenset[int], list[list[int]]]:
     """Silence a third of a hexagonal grid so the rest splits into chains.
 
-    After removal, each remaining node's neighbors within its chain are
-    exactly the adjacent chain positions, and no edge joins two
-    different chains — every chain behaves as an isolated locally
-    connected linear network with connectivity 2.  A budgeted exact
-    search first looks for a removal whose chain lengths are all
-    divisible by 8 (what the cooperative scheme needs); if none is
-    found, removing one full coset (which always leaves paths on the
-    grids this supports) is used instead.
+    No edge joins two chains and each kept node's kept neighbors are its
+    chain neighbors, so every chain is an isolated locally connected
+    linear network with connectivity 2.  For even ``n`` the circles and
+    diamonds of every odd row ``b`` are silenced: within a row the only
+    missing edge is circle→diamond, squares have no upward edges, and a
+    square's two downward edges reach the circle and diamond it sits
+    above, so row ``2j`` plus the squares of row ``2j+1`` form one path
+    of ``4n/3`` nodes (a multiple of 8 exactly when ``6 | n``).  For odd
+    ``n`` the square coset is silenced, leaving paths of lengths ``1..n``.
 
     Args:
         lattice: grid-built lattice with side ``n`` divisible by 3.
@@ -632,30 +529,21 @@ def decompose_hexagonal_to_linear(lattice: HexLattice) -> tuple[frozenset[int], 
 
     Raises:
         InvalidParameterError: lattice not grid-built or ``3 ∤ n``.
-        DecompositionFailureError: no candidate passed validation.
+        DecompositionFailureError: the kept nodes do not form paths.
     """
     n = lattice.n
     if n is None or n % 3 != 0:
         raise InvalidParameterError("lattice must be grid-built with side n divisible by 3")
-    K = len(lattice.coords)
-    target = K // 3
-    removed: frozenset[int] | None = None
-    if (K - target) % 8 == 0:
-        removed = _search_removal_all_chains_divisible(lattice, target, 8, _DECOMPOSE_NODE_BUDGET)
-    if removed is not None:
-        chains = _chains_of(lattice, removed)
-        if chains is not None:
-            return removed, chains
-    for coset in ("square", "circle", "diamond"):
-        cand = frozenset(i for i in lattice.coords if lattice.cosets[i] == coset)
-        if len(cand) != target:
-            continue
-        chains = _chains_of(lattice, cand)
-        if chains is not None:
-            return cand, chains
-    raise DecompositionFailureError(
-        f"no chain decomposition found for n={n} (searched + coset removals)"
-    )
+    if n % 2 == 0:
+        removed = frozenset(
+            i for i, (_, b) in lattice.coords.items() if b % 2 == 1 and lattice.cosets[i] != "square"
+        )
+    else:
+        removed = frozenset(i for i in lattice.coords if lattice.cosets[i] == "square")
+    chains = _chains_of(lattice, removed)
+    if chains is None:
+        raise DecompositionFailureError(f"kept nodes of the n={n} lattice do not form paths")
+    return removed, chains
 
 
 def validate_linear_decomposition(
@@ -688,29 +576,21 @@ def validate_linear_decomposition(
 def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfScheme]:
     """Cooperative hexagonal plan: chains of 8-user blocks at order 3.
 
-    The lattice is decomposed into isolated chains (one third of the
-    nodes silenced); each chain runs the connectivity-2, order-3 block
-    scheme on blocks of eight, delivering 3/4 of the chain's messages
-    at chain backhaul 3/2 — overall per-user DoF exactly 1/2 at
-    backhaul exactly 1.
+    The row-pair decomposition silences one third of the nodes and
+    leaves ``n/2`` isolated chains of ``4n/3`` nodes; each chain runs the
+    connectivity-2, order-3 block scheme on blocks of eight, delivering
+    3/4 of the chain's messages at chain backhaul 3/2 — overall per-user
+    DoF exactly 1/2 at backhaul exactly 1.
 
     Raises:
-        InvalidParameterError: a chain length is not divisible by 8
-            (pick the grid side accordingly), or the lattice is not a
-            grid with side divisible by 3.
+        InvalidParameterError: the lattice is not a grid with side ``n``
+            a multiple of 6 (the chains then hold whole blocks of 8).
     """
+    if lattice.n is None or lattice.n % 6 != 0:
+        raise InvalidParameterError("lattice must be grid-built with side n a multiple of 6")
     _, chains = decompose_hexagonal_to_linear(lattice)
-    placements = []
-    for chain in chains:
-        if len(chain) % 8 != 0:
-            raise InvalidParameterError(
-                f"chain of length {len(chain)} is not divisible by 8; "
-                "the cooperative block scheme needs full blocks of 8"
-            )
-        placements.append((*locally_connected_scheme(len(chain), 2, 3), chain, chain))
-    return _embed(
-        len(lattice.coords), placements, "hexagonal_cooperative", ("hexagonal", lattice.n or 0)
-    )
+    placements = [(*locally_connected_scheme(len(chain), 2, 3), chain, chain) for chain in chains]
+    return _embed(len(lattice.coords), placements, "hexagonal_cooperative", ("hexagonal", lattice.n))
 
 
 def scheme_to_json(
@@ -748,7 +628,12 @@ def scheme_to_json(
 def scheme_from_json(
     text: str,
 ) -> tuple[ZfScheme, NetworkTopology | None, MessageAssignment | None]:
-    """Inverse of :func:`scheme_to_json`; embedded sections are optional."""
+    """Inverse of :func:`scheme_to_json`; embedded sections are optional.
+
+    Raises:
+        InvalidParameterError: malformed JSON or shape, users outside
+            ``1..K``, or ``serving``/``cancel_at`` keys other than ``active``.
+    """
     with _document_errors("scheme"):
         obj = json.loads(text)
         declared = obj.get("declared", {})
@@ -763,6 +648,12 @@ def scheme_from_json(
             name=obj.get("name", ""),
             family=tuple(obj.get("family", ())),
         )
+        named = scheme.active_messages.union(scheme.serving.values(), *scheme.cancel_at.values())
+        keyed = set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at)
+        if not keyed or named - set(range(1, scheme.K + 1)):
+            raise InvalidParameterError(
+                "malformed scheme document (users outside 1..K, or serving/cancel_at not keyed by active)"
+            )
         topology = None
         if "topology" in obj:
             topology = topology_from_json(json.dumps(obj["topology"]))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from coopzf import build_wyner, wyner_backhaul_scheme
+from coopzf import build_wyner, scheme_to_json, wyner_backhaul_scheme
 from coopzf.cli import main, report_table1
 
 
@@ -45,13 +45,15 @@ def test_pipeline_is_referentially_transparent(capsys, monkeypatch):
 
 
 def test_report_subcommand(capsys, monkeypatch):
-    _, doc, _ = _run(["scheme", "--hex-coop", "--n", "6"], capsys)
-    code, out, _ = _run(["report"], capsys, monkeypatch, stdin=doc)
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["achieved_dof"] == 18
-    assert rep["per_user_dof"] == "1/2"
-    assert rep["backhaul"] == "1"
+    for n, active in (("6", 18), ("12", 72)):
+        code, doc, _ = _run(["scheme", "--hex-coop", "--n", n], capsys)
+        assert code == 0, n
+        code, out, _ = _run(["report"], capsys, monkeypatch, stdin=doc)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["achieved_dof"] == active
+        assert rep["per_user_dof"] == "1/2"
+        assert rep["backhaul"] == "1"
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -93,8 +95,35 @@ _MALFORMED_ROUTES = [
 ]
 
 
-@pytest.mark.parametrize("document", ["{}", "not json", "[]", '{"K": "x", "pairs": 3}'])
-@pytest.mark.parametrize("argv", _MALFORMED_ROUTES, ids=" ".join)
+def _wyner4_document(**fields) -> str:
+    """The K=4, B=1 chain scheme document with some top-level fields replaced."""
+    assignment, scheme = wyner_backhaul_scheme(4, 1)
+    obj = json.loads(scheme_to_json(scheme, topology=build_wyner(4), assignment=assignment))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+# Documents that parse but name users outside 1..K or mismatch the
+# active set; active is [1, 2, 4], served by transmitters 1, 2, 3.
+_INCONSISTENT_SCHEMES = {
+    "cancel_at lacks 1": _wyner4_document(cancel_at={"2": [], "4": []}),
+    "cancel_at 1 names 9": _wyner4_document(cancel_at={"1": [9], "2": [], "4": []}),
+    "active names 99": _wyner4_document(active=[1, 2, 4, 99]),
+    "serving 1 names 9": _wyner4_document(serving={"1": 9, "2": 2, "4": 3}),
+}
+
+_MALFORMED_CASES = [
+    pytest.param(argv, document, id=f"{' '.join(argv)}-{document}")
+    for argv in _MALFORMED_ROUTES
+    for document in ("{}", "not json", "[]", '{"K": "x", "pairs": 3}')
+] + [
+    pytest.param(argv, document, id=f"{' '.join(argv)}-{label}")
+    for argv in (["verify"], ["report"], ["certify", "--lower-bound"])
+    for label, document in _INCONSISTENT_SCHEMES.items()
+]
+
+
+@pytest.mark.parametrize(("argv", "document"), _MALFORMED_CASES)
 def test_malformed_stdin_exits_two(capsys, monkeypatch, argv, document):
     code, out, err = _run(argv, capsys, monkeypatch, stdin=document)
     assert code == 2

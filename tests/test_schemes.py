@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -16,10 +17,13 @@ from coopzf import (
     check_local_cooperation,
     convex_combination,
     decompose_hexagonal_to_linear,
+    design_beams,
+    dof_report,
     hexagonal_cooperative_scheme,
     hexagonal_coset_scheme,
     locally_connected_scheme,
     metrics,
+    sample_channels,
     scheme_from_json,
     scheme_to_json,
     table1_row,
@@ -29,6 +33,7 @@ from coopzf import (
     validate_backhaul,
     validate_linear_decomposition,
     validate_scheme,
+    verify,
     wyner_backhaul_scheme,
 )
 
@@ -334,6 +339,84 @@ def test_cooperative_lattice_chain_dof_share():
     chain_nodes = set().union(*map(set, chains))
     assert len(s.active_messages) == sum(len(c) // 8 * 6 for c in chains)
     assert s.active_messages <= chain_nodes
+
+
+@pytest.mark.parametrize("n", [6, 12, 18, 24])
+def test_cooperative_lattice_sweep(n):
+    topo, lat = build_hexagonal(n)
+    deact, chains = decompose_hexagonal_to_linear(lat)
+    assert validate_linear_decomposition(lat, deact, chains) == []
+    assert [len(c) for c in chains] == [4 * n // 3] * (n // 2)
+    a, s = hexagonal_cooperative_scheme(lat)
+    assert validate_scheme(topo, a, s) == []
+    channels = sample_channels(topo, 0)
+    assert verify(topo, channels, s, design_beams(topo, channels, a, s)).passed
+    report = dof_report(s, a)
+    assert report.achieved_dof == n * n // 2
+    assert report.per_user_dof == s.declared_pudof == Fraction(1, 2)
+    assert report.backhaul == s.declared_backhaul == 1
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_cooperative_lattice_needs_side_multiple_of_six(n):
+    _, lat = build_hexagonal(n)
+    with pytest.raises(InvalidParameterError):
+        hexagonal_cooperative_scheme(lat)
+
+
+# SHA-256 of scheme_to_json(scheme, topology=..., assignment=...) for one
+# call of each generator.  Any change to a scheme document must update its
+# digest here and record the reason in CHANGES.md.
+_PINNED_DOCUMENTS = {
+    "wyner_backhaul_scheme": (
+        lambda: (build_wyner(16), *wyner_backhaul_scheme(16, 2)),
+        "35eb04aabeabf090eed4b74f138dc598985adf3fc308c8c20417f643ab8f8f38",
+    ),
+    "locally_connected_scheme": (
+        lambda: (build_locally_connected(14, 3), *locally_connected_scheme(14, 3, 2)),
+        "e263cf201d56143646cd95840bb8eba3bbc18db7db773e6bbaaf9587a427aa13",
+    ),
+    "convex_combination": (
+        lambda: (
+            build_locally_connected(23, 3),
+            *convex_combination(
+                [
+                    (lambda: locally_connected_scheme(7, 3, 2), 2),
+                    (lambda: locally_connected_scheme(9, 3, 3), 1),
+                ]
+            ),
+        ),
+        "41126e913a01f5dd91d7b68a233e11c18b37cc19fd34e3c8af04523e29910cb7",
+    ),
+    "table1_scheme": (
+        lambda: (build_locally_connected(18, 4), *table1_scheme(18, 4)),
+        "2ebdc9699956d213859df054738041230c5353aec47d2115fda5401703278533",
+    ),
+    "two_dim_row_scheme": (
+        lambda: (build_locally_connected(24, 1), *two_dim_row_scheme(24)),
+        "02aab480765502c79ef13dfe47b49cb0a0879a239bf2aa3b86f462272d16190a",
+    ),
+    "two_dim_scheme": (
+        lambda: (build_two_dim(144), *two_dim_scheme(144)),
+        "db253944cb2a29133d6aab767c5adbd23c03ad9dc164b3395e19da1ad54161b3",
+    ),
+    "hexagonal_coset_scheme": (
+        lambda: (build_hexagonal(6)[0], *hexagonal_coset_scheme(build_hexagonal(6)[1])),
+        "48ffa42d15e05f9b10d629fa8d4cc36d0652d5aa74d51f732e76bfc30892fa64",
+    ),
+    "hexagonal_cooperative_scheme": (
+        lambda: (build_hexagonal(6)[0], *hexagonal_cooperative_scheme(build_hexagonal(6)[1])),
+        "b5409a083567e5e64f6ba0b4fdf686f177e95c3076a21b67c615e389c4c27241",
+    ),
+}
+
+
+@pytest.mark.parametrize("generator", list(_PINNED_DOCUMENTS))
+def test_scheme_documents_are_pinned(generator):
+    build, digest = _PINNED_DOCUMENTS[generator]
+    topology, assignment, scheme = build()
+    document = scheme_to_json(scheme, topology=topology, assignment=assignment)
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
 def test_scheme_json_round_trip():
