@@ -93,6 +93,9 @@ def validate_scheme(
     leave one coefficient free for delivery; every active receiver
     hearing any transmitter of ``T_i`` appears in ``C_i`` (complete
     interference coverage); deactivated transmitters carry nothing.
+
+    Coverage only visits the active receivers in ``hearers(t)`` for
+    ``t in T_i``, so the cost is linear in ``sum |T_i| * degree``.
     """
     problems: list[str] = []
     if not (set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at)):
@@ -119,8 +122,8 @@ def validate_scheme(
             problems.append(f"cancellation list of message {i} includes receivers that hear none of its transmitters")
         if len(C) > len(T) - 1:
             problems.append(f"message {i} has too many cancellation constraints for |T|={len(T)}")
-        for k in sorted(scheme.active_messages):
-            if k != i and topology.hears[k] & T and k not in C:
+        for k in sorted(audible_at & scheme.active_messages):
+            if k != i and k not in C:
                 problems.append(f"active receiver {k} hears message {i} but is not in its cancellation list")
     used = set()
     for i in scheme.active_messages:
@@ -632,7 +635,8 @@ def scheme_from_json(
 
     Raises:
         InvalidParameterError: malformed JSON or shape, users outside
-            ``1..K``, or ``serving``/``cancel_at`` keys other than ``active``.
+            ``1..K``, ``serving``/``cancel_at`` keys other than ``active``,
+            or a deactivated transmitter inside an active transmit set.
     """
     with _document_errors("scheme"):
         obj = json.loads(text)
@@ -663,4 +667,10 @@ def scheme_from_json(
                 K=scheme.K,
                 transmit_sets={i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])},
             )
+            used = frozenset().union(*(assignment.transmit_sets.get(i, ()) for i in scheme.active_messages))
+            overlap = scheme.deactivated_transmitters & used
+            if overlap:
+                raise InvalidParameterError(
+                    f"malformed scheme document (deactivated transmitters {sorted(overlap)} appear in active transmit sets)"
+                )
     return scheme, topology, assignment

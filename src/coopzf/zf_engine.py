@@ -81,21 +81,33 @@ class VerificationReport:
         )
 
 
+def _normal_stream(rng: np.random.Generator, count: int):
+    """The generator's standard normal stream: one batch of ``count``, then pairs on demand."""
+    yield from rng.standard_normal(count)
+    while True:
+        yield from rng.standard_normal(2)
+
+
 def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     """Draw i.i.d. standard circular complex gains on the hearing support.
 
     Deterministic given ``seed``; receivers are visited in ascending
-    order and their heard transmitters in ascending order.  Draws with
-    magnitude below 1e-6 are resampled so no stored gain is degenerate.
+    order and their heard transmitters in ascending order, each gain
+    taking the next (real, imaginary) pair of one normal stream.  The
+    ``2 * sum |hears(k)|`` normals the support needs come from a single
+    batched draw; a gain with magnitude below 1e-6 is redrawn from the
+    following pair, so no stored gain is degenerate.  Cost is linear in
+    the support size.
     """
     rng = np.random.default_rng(seed)
+    normals = _normal_stream(rng, 2 * sum(len(heard) for heard in topology.hears.values()))
+    scale = np.sqrt(2)
     coefficients: dict[tuple[int, int], complex] = {}
     for i in range(1, topology.K + 1):
         for t in sorted(topology.hears[i]):
             h = 0j
             while abs(h) < _MAGNITUDE_FLOOR:
-                re, im = rng.standard_normal(2)
-                h = complex(re, im) / np.sqrt(2)
+                h = complex(next(normals), next(normals)) / scale
             coefficients[(i, t)] = h
     return ChannelRealization(coefficients=coefficients, seed=seed)
 
@@ -218,8 +230,22 @@ def verify(
     H[k,t] * v_i[t]``.  The desired coefficient (``i = k``) must exceed
     the 1e-6 magnitude floor; every other must stay below ``tol`` times
     the desired magnitude.  Failures are reported as data, never raised.
+
+    A message whose beam uses no transmitter heard at ``k`` contributes
+    exactly zero there, so receiver ``k`` only visits the messages that
+    an index from transmitter to carrying messages lists under
+    ``hears(k)``; the cost is linear in ``sum |T_i| * degree``.
+
+    Raises:
+        InvalidParameterError: ``tol`` is not a number in (0, 1).
     """
+    if not 0 < tol < 1:
+        raise InvalidParameterError(f"tol must be in (0, 1), got {tol}")
     active = sorted(scheme.active_messages)
+    carried_by: dict[int, list[int]] = {}
+    for i in active:
+        for t in beams.beams[i]:
+            carried_by.setdefault(t, []).append(i)
     per_receiver: list[dict] = []
     passed = True
     max_residual = 0.0
@@ -227,7 +253,7 @@ def verify(
         heard = topology.hears[k]
         desired = 0j
         worst = 0.0
-        for i in active:
+        for i in sorted(set().union(*(carried_by.get(t, ()) for t in heard))):
             coef = sum(
                 channels.gain(k, t) * v for t, v in beams.beams[i].items() if t in heard
             )

@@ -121,11 +121,15 @@ def test_criterion_3_grid_scheme_five_ninths():
     # numerical check of one isolated row as its own chain network
     row_topology = build_locally_connected(N, 1)
     assert _verified(row_topology, row_asg, row_scheme, seed=0)
+
+    # structural and numerical check of the whole grid
+    assert validate_scheme(topology, assignment, scheme) == []
+    assert _verified(topology, assignment, scheme, seed=0)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, elapsed
     print(
         "PASS: criterion 3 — 84x84 grid reaches 5/9 at load 1 with isolated "
-        f"5/6-DoF rows (0 isolation violations), {elapsed:.2f}s"
+        f"5/6-DoF rows (0 isolation violations), verified on the full grid, {elapsed:.2f}s"
     )
 
 

@@ -103,13 +103,15 @@ def _wyner4_document(**fields) -> str:
     return json.dumps(obj)
 
 
-# Documents that parse but name users outside 1..K or mismatch the
-# active set; active is [1, 2, 4], served by transmitters 1, 2, 3.
+# Documents that parse but name users outside 1..K, mismatch the active
+# set or silence a transmitter an active message uses; active is [1, 2, 4],
+# served by transmitters 1, 2, 3, and T_1 = {1, 2}.
 _INCONSISTENT_SCHEMES = {
     "cancel_at lacks 1": _wyner4_document(cancel_at={"2": [], "4": []}),
     "cancel_at 1 names 9": _wyner4_document(cancel_at={"1": [9], "2": [], "4": []}),
     "active names 99": _wyner4_document(active=[1, 2, 4, 99]),
     "serving 1 names 9": _wyner4_document(serving={"1": 9, "2": 2, "4": 3}),
+    "deactivated names 1": _wyner4_document(deactivated=[1, 4]),
 }
 
 _MALFORMED_CASES = [
@@ -121,6 +123,20 @@ _MALFORMED_CASES = [
     for argv in (["verify"], ["report"], ["certify", "--lower-bound"])
     for label, document in _INCONSISTENT_SCHEMES.items()
 ]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
+def test_verify_rejects_tolerance_outside_unit_interval(capsys, monkeypatch, tol):
+    # message 1 keeps only two of its three cancellations: residual ~1
+    _, doc, _ = _run(["scheme", "--wyner", "--K", "8", "--B", "2"], capsys)
+    obj = json.loads(doc)
+    obj["cancel_at"]["1"] = [2, 3]
+    code, out, _ = _run(["verify"], capsys, monkeypatch, stdin=json.dumps(obj))
+    assert code == 1
+    code, out, err = _run(["verify", "--tol", tol], capsys, monkeypatch, stdin=json.dumps(obj))
+    assert code == 2
+    assert out == ""
+    assert "tol must be in (0, 1)" in err
 
 
 @pytest.mark.parametrize(("argv", "document"), _MALFORMED_CASES)

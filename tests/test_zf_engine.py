@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
+import hashlib
 
+import numpy as np
 import pytest
 
 from coopzf import (
@@ -11,6 +14,7 @@ from coopzf import (
     ChannelRealization,
     InvalidParameterError,
     MessageAssignment,
+    VerificationReport,
     ZfScheme,
     build_hexagonal,
     build_locally_connected,
@@ -22,11 +26,14 @@ from coopzf import (
     hexagonal_coset_scheme,
     locally_connected_scheme,
     sample_channels,
+    table1_row,
     table1_scheme,
     two_dim_scheme,
+    validate_scheme,
     verify,
     wyner_backhaul_scheme,
 )
+from coopzf import zf_engine
 from coopzf.zf_engine import _chain_solve, _dense_solve
 
 
@@ -249,3 +256,199 @@ def test_dof_report_values():
     )
     rep = dof_report(empty_s, empty_a)
     assert rep.achieved_dof == 0 and rep.per_user_dof == 0 and rep.backhaul == 0
+
+
+# ---------------------------------------------------------------------------
+# The indexed verify and validate_scheme against their all-pairs reference
+# ---------------------------------------------------------------------------
+
+
+def _verify_all_pairs(topology, channels, scheme, beams) -> VerificationReport:
+    """Reference verification: every active receiver against every active message."""
+    active = sorted(scheme.active_messages)
+    per_receiver: list[dict] = []
+    passed = True
+    max_residual = 0.0
+    for k in active:
+        heard = topology.hears[k]
+        desired = 0j
+        worst = 0.0
+        for i in active:
+            coef = sum(
+                channels.gain(k, t) * v for t, v in beams.beams[i].items() if t in heard
+            )
+            if i == k:
+                desired = coef
+            else:
+                worst = max(worst, abs(coef))
+        per_receiver.append(
+            {"rx": k, "desired_mag": float(abs(desired)), "max_interf": float(worst)}
+        )
+        if abs(desired) <= 1e-6:
+            passed = False
+            max_residual = float("inf") if worst else max_residual
+            continue
+        residual = worst / abs(desired)
+        max_residual = max(max_residual, residual)
+        if residual >= 1e-8:
+            passed = False
+    return VerificationReport(
+        passed=passed, dof=len(active), max_residual=max_residual, per_receiver=per_receiver
+    )
+
+
+_COVERAGE = "but is not in its cancellation list"
+
+
+def _coverage_all_pairs(topology, assignment, scheme) -> list[str]:
+    """Reference coverage check: every active message against every active receiver."""
+    problems = []
+    for i in sorted(scheme.active_messages):
+        T = assignment.transmit_sets.get(i, frozenset())
+        if not T:
+            continue
+        C = scheme.cancel_at.get(i, ())
+        for k in sorted(scheme.active_messages):
+            if k != i and topology.hears[k] & T and k not in C:
+                problems.append(f"active receiver {k} hears message {i} {_COVERAGE}")
+    return problems
+
+
+def _variants(assignment, scheme):
+    """The scheme as generated plus four edits of it, keyed by name."""
+
+    def edited(cancel=None, extra=None):
+        tsets, serving = dict(assignment.transmit_sets), dict(scheme.serving)
+        cancel_at = dict(scheme.cancel_at if cancel is None else cancel)
+        active = scheme.active_messages
+        if extra is not None:
+            tsets[extra] = tsets[extra] or frozenset({extra})
+            serving[extra] = min(tsets[extra])
+            cancel_at[extra] = ()
+            active = active | {extra}
+        return (
+            dataclasses.replace(assignment, transmit_sets=tsets),
+            dataclasses.replace(scheme, active_messages=active, serving=serving, cancel_at=cancel_at),
+        )
+
+    out = {"generated": (assignment, scheme)}
+    dropped = min((i for i in scheme.active_messages if scheme.cancel_at[i]), default=None)
+    if dropped is not None:
+        out["dropped"] = edited(cancel={**scheme.cancel_at, dropped: scheme.cancel_at[dropped][:-1]})
+    out["reversed"] = edited(cancel={i: c[::-1] for i, c in scheme.cancel_at.items()})
+    inactive = sorted(set(range(1, scheme.K + 1)) - scheme.active_messages)
+    if inactive:
+        out["extra_user"] = edited(extra=inactive[0])
+    out["scrambled"] = edited(cancel={i: c[1:] + c[:1] for i, c in scheme.cancel_at.items()})
+    return out
+
+
+def _cross_check_cases():
+    schemes = []
+    for B in (1, 2, 3):
+        schemes.append((f"wyner_B{B}", build_wyner(12 * B), *wyner_backhaul_scheme(12 * B, B)))
+    for L in range(2, 7):
+        K = table1_row(L)["K_min"]
+        schemes.append((f"table1_L{L}", build_locally_connected(K, L), *table1_scheme(K, L)))
+    schemes.append(("two_dim", build_two_dim(144), *two_dim_scheme(144)))
+    for n in (6, 12):
+        topo, lattice = build_hexagonal(n)
+        schemes.append((f"hex_coop_n{n}", topo, *hexagonal_cooperative_scheme(lattice)))
+    topo, lattice = build_hexagonal(6)
+    schemes.append(("hex_coset", topo, *hexagonal_coset_scheme(lattice)))
+    return [
+        (f"{name}-{variant}", topo, *pair)
+        for name, topo, assignment, scheme in schemes
+        for variant, pair in _variants(assignment, scheme).items()
+    ]
+
+
+_CROSS_CHECK = _cross_check_cases()
+
+
+@pytest.mark.parametrize(
+    ("topo", "assignment", "scheme"),
+    [case[1:] for case in _CROSS_CHECK],
+    ids=[case[0] for case in _CROSS_CHECK],
+)
+def test_indexed_checks_match_all_pairs_reference(topo, assignment, scheme):
+    problems = validate_scheme(topo, assignment, scheme)
+    assert [p for p in problems if p.endswith(_COVERAGE)] == _coverage_all_pairs(topo, assignment, scheme)
+    for seed in (0, 1):
+        channels = sample_channels(topo, seed)
+        beams = design_beams(topo, channels, assignment, scheme)
+        expected = _verify_all_pairs(topo, channels, scheme, beams)
+        assert verify(topo, channels, scheme, beams).to_json() == expected.to_json()
+
+
+def test_cross_check_cases_include_failures():
+    failing = 0
+    for _, topo, assignment, scheme in _CROSS_CHECK:
+        channels = sample_channels(topo, 0)
+        beams = design_beams(topo, channels, assignment, scheme)
+        invalid = validate_scheme(topo, assignment, scheme) != []
+        failing += invalid or not verify(topo, channels, scheme, beams).passed
+    assert 4 * failing >= len(_CROSS_CHECK), (failing, len(_CROSS_CHECK))
+
+
+# ---------------------------------------------------------------------------
+# Channel draws: pinned streams, resampling, and the cost of verify
+# ---------------------------------------------------------------------------
+
+
+def _sample_per_draw(topology, seed):
+    """Reference sampler: one two-normal draw per coefficient, redrawn below the floor."""
+    rng = np.random.default_rng(seed)
+    coefficients = {}
+    for i in range(1, topology.K + 1):
+        for t in sorted(topology.hears[i]):
+            h = 0j
+            while abs(h) < zf_engine._MAGNITUDE_FLOOR:
+                re, im = rng.standard_normal(2)
+                h = complex(re, im) / np.sqrt(2)
+            coefficients[(i, t)] = h
+    return coefficients
+
+
+@pytest.mark.parametrize(
+    ("topo", "seed", "digest"),
+    [
+        (build_two_dim(144), 3, "2e02eeec9aeca11719ab72f0da790de24d895041be38982dcaa2cb6bd5d43e72"),
+        (build_locally_connected(60, 6), 0, "66acb0cbfa091cdbfa24672e65bb4de314282f29429ed3013b29e6901682ebc2"),
+    ],
+    ids=["two_dim_K144_seed3", "lc_L6_K60_seed0"],
+)
+def test_channel_draws_are_pinned(topo, seed, digest):
+    coefficients = sample_channels(topo, seed).coefficients
+    assert hashlib.sha256(repr(list(coefficients.items())).encode()).hexdigest() == digest
+
+
+def test_resampling_follows_the_per_draw_stream(monkeypatch):
+    monkeypatch.setattr(zf_engine, "_MAGNITUDE_FLOOR", 0.5)
+    for topo, seed in ((build_wyner(40), 2), (build_locally_connected(30, 3), 5)):
+        coefficients = sample_channels(topo, seed).coefficients
+        assert list(coefficients.items()) == list(_sample_per_draw(topo, seed).items())
+        assert min(abs(h) for h in coefficients.values()) >= 0.5
+
+
+class _CountingBeams(dict):
+    """Beam vectors that count how often verify looks one up."""
+
+    lookups = 0
+
+    def __getitem__(self, message):
+        self.lookups += 1
+        return super().__getitem__(message)
+
+
+def test_verify_cost_grows_linearly_with_users():
+    counts = []
+    for K in (96, 768):
+        topo = build_wyner(K)
+        assignment, scheme = wyner_backhaul_scheme(K, 2)
+        channels = sample_channels(topo, 0)
+        beams = design_beams(topo, channels, assignment, scheme)
+        counting = _CountingBeams(beams.beams)
+        assert verify(topo, channels, scheme, BeamDesign(beams=counting)).passed
+        counts.append(counting.lookups)
+    assert counts[1] <= 9 * counts[0], counts
