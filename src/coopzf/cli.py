@@ -7,11 +7,13 @@ Subcommands compose through JSON on stdin/stdout::
     coopzf table1
     echo '{"K": 8, "transmit_sets": [...]}' | coopzf certify --backhaul --B 1
 
-Exit codes: 0 success; 1 failed verification, unsound certificate, or
-table mismatch; 2 usage, invalid parameters, or a malformed stdin
-document; 3 resource guard trip.
-The default random seed is 0, overridable by ``--seed`` or the
-``COOPZF_SEED`` environment variable (the flag wins).
+Each subcommand accepts only the flags it reads; any other flag is a
+usage error.  Exit codes: 0 success; 1 failed verification, unsound
+certificate, or table mismatch; 2 usage, invalid parameters, or a
+malformed stdin document; 3 resource guard trip.
+Only ``verify`` draws random channels.  Its seed is 0 unless ``--seed``
+or the ``COOPZF_SEED`` environment variable says otherwise (the flag
+wins); no other subcommand reads either.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .assignment import assignment_from_json
@@ -76,24 +77,8 @@ _EXPECTED_TABLE1 = {
     6: Fraction(1, 2),
 }
 
-
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment parameters ready for :func:`run`."""
-
-    command: str
-    kind: str | None = None
-    mode: str | None = None
-    K: int | None = None
-    L: int | None = None
-    M: int | None = None
-    B: Fraction | None = None
-    n: int | None = None
-    seed: int = 0
-    tol: float = 1e-8
-    fmt: str = "json"
-    node_limit: int | None = None
-    time_limit: float | None = None
+# The topology family each scheme family is generated on, where the names differ.
+_SCHEME_TOPOLOGY = {"table1": "lc", "hex_coset": "hex", "hex_coop": "hex"}
 
 
 def _require(value, flag: str):
@@ -102,22 +87,19 @@ def _require(value, flag: str):
     return value
 
 
-def _build_topology(config: ExperimentConfig):
+def _build_topology(args: argparse.Namespace):
     """Topology (and lattice when hexagonal) from the selection flags."""
-    kind = _require(config.kind, "--wyner/--lc/--two-dim/--hex")
+    kind = _SCHEME_TOPOLOGY.get(args.kind, args.kind)
     if kind == "wyner":
-        return build_wyner(_require(config.K, "--K")), None
+        return build_wyner(_require(args.K, "--K")), None
     if kind == "lc":
         return (
-            build_locally_connected(_require(config.K, "--K"), _require(config.L, "--L")),
+            build_locally_connected(_require(args.K, "--K"), _require(args.L, "--L")),
             None,
         )
     if kind == "two_dim":
-        return build_two_dim(_require(config.K, "--K")), None
-    if kind == "hex":
-        topology, lattice = build_hexagonal(_require(config.n, "--n"))
-        return topology, lattice
-    raise InvalidParameterError(f"unknown topology kind {kind!r}")
+        return build_two_dim(_require(args.K, "--K")), None
+    return build_hexagonal(_require(args.n, "--n"))
 
 
 def _as_int(value: Fraction, flag: str) -> int:
@@ -135,64 +117,62 @@ def _emit(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_topology(config: ExperimentConfig) -> int:
-    topology, _ = _build_topology(config)
+def _run_topology(args: argparse.Namespace) -> int:
+    topology, _ = _build_topology(args)
     _emit(topology.to_json())
     return 0
 
 
-def _run_scheme(config: ExperimentConfig) -> int:
-    kind = _require(config.kind, "--wyner/--lc/--table1/--two-dim/--hex-coset/--hex-coop")
-    if kind == "wyner":
-        K = _require(config.K, "--K")
-        B = _as_int(_require(config.B, "--B"), "--B")
-        assignment, scheme = wyner_backhaul_scheme(K, B)
-        topology = build_wyner(K)
-    elif kind == "lc":
-        K = _require(config.K, "--K")
-        L = _require(config.L, "--L")
-        M = _require(config.M, "--M")
-        assignment, scheme = locally_connected_scheme(K, L, M)
-        topology = build_locally_connected(K, L)
-    elif kind == "table1":
-        K = _require(config.K, "--K")
-        L = _require(config.L, "--L")
-        assignment, scheme = table1_scheme(K, L)
-        topology = build_locally_connected(K, L)
-    elif kind == "two_dim":
-        K = _require(config.K, "--K")
-        assignment, scheme = two_dim_scheme(K)
-        topology = build_two_dim(K)
-    elif kind == "hex_coset":
-        topology, lattice = build_hexagonal(_require(config.n, "--n"))
+def _run_scheme(args: argparse.Namespace) -> int:
+    topology, lattice = _build_topology(args)
+    if args.kind == "wyner":
+        B = _as_int(_require(args.B, "--B"), "--B")
+        assignment, scheme = wyner_backhaul_scheme(args.K, B)
+    elif args.kind == "lc":
+        assignment, scheme = locally_connected_scheme(args.K, args.L, _require(args.M, "--M"))
+    elif args.kind == "table1":
+        assignment, scheme = table1_scheme(args.K, args.L)
+    elif args.kind == "two_dim":
+        assignment, scheme = two_dim_scheme(args.K)
+    elif args.kind == "hex_coset":
         assignment, scheme = hexagonal_coset_scheme(lattice)
-    elif kind == "hex_coop":
-        topology, lattice = build_hexagonal(_require(config.n, "--n"))
-        assignment, scheme = hexagonal_cooperative_scheme(lattice)
     else:
-        raise InvalidParameterError(f"unknown scheme kind {kind!r}")
+        assignment, scheme = hexagonal_cooperative_scheme(lattice)
     _emit(scheme_to_json(scheme, topology=topology, assignment=assignment))
     return 0
 
 
-def _run_verify(config: ExperimentConfig) -> int:
+def _resolve_seed(parsed_seed: int | None) -> int:
+    if parsed_seed is not None:
+        return parsed_seed
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError as exc:
+            raise InvalidParameterError(f"{SEED_ENV_VAR} must be an integer") from exc
+    return 0
+
+
+def _run_verify(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args.seed)
     scheme, topology, assignment = scheme_from_json(sys.stdin.read())
     if topology is None or assignment is None:
         raise InvalidParameterError(
             "verify needs a scheme document with embedded topology and transmit_sets"
         )
-    channels = sample_channels(topology, config.seed)
+    channels = sample_channels(topology, seed)
     beams = design_beams(topology, channels, assignment, scheme)
-    report = verify(topology, channels, scheme, beams, tol=config.tol)
+    report = verify(topology, channels, scheme, beams, tol=args.tol)
     obj = json.loads(report.to_json())
     obj["active"] = report.dof
     obj["dof"] = str(Fraction(report.dof, scheme.K))
-    obj["seed"] = config.seed
+    obj["seed"] = seed
     _emit(json.dumps(obj))
     return 0 if report.passed else 1
 
 
-def _run_report(config: ExperimentConfig) -> int:
+def _run_report(args: argparse.Namespace) -> int:
     scheme, _, assignment = scheme_from_json(sys.stdin.read())
     if assignment is None:
         raise InvalidParameterError("report needs a scheme document with transmit_sets")
@@ -200,17 +180,16 @@ def _run_report(config: ExperimentConfig) -> int:
     return 0
 
 
-def _search_limits(config: ExperimentConfig) -> dict:
+def _search_limits(args: argparse.Namespace) -> dict:
     """The exact-search guards the caller set; unset ones keep the oracle defaults."""
-    limits = {"node_limit": config.node_limit, "time_limit": config.time_limit}
+    limits = {"node_limit": args.node_limit, "time_limit": args.time_limit}
     return {key: value for key, value in limits.items() if value is not None}
 
 
-def _run_oracle(config: ExperimentConfig) -> int:
-    mode = _require(config.mode, "--m1/--coop/--max-activation")
-    topology, lattice = _build_topology(config)
-    if mode == "m1":
-        value, schedule = max_avoidance_m1(topology, **_search_limits(config))
+def _run_oracle(args: argparse.Namespace) -> int:
+    topology, lattice = _build_topology(args)
+    if args.mode == "m1":
+        value, schedule = max_avoidance_m1(topology, **_search_limits(args))
         out = {
             "value": value,
             "pairs": [list(p) for p in sorted(schedule.pairs)],
@@ -229,9 +208,9 @@ def _run_oracle(config: ExperimentConfig) -> int:
                 }
         _emit(json.dumps(out))
         return 0
-    if mode == "coop":
-        B = _require(config.B, "--B")
-        value, witness = max_avoidance_cooperative(topology, B, **_search_limits(config))
+    if args.mode == "coop":
+        B = _require(args.B, "--B")
+        value, witness = max_avoidance_cooperative(topology, B, **_search_limits(args))
         out = {
             "value": value,
             "active": sorted(witness.active),
@@ -240,60 +219,55 @@ def _run_oracle(config: ExperimentConfig) -> int:
         }
         _emit(json.dumps(out))
         return 0
-    if mode == "max_activation":
-        assignment = assignment_from_json(sys.stdin.read())
-        value, witness = max_activation_for_assignment(
-            topology, assignment, **_search_limits(config)
-        )
-        out = {
-            "value": value,
-            "active": sorted(witness.active),
-            "nodes_explored": witness.nodes_explored,
-        }
-        _emit(json.dumps(out))
-        return 0
-    raise InvalidParameterError(f"unknown oracle mode {mode!r}")
+    assignment = assignment_from_json(sys.stdin.read())
+    value, witness = max_activation_for_assignment(
+        topology, assignment, **_search_limits(args)
+    )
+    out = {
+        "value": value,
+        "active": sorted(witness.active),
+        "nodes_explored": witness.nodes_explored,
+    }
+    _emit(json.dumps(out))
+    return 0
 
 
-def _run_certify(config: ExperimentConfig) -> int:
-    mode = _require(config.mode, "--backhaul/--groups/--states/--lower-bound")
-    if mode == "backhaul":
+def _run_certify(args: argparse.Namespace) -> int:
+    if args.mode == "backhaul":
         assignment = assignment_from_json(sys.stdin.read())
-        B = _as_int(_require(config.B, "--B"), "--B")
+        B = _as_int(_require(args.B, "--B"), "--B")
         result = backhaul_converse(assignment, B)
         _emit(json.dumps(result.to_json()))
         return 0
-    if mode == "groups":
+    if args.mode == "groups":
         assignment = assignment_from_json(sys.stdin.read())
-        _, lattice = build_hexagonal(_require(config.n, "--n"))
+        _, lattice = build_hexagonal(_require(args.n, "--n"))
         certificate = algorithm1_certify(lattice, assignment)
         problems = validate_certificate(lattice, assignment, certificate)
         obj = certificate.to_json()
         obj["problems"] = problems
         _emit(json.dumps(obj))
         return 0 if not problems else 1
-    if mode == "states":
+    if args.mode == "states":
         with _document_errors("schedule"):
             pairs = frozenset((int(r), int(t)) for r, t in json.loads(sys.stdin.read())["pairs"])
         schedule = AvoidanceSchedule(pairs=pairs, value=len(pairs))
-        _, lattice = build_hexagonal(_require(config.n, "--n"))
+        _, lattice = build_hexagonal(_require(args.n, "--n"))
         certificate = triangle_state_bound(lattice, schedule)
         _emit(json.dumps(certificate.to_json()))
         return 0
-    if mode == "lower_bound":
-        scheme, topology, assignment = scheme_from_json(sys.stdin.read())
-        if topology is None or assignment is None:
-            raise InvalidParameterError(
-                "lower-bound check needs embedded topology and transmit_sets"
-            )
-        ok = certify_lower_bound(topology, scheme, assignment, **_search_limits(config))
-        _emit(
-            json.dumps(
-                {"certified": bool(ok), "active": len(scheme.active_messages), "K": scheme.K}
-            )
+    scheme, topology, assignment = scheme_from_json(sys.stdin.read())
+    if topology is None or assignment is None:
+        raise InvalidParameterError(
+            "lower-bound check needs embedded topology and transmit_sets"
         )
-        return 0 if ok else 1
-    raise InvalidParameterError(f"unknown certify mode {mode!r}")
+    ok = certify_lower_bound(topology, scheme, assignment, **_search_limits(args))
+    _emit(
+        json.dumps(
+            {"certified": bool(ok), "active": len(scheme.active_messages), "K": scheme.K}
+        )
+    )
+    return 0 if ok else 1
 
 
 def _row_document(row: dict) -> dict:
@@ -357,67 +331,57 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
     return json.dumps({"rows": rows})
 
 
-def _run_table1(config: ExperimentConfig) -> int:
-    if config.L is not None:
-        row = _row_document(table1_row(config.L))
-        if config.fmt == "json":
+def _run_table1(args: argparse.Namespace) -> int:
+    if args.L is not None:
+        row = _row_document(table1_row(args.L))
+        if args.fmt == "json":
             _emit(json.dumps(row))
         else:
-            _emit(_format_rows([row], config.fmt))
+            _emit(_format_rows([row], args.fmt))
         return 0
     document = report_table1()
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit(json.dumps(document))
     else:
-        _emit(_format_rows(document["rows"], config.fmt))
+        _emit(_format_rows(document["rows"], args.fmt))
         for p in document["problems"]:
             print(f"mismatch: {p}", file=sys.stderr)
     return 0 if not document["problems"] else 1
-
-
-_COMMANDS = {
-    "topology": _run_topology,
-    "scheme": _run_scheme,
-    "verify": _run_verify,
-    "report": _run_report,
-    "oracle": _run_oracle,
-    "certify": _run_certify,
-    "table1": _run_table1,
-}
-
-
-def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
-    body = _COMMANDS.get(config.command)
-    if body is None:
-        raise InvalidParameterError(f"unknown command {config.command!r}")
-    return body(config)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# Every valued flag; each subparser declares only the ones its body reads.
+_FLAGS = {
+    "--K": {"type": int, "help": "number of users"},
+    "--L": {"type": int, "help": "chain connectivity parameter"},
+    "--M": {"type": int, "help": "cooperation order"},
+    "--B": {"type": Fraction, "help": 'backhaul budget, e.g. "1" or "3/2"'},
+    "--n": {"type": int, "help": "hexagonal lattice side length"},
+    "--seed": {"type": int, "help": "random seed (else $COOPZF_SEED, else 0)"},
+    "--tol": {"type": float, "default": 1e-8, "help": "relative interference tolerance"},
+    "--format": {"dest": "fmt", "choices": ("json", "csv", "text"), "default": "json"},
+    "--node-limit": {"type": int, "help": "exact-search size guard"},
+    "--time-limit": {"type": float, "help": "exact-search seconds guard"},
+}
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--K", type=int, default=None, help="number of users")
-    sub.add_argument("--L", type=int, default=None, help="chain connectivity parameter")
-    sub.add_argument("--M", type=int, default=None, help="cooperation order")
-    sub.add_argument("--B", type=Fraction, default=None, help='backhaul budget, e.g. "1" or "3/2"')
-    sub.add_argument("--n", type=int, default=None, help="hexagonal lattice side length")
-    sub.add_argument("--seed", type=int, default=None, help="random seed (else $COOPZF_SEED, else 0)")
-    sub.add_argument("--tol", type=float, default=1e-8, help="relative interference tolerance")
-    sub.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="json")
-    sub.add_argument("--node-limit", type=int, default=None, help="exact-search size guard")
-    sub.add_argument("--time-limit", type=float, default=None, help="exact-search seconds guard")
+_TOPOLOGY_KINDS = ("wyner", "lc", "two-dim", "hex")
 
 
-def _add_topology_flags(sub: argparse.ArgumentParser) -> None:
+def _add_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
+
+
+def _add_one_of(sub: argparse.ArgumentParser, dest: str, names: tuple[str, ...]) -> None:
+    """Required choice of one ``--name`` switch; sets ``dest`` to the name, ``-`` as ``_``."""
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--wyner", dest="kind", action="store_const", const="wyner")
-    group.add_argument("--lc", dest="kind", action="store_const", const="lc")
-    group.add_argument("--two-dim", dest="kind", action="store_const", const="two_dim")
-    group.add_argument("--hex", dest="kind", action="store_const", const="hex")
+    for name in names:
+        group.add_argument(
+            f"--{name}", dest=dest, action="store_const", const=name.replace("-", "_")
+        )
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -428,77 +392,38 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("topology", help="emit a topology document")
-    _add_topology_flags(sub)
-    _add_common(sub)
+    _add_one_of(sub, "kind", _TOPOLOGY_KINDS)
+    _add_flags(sub, "--K", "--L", "--n")
+    sub.set_defaults(run=_run_topology)
 
     sub = subs.add_parser("scheme", help="generate a scheme document")
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--wyner", dest="kind", action="store_const", const="wyner")
-    group.add_argument("--lc", dest="kind", action="store_const", const="lc")
-    group.add_argument("--table1", dest="kind", action="store_const", const="table1")
-    group.add_argument("--two-dim", dest="kind", action="store_const", const="two_dim")
-    group.add_argument("--hex-coset", dest="kind", action="store_const", const="hex_coset")
-    group.add_argument("--hex-coop", dest="kind", action="store_const", const="hex_coop")
-    _add_common(sub)
+    _add_one_of(sub, "kind", ("wyner", "lc", "table1", "two-dim", "hex-coset", "hex-coop"))
+    _add_flags(sub, "--K", "--L", "--M", "--B", "--n")
+    sub.set_defaults(run=_run_scheme)
 
     sub = subs.add_parser("verify", help="verify a scheme document from stdin numerically")
-    _add_common(sub)
+    _add_flags(sub, "--seed", "--tol")
+    sub.set_defaults(run=_run_verify)
 
     sub = subs.add_parser("report", help="exact DoF accounting for a scheme document from stdin")
-    _add_common(sub)
+    sub.set_defaults(run=_run_report)
 
     sub = subs.add_parser("oracle", help="exact combinatorial searches")
-    mode = sub.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--m1", dest="mode", action="store_const", const="m1")
-    mode.add_argument("--coop", dest="mode", action="store_const", const="coop")
-    mode.add_argument(
-        "--max-activation", dest="mode", action="store_const", const="max_activation"
-    )
-    _add_topology_flags(sub)
-    _add_common(sub)
+    _add_one_of(sub, "mode", ("m1", "coop", "max-activation"))
+    _add_one_of(sub, "kind", _TOPOLOGY_KINDS)
+    _add_flags(sub, "--K", "--L", "--n", "--B", "--node-limit", "--time-limit")
+    sub.set_defaults(run=_run_oracle)
 
     sub = subs.add_parser("certify", help="certified upper bounds and audits")
-    mode = sub.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--backhaul", dest="mode", action="store_const", const="backhaul")
-    mode.add_argument("--groups", dest="mode", action="store_const", const="groups")
-    mode.add_argument("--states", dest="mode", action="store_const", const="states")
-    mode.add_argument("--lower-bound", dest="mode", action="store_const", const="lower_bound")
-    _add_common(sub)
+    _add_one_of(sub, "mode", ("backhaul", "groups", "states", "lower-bound"))
+    _add_flags(sub, "--B", "--n", "--node-limit", "--time-limit")
+    sub.set_defaults(run=_run_certify)
 
     sub = subs.add_parser("table1", help="chain-mixture table; omit --L for the checked report")
-    _add_common(sub)
+    _add_flags(sub, "--L", "--format")
+    sub.set_defaults(run=_run_table1)
 
     return parser
-
-
-def _resolve_seed(parsed_seed: int | None) -> int:
-    if parsed_seed is not None:
-        return parsed_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParameterError(f"{SEED_ENV_VAR} must be an integer") from exc
-    return 0
-
-
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=args.command,
-        kind=getattr(args, "kind", None),
-        mode=getattr(args, "mode", None),
-        K=args.K,
-        L=args.L,
-        M=args.M,
-        B=args.B,
-        n=args.n,
-        seed=_resolve_seed(args.seed),
-        tol=args.tol,
-        fmt=args.fmt,
-        node_limit=args.node_limit,
-        time_limit=args.time_limit,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,8 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        config = config_from_args(args)
-        return run(config)
+        return args.run(args)
     except (InvalidParameterError, PreconditionViolationError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
+import math
 import time
 
 from .assignment import MessageAssignment, metrics
-from .errors import ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .schemes import ZfScheme, validate_scheme
 from .topology import NetworkTopology
 
@@ -58,7 +59,11 @@ class ActivationWitness:
 
 
 def validate_schedule(topology: NetworkTopology, schedule: AvoidanceSchedule) -> list[str]:
-    """Check one-shot avoidance semantics; returns violations."""
+    """Check one-shot avoidance semantics; returns violations.
+
+    A pair naming a receiver or transmitter outside ``1..K`` is a
+    violation, and its audibility is not checked.
+    """
     problems: list[str] = []
     rxs = [r for r, _ in schedule.pairs]
     txs = [t for _, t in schedule.pairs]
@@ -66,11 +71,19 @@ def validate_schedule(topology: NetworkTopology, schedule: AvoidanceSchedule) ->
         problems.append("receivers are not pairwise distinct")
     if len(set(txs)) != len(txs):
         problems.append("transmitters are not pairwise distinct")
+    # Audibility is only defined between users of the topology.
+    K = topology.K
+    inside = []
     for r, t in sorted(schedule.pairs):
+        if 1 <= r <= K and 1 <= t <= K:
+            inside.append((r, t))
+        else:
+            problems.append(f"pair ({r}, {t}) names a user outside 1..{K}")
+    for r, t in inside:
         if t not in topology.hears[r]:
             problems.append(f"receiver {r} does not hear its transmitter {t}")
-    for r, t in sorted(schedule.pairs):
-        for r2, t2 in sorted(schedule.pairs):
+    for r, t in inside:
+        for r2, t2 in inside:
             if t2 != t and t2 in topology.hears[r]:
                 problems.append(f"receiver {r} hears interfering transmitter {t2}")
     if schedule.value != len(schedule.pairs):
@@ -79,9 +92,16 @@ def validate_schedule(topology: NetworkTopology, schedule: AvoidanceSchedule) ->
 
 
 class _Deadline:
-    """Periodic wall-clock guard for exponential searches."""
+    """Periodic wall-clock guard for exponential searches.
+
+    Raises:
+        InvalidParameterError: ``seconds`` is set but not finite and
+            positive (``nan`` and ``inf`` would never trip the guard).
+    """
 
     def __init__(self, seconds: float | None):
+        if seconds is not None and not 0 < seconds < math.inf:
+            raise InvalidParameterError(f"time_limit must be finite and > 0, got {seconds}")
         self.expires = None if seconds is None else time.monotonic() + seconds
         self.ticks = 0
 
@@ -104,6 +124,7 @@ def max_avoidance_m1(
     branch and bound with a greedy-coloring admissible bound.
 
     Raises:
+        InvalidParameterError: ``time_limit`` is not finite and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit``, or the time
             limit is hit.
     """
@@ -210,6 +231,7 @@ def max_avoidance_cooperative(
     fit the total budget ``B*K``.
 
     Raises:
+        InvalidParameterError: ``time_limit`` is not finite and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
     K = topology.K
@@ -266,8 +288,12 @@ def max_activation_for_assignment(
     beat the incumbent are cut by remaining count.
 
     Raises:
+        InvalidParameterError: topology and assignment sizes disagree,
+            or ``time_limit`` is not finite and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
+    if topology.K != assignment.K:
+        raise InvalidParameterError("topology and assignment sizes disagree")
     K = topology.K
     if K > node_limit:
         raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")

@@ -636,7 +636,8 @@ def scheme_from_json(
     Raises:
         InvalidParameterError: malformed JSON or shape, users outside
             ``1..K``, ``serving``/``cancel_at`` keys other than ``active``,
-            or a deactivated transmitter inside an active transmit set.
+            an embedded topology of another ``K``, or a deactivated
+            transmitter inside an active transmit set.
     """
     with _document_errors("scheme"):
         obj = json.loads(text)
@@ -661,6 +662,10 @@ def scheme_from_json(
         topology = None
         if "topology" in obj:
             topology = topology_from_json(json.dumps(obj["topology"]))
+            if topology.K != scheme.K:
+                raise InvalidParameterError(
+                    f"malformed scheme document (embedded topology has K={topology.K}, document K={scheme.K})"
+                )
         assignment = None
         if "transmit_sets" in obj:
             assignment = MessageAssignment(

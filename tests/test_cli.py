@@ -95,23 +95,25 @@ _MALFORMED_ROUTES = [
 ]
 
 
-def _wyner4_document(**fields) -> str:
-    """The K=4, B=1 chain scheme document with some top-level fields replaced."""
-    assignment, scheme = wyner_backhaul_scheme(4, 1)
-    obj = json.loads(scheme_to_json(scheme, topology=build_wyner(4), assignment=assignment))
+def _wyner_document(K: int = 4, **fields) -> str:
+    """The K-user, B=1 chain scheme document with some top-level fields replaced."""
+    assignment, scheme = wyner_backhaul_scheme(K, 1)
+    obj = json.loads(scheme_to_json(scheme, topology=build_wyner(K), assignment=assignment))
     obj.update(fields)
     return json.dumps(obj)
 
 
 # Documents that parse but name users outside 1..K, mismatch the active
-# set or silence a transmitter an active message uses; active is [1, 2, 4],
-# served by transmitters 1, 2, 3, and T_1 = {1, 2}.
+# set, silence a transmitter an active message uses or embed a topology of
+# another size; for K=4, active is [1, 2, 4], served by transmitters 1, 2,
+# 3, and T_1 = {1, 2}.
 _INCONSISTENT_SCHEMES = {
-    "cancel_at lacks 1": _wyner4_document(cancel_at={"2": [], "4": []}),
-    "cancel_at 1 names 9": _wyner4_document(cancel_at={"1": [9], "2": [], "4": []}),
-    "active names 99": _wyner4_document(active=[1, 2, 4, 99]),
-    "serving 1 names 9": _wyner4_document(serving={"1": 9, "2": 2, "4": 3}),
-    "deactivated names 1": _wyner4_document(deactivated=[1, 4]),
+    "cancel_at lacks 1": _wyner_document(cancel_at={"2": [], "4": []}),
+    "cancel_at 1 names 9": _wyner_document(cancel_at={"1": [9], "2": [], "4": []}),
+    "active names 99": _wyner_document(active=[1, 2, 4, 99]),
+    "serving 1 names 9": _wyner_document(serving={"1": 9, "2": 2, "4": 3}),
+    "deactivated names 1": _wyner_document(deactivated=[1, 4]),
+    "topology K=4": _wyner_document(8, topology=json.loads(build_wyner(4).to_json())),
 }
 
 _MALFORMED_CASES = [
@@ -145,6 +147,51 @@ def test_malformed_stdin_exits_two(capsys, monkeypatch, argv, document):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed")
+
+
+# Flags another subcommand reads; each is a usage error here.
+_UNREAD_FLAGS = [
+    (["verify", "--K", "8"], "scheme"),
+    (["verify", "--format", "csv"], "scheme"),
+    (["report", "--tol", "1e-3"], "scheme"),
+    (["report", "--seed", "1"], "scheme"),
+    (["table1", "--seed", "3"], None),
+    (["topology", "--wyner", "--K", "4", "--B", "1"], None),
+    (["certify", "--groups", "--n", "3", "--seed", "1"], "assignment"),
+    (["oracle", "--m1", "--hex", "--n", "4", "--tol", "0.1"], None),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "stdin"), _UNREAD_FLAGS, ids=[" ".join(argv) for argv, _ in _UNREAD_FLAGS]
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, monkeypatch, argv, stdin):
+    documents = {
+        None: "",
+        "scheme": _wyner_document(8),
+        "assignment": json.dumps({"K": 9, "transmit_sets": [[] for _ in range(9)]}),
+    }
+    code, out, err = _run(argv, capsys, monkeypatch, stdin=documents[stdin])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_seed_variable_reaches_only_verify(capsys, monkeypatch):
+    doc = _wyner_document(8)
+    unseeded = [
+        (["table1", "--L", "4"], ""),
+        (["scheme", "--wyner", "--K", "8", "--B", "2"], ""),
+        (["report"], doc),
+    ]
+    monkeypatch.delenv("COOPZF_SEED", raising=False)
+    expected = [_run(argv, capsys, monkeypatch, stdin=text)[1] for argv, text in unseeded]
+    monkeypatch.setenv("COOPZF_SEED", "not-a-number")
+    for (argv, text), want in zip(unseeded, expected):
+        code, out, _ = _run(argv, capsys, monkeypatch, stdin=text)
+        assert (code, out) == (0, want), argv
+    code, out, err = _run(["verify"], capsys, monkeypatch, stdin=doc)
+    assert code == 2 and out == "" and "COOPZF_SEED" in err
 
 
 def test_seed_resolution_order(capsys, monkeypatch):
@@ -226,6 +273,29 @@ def test_oracle_max_activation(capsys, monkeypatch):
     assert json.loads(out)["value"] == 6
 
 
+@pytest.mark.parametrize(("oracle_K", "assignment_K"), [(8, 4), (4, 8)])
+def test_oracle_max_activation_rejects_size_mismatch(capsys, monkeypatch, oracle_K, assignment_K):
+    a, _ = wyner_backhaul_scheme(assignment_K, 1)
+    code, out, err = _run(
+        ["oracle", "--max-activation", "--wyner", "--K", str(oracle_K)],
+        capsys,
+        monkeypatch,
+        stdin=a.to_json(),
+    )
+    assert code == 2
+    assert out == ""
+    assert "sizes disagree" in err
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+def test_time_limit_must_be_finite_and_positive(capsys, seconds):
+    argv = ["oracle", "--coop", "--wyner", "--K", "4", "--B", "1", "--time-limit", seconds]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "time_limit" in err
+
+
 def test_certify_backhaul(capsys, monkeypatch):
     a, _ = wyner_backhaul_scheme(8, 1)
     code, out, _ = _run(
@@ -259,6 +329,15 @@ def test_certify_states(capsys, monkeypatch):
     cert = json.loads(out)
     assert cert["certified_bound"] == 18
     assert len(cert["groups"]) == 9
+
+
+@pytest.mark.parametrize("pairs", [[[99, 99]], [[0, 1]], [[1, 99]]], ids=["99-99", "0-1", "1-99"])
+def test_certify_states_rejects_users_outside_lattice(capsys, monkeypatch, pairs):
+    schedule = json.dumps({"pairs": pairs})
+    code, out, err = _run(["certify", "--states", "--n", "3"], capsys, monkeypatch, stdin=schedule)
+    assert code == 2
+    assert out == ""
+    assert "outside 1..9" in err
 
 
 def test_certify_lower_bound_pass_and_fail(capsys, monkeypatch):

@@ -224,6 +224,14 @@ def test_state_bound_rejects_invalid_schedule():
         triangle_state_bound(lattice, bad)
 
 
+@pytest.mark.parametrize("pair", [(99, 99), (0, 1), (1, 99)], ids=["99-99", "0-1", "1-99"])
+def test_state_bound_rejects_users_outside_lattice(pair):
+    _, lattice = build_hexagonal(3)
+    schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)
+    with pytest.raises(PreconditionViolationError, match="outside 1..9"):
+        triangle_state_bound(lattice, schedule)
+
+
 # ---------------------------------------------------------------------------
 # chain networks under a backhaul budget
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from coopzf import (
+    AvoidanceSchedule,
+    InvalidParameterError,
     ResourceLimitError,
     build_hexagonal,
     build_locally_connected,
@@ -170,3 +172,29 @@ def test_node_limits_enforced():
 def test_time_limit_enforced():
     with pytest.raises(ResourceLimitError):
         max_avoidance_cooperative(build_wyner(8), 2, time_limit=1e-9)
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
+def test_time_limit_must_be_finite_and_positive(seconds):
+    topo = build_wyner(4)
+    a, _ = wyner_backhaul_scheme(4, 1)
+    with pytest.raises(InvalidParameterError, match="time_limit"):
+        max_avoidance_m1(topo, time_limit=seconds)
+    with pytest.raises(InvalidParameterError, match="time_limit"):
+        max_avoidance_cooperative(topo, 1, time_limit=seconds)
+    with pytest.raises(InvalidParameterError, match="time_limit"):
+        max_activation_for_assignment(topo, a, time_limit=seconds)
+
+
+@pytest.mark.parametrize(("topology_K", "assignment_K"), [(8, 4), (4, 8)])
+def test_activation_search_rejects_size_mismatch(topology_K, assignment_K):
+    a, _ = wyner_backhaul_scheme(assignment_K, 1)
+    with pytest.raises(InvalidParameterError, match="sizes disagree"):
+        max_activation_for_assignment(build_wyner(topology_K), a)
+
+
+@pytest.mark.parametrize("pair", [(99, 99), (0, 1), (1, 99)], ids=["99-99", "0-1", "1-99"])
+def test_schedule_naming_users_outside_topology_is_a_violation(pair):
+    topo, _ = build_hexagonal(3)
+    schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)
+    assert validate_schedule(topo, schedule) == [f"pair {pair} names a user outside 1..9"]
