@@ -112,6 +112,22 @@ class _Deadline:
                 raise ResourceLimitError("search time limit exceeded")
 
 
+def _guard(K: int, node_limit: int, time_limit: float | None) -> _Deadline:
+    """Validate a search's limits, then refuse instances above ``node_limit``.
+
+    Raises:
+        InvalidParameterError: ``node_limit`` is below 1, or
+            ``time_limit`` is not finite and positive.
+        ResourceLimitError: ``K`` exceeds ``node_limit``.
+    """
+    if node_limit < 1:
+        raise InvalidParameterError(f"node_limit must be >= 1, got {node_limit}")
+    deadline = _Deadline(time_limit)
+    if K > node_limit:
+        raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")
+    return deadline
+
+
 def max_avoidance_m1(
     topology: NetworkTopology, node_limit: int = 36, time_limit: float | None = None
 ) -> tuple[int, AvoidanceSchedule]:
@@ -121,29 +137,47 @@ def max_avoidance_m1(
     ``r``; two services are compatible iff they share no receiver or
     transmitter and neither receiver hears the other's transmitter.  A
     valid schedule is a clique of the compatibility graph, found by
-    branch and bound with a greedy-coloring admissible bound.
+    branch and bound with a greedy-coloring admissible bound, as in
+    Tomita et al.'s MCQ (J. Global Optim. 2007) and MCS (2010): the
+    services are renumbered by non-increasing degree (ties by pair
+    index) before the bitsets are built, so the coloring and the
+    branching both follow that order, and the incumbent is seeded with
+    the greedy clique that repeatedly takes the lowest-numbered
+    compatible service.  The coloring bound is admissible in any
+    vertex order, so the value stays exact.
 
     Raises:
-        InvalidParameterError: ``time_limit`` is not finite and positive.
+        InvalidParameterError: ``node_limit`` is below 1, or
+            ``time_limit`` is not finite and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit``, or the time
             limit is hit.
     """
-    if topology.K > node_limit:
-        raise ResourceLimitError(f"K={topology.K} exceeds node_limit={node_limit}")
-    deadline = _Deadline(time_limit)
+    deadline = _guard(topology.K, node_limit, time_limit)
     hears = topology.hears
     pairs = [(r, t) for r in range(1, topology.K + 1) for t in sorted(hears[r])]
     n = len(pairs)
-    compat = [0] * n
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for x in range(n):
         rx, tx = pairs[x]
         for y in range(x + 1, n):
             ry, ty = pairs[y]
             if rx != ry and tx != ty and ty not in hears[rx] and tx not in hears[ry]:
-                compat[x] |= 1 << y
-                compat[y] |= 1 << x
+                neighbours[x].append(y)
+                neighbours[y].append(x)
+    # Stable sort: equal degrees keep pair-index order.
+    by_degree = sorted(range(n), key=lambda x: -len(neighbours[x]))
+    rank = {x: i for i, x in enumerate(by_degree)}
+    pairs = [pairs[x] for x in by_degree]
+    compat = [sum(1 << rank[y] for y in neighbours[x]) for x in by_degree]
+
     best = 0
     best_set = 0
+    cand = (1 << n) - 1
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        best += 1
+        best_set |= 1 << v
+        cand &= compat[v]
     visited = 0
 
     def color_order(cand: int) -> list[tuple[int, int]]:
@@ -231,13 +265,12 @@ def max_avoidance_cooperative(
     fit the total budget ``B*K``.
 
     Raises:
-        InvalidParameterError: ``time_limit`` is not finite and positive.
+        InvalidParameterError: ``node_limit`` is below 1, or
+            ``time_limit`` is not finite and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
     K = topology.K
-    if K > node_limit:
-        raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")
-    deadline = _Deadline(time_limit)
+    deadline = _guard(K, node_limit, time_limit)
     budget = int(Fraction(B) * K)
     hears = topology.hears
     visited = 0
@@ -289,15 +322,14 @@ def max_activation_for_assignment(
 
     Raises:
         InvalidParameterError: topology and assignment sizes disagree,
-            or ``time_limit`` is not finite and positive.
+            ``node_limit`` is below 1, or ``time_limit`` is not finite
+            and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
     if topology.K != assignment.K:
         raise InvalidParameterError("topology and assignment sizes disagree")
     K = topology.K
-    if K > node_limit:
-        raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")
-    deadline = _Deadline(time_limit)
+    deadline = _guard(K, node_limit, time_limit)
     hears = topology.hears
     tsets = assignment.transmit_sets
     order = [i for i in range(1, K + 1) if tsets[i] & hears[i]]

@@ -98,7 +98,12 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     batched draw; a gain with magnitude below 1e-6 is redrawn from the
     following pair, so no stored gain is degenerate.  Cost is linear in
     the support size.
+
+    Raises:
+        InvalidParameterError: ``seed`` is negative.
     """
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     normals = _normal_stream(rng, 2 * sum(len(heard) for heard in topology.hears.values()))
     scale = np.sqrt(2)

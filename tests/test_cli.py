@@ -206,6 +206,18 @@ def test_seed_resolution_order(capsys, monkeypatch):
     assert code == 2 and "COOPZF_SEED" in err
 
 
+def test_negative_seed_exits_two(capsys, monkeypatch):
+    doc = _wyner_document(4)
+    monkeypatch.delenv("COOPZF_SEED", raising=False)
+    code, out, err = _run(["verify", "--seed", "-5"], capsys, monkeypatch, stdin=doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be >= 0")
+    monkeypatch.setenv("COOPZF_SEED", "-5")
+    code, out, err = _run(["verify"], capsys, monkeypatch, stdin=doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be >= 0")
+
+
 def test_default_seed_is_zero(capsys, monkeypatch):
     monkeypatch.delenv("COOPZF_SEED", raising=False)
     _, doc, _ = _run(["scheme", "--wyner", "--K", "4", "--B", "1"], capsys)
@@ -294,6 +306,16 @@ def test_time_limit_must_be_finite_and_positive(capsys, seconds):
     assert code == 2
     assert out == ""
     assert "time_limit" in err
+
+
+@pytest.mark.parametrize("mode", ["--m1", "--coop"])
+@pytest.mark.parametrize("limit", ["0", "-4"])
+def test_node_limit_must_be_positive(capsys, mode, limit):
+    argv = ["oracle", mode, "--wyner", "--K", "4", "--B", "1", "--node-limit", limit]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "node_limit must be >= 1" in err
 
 
 def test_certify_backhaul(capsys, monkeypatch):

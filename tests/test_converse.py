@@ -207,11 +207,12 @@ def test_state_bound_on_empty_schedule():
     assert cert.certified_bound == 9
 
 
-def test_state_bound_covers_optimal_schedule():
-    topo, lattice = build_hexagonal(6)
-    value, witness = max_avoidance_m1(topo)
+@pytest.mark.parametrize(("n", "optimum"), [(6, 15), (7, 20)], ids=["6", "7"])
+def test_state_bound_covers_optimal_schedule(n, optimum):
+    topo, lattice = build_hexagonal(n)
+    value, witness = max_avoidance_m1(topo, node_limit=topo.K)
     cert = triangle_state_bound(lattice, witness)
-    assert cert.certified_bound >= value == 15
+    assert cert.certified_bound >= value == optimum
     for g in cert.groups:
         assert g.bound <= Fraction(3, 7) * len(g.nodes), (g.nodes, g.bound)
     assert validate_certificate(lattice, _schedule_assignment(lattice, witness), cert) == []

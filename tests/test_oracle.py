@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import itertools
 
+import numpy as np
 import pytest
 
 from coopzf import (
@@ -42,11 +44,63 @@ def test_single_transmitter_no_interference_grid():
 
 
 def test_single_transmitter_hexagonal_values():
-    for n, want in [(3, 4), (4, 7)]:
+    for n, want in [(3, 4), (4, 7), (5, 12), (6, 15)]:
         topo, _ = build_hexagonal(n)
         value, witness = max_avoidance_m1(topo)
         assert value == want, n
         assert validate_schedule(topo, witness) == []
+    # The degree order and the greedy incumbent close n=6 in a few hundred
+    # nodes; the same search in pair-index order needs 71,120.
+    assert witness.nodes_explored <= 1_000
+
+
+def _milp_m1(topology) -> int:
+    """Best single-transmitter schedule as a 0/1 program, solved by HiGHS.
+
+    One variable per service ``(r, t)`` with ``t`` heard at ``r``, and one
+    row ``x_a + x_b <= 1`` per pair of services that cannot be scheduled
+    together: a shared receiver or transmitter, or either receiver
+    hearing the other's transmitter.
+    """
+    pytest.importorskip("scipy")
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    hears = topology.hears
+    services = [(r, t) for r in range(1, topology.K + 1) for t in sorted(hears[r])]
+    clashes = [
+        (a, b)
+        for (a, (ra, ta)), (b, (rb, tb)) in itertools.combinations(enumerate(services), 2)
+        if ra == rb or ta == tb or tb in hears[ra] or ta in hears[rb]
+    ]
+    n = len(services)
+    rows = np.repeat(np.arange(len(clashes)), 2)
+    cols = np.array(clashes, dtype=int).ravel()
+    matrix = coo_array((np.ones(rows.size), (rows, cols)), shape=(len(clashes), n))
+    result = milp(
+        c=-np.ones(n),
+        constraints=LinearConstraint(matrix, -np.inf, 1),
+        integrality=np.ones(n),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert result.success, result.message
+    return round(-result.fun)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_single_transmitter_matches_milp_on_lattice(n):
+    topo, _ = build_hexagonal(n)
+    value, _ = max_avoidance_m1(topo, node_limit=topo.K)
+    assert value == _milp_m1(topo)
+
+
+@pytest.mark.parametrize("L", [None, 1, 2], ids=["wyner", "lc1", "lc2"])
+def test_single_transmitter_matches_milp_on_chains(L):
+    for K in range(1, 13):
+        topo = build_wyner(K) if L is None else build_locally_connected(K, L)
+        value, _ = max_avoidance_m1(topo)
+        assert value == _milp_m1(topo), K
 
 
 def test_single_transmitter_beats_alternating_self_service():
@@ -167,6 +221,18 @@ def test_node_limits_enforced():
             build_wyner(30),
             MessageAssignment(K=30, transmit_sets={i: frozenset() for i in range(1, 31)}),
         )
+
+
+@pytest.mark.parametrize("limit", [0, -4])
+def test_node_limit_must_be_positive(limit):
+    topo = build_wyner(4)
+    a, _ = wyner_backhaul_scheme(4, 1)
+    with pytest.raises(InvalidParameterError, match="node_limit must be >= 1"):
+        max_avoidance_m1(topo, node_limit=limit)
+    with pytest.raises(InvalidParameterError, match="node_limit must be >= 1"):
+        max_avoidance_cooperative(topo, 1, node_limit=limit)
+    with pytest.raises(InvalidParameterError, match="node_limit must be >= 1"):
+        max_activation_for_assignment(topo, a, node_limit=limit)
 
 
 def test_time_limit_enforced():

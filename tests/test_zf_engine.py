@@ -72,6 +72,11 @@ def test_sampling_support_size_small_chain():
     assert ch.gain(1, 4) == 0j  # off-support lookups are zero
 
 
+def test_sampling_rejects_negative_seed():
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        sample_channels(build_wyner(4), -5)
+
+
 def test_hand_computed_beam():
     topo = build_wyner(2)
     channels = ChannelRealization(
