@@ -28,6 +28,7 @@ from .assignment import assignment_from_json
 from .converse import (
     algorithm1_certify,
     backhaul_converse,
+    schedule_assignment,
     triangle_state_bound,
     validate_certificate,
 )
@@ -232,6 +233,15 @@ def _run_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _audited(lattice, assignment, certificate) -> int:
+    """Print a group certificate with its audit problems; exit 1 when there are any."""
+    problems = validate_certificate(lattice, assignment, certificate)
+    obj = certificate.to_json()
+    obj["problems"] = problems
+    _emit(json.dumps(obj))
+    return 0 if not problems else 1
+
+
 def _run_certify(args: argparse.Namespace) -> int:
     if args.mode == "backhaul":
         assignment = assignment_from_json(sys.stdin.read())
@@ -242,20 +252,14 @@ def _run_certify(args: argparse.Namespace) -> int:
     if args.mode == "groups":
         assignment = assignment_from_json(sys.stdin.read())
         _, lattice = build_hexagonal(_require(args.n, "--n"))
-        certificate = algorithm1_certify(lattice, assignment)
-        problems = validate_certificate(lattice, assignment, certificate)
-        obj = certificate.to_json()
-        obj["problems"] = problems
-        _emit(json.dumps(obj))
-        return 0 if not problems else 1
+        return _audited(lattice, assignment, algorithm1_certify(lattice, assignment))
     if args.mode == "states":
         with _document_errors("schedule"):
             pairs = frozenset((int(r), int(t)) for r, t in json.loads(sys.stdin.read())["pairs"])
         schedule = AvoidanceSchedule(pairs=pairs, value=len(pairs))
         _, lattice = build_hexagonal(_require(args.n, "--n"))
         certificate = triangle_state_bound(lattice, schedule)
-        _emit(json.dumps(certificate.to_json()))
-        return 0
+        return _audited(lattice, schedule_assignment(schedule, len(lattice.coords)), certificate)
     scheme, topology, assignment = scheme_from_json(sys.stdin.read())
     if topology is None or assignment is None:
         raise InvalidParameterError(
@@ -353,12 +357,21 @@ def _run_table1(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, with a zero denominator reported as a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 # Every valued flag; each subparser declares only the ones its body reads.
 _FLAGS = {
     "--K": {"type": int, "help": "number of users"},
     "--L": {"type": int, "help": "chain connectivity parameter"},
     "--M": {"type": int, "help": "cooperation order"},
-    "--B": {"type": Fraction, "help": 'backhaul budget, e.g. "1" or "3/2"'},
+    "--B": {"type": _fraction, "help": 'backhaul budget, e.g. "1" or "3/2"'},
     "--n": {"type": int, "help": "hexagonal lattice side length"},
     "--seed": {"type": int, "help": "random seed (else $COOPZF_SEED, else 0)"},
     "--tol": {"type": float, "default": 1e-8, "help": "relative interference tolerance"},

@@ -5,13 +5,18 @@ scheme can serve, from above, given structural facts about a message
 assignment.  The primitive fact is pairwise: when message ``i`` is
 assigned to the single transmitter ``j``, every other receiver that
 hears ``j`` competes with ``i`` — at most one of the two can be served.
-Group certificates assemble such facts over node groups of a hexagonal
-lattice, solve each group's tiny packing program exactly, and add one
-for every node left outside all groups.
+A message none of whose transmitters its receiver hears is never
+served.  :func:`lemma_pairwise_bounds` is the one definition of both
+facts.  Group certificates assemble them over node groups of a
+hexagonal lattice, solve each group's tiny packing program exactly, and
+add one for every node left outside all groups.
 
 Two group builders are provided: :func:`algorithm1_certify` works from
 a message assignment with per-message cooperation at most one, and
-:func:`triangle_state_bound` works from an explicit served schedule.
+:func:`triangle_state_bound` works from an explicit served schedule,
+through the assignment :func:`schedule_assignment` reads off it.  Both
+take every constraint from the lemma, and :func:`validate_certificate`
+accepts exactly the lemma's facts.
 :func:`backhaul_converse` is the linear-network counterpart: it scans
 candidate cooperation sizes and bounds the served count under an
 average-backhaul budget, with :func:`reconstructibility_check`
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +37,6 @@ from .oracle import AvoidanceSchedule, validate_schedule
 from .topology import (
     HexLattice,
     NetworkTopology,
-    hexagonal_from_coords,
     main_anchor,
     main_triangle,
     main_triangles,
@@ -46,16 +51,21 @@ Constraint = tuple  # ("pair", i, k) or ("zero", i)
 # ---------------------------------------------------------------------------
 
 
-def lemma_pairwise_bounds(
-    topology: NetworkTopology, assignment: MessageAssignment
-) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+Facts = tuple[frozenset[tuple[int, int]], frozenset[int]]
+
+
+def lemma_pairwise_bounds(topology: NetworkTopology, assignment: MessageAssignment) -> Facts:
     """All pairwise conflicts and zero facts implied by a 1-cooperative assignment.
 
-    For every message ``i`` assigned to exactly one transmitter ``j``,
-    each other receiver ``k`` that hears ``j`` yields the conflict
-    ``(i, k)``: serving both in one shot is impossible, so their served
-    indicators sum to at most one.  Messages assigned to no transmitter
-    can never be served and appear as zero facts.
+    This is the single definition of a certificate fact:
+
+    * ``("zero", i)`` holds iff no transmitter of ``T_i`` is heard at
+      receiver ``i`` — the message is unassigned, or its one transmitter
+      is inaudible — so ``i`` is never served;
+    * ``("pair", i, k)`` holds iff ``k != i`` and receiver ``k`` hears
+      the single transmitter ``j`` of a message ``i`` that is not zero:
+      serving both in one shot is impossible, so their served
+      indicators sum to at most one.
 
     Args:
         topology: who hears whom.
@@ -64,7 +74,7 @@ def lemma_pairwise_bounds(
     Returns:
         ``(pairs, zeros)`` where ``pairs`` holds ordered tuples
         ``(i, k)`` (``i`` the assigned message, ``k`` the competing
-        receiver) and ``zeros`` the unassigned message indices.
+        receiver) and ``zeros`` the never-served message indices.
 
     Raises:
         PreconditionViolationError: if some transmit set has size > 1.
@@ -80,14 +90,25 @@ def lemma_pairwise_bounds(
             raise PreconditionViolationError(
                 f"message {i} uses {len(T)} transmitters; at most one allowed"
             )
-        if not T:
+        if not T & topology.hears[i]:
             zeros.add(i)
             continue
         (j,) = T
-        for k in topology.hearers(j):
-            if k != i:
-                pairs.add((i, k))
+        pairs.update((i, k) for k in topology.hearers(j) if k != i)
     return frozenset(pairs), frozenset(zeros)
+
+
+def schedule_assignment(schedule: AvoidanceSchedule, K: int) -> MessageAssignment:
+    """The single-transmitter assignment a schedule induces: ``r -> {t}`` per service."""
+    sets = {i: frozenset() for i in range(1, K + 1)}
+    sets.update((r, frozenset({t})) for r, t in schedule.pairs)
+    return MessageAssignment(K=K, transmit_sets=sets)
+
+
+def _lattice_topology(lattice: HexLattice) -> NetworkTopology:
+    """The lattice's network: every receiver hears itself and its neighbours."""
+    hears = {i: nbrs | {i} for i, nbrs in lattice.neighbors.items()}
+    return NetworkTopology(kind="hexagonal", K=len(hears), params={}, hears=hears)
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +200,43 @@ def _lp_bound(nodes: tuple[int, ...], constraints: tuple[Constraint, ...]) -> Fr
     return best
 
 
-class _GroupBuilder:
-    """Mutable accumulator for groups while a certify pass runs."""
+def _select(facts: Facts, subjects: Sequence[int], members: Sequence[int]) -> list[Constraint]:
+    """Each subject's zero fact, or its pair facts with ``members``, in order."""
+    pairs, zeros = facts
+    out: list[Constraint] = []
+    for i in subjects:
+        if i in zeros:
+            out.append(("zero", i))
+        else:
+            out.extend(("pair", i, k) for k in members if (i, k) in pairs)
+    return out
 
-    def __init__(self) -> None:
+
+class _GroupBuilder:
+    """Mutable accumulator for groups while a certify pass runs.
+
+    Every constraint is selected from ``facts``, the output of
+    :func:`lemma_pairwise_bounds`.
+    """
+
+    def __init__(self, facts: Facts) -> None:
+        self.facts = facts
         self.groups: list[dict] = []
         self.of: dict[int, int] = {}
 
-    def new(self, nodes: list[int], constraints: list[Constraint], note: str) -> int:
+    def new(self, nodes: list[int], subjects: list[int], note: str) -> None:
+        """Open a group on ``nodes`` constrained by the facts about ``subjects``."""
         gid = len(self.groups)
-        self.groups.append({"nodes": list(nodes), "constraints": list(constraints), "note": note})
+        constraints = _select(self.facts, subjects, nodes)
+        self.groups.append({"nodes": list(nodes), "constraints": constraints, "note": note})
         for x in nodes:
             self.of[x] = gid
-        return gid
 
-    def merge(self, x: int, gid: int, constraints: list[Constraint]) -> None:
-        self.groups[gid]["nodes"].append(x)
-        self.groups[gid]["constraints"].extend(constraints)
+    def merge(self, x: int, gid: int) -> None:
+        """Add ``x`` to group ``gid`` with its pair facts against the members."""
+        g = self.groups[gid]
+        g["constraints"].extend(_select(self.facts, [x], g["nodes"]))
+        g["nodes"].append(x)
         self.of[x] = gid
 
     def lp(self, gid: int) -> Fraction:
@@ -245,7 +286,7 @@ def algorithm1_certify(
         lattice: hexagonal layout (any finite node set).
         assignment: transmit sets, each of size at most one.  A
             transmitter outside the message's own hearing range is
-            useless and treated as unassigned.
+            useless: the lemma makes the message a zero fact.
         shuffle_seed: optional seed; permutes the sweep *iteration*
             orders (tie-breaks stay deterministic), for checking that
             the certified bound is order-insensitive.
@@ -253,55 +294,33 @@ def algorithm1_certify(
     Returns:
         A :class:`GroupCertificate`; the bound applies to every
         one-shot scheme using this assignment.
+
+    Raises:
+        PreconditionViolationError: if some transmit set has size > 1.
+        InvalidParameterError: if the assignment and lattice sizes disagree.
     """
     nodes = sorted(lattice.coords)
-    if assignment.K != len(nodes):
-        raise InvalidParameterError("assignment size disagrees with lattice size")
-    for i in nodes:
-        if len(assignment.transmit_sets[i]) > 1:
-            raise PreconditionViolationError(
-                f"message {i} uses more than one transmitter"
-            )
-
-    nbr = lattice.neighbors
-    closed = {i: frozenset({i}) | nbr[i] for i in nodes}
-
-    # Reduce: a single transmitter the receiver cannot hear delivers nothing.
-    T: dict[int, frozenset[int]] = {}
-    for i in nodes:
-        s = assignment.transmit_sets[i]
-        if len(s) == 1 and next(iter(s)) in closed[i]:
-            T[i] = s
-        else:
-            T[i] = frozenset()
+    facts = lemma_pairwise_bounds(_lattice_topology(lattice), assignment)
+    zeros = facts[1]
+    # The one audible transmitter of every message that is not a zero fact.
+    tx = {i: next(iter(assignment.transmit_sets[i])) for i in nodes if i not in zeros}
 
     mains = {i: main_triangle(lattice, i) for i in nodes}
     middles = {i: middle_triangle(lattice, i) for i in nodes}
 
-    def hearers(j: int) -> frozenset[int]:
-        return closed[j]
+    self_servers = [x for x in nodes if tx.get(x) == x]
+    # Served from outside its cell: no cell member transmits to it, and it
+    # is not assigned within its own cell.
+    outsider_set = {
+        a
+        for a in nodes
+        if mains[a] is not None
+        and tx.get(a) not in mains[a]
+        and all(tx.get(m) != a for m in mains[a])
+    }
 
-    self_servers = [x for x in nodes if T[x] == frozenset({x})]
-
-    def is_outsider(a: int) -> bool:
-        mt = mains[a]
-        if mt is None:
-            return False
-        if any(T[m] == frozenset({a}) for m in mt):
-            return False  # some cell member transmits to it
-        if T[a] and next(iter(T[a])) in mt:
-            return False  # assigned within its own cell
-        return True
-
-    outsider_set = {a for a in nodes if is_outsider(a)}
-
-    uncovered: set[int] = set()
-    for x in nodes:
-        if mains[x] is None:
-            uncovered.add(x)
-    for a in outsider_set:
-        if middles[a] is None:
-            uncovered.add(a)
+    uncovered = {x for x in nodes if mains[x] is None}
+    uncovered |= {a for a in outsider_set if middles[a] is None}
 
     rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
 
@@ -311,7 +330,7 @@ def algorithm1_certify(
             rng.shuffle(seq)
         return seq
 
-    builder = _GroupBuilder()
+    builder = _GroupBuilder(facts)
 
     def done(x: int) -> bool:
         return x in builder.of or x in uncovered
@@ -320,44 +339,32 @@ def algorithm1_certify(
     for x in ordered(sorted(self_servers)):
         if done(x):
             continue
-        mt = mains[x]
-        pool = [y for y in mt if y != x and not done(y)]
+        pool = [y for y in mains[x] if y != x and not done(y)]
         if not pool:
             uncovered.add(x)
             continue
         partner = min(pool, key=lambda y: (lattice.real_part(y), y))
-        builder.new([x, partner], [("pair", x, partner)], "self-serving pair")
+        builder.new([x, partner], [x], "self-serving pair")
 
     # Sweep 2: nodes served from outside their cell, grouped per linking triangle.
     for a in ordered(sorted(outsider_set)):
         if done(a):
             continue
-        mid = middles[a]
-        avail = [m for m in mid if not done(m)]
-        outs = [o for o in avail if o in outsider_set]
+        outs = [o for o in middles[a] if not done(o) and o in outsider_set]
         if len(outs) >= 2:
-            cons: list[Constraint] = []
-            for o in outs:
-                if T[o]:
-                    (j,) = T[o]
-                    cons.extend(("pair", o, k) for k in outs if k != o and k in hearers(j))
-                else:
-                    cons.append(("zero", o))
-            builder.new(outs, cons, "linking-triangle group")
+            builder.new(outs, outs, "linking-triangle group")
             continue
         # `a` is the only groupable outside-served node of this triangle.
-        if not T[a]:
-            builder.new([a], [("zero", a)], "unassigned outside-served")
+        if a in zeros:
+            builder.new([a], [a], "unassigned outside-served")
             continue
-        (j,) = T[a]
+        j = tx[a]
         if j in builder.of:
-            gid = builder.of[j]
-            extra = [("pair", a, k) for k in builder.groups[gid]["nodes"] if k in hearers(j)]
-            builder.merge(a, gid, extra)
+            builder.merge(a, builder.of[j])
         elif j in uncovered:
             uncovered.add(a)
         else:
-            builder.new([a, j], [("pair", a, j)], "served-across pair")
+            builder.new([a, j], [a], "served-across pair")
 
     # Sweep 3: close out every complete cell.
     cells = sorted(main_triangles(lattice), key=min)
@@ -366,37 +373,25 @@ def algorithm1_certify(
         if not t:
             continue
         if len(t) >= 2:
-            cons = []
-            for x in t:
-                if T[x]:
-                    (v,) = T[x]
-                    cons.extend(("pair", x, y) for y in t if y != x and y in hearers(v))
-                else:
-                    cons.append(("zero", x))
-            builder.new(t, cons, "residual cell" if len(t) == 3 else "residual cell pair")
+            builder.new(t, t, "residual cell" if len(t) == 3 else "residual cell pair")
             continue
         (x,) = t
-        if not T[x]:
-            builder.new([x], [("zero", x)], "residual unassigned")
+        if x in zeros:
+            builder.new([x], [x], "residual unassigned")
             continue
-        (v,) = T[x]
         best: tuple[Fraction, int, Fraction] | None = None
         for gid, g in enumerate(builder.groups):
-            partners = [k for k in g["nodes"] if k in hearers(v)]
-            if not partners:
+            extra = _select(facts, [x], g["nodes"])
+            if not extra:
                 continue
-            trial_nodes = tuple(g["nodes"]) + (x,)
-            trial_cons = tuple(g["constraints"]) + tuple(("pair", x, k) for k in partners)
-            new_lp = _lp_bound(trial_nodes, trial_cons)
+            new_lp = _lp_bound(tuple(g["nodes"]) + (x,), tuple(g["constraints"] + extra))
             key = (new_lp - builder.lp(gid), gid, new_lp)
             if best is None or key[:2] < best[:2]:
                 best = key
         if best is None or best[2] > Fraction(len(builder.groups[best[1]]["nodes"]) + 1, 2):
             uncovered.add(x)  # no partner, or attaching would dilute the group
         else:
-            gid = best[1]
-            partners = [k for k in builder.groups[gid]["nodes"] if k in hearers(v)]
-            builder.merge(x, gid, [("pair", x, k) for k in partners])
+            builder.merge(x, best[1])
 
     return builder.finish(uncovered)
 
@@ -406,18 +401,24 @@ def validate_certificate(
 ) -> list[str]:
     """Audit a group certificate against the assignment it claims to bound.
 
-    Checks disjointness, full coverage, that every recorded constraint
-    is a genuine pairwise/zero fact for this assignment on this
-    lattice, and that every group's bound equals the exact optimum of
-    its recorded constraint system.
+    Checks disjointness and full coverage; that every recorded
+    constraint is one of the facts :func:`lemma_pairwise_bounds` derives
+    for this assignment on this lattice and names only members of its
+    group (so a self-pair ``("pair", i, i)`` is never accepted); and that
+    every group's bound equals the exact optimum of its recorded
+    constraint system.
 
     Returns:
         A list of problem descriptions; empty when the certificate is
         sound and self-consistent.
+
+    Raises:
+        PreconditionViolationError: if some transmit set has size > 1.
+        InvalidParameterError: if the assignment and lattice sizes disagree.
     """
     problems: list[str] = []
     nodes = set(lattice.coords)
-    closed = {i: frozenset({i}) | lattice.neighbors[i] for i in nodes}
+    facts = lemma_pairwise_bounds(_lattice_topology(lattice), assignment)
 
     seen: set[int] = set()
     for g in certificate.groups:
@@ -433,31 +434,11 @@ def validate_certificate(
         problems.append(f"nodes {sorted(missing)} are in no group and not uncovered")
 
     for g in certificate.groups:
-        members = set(g.nodes)
+        # The facts that name only members of this group.
+        allowed = set(_select(facts, g.nodes, g.nodes))
         for c in g.constraints:
-            if c[0] == "zero":
-                i = c[1]
-                if i not in members:
-                    problems.append(f"zero fact on non-member {i}")
-                    continue
-                Ti = assignment.transmit_sets[i]
-                deliverable = bool(Ti & closed[i])
-                if deliverable:
-                    problems.append(f"zero fact on {i} but its transmitter is audible")
-            elif c[0] == "pair":
-                _, i, k = c
-                if i not in members or k not in members:
-                    problems.append(f"pair ({i},{k}) reaches outside its group")
-                    continue
-                Ti = assignment.transmit_sets[i]
-                if len(Ti) != 1:
-                    problems.append(f"pair ({i},{k}) but message {i} is not singly assigned")
-                    continue
-                (j,) = Ti
-                if k not in closed[j]:
-                    problems.append(f"pair ({i},{k}) but {k} does not hear transmitter {j}")
-            else:
-                problems.append(f"unknown constraint kind {c[0]!r}")
+            if c not in allowed:
+                problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
         lp = _lp_bound(g.nodes, g.constraints)
         if lp != g.bound:
             problems.append(
@@ -469,29 +450,6 @@ def validate_certificate(
     if certificate.certified_bound != int(total):
         problems.append("certified_bound is not the floor of bound_total")
     return problems
-
-
-def toy_instance() -> tuple[NetworkTopology, HexLattice, MessageAssignment, dict[str, int]]:
-    """Nine-node worked example: three cells joined by one linking triangle.
-
-    Returns ``(topology, lattice, assignment, labels)`` where
-    ``labels`` maps the conventional names ``a1..a3``, ``b1..b3``,
-    ``c1..c3`` to node indices.  The assignment mixes a self-serving
-    node, two nodes served across the linking triangle, and two plain
-    in-cell services; its certified bound is 4 of 9.
-    """
-    names = ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3"]
-    coords = [(1, 0), (2, 1), (1, 1), (0, 1), (1, 2), (0, 2), (2, 2), (2, 3), (3, 3)]
-    topology, lattice = hexagonal_from_coords(coords)
-    labels = {name: i + 1 for i, name in enumerate(names)}
-    sets: dict[int, frozenset[int]] = {labels[n]: frozenset() for n in names}
-    sets[labels["a2"]] = frozenset({labels["a1"]})
-    sets[labels["b1"]] = frozenset({labels["b3"]})
-    sets[labels["a3"]] = frozenset({labels["b2"]})
-    sets[labels["c2"]] = frozenset({labels["c3"]})
-    sets[labels["c1"]] = frozenset({labels["c1"]})
-    assignment = MessageAssignment(K=9, transmit_sets=sets)
-    return topology, lattice, assignment, labels
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +477,14 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
             interference-avoidance schedule for this lattice.
     """
     nodes = sorted(lattice.coords)
-    hears = {i: frozenset({i}) | lattice.neighbors[i] for i in nodes}
-    topology = NetworkTopology(
-        kind="hexagonal", K=len(nodes), params={}, hears=hears
-    )
+    topology = _lattice_topology(lattice)
     problems = validate_schedule(topology, schedule)
     if problems:
         raise PreconditionViolationError("; ".join(problems))
+    facts = lemma_pairwise_bounds(topology, schedule_assignment(schedule, topology.K))
+    zeros = facts[1]
 
     pairs = sorted(schedule.pairs)
-    served_rx = {r for r, _ in pairs}
-
     in_cell = [(r, t) for r, t in pairs if main_anchor(lattice, r) == main_anchor(lattice, t)]
     cross = [(r, t) for r, t in pairs if main_anchor(lattice, r) != main_anchor(lattice, t)]
 
@@ -557,36 +512,22 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
         (a,) = (x for x in mid if x not in (r, t))
         triples.append((a, t, r))
 
-    builder = _GroupBuilder()
-    consumed: set[int] = set()
-
-    def zero_or_skip(x: int) -> list[Constraint]:
-        return [] if x in served_rx else [("zero", x)]
-
-    def service_cons(r: int, t: int, members: set[int]) -> list[Constraint]:
-        return [("pair", r, k) for k in sorted(members & hears[t]) if k != r]
+    builder = _GroupBuilder(facts)
+    consumed: set[tuple[int, int, int]] = set()
 
     # Absorb triples into the cell of their bystander node when that cell
-    # is complete and not itself exporting or importing a service.
+    # is complete and not itself exporting or importing a service.  The
+    # served receivers bring their pair facts, the unserved members zeros.
     for mt in cells:
         if state[mt] not in (0, 1):
             continue
         attached = [tr for tr in triples if tr[0] in mt and tr not in consumed]
-        members = set(mt)
-        for a, t, r in attached:
-            members.update((t, r))
-        cons: list[Constraint] = []
-        for r, t in in_cell:
-            if r in mt:
-                cons.extend(service_cons(r, t, members))
-        for a, t, r in attached:
-            cons.extend(service_cons(r, t, members))
-            consumed.add((a, t, r))
-        for x in sorted(members):
-            cons.extend(zero_or_skip(x))
+        consumed.update(attached)
+        members = sorted(set(mt).union(*((t, r) for _, t, r in attached)))
+        served = [r for r, _ in in_cell if r in mt] + [r for _, _, r in attached]
         builder.new(
-            sorted(members),
-            cons,
+            members,
+            served + [x for x in members if x in zeros],
             f"cell state {state[mt]} with {len(attached)} linked services",
         )
 
@@ -594,25 +535,18 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
     for a, t, r in triples:
         if (a, t, r) in consumed:
             continue
-        members = {a, t, r}
-        cons = service_cons(r, t, members)
-        for x in sorted(members):
-            cons.extend(zero_or_skip(x))
-        builder.new(sorted(members), cons, "standalone linked service")
+        members = sorted((a, t, r))
+        builder.new(members, [r] + [x for x in members if x in zeros], "standalone linked service")
 
     # Leftover members of exporting/importing cells are provably unserved.
     for mt in cells:
         if state[mt] not in (2, 3):
             continue
         left = [x for x in mt if x not in builder.of and x not in forced_uncovered]
-        if not left:
-            continue
-        builder.new(left, [("zero", x) for x in left], f"unserved rest of state-{state[mt]} cell")
+        if left:
+            builder.new(left, left, f"unserved rest of state-{state[mt]} cell")
 
-    uncovered = set(forced_uncovered)
-    for x in nodes:
-        if x not in builder.of:
-            uncovered.add(x)
+    uncovered = forced_uncovered | {x for x in nodes if x not in builder.of}
     return builder.finish(uncovered)
 
 

@@ -265,10 +265,12 @@ def max_avoidance_cooperative(
     fit the total budget ``B*K``.
 
     Raises:
-        InvalidParameterError: ``node_limit`` is below 1, or
-            ``time_limit`` is not finite and positive.
+        InvalidParameterError: ``B`` is negative, ``node_limit`` is
+            below 1, or ``time_limit`` is not finite and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
+    if B < 0:
+        raise InvalidParameterError(f"B must be >= 0, got {B}")
     K = topology.K
     deadline = _guard(K, node_limit, time_limit)
     budget = int(Fraction(B) * K)

@@ -29,7 +29,6 @@ from coopzf import (
     reconstructibility_check,
     sample_channels,
     table1_scheme,
-    toy_instance,
     two_dim_row_scheme,
     two_dim_scheme,
     validate_certificate,
@@ -39,6 +38,7 @@ from coopzf import (
 )
 from coopzf.assignment import MessageAssignment
 from coopzf.cli import report_table1
+from worked_example import toy_instance
 
 
 def _verified(topology, assignment, scheme, seed, tol=1e-8) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from coopzf import build_wyner, scheme_to_json, wyner_backhaul_scheme
+from coopzf import cli
 from coopzf.cli import main, report_table1
 
 
@@ -318,6 +320,29 @@ def test_node_limit_must_be_positive(capsys, mode, limit):
     assert "node_limit must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scheme", "--wyner", "--K", "8"],
+        ["oracle", "--coop", "--wyner", "--K", "4"],
+        ["certify", "--backhaul"],
+    ],
+    ids=["scheme", "oracle", "certify"],
+)
+def test_zero_denominator_budget_is_a_usage_error(capsys, argv):
+    code, out, err = _run(argv + ["--B", "1/0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: argument --B: invalid Fraction value: '1/0'" in err
+
+
+def test_negative_budget_exits_two(capsys):
+    code, out, err = _run(["oracle", "--coop", "--wyner", "--K", "4", "--B", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: B must be >= 0, got -1" in err
+
+
 def test_certify_backhaul(capsys, monkeypatch):
     a, _ = wyner_backhaul_scheme(8, 1)
     code, out, _ = _run(
@@ -351,6 +376,34 @@ def test_certify_states(capsys, monkeypatch):
     cert = json.loads(out)
     assert cert["certified_bound"] == 18
     assert len(cert["groups"]) == 9
+
+
+def _coset_schedule(capsys, n: int) -> str:
+    _, doc, _ = _run(["scheme", "--hex-coset", "--n", str(n)], capsys)
+    return json.dumps({"pairs": [[i, i] for i in json.loads(doc)["active"]]})
+
+
+def test_certify_states_prints_its_audit(capsys, monkeypatch):
+    schedule = _coset_schedule(capsys, 6)
+    code, out, _ = _run(["certify", "--states", "--n", "6"], capsys, monkeypatch, stdin=schedule)
+    assert code == 0
+    assert '"problems": []' in out
+
+
+def test_certify_states_exits_one_on_tampered_bound(capsys, monkeypatch):
+    honest = cli.triangle_state_bound
+
+    def tampered(lattice, schedule):
+        cert = honest(lattice, schedule)
+        g0 = dataclasses.replace(cert.groups[0], bound=cert.groups[0].bound - 1)
+        return dataclasses.replace(cert, groups=(g0,) + cert.groups[1:])
+
+    monkeypatch.setattr(cli, "triangle_state_bound", tampered)
+    schedule = _coset_schedule(capsys, 6)
+    code, out, _ = _run(["certify", "--states", "--n", "6"], capsys, monkeypatch, stdin=schedule)
+    assert code == 1
+    problems = json.loads(out)["problems"]
+    assert any("solves to" in p for p in problems)
 
 
 @pytest.mark.parametrize("pairs", [[[99, 99]], [[0, 1]], [[1, 99]]], ids=["99-99", "0-1", "1-99"])

@@ -9,6 +9,8 @@ import pytest
 
 from coopzf import (
     AvoidanceSchedule,
+    CertifiedGroup,
+    GroupCertificate,
     InvalidParameterError,
     MessageAssignment,
     PreconditionViolationError,
@@ -26,11 +28,12 @@ from coopzf import (
     max_avoidance_m1,
     metrics,
     reconstructibility_check,
-    toy_instance,
+    schedule_assignment,
     triangle_state_bound,
     validate_certificate,
     wyner_backhaul_scheme,
 )
+from worked_example import toy_instance
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +172,32 @@ def test_validate_certificate_flags_tampering():
     assert any("bound_total" in p for p in problems)
 
 
+def test_validate_certificate_rejects_self_pairs():
+    # ("pair", i, i) caps d_i at 1/2; were it accepted, singleton groups
+    # would certify 1 served user where the coset scheme serves 3.
+    topology, lattice = build_hexagonal(3)
+    assignment, scheme = hexagonal_coset_scheme(lattice)
+    served = set(scheme.active_messages)
+    groups = tuple(
+        CertifiedGroup(nodes=(i,), bound=Fraction(1, 2), constraints=(("pair", i, i),))
+        if i in served
+        else CertifiedGroup(nodes=(i,), bound=Fraction(0), constraints=(("zero", i),))
+        for i in sorted(lattice.coords)
+    )
+    total = Fraction(len(served), 2)
+    cert = GroupCertificate(
+        groups=groups, uncovered=frozenset(), certified_bound=int(total), bound_total=total
+    )
+    assert cert.certified_bound == 1
+    assert max_activation_for_assignment(topology, assignment)[0] == 3
+    problems = validate_certificate(lattice, assignment, cert)
+    assert all("is not a fact" in p for p in problems)
+    assert len(problems) == len(served)
+
+
 # ---------------------------------------------------------------------------
 # schedule-driven accounting on the lattice
 # ---------------------------------------------------------------------------
-
-
-def _schedule_assignment(lattice, schedule):
-    sets = {i: frozenset() for i in sorted(lattice.coords)}
-    for r, t in schedule.pairs:
-        sets[r] = frozenset({t})
-    return MessageAssignment(K=len(lattice.coords), transmit_sets=sets)
 
 
 def test_state_bound_on_coset_schedule():
@@ -196,7 +215,7 @@ def test_state_bound_on_coset_schedule():
     assert len(cert.uncovered) == 9
     assert cert.certified_bound == 18
     assert cert.certified_bound >= schedule.value
-    assert validate_certificate(lattice, _schedule_assignment(lattice, schedule), cert) == []
+    assert validate_certificate(lattice, schedule_assignment(schedule, len(lattice.coords)), cert) == []
 
 
 def test_state_bound_on_empty_schedule():
@@ -215,7 +234,7 @@ def test_state_bound_covers_optimal_schedule(n, optimum):
     assert cert.certified_bound >= value == optimum
     for g in cert.groups:
         assert g.bound <= Fraction(3, 7) * len(g.nodes), (g.nodes, g.bound)
-    assert validate_certificate(lattice, _schedule_assignment(lattice, witness), cert) == []
+    assert validate_certificate(lattice, schedule_assignment(witness, topo.K), cert) == []
 
 
 def test_state_bound_rejects_invalid_schedule():

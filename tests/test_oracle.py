@@ -142,6 +142,12 @@ def test_cooperative_zero_budget():
     assert witness.active == frozenset()
 
 
+@pytest.mark.parametrize("B", [-1, Fraction(-1, 2)], ids=["-1", "-1/2"])
+def test_cooperative_rejects_negative_budget(B):
+    with pytest.raises(InvalidParameterError, match="B must be >= 0"):
+        max_avoidance_cooperative(build_wyner(4), B)
+
+
 def test_cooperative_monotone_in_budget():
     lo, _ = max_avoidance_cooperative(build_wyner(6), 1)
     hi, _ = max_avoidance_cooperative(build_wyner(6), 2)
