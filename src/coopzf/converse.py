@@ -216,7 +216,8 @@ class _GroupBuilder:
     """Mutable accumulator for groups while a certify pass runs.
 
     Every constraint is selected from ``facts``, the output of
-    :func:`lemma_pairwise_bounds`.
+    :func:`lemma_pairwise_bounds`.  Each group keeps its exact bound,
+    solved once when the group is opened or grown.
     """
 
     def __init__(self, facts: Facts) -> None:
@@ -228,36 +229,37 @@ class _GroupBuilder:
         """Open a group on ``nodes`` constrained by the facts about ``subjects``."""
         gid = len(self.groups)
         constraints = _select(self.facts, subjects, nodes)
-        self.groups.append({"nodes": list(nodes), "constraints": constraints, "note": note})
+        bound = _lp_bound(tuple(nodes), tuple(constraints))
+        self.groups.append(
+            {"nodes": list(nodes), "constraints": constraints, "note": note, "bound": bound}
+        )
         for x in nodes:
             self.of[x] = gid
 
-    def merge(self, x: int, gid: int) -> None:
-        """Add ``x`` to group ``gid`` with its pair facts against the members."""
+    def merge(self, x: int, gid: int, bound: Fraction | None = None) -> None:
+        """Add ``x`` to group ``gid`` with its pair facts against the members.
+
+        ``bound`` is the grown group's bound when the caller has solved it.
+        """
         g = self.groups[gid]
         g["constraints"].extend(_select(self.facts, [x], g["nodes"]))
         g["nodes"].append(x)
+        if bound is None:
+            bound = _lp_bound(tuple(g["nodes"]), tuple(g["constraints"]))
+        g["bound"] = bound
         self.of[x] = gid
 
-    def lp(self, gid: int) -> Fraction:
-        g = self.groups[gid]
-        return _lp_bound(tuple(g["nodes"]), tuple(g["constraints"]))
-
     def finish(self, uncovered: set[int]) -> GroupCertificate:
-        done = []
-        total = Fraction(0)
-        for g in self.groups:
-            bound = _lp_bound(tuple(g["nodes"]), tuple(g["constraints"]))
-            total += bound
-            done.append(
-                CertifiedGroup(
-                    nodes=tuple(sorted(g["nodes"])),
-                    bound=bound,
-                    constraints=tuple(g["constraints"]),
-                    note=g["note"],
-                )
+        done = [
+            CertifiedGroup(
+                nodes=tuple(sorted(g["nodes"])),
+                bound=g["bound"],
+                constraints=tuple(g["constraints"]),
+                note=g["note"],
             )
-        total += len(uncovered)
+            for g in self.groups
+        ]
+        total = sum((g.bound for g in done), Fraction(0)) + len(uncovered)
         return GroupCertificate(
             groups=tuple(done),
             uncovered=frozenset(uncovered),
@@ -385,13 +387,13 @@ def algorithm1_certify(
             if not extra:
                 continue
             new_lp = _lp_bound(tuple(g["nodes"]) + (x,), tuple(g["constraints"] + extra))
-            key = (new_lp - builder.lp(gid), gid, new_lp)
+            key = (new_lp - g["bound"], gid, new_lp)
             if best is None or key[:2] < best[:2]:
                 best = key
         if best is None or best[2] > Fraction(len(builder.groups[best[1]]["nodes"]) + 1, 2):
             uncovered.add(x)  # no partner, or attaching would dilute the group
         else:
-            builder.merge(x, best[1])
+            builder.merge(x, best[1], best[2])
 
     return builder.finish(uncovered)
 

@@ -106,8 +106,9 @@ class _Deadline:
         self.ticks = 0
 
     def check(self) -> None:
+        """Read the clock on the first tick and on every 1024th after it."""
         self.ticks += 1
-        if self.expires is not None and self.ticks % 1024 == 0:
+        if self.expires is not None and self.ticks % 1024 == 1:
             if time.monotonic() > self.expires:
                 raise ResourceLimitError("search time limit exceeded")
 
@@ -259,10 +260,18 @@ def max_avoidance_cooperative(
 ) -> tuple[int, CooperativeWitness]:
     """Best activation count over all assignments with backhaul at most ``B``.
 
-    Active sets are tried largest-first; for a candidate active set the
-    cheapest workable transmit set of each active message is independent
-    of the others', so the set is feasible iff the per-message minima
-    fit the total budget ``B*K``.
+    Active sets are tried largest-first, none larger than the budget
+    ``B*K`` since every active message costs at least one transmitter.
+    Given an active set, the cheapest workable transmit set of each
+    message is independent of the others', so the set is feasible iff
+    those minima fit the budget.  The minima are found level-wise for
+    all open messages together: at level ``l`` every open message tries
+    the size-``l`` subsets of the antennas the active set hears, in lex
+    order, and its first deliverable one is its cheapest.  A message
+    still open after level ``l`` provably costs at least ``l + 1``, so
+    the set is rejected as soon as the proven costs sum past the budget,
+    or when a message stays open after the whole pool.  Each message
+    gets the lex-first minimum-size transmit set.
 
     Raises:
         InvalidParameterError: ``B`` is negative, ``node_limit`` is
@@ -277,29 +286,38 @@ def max_avoidance_cooperative(
     hears = topology.hears
     visited = 0
 
-    def cheapest(i: int, active, cap: int) -> frozenset[int] | None:
+    def fit(A: tuple[int, ...]) -> dict[int, frozenset[int]] | None:
+        """Each message's cheapest transmit set, or None if they overrun the budget."""
         nonlocal visited
-        pool = sorted(set().union(*(hears[k] for k in active)))
-        for size in range(1, cap + 1):
-            for T in itertools.combinations(pool, size):
-                visited += 1
-                deadline.check()
-                if _deliverable(i, frozenset(T), active, hears):
-                    return frozenset(T)
+        pool = sorted(set().union(*(hears[k] for k in A)))
+        sets: dict[int, frozenset[int]] = {}
+        waiting = A
+        proven = len(A)  # sum of the proven per-message costs
+        for level in range(1, len(pool) + 1):
+            still = []
+            for i in waiting:
+                for combo in itertools.combinations(pool, level):
+                    visited += 1
+                    deadline.check()
+                    T = frozenset(combo)
+                    if _deliverable(i, T, A, hears):
+                        sets[i] = T
+                        break
+                else:
+                    proven += 1
+                    if proven > budget:
+                        return None
+                    still.append(i)
+            if not still:
+                return sets
+            waiting = still
         return None
 
     empty = {i: frozenset() for i in range(1, K + 1)}
-    for size in range(K, 0, -1):
+    for size in range(min(K, budget), 0, -1):
         for A in itertools.combinations(range(1, K + 1), size):
-            total = 0
-            sets: dict[int, frozenset[int]] = {}
-            for i in A:
-                T = cheapest(i, A, budget - total)
-                if T is None:
-                    break
-                sets[i] = T
-                total += len(T)
-            else:
+            sets = fit(A)
+            if sets is not None:
                 witness = MessageAssignment(K=K, transmit_sets={**empty, **sets})
                 return size, CooperativeWitness(
                     active=frozenset(A), assignment=witness, nodes_explored=visited

@@ -256,6 +256,14 @@ def test_resource_guard_exits_three(capsys):
     assert "node_limit" in err
 
 
+def test_expired_time_limit_exits_three(capsys):
+    argv = ["oracle", "--coop", "--wyner", "--K", "6", "--B", "1", "--time-limit", "1e-9"]
+    code, out, err = _run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "time limit" in err
+
+
 def test_oracle_m1_with_lattice_regions(capsys):
     code, out, _ = _run(["oracle", "--m1", "--hex", "--n", "4"], capsys)
     assert code == 0

@@ -26,6 +26,7 @@ from coopzf import (
     wyner_backhaul_scheme,
 )
 from coopzf.assignment import MessageAssignment
+from coopzf.oracle import _deliverable
 
 
 def test_single_transmitter_chain_values():
@@ -136,6 +137,55 @@ def test_cooperative_chain_values():
         assert witness.nodes_explored > 0
 
 
+def test_cooperative_wyner_node_count():
+    # Rejecting an active set once its proven per-message costs pass B*K
+    # closes K=10 in a few thousand nodes; bounding each message only by
+    # the budget its predecessors left needs 25,204.
+    value, witness = max_avoidance_cooperative(build_wyner(10), 1)
+    assert value == 7
+    assert witness.nodes_explored <= 8_000
+
+
+def _cooperative_reference(topology, B):
+    """Reference search: each message's cheapest transmit set in turn, capped by the budget left."""
+    K = topology.K
+    budget = int(Fraction(B) * K)
+    hears = topology.hears
+
+    def cheapest(i, active, cap):
+        pool = sorted(set().union(*(hears[k] for k in active)))
+        for size in range(1, cap + 1):
+            for T in itertools.combinations(pool, size):
+                if _deliverable(i, frozenset(T), active, hears):
+                    return frozenset(T)
+        return None
+
+    empty = {i: frozenset() for i in range(1, K + 1)}
+    for size in range(K, 0, -1):
+        for A in itertools.combinations(range(1, K + 1), size):
+            total = 0
+            sets = {}
+            for i in A:
+                T = cheapest(i, A, budget - total)
+                if T is None:
+                    break
+                sets[i] = T
+                total += len(T)
+            else:
+                return size, frozenset(A), {**empty, **sets}
+    return 0, frozenset(), empty
+
+
+@pytest.mark.parametrize("L", [None, 1, 2, 3], ids=["wyner", "lc1", "lc2", "lc3"])
+def test_cooperative_matches_reference(L):
+    for K in range(1, 9):
+        topo = build_wyner(K) if L is None else build_locally_connected(K, L)
+        for B in (0, Fraction(1, 2), 1, 2):
+            value, witness = max_avoidance_cooperative(topo, B)
+            got = (value, witness.active, witness.assignment.transmit_sets)
+            assert got == _cooperative_reference(topo, B), (K, B)
+
+
 def test_cooperative_zero_budget():
     value, witness = max_avoidance_cooperative(build_wyner(4), 0)
     assert value == 0
@@ -244,6 +294,18 @@ def test_node_limit_must_be_positive(limit):
 def test_time_limit_enforced():
     with pytest.raises(ResourceLimitError):
         max_avoidance_cooperative(build_wyner(8), 2, time_limit=1e-9)
+
+
+def test_expired_time_limit_stops_tiny_searches():
+    # Each search reads the clock on its first node, not only every 1024th.
+    topo = build_wyner(3)
+    all_self = MessageAssignment(K=3, transmit_sets={i: frozenset({i}) for i in range(1, 4)})
+    with pytest.raises(ResourceLimitError, match="time limit"):
+        max_avoidance_m1(topo, time_limit=1e-9)
+    with pytest.raises(ResourceLimitError, match="time limit"):
+        max_avoidance_cooperative(topo, 1, time_limit=1e-9)
+    with pytest.raises(ResourceLimitError, match="time limit"):
+        max_activation_for_assignment(topo, all_self, time_limit=1e-9)
 
 
 @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
