@@ -8,15 +8,19 @@ hears ``j`` competes with ``i`` — at most one of the two can be served.
 A message none of whose transmitters its receiver hears is never
 served.  :func:`lemma_pairwise_bounds` is the one definition of both
 facts.  Group certificates assemble them over node groups of a
-hexagonal lattice, solve each group's tiny packing program exactly, and
-add one for every node left outside all groups.
+hexagonal lattice, solve each group's packing program exactly, and
+add one for every node left outside all groups.  A group's program
+is solved in closed form: its optimum is ``|live| - nu/2``, with ``nu``
+the maximum matching of the bipartite double cover of its conflicts.
 
 Two group builders are provided: :func:`algorithm1_certify` works from
 a message assignment with per-message cooperation at most one, and
 :func:`triangle_state_bound` works from an explicit served schedule,
 through the assignment :func:`schedule_assignment` reads off it.  Both
 take every constraint from the lemma, and :func:`validate_certificate`
-accepts exactly the lemma's facts.
+accepts exactly the lemma's facts.  The auditor trusts no solver: it
+checks each group's bound against a matching and a vertex cover of
+equal size, which certify the optimum by weak duality.
 :func:`backhaul_converse` is the linear-network counterpart: it scans
 candidate cooperation sizes and bounds the served count under an
 average-backhaul budget, with :func:`reconstructibility_check`
@@ -25,7 +29,6 @@ providing the supporting decodability argument.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 from .assignment import MessageAssignment, _chain_window, metrics
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
-from .oracle import AvoidanceSchedule, validate_schedule
+from .oracle import AvoidanceSchedule, _matching, _max_matching, validate_schedule
 from .topology import (
     HexLattice,
     NetworkTopology,
@@ -174,30 +177,101 @@ class GroupCertificate:
         }
 
 
-def _lp_bound(nodes: tuple[int, ...], constraints: tuple[Constraint, ...]) -> Fraction:
-    """Exact max of sum of d_i over d in {0, 1/2, 1} meeting the constraints.
+def _double_cover(
+    nodes: Sequence[int], constraints: Sequence[Constraint]
+) -> tuple[list[int], list[set[int]]]:
+    """The live members and their rows in the bipartite double cover of the conflicts.
+
+    A member is live unless a zero fact names it.  Row ``p`` lists the
+    right-hand copies joined to the left copy of ``live[p]``: a pair
+    fact between live members ``i`` and ``k`` joins ``i`` to ``k`` and
+    ``k`` to ``i``; a self-pair joins ``i`` to its own copy.
+    """
+    zeros = {c[1] for c in constraints if c[0] == "zero"}
+    live = sorted(set(nodes) - zeros)
+    joined: dict[int, set[int]] = {x: set() for x in live}
+    for c in constraints:
+        if c[0] == "pair" and c[1] in joined and c[2] in joined:
+            joined[c[1]].add(c[2])
+            joined[c[2]].add(c[1])
+    return live, [joined[x] for x in live]
+
+
+def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> Fraction:
+    """Exact max of sum of d_i over d in [0, 1]^n meeting the constraints.
 
     Pair constraints cap ``d_i + d_k <= 1`` (only when both endpoints
-    are members); zero constraints force ``d_i = 0``.  Group sizes stay
-    tiny, so plain enumeration over the half-integer grid is exact:
-    every vertex of the pairing polytope is half-integral.
+    are members); zero constraints force ``d_i = 0``.  With ``y = 1 - d``
+    on the live members this is a fractional vertex cover of the
+    conflict graph.  Its optimum is half-integral (Nemhauser & Trotter
+    1975) and equals half the maximum matching ``nu`` of the graph's
+    bipartite double cover (König), so the bound is
+    ``(2 |live| - nu) / 2``.
     """
-    idx = {x: p for p, x in enumerate(nodes)}
-    zero_pos = {idx[c[1]] for c in constraints if c[0] == "zero" and c[1] in idx}
-    pair_pos = [
-        (idx[c[1]], idx[c[2]])
-        for c in constraints
-        if c[0] == "pair" and c[1] in idx and c[2] in idx
-    ]
-    levels = (Fraction(0), Fraction(1, 2), Fraction(1))
-    best = Fraction(0)
-    for d in itertools.product(levels, repeat=len(nodes)):
-        if any(d[p] for p in zero_pos):
-            continue
-        if any(d[a] + d[b] > 1 for a, b in pair_pos):
-            continue
-        best = max(best, sum(d, Fraction(0)))
-    return best
+    live, rows = _double_cover(nodes, constraints)
+    return Fraction(2 * len(live) - _max_matching(rows), 2)
+
+
+def _konig_cover(
+    live: list[int], rows: list[set[int]], matching: dict[int, int]
+) -> tuple[set[int], set[int]]:
+    """König's vertex cover of the double cover, from a maximum ``matching``.
+
+    Walks the alternating paths from every unmatched left copy; the
+    cover is the left copies not reached and the right copies reached,
+    returned as two sets of node indices.
+    """
+    reached = set(range(len(rows))) - set(matching.values())
+    stack = list(reached)
+    right: set[int] = set()
+    while stack:
+        for c in rows[stack.pop()]:
+            if c in right:
+                continue
+            right.add(c)
+            p = matching.get(c)
+            if p is not None and p not in reached:
+                reached.add(p)
+                stack.append(p)
+    return {x for p, x in enumerate(live) if p not in reached}, right
+
+
+def _bound_problems(group: CertifiedGroup) -> list[str]:
+    """Audit ``group.bound`` with a matching and a König cover of its double cover.
+
+    The witness is checked against the recorded constraints alone: the
+    matching ``M`` uses only their edges and no endpoint twice, the
+    cover ``C`` meets every edge, and ``|C| = |M|``.  By weak duality
+    ``M`` is then maximum whatever code produced it, so the group's
+    optimum is ``|live| - |M|/2``.
+    """
+    live, rows = _double_cover(group.nodes, group.constraints)
+    matching = _matching(rows)
+    left_cover, right_cover = _konig_cover(live, rows, matching)
+    matched = {(live[p], c) for c, p in matching.items()}
+
+    zeros = {c[1] for c in group.constraints if c[0] == "zero"}
+    alive = set(group.nodes) - zeros
+    edges = {
+        (c[1], c[2])
+        for c in group.constraints
+        if c[0] == "pair" and c[1] in alive and c[2] in alive
+    }
+    edges |= {(k, i) for i, k in edges}
+    proven = (
+        len({i for i, _ in matched}) == len({k for _, k in matched}) == len(matched)
+        and matched <= edges
+        and all(i in left_cover or k in right_cover for i, k in edges)
+        and len(left_cover) + len(right_cover) == len(matched)
+    )
+    if not proven:
+        return [f"group {list(group.nodes)} has no matching-and-cover witness for its system"]
+    optimum = len(alive) - Fraction(len(matched), 2)
+    if optimum != group.bound:
+        return [
+            f"group {list(group.nodes)} records bound {group.bound} but its system solves to {optimum}"
+        ]
+    return []
 
 
 def _select(facts: Facts, subjects: Sequence[int], members: Sequence[int]) -> list[Constraint]:
@@ -217,7 +291,8 @@ class _GroupBuilder:
 
     Every constraint is selected from ``facts``, the output of
     :func:`lemma_pairwise_bounds`.  Each group keeps its exact bound,
-    solved once when the group is opened or grown.
+    solved once in closed form by :func:`_lp_bound` when the group is
+    opened or grown.
     """
 
     def __init__(self, facts: Facts) -> None:
@@ -302,7 +377,8 @@ def algorithm1_certify(
         InvalidParameterError: if the assignment and lattice sizes disagree.
     """
     nodes = sorted(lattice.coords)
-    facts = lemma_pairwise_bounds(_lattice_topology(lattice), assignment)
+    topology = _lattice_topology(lattice)
+    facts = lemma_pairwise_bounds(topology, assignment)
     zeros = facts[1]
     # The one audible transmitter of every message that is not a zero fact.
     tx = {i: next(iter(assignment.transmit_sets[i])) for i in nodes if i not in zeros}
@@ -381,11 +457,12 @@ def algorithm1_certify(
         if x in zeros:
             builder.new([x], [x], "residual unassigned")
             continue
+        # Only a group holding another hearer of tx[x] gains a fact about x.
+        gids = {builder.of[k] for k in topology.hearers(tx[x]) if k != x and k in builder.of}
         best: tuple[Fraction, int, Fraction] | None = None
-        for gid, g in enumerate(builder.groups):
+        for gid in sorted(gids):
+            g = builder.groups[gid]
             extra = _select(facts, [x], g["nodes"])
-            if not extra:
-                continue
             new_lp = _lp_bound(tuple(g["nodes"]) + (x,), tuple(g["constraints"] + extra))
             key = (new_lp - g["bound"], gid, new_lp)
             if best is None or key[:2] < best[:2]:
@@ -403,12 +480,17 @@ def validate_certificate(
 ) -> list[str]:
     """Audit a group certificate against the assignment it claims to bound.
 
-    Checks disjointness and full coverage; that every recorded
-    constraint is one of the facts :func:`lemma_pairwise_bounds` derives
-    for this assignment on this lattice and names only members of its
-    group (so a self-pair ``("pair", i, i)`` is never accepted); and that
-    every group's bound equals the exact optimum of its recorded
-    constraint system.
+    Checks disjointness and full coverage by lattice nodes only; that
+    every recorded constraint is one of the facts
+    :func:`lemma_pairwise_bounds` derives for this assignment on this
+    lattice and names only members of its group (so a self-pair
+    ``("pair", i, i)`` is never accepted); and that every group's bound
+    equals the exact optimum of its recorded constraint system.  The
+    optimum is not taken from the builders' solver: the auditor finds a
+    maximum matching and a König vertex cover of the group's double
+    cover and checks that they are a matching and a cover of the
+    recorded system of equal size, which proves the optimum by weak
+    duality.
 
     Returns:
         A list of problem descriptions; empty when the certificate is
@@ -434,6 +516,9 @@ def validate_certificate(
     missing = nodes - seen - certificate.uncovered
     if missing:
         problems.append(f"nodes {sorted(missing)} are in no group and not uncovered")
+    outside = (seen | certificate.uncovered) - nodes
+    if outside:
+        problems.append(f"nodes {sorted(outside)} are not nodes of the lattice")
 
     for g in certificate.groups:
         # The facts that name only members of this group.
@@ -441,11 +526,7 @@ def validate_certificate(
         for c in g.constraints:
             if c not in allowed:
                 problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
-        lp = _lp_bound(g.nodes, g.constraints)
-        if lp != g.bound:
-            problems.append(
-                f"group {list(g.nodes)} records bound {g.bound} but its system solves to {lp}"
-            )
+        problems.extend(_bound_problems(g))
     total = sum((g.bound for g in certificate.groups), Fraction(0)) + len(certificate.uncovered)
     if total != certificate.bound_total:
         problems.append("bound_total does not match the sum of group bounds")

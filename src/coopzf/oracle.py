@@ -11,6 +11,7 @@ approximated.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
@@ -218,8 +219,12 @@ def max_avoidance_m1(
     return best, AvoidanceSchedule(pairs=chosen, value=best, nodes_explored=visited)
 
 
-def _max_matching(rows: list[frozenset[int]]) -> int:
-    """Maximum bipartite matching of row index to a member column."""
+def _matching(rows: Sequence[Collection[int]]) -> dict[int, int]:
+    """A maximum bipartite matching of row index to a member column, as ``{column: row}``.
+
+    Kuhn's augmenting paths: each row in turn tries its columns, evicting
+    a column's current row when that row can move to another column.
+    """
     match_col: dict[int, int] = {}
 
     def try_row(r: int, seen: set[int]) -> bool:
@@ -232,7 +237,14 @@ def _max_matching(rows: list[frozenset[int]]) -> int:
                 return True
         return False
 
-    return sum(1 for r in range(len(rows)) if try_row(r, set()))
+    for r in range(len(rows)):
+        try_row(r, set())
+    return match_col
+
+
+def _max_matching(rows: Sequence[Collection[int]]) -> int:
+    """Size of a maximum bipartite matching of row index to a member column."""
+    return len(_matching(rows))
 
 
 def _deliverable(

@@ -414,6 +414,24 @@ def test_certify_states_exits_one_on_tampered_bound(capsys, monkeypatch):
     assert any("solves to" in p for p in problems)
 
 
+def test_certify_groups_exits_one_on_tampered_bound(capsys, monkeypatch):
+    honest = cli.algorithm1_certify
+
+    def tampered(lattice, assignment):
+        cert = honest(lattice, assignment)
+        g0 = dataclasses.replace(cert.groups[0], bound=cert.groups[0].bound - 1)
+        return dataclasses.replace(cert, groups=(g0,) + cert.groups[1:])
+
+    monkeypatch.setattr(cli, "algorithm1_certify", tampered)
+    self_serving = json.dumps({"K": 9, "transmit_sets": [[i] for i in range(1, 10)]})
+    code, out, _ = _run(["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=self_serving)
+    assert code == 1
+    doc = json.loads(out)
+    g0 = doc["groups"][0]
+    assert g0["bound"] == "0"
+    assert f"group {g0['nodes']} records bound 0 but its system solves to 1" in doc["problems"]
+
+
 @pytest.mark.parametrize("pairs", [[[99, 99]], [[0, 1]], [[1, 99]]], ids=["99-99", "0-1", "1-99"])
 def test_certify_states_rejects_users_outside_lattice(capsys, monkeypatch, pairs):
     schedule = json.dumps({"pairs": pairs})

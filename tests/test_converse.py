@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from coopzf import (
     validate_certificate,
     wyner_backhaul_scheme,
 )
+from coopzf import converse
+from coopzf.converse import _bound_problems, _lp_bound
 from worked_example import toy_instance
 
 
@@ -170,6 +173,118 @@ def test_validate_certificate_flags_tampering():
     problems = validate_certificate(lattice, assignment, tampered)
     assert any("solves to" in p for p in problems)
     assert any("bound_total" in p for p in problems)
+
+
+def _lp_bound_reference(nodes, constraints):
+    """Exact max of sum of d_i over d in {0, 1/2, 1} meeting the constraints.
+
+    Pair constraints cap ``d_i + d_k <= 1`` (only when both endpoints
+    are members); zero constraints force ``d_i = 0``.  Group sizes stay
+    tiny, so plain enumeration over the half-integer grid is exact:
+    every vertex of the pairing polytope is half-integral.
+    """
+    idx = {x: p for p, x in enumerate(nodes)}
+    zero_pos = {idx[c[1]] for c in constraints if c[0] == "zero" and c[1] in idx}
+    pair_pos = [
+        (idx[c[1]], idx[c[2]])
+        for c in constraints
+        if c[0] == "pair" and c[1] in idx and c[2] in idx
+    ]
+    levels = (Fraction(0), Fraction(1, 2), Fraction(1))
+    best = Fraction(0)
+    for d in itertools.product(levels, repeat=len(nodes)):
+        if any(d[p] for p in zero_pos):
+            continue
+        if any(d[a] + d[b] > 1 for a, b in pair_pos):
+            continue
+        best = max(best, sum(d, Fraction(0)))
+    return best
+
+
+def _random_system(rng, n):
+    """``n`` members with zero facts, self-pairs and facts naming non-members."""
+    nodes = tuple(sorted(rng.sample(range(1, 30), n)))
+    pool = list(nodes) + [40, 41]  # 40 and 41 are never members
+    constraints = []
+    for _ in range(rng.randint(0, 2 * n + 2)):
+        roll = rng.random()
+        if roll < 0.15:
+            constraints.append(("zero", rng.choice(pool)))
+        elif roll < 0.25:
+            x = rng.choice(pool)
+            constraints.append(("pair", x, x))
+        else:
+            constraints.append(("pair", rng.choice(pool), rng.choice(pool)))
+    return nodes, tuple(constraints)
+
+
+# The reference costs 3^n points, so the sizes lean small; every size
+# up to 8 still appears at least 15 times.
+_SYSTEM_SIZES = {0: 100, 1: 300, 2: 700, 3: 1345, 4: 300, 5: 150, 6: 60, 7: 30, 8: 15}
+
+
+def test_lp_bound_and_audit_match_enumeration():
+    rng = random.Random(20261018)
+    half = Fraction(1, 2)
+    checked = 0
+    for n, count in _SYSTEM_SIZES.items():
+        for _ in range(count):
+            nodes, constraints = _random_system(rng, n)
+            optimum = _lp_bound_reference(nodes, constraints)
+            assert _lp_bound(nodes, constraints) == optimum, (nodes, constraints)
+            group = CertifiedGroup(nodes=nodes, bound=optimum, constraints=constraints)
+            assert _bound_problems(group) == []
+            for wrong in (optimum - half, optimum + half):
+                problems = _bound_problems(
+                    CertifiedGroup(nodes=nodes, bound=wrong, constraints=constraints)
+                )
+                assert problems == [
+                    f"group {list(nodes)} records bound {wrong} but its system solves to {optimum}"
+                ]
+            checked += 1
+    assert checked == 3000
+
+
+_BAD_WITNESSES = {
+    "not-maximum": {"_matching": lambda rows: {}},
+    "not-a-matching": {"_matching": lambda rows: {c: 0 for row in rows for c in row}},
+    "off-system-edges": {"_matching": lambda rows: {-1 - p: p for p in range(len(rows))}},
+    "not-a-cover": {"_matching": lambda rows: {}, "_konig_cover": lambda *_: (set(), set())},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_WITNESSES))
+def test_audit_rejects_a_bad_matching_witness(monkeypatch, bad):
+    # A faulty matcher or cover can only make the audit reject.
+    _, lattice, assignment, _ = toy_instance()
+    cert = algorithm1_certify(lattice, assignment)
+    for name, fake in _BAD_WITNESSES[bad].items():
+        monkeypatch.setattr(converse, name, fake)
+    problems = validate_certificate(lattice, assignment, cert)
+    assert problems
+    assert all("no matching-and-cover witness" in p for p in problems)
+
+
+@pytest.mark.parametrize("where", ["grouped", "uncovered"])
+def test_validate_certificate_flags_nodes_outside_lattice(where):
+    _, lattice = build_hexagonal(3)
+    assignment = MessageAssignment(K=9, transmit_sets={i: frozenset({i}) for i in range(1, 10)})
+    cert = algorithm1_certify(lattice, assignment)
+    assert validate_certificate(lattice, assignment, cert) == []
+    groups, uncovered = cert.groups, cert.uncovered
+    if where == "grouped":
+        groups += (CertifiedGroup(nodes=(999,), bound=Fraction(1)),)
+    else:
+        uncovered |= {999}
+    padded = GroupCertificate(
+        groups=groups,
+        uncovered=uncovered,
+        certified_bound=cert.certified_bound + 1,
+        bound_total=cert.bound_total + 1,
+    )
+    assert validate_certificate(lattice, assignment, padded) == [
+        "nodes [999] are not nodes of the lattice"
+    ]
 
 
 def test_validate_certificate_rejects_self_pairs():
