@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import json
 
-from .errors import InvalidParameterError, PreconditionViolationError, _document_errors
+from .errors import InvalidParameterError, _document_errors
 
 
 @dataclass
@@ -32,19 +32,23 @@ class MessageAssignment:
     transmit_sets: dict[int, frozenset[int]]
 
     def __post_init__(self) -> None:
-        users = set(range(1, self.K + 1))
-        if set(self.transmit_sets) != users:
+        # Count the keys before building 1..K (see NetworkTopology).
+        sets = self.transmit_sets
+        if len(sets) != self.K or set(sets) != (users := set(range(1, self.K + 1))):
             raise InvalidParameterError("transmit_sets must have exactly the keys 1..K")
-        for i, T in self.transmit_sets.items():
+        for i, T in sets.items():
             if not T <= users:
                 raise InvalidParameterError(f"transmit set of message {i} leaves 1..K")
 
-    def to_json(self) -> str:
-        obj = {
+    def to_dict(self) -> dict:
+        """The JSON object form, with sorted transmit sets; :meth:`to_json` encodes it."""
+        return {
             "K": self.K,
             "transmit_sets": [sorted(self.transmit_sets[i]) for i in range(1, self.K + 1)],
         }
-        return json.dumps(obj)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def assignment_from_json(text: str) -> MessageAssignment:
@@ -103,38 +107,3 @@ def check_local_cooperation(assignment: MessageAssignment, r: int) -> bool:
         if any(t < i - r or t > i + r for t in T):
             return False
     return True
-
-
-def reduce_wyner(assignment: MessageAssignment, M: int) -> MessageAssignment:
-    """Drop transmitters that cannot help message ``i`` on a linear chain.
-
-    On a chain where receiver ``i`` hears transmitters ``{i-1, i}``, any
-    transmitter outside the window ``{i-M, ..., i+M-1}`` can be removed
-    from ``T_i`` without reducing what the scheme can deliver.  The
-    result's transmit sets are pointwise subsets of the input's, and the
-    operation is idempotent.
-
-    Args:
-        assignment: assignment with all transmit sets of size at most M.
-        M: positive window parameter.
-
-    Raises:
-        PreconditionViolationError: some ``|T_i|`` exceeds ``M``.
-    """
-    if M < 1:
-        raise InvalidParameterError("M must be positive")
-    for i, T in assignment.transmit_sets.items():
-        if len(T) > M:
-            raise PreconditionViolationError(f"|T_{i}| = {len(T)} exceeds M = {M}")
-    reduced = {i: _chain_window(T, i, M) for i, T in assignment.transmit_sets.items()}
-    return MessageAssignment(K=assignment.K, transmit_sets=reduced)
-
-
-def _chain_window(T: frozenset[int], i: int, M: int) -> frozenset[int]:
-    """The part of ``T`` inside message ``i``'s chain window ``[i-M, i+M-1]``."""
-    return frozenset(t for t in T if i - M <= t <= i + M - 1)
-
-
-def validate_backhaul(assignment: MessageAssignment, B: Fraction | int) -> bool:
-    """True iff the assignment's backhaul load is at most ``B``."""
-    return metrics(assignment).B <= Fraction(B)

@@ -165,7 +165,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     channels = sample_channels(topology, seed)
     beams = design_beams(topology, channels, assignment, scheme)
     report = verify(topology, channels, scheme, beams, tol=args.tol)
-    obj = json.loads(report.to_json())
+    obj = report.to_dict()
     obj["active"] = report.dof
     obj["dof"] = str(Fraction(report.dof, scheme.K))
     obj["seed"] = seed
@@ -215,7 +215,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
         out = {
             "value": value,
             "active": sorted(witness.active),
-            "assignment": json.loads(witness.assignment.to_json()),
+            "assignment": witness.assignment.to_dict(),
             "nodes_explored": witness.nodes_explored,
         }
         _emit(json.dumps(out))

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .assignment import MessageAssignment, _chain_window, metrics
+from .assignment import MessageAssignment, metrics
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
 from .oracle import AvoidanceSchedule, _matching, _max_matching, validate_schedule
 from .topology import (
@@ -755,6 +755,11 @@ def backhaul_converse(assignment: MessageAssignment, B: int | Fraction) -> Backh
         slack=slack,
         scanned=scanned,
     )
+
+
+def _chain_window(T: frozenset[int], i: int, M: int) -> frozenset[int]:
+    """The part of ``T`` inside message ``i``'s chain window ``[i-M, i+M-1]``."""
+    return frozenset(t for t in T if i - M <= t <= i + M - 1)
 
 
 def appendix_receiver_set(

@@ -22,7 +22,7 @@ import math
 
 from .assignment import MessageAssignment
 from .errors import DecompositionFailureError, InvalidParameterError, _document_errors
-from .topology import HexLattice, NetworkTopology, topology_from_json
+from .topology import HexLattice, NetworkTopology, topology_from_dict
 
 
 @dataclass
@@ -604,7 +604,9 @@ def scheme_to_json(
     """Serialize a scheme, optionally embedding topology and transmit sets.
 
     The embedded copies make the output self-contained for piping into
-    verification or certification commands.
+    verification or certification commands.  The whole document is
+    encoded once: the topology enters as :meth:`NetworkTopology.to_dict`
+    and the transmit sets as :meth:`MessageAssignment.to_dict` lists.
     """
     obj: dict = {
         "K": scheme.K,
@@ -620,18 +622,33 @@ def scheme_to_json(
         "family": list(scheme.family),
     }
     if topology is not None:
-        obj["topology"] = json.loads(topology.to_json())
+        obj["topology"] = topology.to_dict()
     if assignment is not None:
-        obj["transmit_sets"] = [
-            sorted(assignment.transmit_sets[i]) for i in range(1, assignment.K + 1)
-        ]
+        obj["transmit_sets"] = assignment.to_dict()["transmit_sets"]
     return json.dumps(obj)
+
+
+def _all_users(named: frozenset, K: int) -> bool:
+    """Whether every element of ``named`` equals one of the users ``1..K``, without that range.
+
+    Agrees with ``named <= set(range(1, K + 1))``: ``True`` and integral
+    floats count as users.  All-int sets take two C-level scans.
+    """
+    if set(map(type, named)) <= {int}:
+        return not named or (min(named) >= 1 and max(named) <= K)
+    return all(isinstance(u, (int, float)) and 1 <= u <= K and u == int(u) for u in named)
 
 
 def scheme_from_json(
     text: str,
 ) -> tuple[ZfScheme, NetworkTopology | None, MessageAssignment | None]:
     """Inverse of :func:`scheme_to_json`; embedded sections are optional.
+
+    The text is parsed once; the embedded topology is built from its
+    parsed object (:func:`topology_from_dict`).  User indices are checked
+    against ``K`` without building ``1..K``, and the embedded lists are
+    counted against ``K`` first, so a document that claims a huge ``K``
+    is rejected without memory or time proportional to ``K``.
 
     Raises:
         InvalidParameterError: malformed JSON or shape, users outside
@@ -655,13 +672,13 @@ def scheme_from_json(
         )
         named = scheme.active_messages.union(scheme.serving.values(), *scheme.cancel_at.values())
         keyed = set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at)
-        if not keyed or named - set(range(1, scheme.K + 1)):
+        if not keyed or not _all_users(named, scheme.K):
             raise InvalidParameterError(
                 "malformed scheme document (users outside 1..K, or serving/cancel_at not keyed by active)"
             )
         topology = None
         if "topology" in obj:
-            topology = topology_from_json(json.dumps(obj["topology"]))
+            topology = topology_from_dict(obj["topology"])
             if topology.K != scheme.K:
                 raise InvalidParameterError(
                     f"malformed scheme document (embedded topology has K={topology.K}, document K={scheme.K})"

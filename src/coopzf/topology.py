@@ -50,8 +50,9 @@ class NetworkTopology:
     _hearers: dict[int, frozenset[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        users = set(range(1, self.K + 1))
-        if set(self.hears) != users:
+        # Count the keys before building 1..K, so that a document claiming a
+        # huge K with few rows is rejected without allocating the range.
+        if len(self.hears) != self.K or set(self.hears) != (users := set(range(1, self.K + 1))):
             raise InvalidParameterError("hears must have exactly the keys 1..K")
         for i, heard in self.hears.items():
             if not heard <= users:
@@ -66,23 +67,32 @@ class NetworkTopology:
         """Return the receivers that hear transmitter ``t``."""
         return self._hearers[t]
 
-    def to_json(self) -> str:
-        """Serialize to a JSON object with sorted hearing lists."""
-        obj = {
+    def to_dict(self) -> dict:
+        """The JSON object form, with sorted hearing lists; :meth:`to_json` encodes it."""
+        return {
             "kind": self.kind,
             "K": self.K,
             "params": self.params,
             "hears": [sorted(self.hears[i]) for i in range(1, self.K + 1)],
         }
-        return json.dumps(obj)
+
+    def to_json(self) -> str:
+        """Serialize to a JSON object with sorted hearing lists."""
+        return json.dumps(self.to_dict())
+
+
+def topology_from_dict(obj) -> NetworkTopology:
+    """Rebuild a :class:`NetworkTopology` from the parsed object of :meth:`NetworkTopology.to_json`."""
+    with _document_errors("topology"):
+        hears = {i + 1: frozenset(row) for i, row in enumerate(obj["hears"])}
+        return NetworkTopology(kind=obj["kind"], K=int(obj["K"]), params=obj["params"], hears=hears)
 
 
 def topology_from_json(text: str) -> NetworkTopology:
     """Rebuild a :class:`NetworkTopology` from :meth:`NetworkTopology.to_json`."""
     with _document_errors("topology"):
         obj = json.loads(text)
-        hears = {i + 1: frozenset(row) for i, row in enumerate(obj["hears"])}
-        return NetworkTopology(kind=obj["kind"], K=int(obj["K"]), params=obj["params"], hears=hears)
+    return topology_from_dict(obj)
 
 
 def build_wyner(K: int) -> NetworkTopology:

@@ -16,10 +16,34 @@ from coopzf import (
     assignment_from_json,
     check_local_cooperation,
     metrics,
-    reduce_wyner,
-    validate_backhaul,
     wyner_backhaul_scheme,
 )
+from coopzf.converse import _chain_window
+
+
+def reduce_wyner(assignment: MessageAssignment, M: int) -> MessageAssignment:
+    """Drop transmitters that cannot help message ``i`` on a linear chain.
+
+    On a chain where receiver ``i`` hears transmitters ``{i-1, i}``, any
+    transmitter outside the window ``{i-M, ..., i+M-1}`` can be removed
+    from ``T_i`` without reducing what the scheme can deliver.
+
+    Raises:
+        InvalidParameterError: ``M`` is not positive.
+        PreconditionViolationError: some ``|T_i|`` exceeds ``M``.
+    """
+    if M < 1:
+        raise InvalidParameterError("M must be positive")
+    for i, T in assignment.transmit_sets.items():
+        if len(T) > M:
+            raise PreconditionViolationError(f"|T_{i}| = {len(T)} exceeds M = {M}")
+    reduced = {i: _chain_window(T, i, M) for i, T in assignment.transmit_sets.items()}
+    return MessageAssignment(K=assignment.K, transmit_sets=reduced)
+
+
+def validate_backhaul(assignment: MessageAssignment, B: Fraction | int) -> bool:
+    """True iff the assignment's backhaul load is at most ``B``."""
+    return metrics(assignment).B <= Fraction(B)
 
 
 def _asg(K, sets):

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -149,6 +150,32 @@ def test_malformed_stdin_exits_two(capsys, monkeypatch, argv, document):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed")
+
+
+def _huge_k_cases():
+    """An 8-user chain document whose K, top-level or embedded, claims 10**12 users."""
+    huge = 10**12
+    doc = json.loads(_wyner_document(8))
+    bare = {key: value for key, value in doc.items() if key != "topology"}
+    cases = {
+        "verify-document K": (["verify"], {**doc, "K": huge}),
+        "verify-topology K": (["verify"], {**doc, "topology": {**doc["topology"], "K": huge}}),
+        "report-document K": (["report"], {**bare, "K": huge}),
+        "certify --backhaul-assignment K": (
+            ["certify", "--backhaul", "--B", "1"],
+            {"K": huge, "transmit_sets": doc["transmit_sets"]},
+        ),
+    }
+    return [pytest.param(argv, json.dumps(obj), id=label) for label, (argv, obj) in cases.items()]
+
+
+@pytest.mark.parametrize(("argv", "document"), _huge_k_cases())
+def test_huge_K_is_rejected_without_building_its_range(capsys, monkeypatch, argv, document):
+    start = time.perf_counter()
+    code, out, _ = _run(argv, capsys, monkeypatch, stdin=document)
+    assert code == 2
+    assert out == ""
+    assert time.perf_counter() - start < 0.5
 
 
 # Flags another subcommand reads; each is a usage error here.

@@ -14,6 +14,7 @@ from coopzf import (
     ChannelRealization,
     InvalidParameterError,
     MessageAssignment,
+    SolverFailureError,
     VerificationReport,
     ZfScheme,
     build_hexagonal,
@@ -120,17 +121,68 @@ def test_empty_cancellation_gives_unit_beam():
 def test_chain_and_dense_routes_agree():
     for topo, assignment, scheme in _representatives():
         channels = sample_channels(topo, 5)
-        for i in sorted(scheme.active_messages):
-            T = sorted(assignment.transmit_sets[i])
-            serving = scheme.serving[i]
-            cancel = scheme.cancel_at[i]
-            chain = _chain_solve(channels, topo.hears, T, serving, cancel)
-            dense = _dense_solve(channels, topo.hears, T, serving, cancel, i)
+        systems = [
+            (i, sorted(assignment.transmit_sets[i]), scheme.serving[i], scheme.cancel_at[i])
+            for i in sorted(scheme.active_messages)
+        ]
+        beams = _dense_solve(channels.coefficients, systems)
+        assert list(beams) == [i for i, *_ in systems]
+        for i, T, serving, cancel in systems:
+            chain = _chain_solve(channels.coefficients, topo.hears, T, serving, cancel)
+            dense = beams[i]
             assert chain is not None, (scheme.name, i)
+            assert set(dense) == set(chain) == set(T), (scheme.name, i)
             for t in T:
                 diff = abs(chain[t] - dense[t])
                 scale = max(1.0, abs(dense[t]))
                 assert diff / scale <= 1e-10, (scheme.name, i, t)
+
+
+def test_stacked_dense_solve_matches_one_system_at_a_time():
+    # reversed cancellation orders defeat forward substitution; sizes 1..4 share stacks
+    topo = build_wyner(48)
+    assignment, scheme = wyner_backhaul_scheme(48, 3)
+    channels = sample_channels(topo, 2)
+    systems = [
+        (i, sorted(assignment.transmit_sets[i]), scheme.serving[i], scheme.cancel_at[i][::-1])
+        for i in sorted(scheme.active_messages)
+    ]
+    assert len({len(cancel) for *_, cancel in systems}) > 1
+    stacked = _dense_solve(channels.coefficients, systems)
+    for system in systems:
+        assert _dense_solve(channels.coefficients, [system]) == {system[0]: stacked[system[0]]}
+
+
+def test_singular_system_in_a_stack_is_named():
+    # message 2 must cancel at receiver 3, which hears its serving transmitter but not its free one
+    gains = {(1, 1): 1 + 0j, (1, 2): 2 + 0j, (3, 2): 1 + 0j}
+    regular = (1, [1, 2], 1, (1,))
+    singular = (2, [1, 2], 2, (3,))
+    assert _dense_solve(gains, [regular])[1] == {1: 1 + 0j, 2: -0.5 + 0j}
+    with pytest.raises(SolverFailureError, match="message 2 is singular"):
+        _dense_solve(gains, [regular, singular])
+
+
+def test_serving_error_waits_for_earlier_singular_system():
+    topo = build_wyner(3)
+    channels = sample_channels(topo, 0)
+    assignment = MessageAssignment(
+        K=3, transmit_sets={1: frozenset({1, 3}), 2: frozenset(), 3: frozenset({2})}
+    )
+    scheme = ZfScheme(
+        K=3,
+        active_messages=frozenset({1, 3}),
+        serving={1: 1, 3: 3},
+        cancel_at={1: (2, 3), 3: ()},
+        deactivated_transmitters=frozenset(),
+        declared_pudof=Fraction(2, 3),
+        declared_backhaul=Fraction(2, 3),
+    )
+    with pytest.raises(SolverFailureError, match="message 1"):
+        design_beams(topo, channels, assignment, scheme)
+    scheme.cancel_at[1] = ()
+    with pytest.raises(InvalidParameterError, match="message 3"):
+        design_beams(topo, channels, assignment, scheme)
 
 
 def test_generators_verify_across_seeds():
@@ -428,6 +480,43 @@ def test_channel_draws_are_pinned(topo, seed, digest):
     assert hashlib.sha256(repr(list(coefficients.items())).encode()).hexdigest() == digest
 
 
+def _reversed_cancellation(assignment, scheme):
+    return assignment, dataclasses.replace(
+        scheme, cancel_at={i: c[::-1] for i, c in scheme.cancel_at.items()}
+    )
+
+
+@pytest.mark.parametrize(
+    ("topo", "pair", "digest"),
+    [
+        (
+            build_wyner(480),
+            _reversed_cancellation(*wyner_backhaul_scheme(480, 2)),
+            "eb9e063faec16e610ba0f19091803c6ef902235587858493ac47b8817465ba1d",
+        ),
+        (
+            build_two_dim(576),
+            two_dim_scheme(576),
+            "c4e963d6fc559941706f918eb729da49bdbacdfc94838bfffd05611d7c372704",
+        ),
+    ],
+    ids=["wyner_K480_B2_dense_seed0", "two_dim_K576_chain_seed0"],
+)
+def test_numeric_path_is_pinned(topo, pair, digest):
+    assignment, scheme = pair
+    channels = sample_channels(topo, 0)
+    beams = design_beams(topo, channels, assignment, scheme)
+    body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
+    body += verify(topo, channels, scheme, beams).to_json()
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_batched_draw_matches_the_per_draw_stream():
+    for topo, seed in ((build_two_dim(144), 3), (build_hexagonal(6)[0], 1), (build_wyner(1), 0)):
+        coefficients = sample_channels(topo, seed).coefficients
+        assert list(coefficients.items()) == list(_sample_per_draw(topo, seed).items())
+
+
 def test_resampling_follows_the_per_draw_stream(monkeypatch):
     monkeypatch.setattr(zf_engine, "_MAGNITUDE_FLOOR", 0.5)
     for topo, seed in ((build_wyner(40), 2), (build_locally_connected(30, 3), 5)):
@@ -436,24 +525,49 @@ def test_resampling_follows_the_per_draw_stream(monkeypatch):
         assert min(abs(h) for h in coefficients.values()) >= 0.5
 
 
-class _CountingBeams(dict):
-    """Beam vectors that count how often verify looks one up."""
+class _CountingVector(dict):
+    """A beam vector that counts every read of its entries in a shared tally."""
 
-    lookups = 0
+    def __init__(self, entries, tally):
+        super().__init__(entries)
+        self.tally = tally
 
-    def __getitem__(self, message):
-        self.lookups += 1
-        return super().__getitem__(message)
+    def _read(self):
+        self.tally[0] += 1
+
+    def __getitem__(self, t):
+        self._read()
+        return super().__getitem__(t)
+
+    def __iter__(self):
+        self._read()
+        return super().__iter__()
+
+    def items(self):
+        self._read()
+        return super().items()
+
+    def keys(self):
+        self._read()
+        return super().keys()
+
+    def values(self):
+        self._read()
+        return super().values()
 
 
 def test_verify_cost_grows_linearly_with_users():
+    # every visit to a beam vector is counted, however verify reaches it; an
+    # all-pairs verify reads each vector once per active receiver
     counts = []
     for K in (96, 768):
         topo = build_wyner(K)
         assignment, scheme = wyner_backhaul_scheme(K, 2)
         channels = sample_channels(topo, 0)
         beams = design_beams(topo, channels, assignment, scheme)
-        counting = _CountingBeams(beams.beams)
+        tally = [0]
+        counting = {i: _CountingVector(v, tally) for i, v in beams.beams.items()}
         assert verify(topo, channels, scheme, BeamDesign(beams=counting)).passed
-        counts.append(counting.lookups)
+        counts.append(tally[0])
+    assert counts[0] > 0, counts
     assert counts[1] <= 9 * counts[0], counts
