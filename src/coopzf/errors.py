@@ -48,7 +48,7 @@ def _document_errors(kind: str):
     """Re-raise JSON syntax and document-shape errors as :class:`InvalidParameterError`."""
     try:
         yield
-    except (ValueError, LookupError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise InvalidParameterError(
             f"malformed {kind} document ({type(exc).__name__}: {exc})"
         ) from exc

@@ -124,11 +124,11 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     low = np.flatnonzero(np.abs(gains) < _MAGNITUDE_FLOOR)
     cut = int(low[0]) if low.size else len(keys)
     coefficients = dict(zip(keys, gains[:cut].tolist()))
-    normals = _normal_stream(normals[2 * cut + 2 :], rng)
+    stream = _normal_stream(normals[2 * cut + 2 :], rng)
     for key in keys[cut:]:
         h = 0j
         while abs(h) < _MAGNITUDE_FLOOR:
-            h = complex(next(normals), next(normals)) / scale
+            h = complex(next(stream), next(stream)) / scale
         coefficients[key] = h
     return ChannelRealization(coefficients=coefficients, seed=seed)
 

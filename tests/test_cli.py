@@ -165,6 +165,12 @@ def _huge_k_cases():
             ["certify", "--backhaul", "--B", "1"],
             {"K": huge, "transmit_sets": doc["transmit_sets"]},
         ),
+        # json reads 1e400 as an infinite float, which int() cannot take
+        "report-document K infinite": (["report"], {**bare, "K": float("inf")}),
+        "certify --backhaul-assignment K infinite": (
+            ["certify", "--backhaul", "--B", "1"],
+            {"K": float("inf"), "transmit_sets": doc["transmit_sets"]},
+        ),
     }
     return [pytest.param(argv, json.dumps(obj), id=label) for label, (argv, obj) in cases.items()]
 

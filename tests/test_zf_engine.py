@@ -139,7 +139,7 @@ def test_chain_and_dense_routes_agree():
 
 
 def test_stacked_dense_solve_matches_one_system_at_a_time():
-    # reversed cancellation orders defeat forward substitution; sizes 1..4 share stacks
+    # reversed cancellation orders defeat forward substitution; the systems come in several sizes
     topo = build_wyner(48)
     assignment, scheme = wyner_backhaul_scheme(48, 3)
     channels = sample_channels(topo, 2)
