@@ -632,10 +632,8 @@ def _all_users(named: frozenset, K: int) -> bool:
     """Whether every element of ``named`` equals one of the users ``1..K``, without that range.
 
     Agrees with ``named <= set(range(1, K + 1))``: ``True`` and integral
-    floats count as users.  All-int sets take two C-level scans.
+    floats count as users.
     """
-    if set(map(type, named)) <= {int}:
-        return not named or (min(named) >= 1 and max(named) <= K)
     return all(isinstance(u, (int, float)) and 1 <= u <= K and u == int(u) for u in named)
 
 
