@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 import json
 
-from .errors import InvalidParameterError, _document_errors
+from .errors import InvalidParameterError, _check_users, _document_errors
 
 
 @dataclass
@@ -55,8 +56,10 @@ def assignment_from_json(text: str) -> MessageAssignment:
     """Rebuild a :class:`MessageAssignment` from its JSON form."""
     with _document_errors("assignment"):
         obj = json.loads(text)
-        sets = {i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])}
-        return MessageAssignment(K=int(obj["K"]), transmit_sets=sets)
+        rows = obj["transmit_sets"]
+        _check_users("assignment", obj["K"], chain.from_iterable(rows))
+        sets = {i + 1: frozenset(row) for i, row in enumerate(rows)}
+        return MessageAssignment(K=obj["K"], transmit_sets=sets)
 
 
 @dataclass

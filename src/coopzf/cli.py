@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .assignment import assignment_from_json
 from .converse import (
@@ -39,6 +40,7 @@ from .errors import (
     ResourceLimitError,
     SolverFailureError,
     UnsupportedError,
+    _check_users,
     _document_errors,
 )
 from .oracle import (
@@ -64,7 +66,6 @@ from .topology import (
     build_locally_connected,
     build_two_dim,
     build_wyner,
-    interior_nodes,
 )
 from .zf_engine import design_beams, dof_report, sample_channels, verify
 
@@ -197,7 +198,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
             "nodes_explored": schedule.nodes_explored,
         }
         if lattice is not None:
-            interior = interior_nodes(lattice)
+            interior = frozenset(i for i in lattice.coords if lattice.cell[i] and lattice.link[i])
             boundary = frozenset(topology.hears) - interior
             served = {r for r, _ in schedule.pairs}
             for name, region in (("interior", interior), ("boundary", boundary)):
@@ -254,12 +255,14 @@ def _run_certify(args: argparse.Namespace) -> int:
         _, lattice = build_hexagonal(_require(args.n, "--n"))
         return _audited(lattice, assignment, algorithm1_certify(lattice, assignment))
     if args.mode == "states":
+        topology, lattice = build_hexagonal(_require(args.n, "--n"))
         with _document_errors("schedule"):
-            pairs = frozenset((int(r), int(t)) for r, t in json.loads(sys.stdin.read())["pairs"])
+            listed = [(r, t) for r, t in json.loads(sys.stdin.read())["pairs"]]
+            _check_users("schedule", topology.K, chain.from_iterable(listed))
+        pairs = frozenset(listed)
         schedule = AvoidanceSchedule(pairs=pairs, value=len(pairs))
-        _, lattice = build_hexagonal(_require(args.n, "--n"))
         certificate = triangle_state_bound(lattice, schedule)
-        return _audited(lattice, schedule_assignment(schedule, len(lattice.coords)), certificate)
+        return _audited(lattice, schedule_assignment(schedule, topology.K), certificate)
     scheme, topology, assignment = scheme_from_json(sys.stdin.read())
     if topology is None or assignment is None:
         raise InvalidParameterError(

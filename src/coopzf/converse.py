@@ -9,7 +9,10 @@ A message none of whose transmitters its receiver hears is never
 served.  :func:`lemma_pairwise_bounds` is the one definition of both
 facts.  Group certificates assemble them over node groups of a
 hexagonal lattice, solve each group's packing program exactly, and
-add one for every node left outside all groups.  A group's program
+add one for every node left outside all groups.  The groups are cut
+from the lattice's cells and linking triangles, and the facts come
+from its network; :class:`~coopzf.topology.HexLattice` builds all three
+once, so no certify or audit call derives geometry.  A group's program
 is solved in closed form: its optimum is ``|live| - nu/2``, with ``nu``
 the maximum matching of the bipartite double cover of its conflicts.
 
@@ -37,14 +40,7 @@ from fractions import Fraction
 from .assignment import MessageAssignment, metrics
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
 from .oracle import AvoidanceSchedule, _matching, _max_matching, validate_schedule
-from .topology import (
-    HexLattice,
-    NetworkTopology,
-    main_anchor,
-    main_triangle,
-    main_triangles,
-    middle_triangle,
-)
+from .topology import HexLattice, NetworkTopology
 
 Constraint = tuple  # ("pair", i, k) or ("zero", i)
 
@@ -106,12 +102,6 @@ def schedule_assignment(schedule: AvoidanceSchedule, K: int) -> MessageAssignmen
     sets = {i: frozenset() for i in range(1, K + 1)}
     sets.update((r, frozenset({t})) for r, t in schedule.pairs)
     return MessageAssignment(K=K, transmit_sets=sets)
-
-
-def _lattice_topology(lattice: HexLattice) -> NetworkTopology:
-    """The lattice's network: every receiver hears itself and its neighbours."""
-    hears = {i: nbrs | {i} for i, nbrs in lattice.neighbors.items()}
-    return NetworkTopology(kind="hexagonal", K=len(hears), params={}, hears=hears)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +367,11 @@ def algorithm1_certify(
         InvalidParameterError: if the assignment and lattice sizes disagree.
     """
     nodes = sorted(lattice.coords)
-    topology = _lattice_topology(lattice)
+    topology, mains, middles = lattice.topology, lattice.cell, lattice.link
     facts = lemma_pairwise_bounds(topology, assignment)
     zeros = facts[1]
     # The one audible transmitter of every message that is not a zero fact.
     tx = {i: next(iter(assignment.transmit_sets[i])) for i in nodes if i not in zeros}
-
-    mains = {i: main_triangle(lattice, i) for i in nodes}
-    middles = {i: middle_triangle(lattice, i) for i in nodes}
 
     self_servers = [x for x in nodes if tx.get(x) == x]
     # Served from outside its cell: no cell member transmits to it, and it
@@ -445,7 +432,7 @@ def algorithm1_certify(
             builder.new([a, j], [a], "served-across pair")
 
     # Sweep 3: close out every complete cell.
-    cells = sorted(main_triangles(lattice), key=min)
+    cells = sorted({c for c in mains.values() if c is not None}, key=min)
     for mt in ordered(cells):
         t = [x for x in mt if not done(x)]
         if not t:
@@ -502,7 +489,7 @@ def validate_certificate(
     """
     problems: list[str] = []
     nodes = set(lattice.coords)
-    facts = lemma_pairwise_bounds(_lattice_topology(lattice), assignment)
+    facts = lemma_pairwise_bounds(lattice.topology, assignment)
 
     seen: set[int] = set()
     for g in certificate.groups:
@@ -560,18 +547,19 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
             interference-avoidance schedule for this lattice.
     """
     nodes = sorted(lattice.coords)
-    topology = _lattice_topology(lattice)
+    topology = lattice.topology
     problems = validate_schedule(topology, schedule)
     if problems:
         raise PreconditionViolationError("; ".join(problems))
     facts = lemma_pairwise_bounds(topology, schedule_assignment(schedule, topology.K))
     zeros = facts[1]
 
+    # Compared by anchor, so that two users of one clipped cell count as in-cell.
     pairs = sorted(schedule.pairs)
-    in_cell = [(r, t) for r, t in pairs if main_anchor(lattice, r) == main_anchor(lattice, t)]
-    cross = [(r, t) for r, t in pairs if main_anchor(lattice, r) != main_anchor(lattice, t)]
+    in_cell = [(r, t) for r, t in pairs if lattice.cell_anchor(r) == lattice.cell_anchor(t)]
+    cross = [(r, t) for r, t in pairs if lattice.cell_anchor(r) != lattice.cell_anchor(t)]
 
-    cells = sorted(main_triangles(lattice), key=min)
+    cells = sorted({c for c in lattice.cell.values() if c is not None}, key=min)
     state: dict[tuple[int, int, int], int] = {}
     for mt in cells:
         ms = set(mt)
@@ -588,7 +576,7 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
     forced_uncovered: set[int] = set()
     triples: list[tuple[int, int, int]] = []  # (bystander, transmitter, receiver)
     for r, t in cross:
-        mid = middle_triangle(lattice, r)
+        mid = lattice.link[r]
         if mid is None or t not in mid:
             forced_uncovered.update((r, t))
             continue
@@ -688,16 +676,8 @@ def _low_cooperation_candidates(assignment: MessageAssignment, M: int) -> tuple[
     spacing means at most one candidate is ever dropped.
     """
     K = assignment.K
-    S = sorted(i for i in range(1, K + 1) if len(assignment.transmit_sets[i]) <= M)
-    candidates: list[int] = []
-    j = 1
-    while True:
-        pos = (2 * M + 1) * (j - 1) + M + 1
-        if pos > len(S):
-            break
-        candidates.append(S[pos - 1])
-        j += 1
-    kept = [s for s in candidates if s + M <= K]
+    S = [i for i in range(1, K + 1) if len(assignment.transmit_sets[i]) <= M]
+    kept = [s for s in S[M :: 2 * M + 1] if s + M <= K]
     return S, kept
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 import json
 import math
 
 from .assignment import MessageAssignment
-from .errors import DecompositionFailureError, InvalidParameterError, _document_errors
+from .errors import DecompositionFailureError, InvalidParameterError, _check_users, _document_errors
 from .topology import HexLattice, NetworkTopology, topology_from_dict
 
 
@@ -628,15 +629,6 @@ def scheme_to_json(
     return json.dumps(obj)
 
 
-def _all_users(named: frozenset, K: int) -> bool:
-    """Whether every element of ``named`` equals one of the users ``1..K``, without that range.
-
-    Agrees with ``named <= set(range(1, K + 1))``: ``True`` and integral
-    floats count as users.
-    """
-    return all(isinstance(u, (int, float)) and 1 <= u <= K and u == int(u) for u in named)
-
-
 def scheme_from_json(
     text: str,
 ) -> tuple[ZfScheme, NetworkTopology | None, MessageAssignment | None]:
@@ -649,16 +641,25 @@ def scheme_from_json(
     is rejected without memory or time proportional to ``K``.
 
     Raises:
-        InvalidParameterError: malformed JSON or shape, users outside
-            ``1..K``, ``serving``/``cancel_at`` keys other than ``active``,
-            an embedded topology of another ``K``, or a deactivated
-            transmitter inside an active transmit set.
+        InvalidParameterError: malformed JSON or shape, a ``K`` or user
+            index that is not an ``int`` in ``1..K`` (a boolean or an
+            integral float is not), ``serving``/``cancel_at`` keys other
+            than ``active``, an embedded topology of another ``K``, or a
+            deactivated transmitter inside an active transmit set.
     """
     with _document_errors("scheme"):
         obj = json.loads(text)
+        users = chain(
+            obj["active"],
+            obj["serving"].values(),
+            *obj["cancel_at"].values(),
+            obj["deactivated"],
+            *obj.get("transmit_sets", ()),
+        )
+        _check_users("scheme", obj["K"], users)
         declared = obj.get("declared", {})
         scheme = ZfScheme(
-            K=int(obj["K"]),
+            K=obj["K"],
             active_messages=frozenset(obj["active"]),
             serving={int(i): t for i, t in obj["serving"].items()},
             cancel_at={int(i): tuple(c) for i, c in obj["cancel_at"].items()},
@@ -668,11 +669,9 @@ def scheme_from_json(
             name=obj.get("name", ""),
             family=tuple(obj.get("family", ())),
         )
-        named = scheme.active_messages.union(scheme.serving.values(), *scheme.cancel_at.values())
-        keyed = set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at)
-        if not keyed or not _all_users(named, scheme.K):
+        if not set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at):
             raise InvalidParameterError(
-                "malformed scheme document (users outside 1..K, or serving/cancel_at not keyed by active)"
+                "malformed scheme document (serving/cancel_at not keyed by active)"
             )
         topology = None
         if "topology" in obj:

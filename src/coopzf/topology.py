@@ -20,14 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 import json
 import math
 
-from .errors import InvalidParameterError, _document_errors
+from .errors import InvalidParameterError, _check_users, _document_errors
 
 # Coset names for lattice points z = a + b*w (w a primitive sixth root of
 # unity); the class of (a + b) mod 3 determines which edges leave z.
 _COSET_NAMES = ("square", "circle", "diamond")
+_CIRCLE, _DIAMOND = 1, 2
+# The upward triangle anchored at z has corners z, z + w and z + w + 1, one
+# per coset in cyclic order: the corner d cosets past the anchor is
+# _CORNER_STEPS[d] away from it.
+_CORNER_STEPS = ((0, 0), (0, 1), (1, 1))
 
 
 @dataclass
@@ -84,8 +90,10 @@ class NetworkTopology:
 def topology_from_dict(obj) -> NetworkTopology:
     """Rebuild a :class:`NetworkTopology` from the parsed object of :meth:`NetworkTopology.to_json`."""
     with _document_errors("topology"):
-        hears = {i + 1: frozenset(row) for i, row in enumerate(obj["hears"])}
-        return NetworkTopology(kind=obj["kind"], K=int(obj["K"]), params=obj["params"], hears=hears)
+        rows = obj["hears"]
+        _check_users("topology", obj["K"], chain.from_iterable(rows))
+        hears = {i + 1: frozenset(row) for i, row in enumerate(rows)}
+        return NetworkTopology(kind=obj["kind"], K=obj["K"], params=obj["params"], hears=hears)
 
 
 def topology_from_json(text: str) -> NetworkTopology:
@@ -165,35 +173,6 @@ def build_two_dim(K: int) -> NetworkTopology:
     return NetworkTopology(kind="two_dim", K=K, params={"N": N}, hears=hears)
 
 
-@dataclass
-class HexLattice:
-    """Triangular-lattice geometry backing a hexagonal-sectored network.
-
-    Each user sits at a lattice point ``z = a + b*w`` recorded as the
-    integer pair ``(a, b)``.  Points fall into three cosets by
-    ``(a + b) mod 3`` — named square, circle, diamond — and all edges of
-    the interference graph join points of different cosets.
-
-    Attributes:
-        coords: map from user index to its ``(a, b)`` lattice point.
-        index_of: inverse of ``coords``.
-        cosets: map from user index to its coset name.
-        neighbors: interference-graph adjacency (self excluded).
-        n: grid side length when built from an ``n x n`` rhombus, else None.
-    """
-
-    coords: dict[int, tuple[int, int]]
-    index_of: dict[tuple[int, int], int]
-    cosets: dict[int, str]
-    neighbors: dict[int, frozenset[int]]
-    n: int | None = None
-
-    def real_part(self, i: int) -> Fraction:
-        """Horizontal position of user ``i`` in the complex plane."""
-        a, b = self.coords[i]
-        return Fraction(a) - Fraction(b, 2)
-
-
 def _coset_of(point: tuple[int, int]) -> str:
     a, b = point
     return _COSET_NAMES[(a + b) % 3]
@@ -218,6 +197,93 @@ def _lattice_edges(points: set[tuple[int, int]]) -> list[tuple[tuple[int, int], 
     return edges
 
 
+@dataclass
+class HexLattice:
+    """Triangular-lattice geometry backing a hexagonal-sectored network.
+
+    Each user sits at a lattice point ``z = a + b*w`` recorded as the
+    integer pair ``(a, b)``.  Points fall into three cosets by
+    ``(a + b) mod 3`` — named square, circle, diamond — and all edges of
+    the interference graph join points of different cosets.  Every user
+    lies in two upward triangles ``(z, z + w, z + w + 1)``: its cell,
+    anchored at a circle, and its linking triangle, anchored at a
+    diamond.  Cells are pairwise disjoint, and so are linking triangles;
+    each linking triangle joins three adjacent cells.  The whole
+    geometry, the network included, is computed once, when the lattice
+    is built from ``coords``.
+
+    Attributes:
+        coords: map from user index ``1..K`` to its distinct ``(a, b)``
+            lattice point.
+        n: grid side length when built from an ``n x n`` rhombus, else None.
+        index_of: inverse of ``coords``.
+        cosets: map from user index to its coset name.
+        neighbors: interference-graph adjacency (self excluded).
+        topology: the network: each receiver hears itself and its neighbors.
+        cell: map from user index to its cell as (circle, diamond,
+            square) user indices, or None when a corner falls off the
+            lattice.
+        link: map from user index to its linking triangle as (diamond,
+            square, circle) user indices, or None when clipped.
+    """
+
+    coords: dict[int, tuple[int, int]]
+    n: int | None = None
+    index_of: dict[tuple[int, int], int] = field(init=False, repr=False)
+    cosets: dict[int, str] = field(init=False, repr=False)
+    neighbors: dict[int, frozenset[int]] = field(init=False, repr=False)
+    topology: NetworkTopology = field(init=False, repr=False)
+    cell: dict[int, tuple[int, int, int] | None] = field(init=False, repr=False)
+    link: dict[int, tuple[int, int, int] | None] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.coords:
+            raise InvalidParameterError("coords must be non-empty")
+        self.index_of = {p: i for i, p in self.coords.items()}
+        if len(self.index_of) != len(self.coords):
+            raise InvalidParameterError("coords must be distinct")
+        self.cosets = {i: _coset_of(p) for i, p in self.coords.items()}
+        nbrs: dict[int, set[int]] = {i: set() for i in self.coords}
+        for u, v in _lattice_edges(set(self.index_of)):
+            iu, iv = self.index_of[u], self.index_of[v]
+            nbrs[iu].add(iv)
+            nbrs[iv].add(iu)
+        self.neighbors = {i: frozenset(s) for i, s in nbrs.items()}
+        users = sorted(self.coords)
+        params = {
+            "coords": [list(self.coords[i]) for i in users],
+            "cosets": [self.cosets[i] for i in users],
+            "n": self.n,
+        }
+        hears = {i: frozenset({i} | nbrs[i]) for i in users}
+        self.topology = NetworkTopology(kind="hexagonal", K=len(users), params=params, hears=hears)
+        # Every complete triangle is built once, at its anchor, and shared by its corners.
+        self.cell, self.link = dict.fromkeys(users), dict.fromkeys(users)
+        owners = {_CIRCLE: self.cell, _DIAMOND: self.link}
+        for a, b in self.index_of:
+            owner = owners.get((a + b) % 3)
+            if owner is None:
+                continue
+            corners = tuple(self.index_of.get((a + da, b + db)) for da, db in _CORNER_STEPS)
+            if None not in corners:
+                owner.update(dict.fromkeys(corners, corners))
+
+    def cell_anchor(self, i: int) -> tuple[int, int]:
+        """Anchor point of user ``i``'s cell; it may fall outside the lattice.
+
+        Users of one clipped cell share its anchor while their ``cell``
+        reads None.
+        """
+        a, b = self.coords[i]
+        da, db = _CORNER_STEPS[(a + b - _CIRCLE) % 3]
+        return (a - da, b - db)
+
+    def real_part(self, i: int) -> Fraction:
+        """Horizontal position of user ``i`` in the complex plane."""
+        a, b = self.coords[i]
+        return Fraction(a) - Fraction(b, 2)
+
+
 def hexagonal_from_coords(coords: list[tuple[int, int]]) -> tuple[NetworkTopology, HexLattice]:
     """Build a hexagonal-sectored network on an explicit set of lattice points.
 
@@ -227,37 +293,10 @@ def hexagonal_from_coords(coords: list[tuple[int, int]]) -> tuple[NetworkTopolog
 
     Returns:
         The interference topology (each receiver hears itself plus its
-        lattice neighbors) and the geometry object.
+        lattice neighbors) and the geometry object that holds it.
     """
-    if not coords:
-        raise InvalidParameterError("coords must be non-empty")
-    points = {tuple(p) for p in coords}
-    if len(points) != len(coords):
-        raise InvalidParameterError("coords must be distinct")
-    coord_map = {i + 1: tuple(p) for i, p in enumerate(coords)}
-    index_of = {p: i for i, p in coord_map.items()}
-    K = len(coords)
-    nbrs: dict[int, set[int]] = {i: set() for i in range(1, K + 1)}
-    for u, v in _lattice_edges(points):
-        iu, iv = index_of[u], index_of[v]
-        nbrs[iu].add(iv)
-        nbrs[iv].add(iu)
-    cosets = {i: _coset_of(p) for i, p in coord_map.items()}
-    lattice = HexLattice(
-        coords=coord_map,
-        index_of=index_of,
-        cosets=cosets,
-        neighbors={i: frozenset(s) for i, s in nbrs.items()},
-        n=None,
-    )
-    hears = {i: frozenset({i} | nbrs[i]) for i in range(1, K + 1)}
-    params = {
-        "coords": [list(coord_map[i]) for i in range(1, K + 1)],
-        "cosets": [cosets[i] for i in range(1, K + 1)],
-        "n": None,
-    }
-    topo = NetworkTopology(kind="hexagonal", K=K, params=params, hears=hears)
-    return topo, lattice
+    lattice = HexLattice(coords={i: tuple(p) for i, p in enumerate(coords, 1)})
+    return lattice.topology, lattice
 
 
 def build_hexagonal(n: int) -> tuple[NetworkTopology, HexLattice]:
@@ -271,90 +310,5 @@ def build_hexagonal(n: int) -> tuple[NetworkTopology, HexLattice]:
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     coords = [(a, b) for b in range(n) for a in range(n)]
-    topo, lattice = hexagonal_from_coords(coords)
-    lattice.n = n
-    topo.params["n"] = n
-    return topo, lattice
-
-
-def _triangle_at(lattice: HexLattice, anchor: tuple[int, int]) -> tuple[int, int, int] | None:
-    """Indices of the upward triangle anchored at ``anchor``, or None.
-
-    The triple is ``(z, z + w, z + w + 1)`` in that order; None when any
-    corner falls outside the lattice.
-    """
-    a, b = anchor
-    corners = ((a, b), (a, b + 1), (a + 1, b + 1))
-    if any(c not in lattice.index_of for c in corners):
-        return None
-    return tuple(lattice.index_of[c] for c in corners)  # type: ignore[return-value]
-
-
-def main_triangles(lattice: HexLattice) -> list[tuple[int, int, int]]:
-    """All complete cooperation triangles anchored at circle points.
-
-    Every user belongs to exactly one such triangle when its triangle is
-    complete; the returned triples are ordered (circle, diamond, square)
-    and sorted by anchor index.
-    """
-    out = []
-    for i in sorted(lattice.coords):
-        if lattice.cosets[i] == "circle":
-            tri = _triangle_at(lattice, lattice.coords[i])
-            if tri is not None:
-                out.append(tri)
-    return out
-
-
-def main_anchor(lattice: HexLattice, i: int) -> tuple[int, int]:
-    """Anchor point of the circle-anchored triangle through user ``i``.
-
-    The anchor is the point itself for a circle, one step down-left for
-    a diamond (``z - w``), one step further for a square
-    (``z - w - 1``); it may fall outside the lattice.
-    """
-    a, b = lattice.coords[i]
-    coset = lattice.cosets[i]
-    if coset == "circle":
-        return (a, b)
-    if coset == "diamond":
-        return (a, b - 1)
-    return (a - 1, b - 1)
-
-
-def middle_anchor(lattice: HexLattice, i: int) -> tuple[int, int]:
-    """Anchor point of the diamond-anchored triangle through user ``i``."""
-    a, b = lattice.coords[i]
-    coset = lattice.cosets[i]
-    if coset == "diamond":
-        return (a, b)
-    if coset == "square":
-        return (a, b - 1)
-    return (a - 1, b - 1)
-
-
-def main_triangle(lattice: HexLattice, i: int) -> tuple[int, int, int] | None:
-    """The circle-anchored triangle containing user ``i``, or None if clipped."""
-    return _triangle_at(lattice, main_anchor(lattice, i))
-
-
-def middle_triangle(lattice: HexLattice, i: int) -> tuple[int, int, int] | None:
-    """The diamond-anchored triangle containing user ``i``, or None if clipped.
-
-    These triangles are pairwise disjoint and link adjacent
-    circle-anchored triangles; each user lies in at most one.
-    """
-    return _triangle_at(lattice, middle_anchor(lattice, i))
-
-
-def interior_nodes(lattice: HexLattice) -> frozenset[int]:
-    """Users whose circle-anchored and diamond-anchored triangles are both complete.
-
-    These are the nodes untouched by lattice-boundary clipping; bounds
-    stated for the infinite lattice are reported against this set.
-    """
-    return frozenset(
-        i
-        for i in lattice.coords
-        if main_triangle(lattice, i) is not None and middle_triangle(lattice, i) is not None
-    )
+    lattice = HexLattice(coords={i: p for i, p in enumerate(coords, 1)}, n=n)
+    return lattice.topology, lattice

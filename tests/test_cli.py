@@ -117,6 +117,33 @@ _INCONSISTENT_SCHEMES = {
     "serving 1 names 9": _wyner_document(serving={"1": 9, "2": 2, "4": 3}),
     "deactivated names 1": _wyner_document(deactivated=[1, 4]),
     "topology K=4": _wyner_document(8, topology=json.loads(build_wyner(4).to_json())),
+    # Values that equal users without being ints: sets would merge them.
+    "active names true and 2.0": _wyner_document(active=[True, 2.0, 4]),
+    "serving 1 names true": _wyner_document(serving={"1": True, "2": 2, "4": 3}),
+    "deactivated names x and 999": _wyner_document(deactivated=["x", 999]),
+    "transmit set 1 names 1.0": _wyner_document(transmit_sets=[[1.0, 2], [2], [], [3]]),
+    "topology row 1 names true": _wyner_document(
+        topology={**json.loads(build_wyner(4).to_json()), "hears": [[True], [1, 2], [2, 3], [3, 4]]}
+    ),
+    "K 4.5": json.dumps({**json.loads(_wyner_document()), "K": 4.5}),
+    "K '4'": json.dumps({**json.loads(_wyner_document()), "K": "4"}),
+}
+
+# Assignment and schedule documents whose K or users are not ints in 1..K.
+_NON_INTEGER_USERS = {
+    "transmit set names true": (
+        ["certify", "--backhaul", "--B", "1"],
+        {"K": 4, "transmit_sets": [[True], [2], [3], [4]]},
+    ),
+    "transmit set names 2.0": (
+        ["oracle", "--max-activation", "--wyner", "--K", "4"],
+        {"K": 4, "transmit_sets": [[1], [2.0], [3], [4]]},
+    ),
+    "K 4.5": (["certify", "--backhaul", "--B", "1"], {"K": 4.5, "transmit_sets": [[1], [2], [3], [4]]}),
+    "K '9'": (["certify", "--groups", "--n", "3"], {"K": "9", "transmit_sets": [[i] for i in range(1, 10)]}),
+    "K 0": (["certify", "--backhaul", "--B", "1"], {"K": 0, "transmit_sets": []}),
+    "pair [1.9, 1]": (["certify", "--states", "--n", "3"], {"pairs": [[1.9, 1]]}),
+    "pair [true, 1]": (["certify", "--states", "--n", "3"], {"pairs": [[True, 1]]}),
 }
 
 _MALFORMED_CASES = [
@@ -127,6 +154,9 @@ _MALFORMED_CASES = [
     pytest.param(argv, document, id=f"{' '.join(argv)}-{label}")
     for argv in (["verify"], ["report"], ["certify", "--lower-bound"])
     for label, document in _INCONSISTENT_SCHEMES.items()
+] + [
+    pytest.param(argv, json.dumps(obj), id=f"{' '.join(argv)}-{label}")
+    for label, (argv, obj) in _NON_INTEGER_USERS.items()
 ]
 
 

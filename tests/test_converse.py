@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from coopzf import (
     GroupCertificate,
     InvalidParameterError,
     MessageAssignment,
+    NetworkTopology,
     PreconditionViolationError,
     UnsupportedError,
     algorithm1_certify,
@@ -243,6 +246,89 @@ def test_lp_bound_and_audit_match_enumeration():
                 ]
             checked += 1
     assert checked == 3000
+
+
+def _greedy_schedule(topology, rng):
+    """A seeded maximal interference-free schedule, built without the oracle."""
+    pairs = [(r, t) for r in range(1, topology.K + 1) for t in sorted(topology.hears[r])]
+    rng.shuffle(pairs)
+    hears, chosen = topology.hears, []
+    for r, t in pairs:
+        if all(r != r2 and t != t2 and t2 not in hears[r] and t not in hears[r2] for r2, t2 in chosen):
+            chosen.append((r, t))
+    return AvoidanceSchedule(pairs=frozenset(chosen), value=len(chosen))
+
+
+def _certificate_record() -> str:
+    """The lattice geometry, certificates and audits the pinned digest covers, one JSON line each.
+
+    Per lattice (the worked example, then hex n = 3, 5, 6, 9, 12): the
+    sorted interior users and the complete cells; ``algorithm1_certify``
+    under shuffle seeds None, 1 and 2 with its audit, on the worked
+    example's assignment and on 8 seeded single-transmitter assignments
+    per grid; and ``triangle_state_bound`` with its audit on the coset
+    schedule and on a seeded greedy one.
+    """
+    rng = random.Random(20261018)
+    lines = []
+
+    def geometry(lattice):
+        interior = sorted(i for i in lattice.coords if lattice.cell[i] and lattice.link[i])
+        cells = sorted({c for c in lattice.cell.values() if c is not None}, key=min)
+        lines.append(json.dumps([interior, cells]))
+
+    def certify(lattice, assignment):
+        for seed in (None, 1, 2):
+            cert = algorithm1_certify(lattice, assignment, shuffle_seed=seed)
+            lines.append(json.dumps([cert.to_json(), validate_certificate(lattice, assignment, cert)]))
+
+    _, toy, toy_assignment, _ = toy_instance()
+    geometry(toy)
+    certify(toy, toy_assignment)
+    for n in (3, 5, 6, 9, 12):
+        topology, lattice = build_hexagonal(n)
+        geometry(lattice)
+        for _ in range(8):
+            certify(lattice, _random_single_tx_assignment(lattice, rng))
+        _, coset = hexagonal_coset_scheme(lattice)
+        served = frozenset((i, i) for i in coset.active_messages)
+        for schedule in (AvoidanceSchedule(pairs=served, value=len(served)), _greedy_schedule(topology, rng)):
+            cert = triangle_state_bound(lattice, schedule)
+            audit = validate_certificate(lattice, schedule_assignment(schedule, topology.K), cert)
+            lines.append(json.dumps([cert.to_json(), audit]))
+    return "\n".join(lines)
+
+
+def test_certificates_are_pinned():
+    # Any change to a certificate, an audit or the lattice geometry must
+    # update this digest and record the reason in CHANGES.md.
+    text = _certificate_record()
+    assert len(text.splitlines()) == 139
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "93f255288dae54579d31a1115a72daa53718480254b12ba464bc38cb29eb33c5"
+    )
+
+
+def test_certify_calls_build_no_topology(monkeypatch):
+    # The lattice carries its network; certifying and auditing reuse it.
+    _, lattice = build_hexagonal(6)
+    assignment = _random_single_tx_assignment(lattice, random.Random(7))
+    _, coset = hexagonal_coset_scheme(lattice)
+    served = frozenset((i, i) for i in coset.active_messages)
+    schedule = AvoidanceSchedule(pairs=served, value=len(served))
+    built = []
+    original = NetworkTopology.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        original(self)
+
+    monkeypatch.setattr(NetworkTopology, "__post_init__", counting)
+    cert = algorithm1_certify(lattice, assignment)
+    assert validate_certificate(lattice, assignment, cert) == []
+    cert = triangle_state_bound(lattice, schedule)
+    assert validate_certificate(lattice, schedule_assignment(schedule, 36), cert) == []
+    assert built == []
 
 
 _BAD_WITNESSES = {

@@ -17,7 +17,6 @@ from coopzf import (
     build_wyner,
     certify_lower_bound,
     hexagonal_coset_scheme,
-    interior_nodes,
     max_activation_for_assignment,
     max_avoidance_cooperative,
     max_avoidance_m1,
@@ -123,7 +122,7 @@ def test_interior_service_is_rare():
     for n in (3, 4, 5):
         topo, lat = build_hexagonal(n)
         value, witness = max_avoidance_m1(topo)
-        inner = interior_nodes(lat)
+        inner = {i for i in lat.coords if lat.cell[i] and lat.link[i]}
         served_inner = sum(1 for r, _ in witness.pairs if r in inner)
         assert 2 * served_inner <= len(inner), (n, served_inner, len(inner))
 

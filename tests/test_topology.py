@@ -18,13 +18,8 @@ from coopzf import (
     build_two_dim,
     build_wyner,
     hexagonal_from_coords,
-    interior_nodes,
-    main_triangle,
-    main_triangles,
-    middle_triangle,
     topology_from_json,
 )
-from coopzf.topology import main_anchor, middle_anchor
 
 
 def test_wyner_three_users():
@@ -90,6 +85,16 @@ def test_two_dim_support_is_symmetric_in_size():
             assert 1 <= j <= 16
 
 
+def _interior(lat):
+    """Users whose cell and linking triangle are both complete."""
+    return {i for i in lat.coords if lat.cell[i] and lat.link[i]}
+
+
+def _cells(lat):
+    """The complete cells, each once."""
+    return {t for t in lat.cell.values() if t is not None}
+
+
 def test_hexagonal_coset_counts_balanced():
     _, lat = build_hexagonal(6)
     counts = Counter(lat.cosets.values())
@@ -105,26 +110,26 @@ def test_hexagonal_no_same_coset_edges():
 
 def test_hexagonal_interior_degree_four():
     topo, lat = build_hexagonal(6)
-    for i in interior_nodes(lat):
+    for i in _interior(lat):
         assert len(lat.neighbors[i]) == 4
 
 
 def test_hexagonal_interior_counts():
     for n, want in [(3, 2), (4, 5), (5, 11), (6, 19)]:
         _, lat = build_hexagonal(n)
-        assert len(interior_nodes(lat)) == want
+        assert len(_interior(lat)) == want
 
 
 def test_complete_cell_counts():
     for n, want in [(3, 2), (4, 3), (5, 5), (6, 9)]:
         _, lat = build_hexagonal(n)
-        assert len(main_triangles(lat)) == want
+        assert len(_cells(lat)) == want
 
 
 def test_cells_are_disjoint_triangles():
     _, lat = build_hexagonal(6)
     seen: set[int] = set()
-    for tri in main_triangles(lat):
+    for tri in _cells(lat):
         assert len(set(tri)) == 3
         assert not (set(tri) & seen)
         seen.update(tri)
@@ -136,10 +141,10 @@ def test_cells_are_disjoint_triangles():
 def test_every_node_has_one_cell_anchor():
     _, lat = build_hexagonal(6)
     for i in lat.coords:
-        tri = main_triangle(lat, i)
+        tri = lat.cell[i]
         if tri is not None:
             assert i in tri
-        mid = middle_triangle(lat, i)
+        mid = lat.link[i]
         if mid is not None:
             assert i in mid
 
@@ -147,10 +152,16 @@ def test_every_node_has_one_cell_anchor():
 def test_cell_and_link_triangles_differ():
     _, lat = build_hexagonal(6)
     for i in lat.coords:
-        tri, mid = main_triangle(lat, i), middle_triangle(lat, i)
+        tri, mid = lat.cell[i], lat.link[i]
         if tri is not None and mid is not None:
             assert set(tri) & set(mid) == {i}
-        assert main_anchor(lat, i) != middle_anchor(lat, i)
+        # the two anchors differ even when clipped: one is a circle, the other a diamond
+        a, b = lat.cell_anchor(i)
+        assert (a + b) % 3 == 1
+        if tri is not None:
+            assert lat.coords[tri[0]] == (a, b)
+        if mid is not None:
+            assert lat.cosets[mid[0]] == "diamond"
 
 
 def test_each_edge_in_exactly_one_triangle():
@@ -159,17 +170,8 @@ def test_each_edge_in_exactly_one_triangle():
         frozenset({i, j}) for i in lat.coords for j in lat.neighbors[i]
     }
     cover = Counter()
-    anchors = set()
-    for i in lat.coords:
-        anchors.add(main_anchor(lat, i))
-        anchors.add(middle_anchor(lat, i))
-    from coopzf.topology import _triangle_at
-
-    for anchor in anchors:
-        tri = _triangle_at(lat, anchor)
-        if tri is None:
-            continue
-        a, b, c = tri
+    triangles = {t for t in (*lat.cell.values(), *lat.link.values()) if t is not None}
+    for a, b, c in triangles:
         for e in (frozenset({a, b}), frozenset({a, c}), frozenset({b, c})):
             cover[e] += 1
     # every covered edge is covered once; uncovered edges sit on clipped triangles
@@ -182,7 +184,7 @@ def test_adjacent_nodes_share_at_most_one_common_neighbor():
     # off the finite grid — so interior edges share exactly one common
     # neighbor and boundary edges at most one
     _, lat = build_hexagonal(6)
-    inner = interior_nodes(lat)
+    inner = _interior(lat)
     for i in lat.coords:
         for j in lat.neighbors[i]:
             common = lat.neighbors[i] & lat.neighbors[j]
