@@ -198,10 +198,9 @@ def _run_oracle(args: argparse.Namespace) -> int:
             "nodes_explored": schedule.nodes_explored,
         }
         if lattice is not None:
-            interior = frozenset(i for i in lattice.coords if lattice.cell[i] and lattice.link[i])
-            boundary = frozenset(topology.hears) - interior
+            boundary = frozenset(topology.hears) - lattice.interior
             served = {r for r, _ in schedule.pairs}
-            for name, region in (("interior", interior), ("boundary", boundary)):
+            for name, region in (("interior", lattice.interior), ("boundary", boundary)):
                 hit = len(served & region)
                 out[name] = {
                     "size": len(region),

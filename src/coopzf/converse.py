@@ -432,8 +432,7 @@ def algorithm1_certify(
             builder.new([a, j], [a], "served-across pair")
 
     # Sweep 3: close out every complete cell.
-    cells = sorted({c for c in mains.values() if c is not None}, key=min)
-    for mt in ordered(cells):
+    for mt in ordered(lattice.cells):
         t = [x for x in mt if not done(x)]
         if not t:
             continue
@@ -559,9 +558,8 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
     in_cell = [(r, t) for r, t in pairs if lattice.cell_anchor(r) == lattice.cell_anchor(t)]
     cross = [(r, t) for r, t in pairs if lattice.cell_anchor(r) != lattice.cell_anchor(t)]
 
-    cells = sorted({c for c in lattice.cell.values() if c is not None}, key=min)
     state: dict[tuple[int, int, int], int] = {}
-    for mt in cells:
+    for mt in lattice.cells:
         ms = set(mt)
         if any(r in ms for r, _ in in_cell):
             state[mt] = 1
@@ -589,7 +587,7 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
     # Absorb triples into the cell of their bystander node when that cell
     # is complete and not itself exporting or importing a service.  The
     # served receivers bring their pair facts, the unserved members zeros.
-    for mt in cells:
+    for mt in lattice.cells:
         if state[mt] not in (0, 1):
             continue
         attached = [tr for tr in triples if tr[0] in mt and tr not in consumed]
@@ -610,7 +608,7 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
         builder.new(members, [r] + [x for x in members if x in zeros], "standalone linked service")
 
     # Leftover members of exporting/importing cells are provably unserved.
-    for mt in cells:
+    for mt in lattice.cells:
         if state[mt] not in (2, 3):
             continue
         left = [x for x in mt if x not in builder.of and x not in forced_uncovered]

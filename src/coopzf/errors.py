@@ -59,21 +59,18 @@ def _check_users(kind: str, K, users: Iterable) -> None:
     """Reject a document unless ``K`` and every one of ``users`` is a user of it.
 
     A user is a plain ``int``, not a ``bool``, in ``1..K``; ``K`` must be
-    one too, so a document has at least one user.  Only the bounds are
-    compared, so a document claiming a huge ``K`` costs nothing here.
-    Values are checked as parsed, before any set merges ``true`` or
-    ``2.0`` into an equal ``int``.
+    one too, so a document has at least one user.  Each value is compared
+    with the bounds only, so a document claiming a huge ``K`` costs
+    nothing here.  Values are checked as parsed, before any set merges
+    ``true`` or ``2.0`` into an equal ``int``.
 
     Raises:
         InvalidParameterError: naming the first value that is not a user.
     """
     if type(K) is not int or K < 1:
         raise InvalidParameterError(f"malformed {kind} document (K={K!r} is not a positive int)")
-    users = list(users)
-    # Types first, so that min and max compare ints only.
-    if set(map(type, users)) <= {int} and (not users or 1 <= min(users) and max(users) <= K):
-        return
-    bad = next(u for u in users if type(u) is not int or not 1 <= u <= K)
-    raise InvalidParameterError(
-        f"malformed {kind} document (user {bad!r} is not an int or lies outside 1..{K})"
-    )
+    for u in users:
+        if type(u) is not int or not 1 <= u <= K:
+            raise InvalidParameterError(
+                f"malformed {kind} document (user {u!r} is not an int or lies outside 1..{K})"
+            )

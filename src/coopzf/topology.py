@@ -225,6 +225,8 @@ class HexLattice:
             lattice.
         link: map from user index to its linking triangle as (diamond,
             square, circle) user indices, or None when clipped.
+        cells: the complete cells, each once, ordered by smallest user.
+        interior: users whose cell and linking triangle are both complete.
     """
 
     coords: dict[int, tuple[int, int]]
@@ -235,6 +237,8 @@ class HexLattice:
     topology: NetworkTopology = field(init=False, repr=False)
     cell: dict[int, tuple[int, int, int] | None] = field(init=False, repr=False)
     link: dict[int, tuple[int, int, int] | None] = field(init=False, repr=False)
+    cells: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    interior: frozenset[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.coords:
@@ -267,6 +271,8 @@ class HexLattice:
             corners = tuple(self.index_of.get((a + da, b + db)) for da, db in _CORNER_STEPS)
             if None not in corners:
                 owner.update(dict.fromkeys(corners, corners))
+        self.cells = tuple(sorted({c for c in self.cell.values() if c is not None}, key=min))
+        self.interior = frozenset(i for i in users if self.cell[i] and self.link[i])
 
     def cell_anchor(self, i: int) -> tuple[int, int]:
         """Anchor point of user ``i``'s cell; it may fall outside the lattice.

@@ -273,9 +273,7 @@ def _certificate_record() -> str:
     lines = []
 
     def geometry(lattice):
-        interior = sorted(i for i in lattice.coords if lattice.cell[i] and lattice.link[i])
-        cells = sorted({c for c in lattice.cell.values() if c is not None}, key=min)
-        lines.append(json.dumps([interior, cells]))
+        lines.append(json.dumps([sorted(lattice.interior), list(lattice.cells)]))
 
     def certify(lattice, assignment):
         for seed in (None, 1, 2):

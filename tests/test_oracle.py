@@ -122,7 +122,7 @@ def test_interior_service_is_rare():
     for n in (3, 4, 5):
         topo, lat = build_hexagonal(n)
         value, witness = max_avoidance_m1(topo)
-        inner = {i for i in lat.coords if lat.cell[i] and lat.link[i]}
+        inner = lat.interior
         served_inner = sum(1 for r, _ in witness.pairs if r in inner)
         assert 2 * served_inner <= len(inner), (n, served_inner, len(inner))
 

@@ -85,16 +85,6 @@ def test_two_dim_support_is_symmetric_in_size():
             assert 1 <= j <= 16
 
 
-def _interior(lat):
-    """Users whose cell and linking triangle are both complete."""
-    return {i for i in lat.coords if lat.cell[i] and lat.link[i]}
-
-
-def _cells(lat):
-    """The complete cells, each once."""
-    return {t for t in lat.cell.values() if t is not None}
-
-
 def test_hexagonal_coset_counts_balanced():
     _, lat = build_hexagonal(6)
     counts = Counter(lat.cosets.values())
@@ -110,26 +100,28 @@ def test_hexagonal_no_same_coset_edges():
 
 def test_hexagonal_interior_degree_four():
     topo, lat = build_hexagonal(6)
-    for i in _interior(lat):
+    for i in lat.interior:
         assert len(lat.neighbors[i]) == 4
 
 
 def test_hexagonal_interior_counts():
     for n, want in [(3, 2), (4, 5), (5, 11), (6, 19)]:
         _, lat = build_hexagonal(n)
-        assert len(_interior(lat)) == want
+        assert len(lat.interior) == want
 
 
 def test_complete_cell_counts():
     for n, want in [(3, 2), (4, 3), (5, 5), (6, 9)]:
         _, lat = build_hexagonal(n)
-        assert len(_cells(lat)) == want
+        assert len(lat.cells) == want
+        assert set(lat.cells) == {t for t in lat.cell.values() if t is not None}
+        assert list(lat.cells) == sorted(lat.cells, key=min)
 
 
 def test_cells_are_disjoint_triangles():
     _, lat = build_hexagonal(6)
     seen: set[int] = set()
-    for tri in _cells(lat):
+    for tri in lat.cells:
         assert len(set(tri)) == 3
         assert not (set(tri) & seen)
         seen.update(tri)
@@ -184,7 +176,7 @@ def test_adjacent_nodes_share_at_most_one_common_neighbor():
     # off the finite grid — so interior edges share exactly one common
     # neighbor and boundary edges at most one
     _, lat = build_hexagonal(6)
-    inner = _interior(lat)
+    inner = lat.interior
     for i in lat.coords:
         for j in lat.neighbors[i]:
             common = lat.neighbors[i] & lat.neighbors[j]
