@@ -11,7 +11,7 @@ approximated.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
@@ -146,7 +146,12 @@ def max_avoidance_m1(
     branching both follow that order, and the incumbent is seeded with
     the greedy clique that repeatedly takes the lowest-numbered
     compatible service.  The coloring bound is admissible in any
-    vertex order, so the value stays exact.
+    vertex order, so the value stays exact.  The graph is built from
+    per-receiver and per-transmitter service masks: a service's clash
+    mask is the union of the transmitter masks over what its receiver
+    hears and the receiver masks over who hears its transmitter, so
+    each service costs one OR per hearing edge at its receiver and
+    transmitter instead of a test against every other service.
 
     Raises:
         InvalidParameterError: ``node_limit`` is below 1, or
@@ -158,23 +163,36 @@ def max_avoidance_m1(
     hears = topology.hears
     pairs = [(r, t) for r in range(1, topology.K + 1) for t in sorted(hears[r])]
     n = len(pairs)
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        rx, tx = pairs[x]
-        for y in range(x + 1, n):
-            ry, ty = pairs[y]
-            if rx != ry and tx != ty and ty not in hears[rx] and tx not in hears[ry]:
-                neighbours[x].append(y)
-                neighbours[y].append(x)
-    # Stable sort: equal degrees keep pair-index order.
-    by_degree = sorted(range(n), key=lambda x: -len(neighbours[x]))
-    rank = {x: i for i, x in enumerate(by_degree)}
-    pairs = [pairs[x] for x in by_degree]
-    compat = [sum(1 << rank[y] for y in neighbours[x]) for x in by_degree]
+
+    def clashes(pairs: list[tuple[int, int]]) -> list[int]:
+        # Service y clashes with x = (r, t) iff y's transmitter is heard at
+        # r or y's receiver hears t; a shared receiver or transmitter is a
+        # special case, and x clashes with itself.
+        at_rx = dict.fromkeys(range(1, topology.K + 1), 0)
+        at_tx = dict(at_rx)
+        for x, (r, t) in enumerate(pairs):
+            at_rx[r] |= 1 << x
+            at_tx[t] |= 1 << x
+        out = []
+        for r, t in pairs:
+            mask = 0
+            for u in hears[r]:
+                mask |= at_tx[u]
+            for u in topology.hearers(t):
+                mask |= at_rx[u]
+            out.append(mask)
+        return out
+
+    # Fewest clashes is highest degree; the stable sort keeps pair-index
+    # order among equal degrees.
+    clash = clashes(pairs)
+    pairs = [pairs[x] for x in sorted(range(n), key=lambda x: clash[x].bit_count())]
+    everything = (1 << n) - 1
+    compat = [everything & ~mask for mask in clashes(pairs)]
 
     best = 0
     best_set = 0
-    cand = (1 << n) - 1
+    cand = everything
     while cand:
         v = (cand & -cand).bit_length() - 1
         best += 1
@@ -214,7 +232,7 @@ def max_avoidance_m1(
             cand &= ~(1 << v)
 
     if n:
-        expand((1 << n) - 1, 0, 0)
+        expand(everything, 0, 0)
     chosen = frozenset(pairs[i] for i in range(n) if best_set >> i & 1)
     return best, AvoidanceSchedule(pairs=chosen, value=best, nodes_explored=visited)
 
@@ -247,21 +265,44 @@ def _max_matching(rows: Sequence[Collection[int]]) -> int:
     return len(_matching(rows))
 
 
-def _deliverable(
-    i: int, T: frozenset[int], active, hears: dict[int, frozenset[int]]
-) -> bool:
-    """Generic zero-forcing deliverability of message ``i`` from antennas ``T``.
+def _mask(members: Iterable[int]) -> int:
+    """The bitmask with bit ``t`` set for each member ``t``."""
+    return sum(1 << t for t in members)
 
-    With generic channel gains, the interference of ``T`` at the other
-    active receivers can be nulled while keeping a nonzero coefficient
-    at receiver ``i`` iff appending the desired-signal support row to
-    the cancellation support rows raises the maximum matching by one.
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _deliverable(desired: int, crows: Sequence[int]) -> bool:
+    """Generic zero-forcing deliverability of a message from its support rows.
+
+    ``desired`` is the transmit set heard at the message's own receiver
+    and ``crows`` the nonzero parts of it heard at the receivers whose
+    interference must be nulled, all as transmitter bitmasks.  With
+    generic channel gains the interference can be nulled while keeping
+    a nonzero coefficient at the own receiver iff appending the desired
+    row raises the maximum matching of the cancellation rows by one
+    (generic rank is term rank), that is, by Berge's lemma, iff the
+    desired row has an augmenting path against a maximum matching of
+    them.  Kuhn's search in :func:`_matching` takes the rows in order,
+    so with the desired row last it matches the cancellation rows
+    maximally and then tries that single path; the desired row ends
+    matched iff the path exists.
     """
-    desired = T & hears[i]
     if not desired:
         return False
-    crows = [T & hears[k] for k in active if k != i and T & hears[k]]
-    return _max_matching(crows + [desired]) == _max_matching(crows) + 1
+    if not crows:
+        return True
+    rows = [_bits(row) for row in crows]
+    rows.append(_bits(desired))
+    return len(crows) in _matching(rows).values()
 
 
 def max_avoidance_cooperative(
@@ -285,6 +326,13 @@ def max_avoidance_cooperative(
     or when a message stays open after the whole pool.  Each message
     gets the lex-first minimum-size transmit set.
 
+    Transmit sets and hearing sets are bitmasks.  A subset that misses
+    the message's own receiver is rejected by one ``&``; otherwise its
+    support rows go to :func:`_deliverable`, whose verdicts are
+    memoised for the duration of the call, keyed by the rows, since
+    many active sets share the same local row systems.  Every subset
+    tried counts as a node and ticks the time limit.
+
     Raises:
         InvalidParameterError: ``B`` is negative, ``node_limit`` is
             below 1, or ``time_limit`` is not finite and positive.
@@ -295,25 +343,38 @@ def max_avoidance_cooperative(
     K = topology.K
     deadline = _guard(K, node_limit, time_limit)
     budget = int(Fraction(B) * K)
-    hears = topology.hears
+    heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
+    verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
     visited = 0
 
     def fit(A: tuple[int, ...]) -> dict[int, frozenset[int]] | None:
         """Each message's cheapest transmit set, or None if they overrun the budget."""
         nonlocal visited
-        pool = sorted(set().union(*(hears[k] for k in A)))
+        pool = 0
+        for k in A:
+            pool |= heard[k]
+        antennas = [1 << t for t in _bits(pool)]
         sets: dict[int, frozenset[int]] = {}
         waiting = A
         proven = len(A)  # sum of the proven per-message costs
-        for level in range(1, len(pool) + 1):
+        for level in range(1, len(antennas) + 1):
             still = []
             for i in waiting:
-                for combo in itertools.combinations(pool, level):
+                own = heard[i]
+                others = [heard[k] for k in A if k != i]
+                for combo in itertools.combinations(antennas, level):
                     visited += 1
                     deadline.check()
-                    T = frozenset(combo)
-                    if _deliverable(i, T, A, hears):
-                        sets[i] = T
+                    T = sum(combo)
+                    desired = T & own
+                    if not desired:
+                        continue
+                    key = (desired, tuple(row for h in others if (row := T & h)))
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        ok = verdicts[key] = _deliverable(*key)
+                    if ok:
+                        sets[i] = frozenset(_bits(T))
                         break
                 else:
                     proven += 1
@@ -362,12 +423,17 @@ def max_activation_for_assignment(
         raise InvalidParameterError("topology and assignment sizes disagree")
     K = topology.K
     deadline = _guard(K, node_limit, time_limit)
-    hears = topology.hears
-    tsets = assignment.transmit_sets
-    order = [i for i in range(1, K + 1) if tsets[i] & hears[i]]
+    heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
+    sends = {i: _mask(T) for i, T in assignment.transmit_sets.items()}
+    order = [i for i in range(1, K + 1) if sends[i] & heard[i]]
     best = 0
     best_set: frozenset[int] = frozenset()
     visited = 0
+
+    def deliverable(i: int, active: frozenset[int]) -> bool:
+        T = sends[i]
+        crows = [row for k in active if k != i and (row := T & heard[k])]
+        return _deliverable(T & heard[i], crows)
 
     def down(pos: int, active: frozenset[int]) -> None:
         nonlocal best, best_set, visited
@@ -380,10 +446,8 @@ def max_activation_for_assignment(
             return
         i = order[pos]
         grown = active | {i}
-        if _deliverable(i, tsets[i], grown, hears) and all(
-            _deliverable(k, tsets[k], grown, hears)
-            for k in active
-            if tsets[k] & hears[i]
+        if deliverable(i, grown) and all(
+            deliverable(k, grown) for k in active if sends[k] & heard[i]
         ):
             down(pos + 1, grown)
         down(pos + 1, active)

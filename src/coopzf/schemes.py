@@ -644,8 +644,10 @@ def scheme_from_json(
         InvalidParameterError: malformed JSON or shape, a ``K`` or user
             index that is not an ``int`` in ``1..K`` (a boolean or an
             integral float is not), ``serving``/``cancel_at`` keys other
-            than ``active``, an embedded topology of another ``K``, or a
-            deactivated transmitter inside an active transmit set.
+            than the decimal forms ``str(i)`` of the active users (so
+            ``"01"``, ``"+1"`` and ``" 1"`` are refused), an embedded
+            topology of another ``K``, or a deactivated transmitter
+            inside an active transmit set.
     """
     with _document_errors("scheme"):
         obj = json.loads(text)
@@ -657,6 +659,12 @@ def scheme_from_json(
             *obj.get("transmit_sets", ()),
         )
         _check_users("scheme", obj["K"], users)
+        # JSON keys are strings; only the canonical "4" names user 4, not "04" or " 4".
+        keys = {str(i) for i in obj["active"]}
+        if not set(obj["serving"]) == keys == set(obj["cancel_at"]):
+            raise InvalidParameterError(
+                "malformed scheme document (serving/cancel_at not keyed by active)"
+            )
         declared = obj.get("declared", {})
         scheme = ZfScheme(
             K=obj["K"],
@@ -669,10 +677,6 @@ def scheme_from_json(
             name=obj.get("name", ""),
             family=tuple(obj.get("family", ())),
         )
-        if not set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at):
-            raise InvalidParameterError(
-                "malformed scheme document (serving/cancel_at not keyed by active)"
-            )
         topology = None
         if "topology" in obj:
             topology = topology_from_dict(obj["topology"])

@@ -125,6 +125,11 @@ _INCONSISTENT_SCHEMES = {
     "topology row 1 names true": _wyner_document(
         topology={**json.loads(build_wyner(4).to_json()), "hears": [[True], [1, 2], [2, 3], [3, 4]]}
     ),
+    # Keys that int() reads as active users without being their decimal form.
+    "serving key 01": _wyner_document(serving={"01": 1, "2": 2, "4": 3}),
+    "serving key +1": _wyner_document(serving={"+1": 1, "2": 2, "4": 3}),
+    "cancel_at key ' 2'": _wyner_document(cancel_at={"1": [2], " 2": [], "4": []}),
+    "cancel_at key '2 '": _wyner_document(cancel_at={"1": [2], "2 ": [], "4": []}),
     "K 4.5": json.dumps({**json.loads(_wyner_document()), "K": 4.5}),
     "K '4'": json.dumps({**json.loads(_wyner_document()), "K": "4"}),
 }

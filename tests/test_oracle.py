@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+import hashlib
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from coopzf import (
     ResourceLimitError,
     build_hexagonal,
     build_locally_connected,
+    build_two_dim,
     build_wyner,
     certify_lower_bound,
     hexagonal_coset_scheme,
@@ -24,8 +26,9 @@ from coopzf import (
     validate_schedule,
     wyner_backhaul_scheme,
 )
+from coopzf import oracle
 from coopzf.assignment import MessageAssignment
-from coopzf.oracle import _deliverable
+from coopzf.oracle import _deliverable, _max_matching
 
 
 def test_single_transmitter_chain_values():
@@ -145,6 +148,47 @@ def test_cooperative_wyner_node_count():
     assert witness.nodes_explored <= 8_000
 
 
+def _reference_deliverable(i, T, active, hears):
+    """Deliverability by two full matchings over frozensets: the row system's term rank must grow."""
+    desired = T & hears[i]
+    if not desired:
+        return False
+    crows = [T & hears[k] for k in active if k != i and T & hears[k]]
+    return _max_matching(crows + [desired]) == _max_matching(crows) + 1
+
+
+def _rank_deliverable(desired, crows, columns, rng):
+    """Deliverability as a numerical rank test on random complex gains with the rows' support."""
+
+    def gains(mask):
+        draw = rng.standard_normal(columns) + 1j * rng.standard_normal(columns)
+        return np.where([mask >> c & 1 for c in range(columns)], draw, 0)
+
+    cancel = np.array([gains(row) for row in crows]).reshape(len(crows), columns)
+    rank = np.linalg.matrix_rank(cancel) if crows else 0
+    return np.linalg.matrix_rank(np.vstack([cancel, gains(desired)])) == rank + 1
+
+
+def test_deliverability_kernel_agrees_with_reference_and_rank():
+    rng = np.random.default_rng(14)
+    verdicts = []
+    for _ in range(2_000):
+        columns = int(rng.integers(1, 5))
+        desired = int(rng.integers(0, 1 << columns))
+        crows = [int(m) for m in rng.integers(1, 1 << columns, size=rng.integers(0, 7))]
+        hears = {0: frozenset(c for c in range(columns) if desired >> c & 1)}
+        hears.update(
+            (k, frozenset(c for c in range(columns) if row >> c & 1))
+            for k, row in enumerate(crows, start=1)
+        )
+        got = _deliverable(desired, crows)
+        T = frozenset(range(columns))
+        assert got == _reference_deliverable(0, T, range(len(crows) + 1), hears), (desired, crows)
+        assert got == _rank_deliverable(desired, crows, columns, rng), (desired, crows)
+        verdicts.append(got)
+    assert 500 < sum(verdicts) < 1_500
+
+
 def _cooperative_reference(topology, B):
     """Reference search: each message's cheapest transmit set in turn, capped by the budget left."""
     K = topology.K
@@ -155,7 +199,7 @@ def _cooperative_reference(topology, B):
         pool = sorted(set().union(*(hears[k] for k in active)))
         for size in range(1, cap + 1):
             for T in itertools.combinations(pool, size):
-                if _deliverable(i, frozenset(T), active, hears):
+                if _reference_deliverable(i, frozenset(T), active, hears):
                     return frozenset(T)
         return None
 
@@ -183,6 +227,75 @@ def test_cooperative_matches_reference(L):
             value, witness = max_avoidance_cooperative(topo, B)
             got = (value, witness.active, witness.assignment.transmit_sets)
             assert got == _cooperative_reference(topo, B), (K, B)
+
+
+def _chains(Ks):
+    for L in (None, 1, 2, 3):
+        for K in Ks:
+            name = f"wyner{K}" if L is None else f"lc{L}-{K}"
+            yield name, build_wyner(K) if L is None else build_locally_connected(K, L)
+
+
+def _oracle_digest() -> str:
+    """SHA-256 over the three searches' values, witnesses and node counts on a fixed grid."""
+    digest = hashlib.sha256()
+
+    def put(*items):
+        digest.update(repr(items).encode() + b"\n")
+
+    hex3, _ = build_hexagonal(3)
+    hex4, _ = build_hexagonal(4)
+    budgets = (0, Fraction(1, 2), 1, 2)
+    # hex n=4 stops at B=1/2: B=1 and B=2 take 1.7 and 5.4 million nodes.
+    coop = [(name, topo, B) for name, topo in _chains(range(1, 11)) for B in budgets]
+    coop += [("hex3", hex3, B) for B in budgets] + [("hex4", hex4, B) for B in budgets[:2]]
+    for name, topo, B in coop:
+        value, witness = max_avoidance_cooperative(topo, B, node_limit=topo.K)
+        sets = sorted((i, sorted(T)) for i, T in witness.assignment.transmit_sets.items())
+        put("coop", name, str(B), value, sorted(witness.active), sets, witness.nodes_explored)
+        if value:
+            got, reached = max_activation_for_assignment(topo, witness.assignment)
+            put("activation", name, str(B), got, sorted(reached.active), reached.nodes_explored)
+    m1 = [(f"hex{n}", build_hexagonal(n)[0]) for n in range(2, 7)]
+    m1 += list(_chains(range(1, 13))) + [(f"grid{K}", build_two_dim(K)) for K in (4, 9, 16)]
+    for name, topo in m1:
+        value, schedule = max_avoidance_m1(topo, node_limit=topo.K)
+        put("m1", name, value, sorted(schedule.pairs), schedule.nodes_explored)
+    return digest.hexdigest()
+
+
+def test_oracle_outputs_are_pinned():
+    # Taken from the frozenset searches that ran two full matchings per
+    # deliverability test; the bitmask searches must reproduce every value,
+    # witness and node count.
+    assert _oracle_digest() == "403c740bfd61b9c6e6b17b7725b905cb6a45abefd708fccf80c6d1f445b959be"
+
+
+def test_cooperative_lc3_k12_b2():
+    value, witness = max_avoidance_cooperative(build_locally_connected(12, 3), 2)
+    assert value == 8
+    assert witness.nodes_explored == 247_725
+
+
+@pytest.mark.parametrize(
+    "topo", [build_wyner(10), build_locally_connected(8, 2)], ids=["wyner10", "lc2-8"]
+)
+def test_every_counted_node_ticks_the_deadline(monkeypatch, topo):
+    # A node skipped without a tick would escape --time-limit.
+    ticks = 0
+    check = oracle._Deadline.check
+
+    def counting(self):
+        nonlocal ticks
+        ticks += 1
+        check(self)
+
+    monkeypatch.setattr(oracle._Deadline, "check", counting)
+    _, witness = max_avoidance_cooperative(topo, 1)
+    assert ticks == witness.nodes_explored > 0
+    ticks = 0
+    _, reached = max_activation_for_assignment(topo, witness.assignment)
+    assert ticks == reached.nodes_explored > 0
 
 
 def test_cooperative_zero_budget():
