@@ -294,12 +294,9 @@ def _deliverable(desired: int, crows: Sequence[int]) -> bool:
     them.  Kuhn's search in :func:`_matching` takes the rows in order,
     so with the desired row last it matches the cancellation rows
     maximally and then tries that single path; the desired row ends
-    matched iff the path exists.
+    matched iff the path exists.  An empty desired row is never matched,
+    and with no cancellation rows a nonempty one always is.
     """
-    if not desired:
-        return False
-    if not crows:
-        return True
     rows = [_bits(row) for row in crows]
     rows.append(_bits(desired))
     return len(crows) in _matching(rows).values()
