@@ -267,7 +267,7 @@ def _run_certify(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             "lower-bound check needs embedded topology and transmit_sets"
         )
-    ok = certify_lower_bound(topology, scheme, assignment, **_search_limits(args))
+    ok = certify_lower_bound(topology, scheme, assignment)
     _emit(
         json.dumps(
             {"certified": bool(ok), "active": len(scheme.active_messages), "K": scheme.K}
@@ -431,7 +431,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("certify", help="certified upper bounds and audits")
     _add_one_of(sub, "mode", ("backhaul", "groups", "states", "lower-bound"))
-    _add_flags(sub, "--B", "--n", "--node-limit", "--time-limit")
+    _add_flags(sub, "--B", "--n")
     sub.set_defaults(run=_run_certify)
 
     sub = subs.add_parser("table1", help="chain-mixture table; omit --L for the checked report")

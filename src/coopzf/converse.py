@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .assignment import MessageAssignment, metrics
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
-from .oracle import AvoidanceSchedule, _matching, _max_matching, validate_schedule
+from .oracle import AvoidanceSchedule, _matching, validate_schedule
 from .topology import HexLattice, NetworkTopology
 
 Constraint = tuple  # ("pair", i, k) or ("zero", i)
@@ -199,7 +199,7 @@ def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> Fracti
     ``(2 |live| - nu) / 2``.
     """
     live, rows = _double_cover(nodes, constraints)
-    return Fraction(2 * len(live) - _max_matching(rows), 2)
+    return Fraction(2 * len(live) - len(_matching(rows)), 2)
 
 
 def _konig_cover(

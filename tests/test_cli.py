@@ -229,6 +229,8 @@ _UNREAD_FLAGS = [
     (["topology", "--wyner", "--K", "4", "--B", "1"], None),
     (["certify", "--groups", "--n", "3", "--seed", "1"], "assignment"),
     (["oracle", "--m1", "--hex", "--n", "4", "--tol", "0.1"], None),
+    (["certify", "--lower-bound", "--node-limit", "12"], "scheme"),
+    (["certify", "--lower-bound", "--time-limit", "1"], "scheme"),
 ]
 
 
@@ -522,6 +524,18 @@ def test_certify_lower_bound_pass_and_fail(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["certified"] is False
+    # Structurally valid, but receiver 2 hears the same single antenna of
+    # T_3 = {2, 4} as receiver 3, so message 3 cannot be delivered.
+    undeliverable = _wyner_document(
+        active=[2, 3],
+        serving={"2": 1, "3": 2},
+        cancel_at={"2": [], "3": [2]},
+        deactivated=[3],
+        transmit_sets=[[], [1], [2, 4], []],
+    )
+    code, out, _ = _run(["certify", "--lower-bound"], capsys, monkeypatch, stdin=undeliverable)
+    assert code == 1
+    assert json.loads(out) == {"certified": False, "active": 2, "K": 4}
 
 
 def test_table_single_row(capsys):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -13,22 +15,27 @@ from coopzf import (
     AvoidanceSchedule,
     InvalidParameterError,
     ResourceLimitError,
+    ZfScheme,
     build_hexagonal,
     build_locally_connected,
     build_two_dim,
     build_wyner,
     certify_lower_bound,
+    hexagonal_cooperative_scheme,
     hexagonal_coset_scheme,
+    locally_connected_scheme,
     max_activation_for_assignment,
     max_avoidance_cooperative,
     max_avoidance_m1,
     metrics,
+    table1_scheme,
     validate_schedule,
+    validate_scheme,
     wyner_backhaul_scheme,
 )
 from coopzf import oracle
 from coopzf.assignment import MessageAssignment
-from coopzf.oracle import _deliverable, _max_matching
+from coopzf.oracle import _deliverable, _matching
 
 
 def test_single_transmitter_chain_values():
@@ -154,7 +161,7 @@ def _reference_deliverable(i, T, active, hears):
     if not desired:
         return False
     crows = [T & hears[k] for k in active if k != i and T & hears[k]]
-    return _max_matching(crows + [desired]) == _max_matching(crows) + 1
+    return len(_matching(crows + [desired])) == len(_matching(crows)) + 1
 
 
 def _rank_deliverable(desired, crows, columns, rng):
@@ -348,8 +355,6 @@ def test_certify_accepts_block_scheme_at_equality():
 
 
 def test_certify_accepts_empty_scheme():
-    from coopzf import ZfScheme
-
     topo = build_wyner(4)
     a = MessageAssignment(K=4, transmit_sets={i: frozenset() for i in range(1, 5)})
     s = ZfScheme(
@@ -375,6 +380,90 @@ def test_certify_rejects_invalid_scheme():
     a, s = wyner_backhaul_scheme(4, 1)
     s.cancel_at = {i: () for i in s.active_messages}
     assert not certify_lower_bound(topo, s, a)
+
+
+def _oracle_lower_bound(topology, scheme, assignment) -> bool:
+    """Reference: the scheme is structurally valid and no exact optimum falls below it.
+
+    The single-transmitter search decides cooperation order at most 1,
+    the cooperative search at the assignment's own backhaul decides the
+    rest; both refuse K above 12.
+    """
+    if validate_scheme(topology, assignment, scheme):
+        return False
+    stats = metrics(assignment)
+    if stats.M <= 1:
+        value, _ = max_avoidance_m1(topology)
+    else:
+        value, _ = max_avoidance_cooperative(topology, stats.B)
+    return value >= len(scheme.active_messages)
+
+
+def _small_generator_schemes():
+    """Every generator scheme with K <= 12 that the rank test is compared on."""
+    out = []
+    for B in (1, 2, 3):
+        for K in range(4 * B, 13, 4 * B):
+            out.append((f"wyner_B{B}_K{K}", build_wyner(K), *wyner_backhaul_scheme(K, B)))
+    for L in (1, 2, 3):
+        for M in (1, 2, 3):
+            K = 2 * M + L
+            topo = build_locally_connected(K, L)
+            out.append((f"lc_L{L}_M{M}", topo, *locally_connected_scheme(K, L, M)))
+    for K in (6, 12):
+        out.append((f"table1_L2_K{K}", build_locally_connected(K, 2), *table1_scheme(K, 2)))
+    for n in (2, 3):
+        topo, lattice = build_hexagonal(n)
+        out.append((f"hex_coset_n{n}", topo, *hexagonal_coset_scheme(lattice)))
+    return out
+
+
+_SMALL_SCHEMES = _small_generator_schemes()
+
+
+@pytest.mark.parametrize(
+    ("topo", "assignment", "scheme"),
+    [case[1:] for case in _SMALL_SCHEMES],
+    ids=[case[0] for case in _SMALL_SCHEMES],
+)
+def test_rank_certificate_implies_oracle_certificate(topo, assignment, scheme):
+    bare = dataclasses.replace(scheme, cancel_at={i: () for i in scheme.active_messages})
+    for s in (scheme, bare):
+        if certify_lower_bound(topo, s, assignment):
+            assert _oracle_lower_bound(topo, s, assignment)
+    assert certify_lower_bound(topo, scheme, assignment)
+
+
+def test_certify_rejects_undeliverable_valid_scheme():
+    # T_3 = {2, 4}: receiver 2 hears the same single antenna 2 as receiver 3,
+    # so nulling it at 2 also nulls it at 3; the structure alone is valid.
+    topo = build_wyner(4)
+    sets = {1: frozenset(), 2: frozenset({1}), 3: frozenset({2, 4}), 4: frozenset()}
+    a = MessageAssignment(K=4, transmit_sets=sets)
+    s = ZfScheme(
+        K=4,
+        active_messages=frozenset({2, 3}),
+        serving={2: 1, 3: 2},
+        cancel_at={2: (), 3: (2,)},
+        deactivated_transmitters=frozenset({3}),
+        declared_pudof=Fraction(1, 2),
+        declared_backhaul=Fraction(3, 4),
+    )
+    assert validate_scheme(topo, a, s) == []
+    assert not certify_lower_bound(topo, s, a)
+
+
+def test_certify_runs_no_search_at_any_size(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_lower_bound ran an exact search")
+
+    for name in ("max_avoidance_m1", "max_avoidance_cooperative", "max_activation_for_assignment"):
+        monkeypatch.setattr(oracle, name, refuse)
+    topo, lattice = build_hexagonal(48)
+    a, s = hexagonal_cooperative_scheme(lattice)
+    start = time.perf_counter()
+    assert certify_lower_bound(topo, s, a)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_node_limits_enforced():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from coopzf import (
     build_locally_connected,
     build_two_dim,
     build_wyner,
+    certify_lower_bound,
     design_beams,
     dof_report,
     hexagonal_cooperative_scheme,
@@ -446,6 +448,71 @@ def test_cross_check_cases_include_failures():
         invalid = validate_scheme(topo, assignment, scheme) != []
         failing += invalid or not verify(topo, channels, scheme, beams).passed
     assert 4 * failing >= len(_CROSS_CHECK), (failing, len(_CROSS_CHECK))
+
+
+def _random_valid_schemes(count, seed=0):
+    """``count`` random schemes on locally connected chains (L <= 3, K <= 8) that pass validate_scheme.
+
+    Each active message's transmit set is either a random subset of the
+    antennas heard within two users of its receiver, or one antenna its
+    receiver hears plus antennas it does not; every active receiver that
+    hears the set is cancelled, in random order.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        K, L = rng.randint(2, 8), rng.randint(1, 3)
+        topo = build_locally_connected(K, L)
+        users = range(1, K + 1)
+        active = frozenset(i for i in users if rng.random() < 0.5)
+        tsets = dict.fromkeys(users, frozenset())
+        serving, cancel = {}, {}
+        for i in sorted(active):
+            near = sorted(frozenset().union(*(topo.hears[k] for k in users if abs(k - i) <= 2)))
+            if rng.random() < 0.5:
+                T = frozenset(rng.sample(near, rng.randint(1, len(near))))
+            else:
+                far = [t for t in near if t not in topo.hears[i]]
+                own = rng.choice(sorted(topo.hears[i]))
+                T = frozenset([own, *rng.sample(far, rng.randint(0, len(far)))])
+            if not T & topo.hears[i]:
+                break
+            tsets[i], serving[i] = T, rng.choice(sorted(T & topo.hears[i]))
+            rivals = [k for k in frozenset().union(*map(topo.hearers, T)) & active if k != i]
+            rng.shuffle(rivals)
+            cancel[i] = tuple(rivals)
+        else:
+            used = frozenset().union(*(tsets[i] for i in active))
+            assignment = MessageAssignment(K=K, transmit_sets=tsets)
+            scheme = ZfScheme(
+                K=K,
+                active_messages=active,
+                serving=serving,
+                cancel_at=cancel,
+                deactivated_transmitters=frozenset(users) - used,
+                declared_pudof=Fraction(len(active), K),
+                declared_backhaul=Fraction(sum(map(len, tsets.values())), K),
+            )
+            if not validate_scheme(topo, assignment, scheme):
+                out.append((topo, assignment, scheme))
+    return out
+
+
+def test_rank_rejection_implies_numerical_failure():
+    # Only this direction holds: design_beams pins the serving antenna and
+    # drops trailing free ones, so some deliverable schemes still fail.
+    rejected = 0
+    for topo, assignment, scheme in _random_valid_schemes(2_000):
+        if certify_lower_bound(topo, scheme, assignment):
+            continue
+        rejected += 1
+        channels = sample_channels(topo, 0)
+        try:
+            beams = design_beams(topo, channels, assignment, scheme)
+        except SolverFailureError:
+            continue
+        assert not verify(topo, channels, scheme, beams).passed, (assignment, scheme)
+    assert rejected >= 50, rejected
 
 
 # ---------------------------------------------------------------------------
