@@ -93,42 +93,30 @@ def validate_schedule(topology: NetworkTopology, schedule: AvoidanceSchedule) ->
     return problems
 
 
-class _Deadline:
-    """Periodic wall-clock guard for exponential searches.
-
-    Raises:
-        InvalidParameterError: ``seconds`` is set but not finite and
-            positive (``nan`` and ``inf`` would never trip the guard).
-    """
-
-    def __init__(self, seconds: float | None):
-        if seconds is not None and not 0 < seconds < math.inf:
-            raise InvalidParameterError(f"time_limit must be finite and > 0, got {seconds}")
-        self.expires = None if seconds is None else time.monotonic() + seconds
-        self.ticks = 0
-
-    def check(self) -> None:
-        """Read the clock on the first tick and on every 1024th after it."""
-        self.ticks += 1
-        if self.expires is not None and self.ticks % 1024 == 1:
-            if time.monotonic() > self.expires:
-                raise ResourceLimitError("search time limit exceeded")
-
-
-def _guard(K: int, node_limit: int, time_limit: float | None) -> _Deadline:
-    """Validate a search's limits, then refuse instances above ``node_limit``.
+class _Search:
+    """The limits and node count of one exponential search; each node calls :meth:`tick`.
 
     Raises:
         InvalidParameterError: ``node_limit`` is below 1, or
-            ``time_limit`` is not finite and positive.
+            ``time_limit`` is set but not finite and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit``.
     """
-    if node_limit < 1:
-        raise InvalidParameterError(f"node_limit must be >= 1, got {node_limit}")
-    deadline = _Deadline(time_limit)
-    if K > node_limit:
-        raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")
-    return deadline
+
+    def __init__(self, K: int, node_limit: int, time_limit: float | None):
+        if node_limit < 1:
+            raise InvalidParameterError(f"node_limit must be >= 1, got {node_limit}")
+        if time_limit is not None and not 0 < time_limit < math.inf:
+            raise InvalidParameterError(f"time_limit must be finite and > 0, got {time_limit}")
+        if K > node_limit:
+            raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")
+        self.expires = None if time_limit is None else time.monotonic() + time_limit
+        self.nodes = 0
+
+    def tick(self) -> None:
+        """Count a node; read the clock on the first tick and on every 1024th after it."""
+        self.nodes += 1
+        if self.expires is not None and self.nodes % 1024 == 1 and time.monotonic() > self.expires:
+            raise ResourceLimitError("search time limit exceeded")
 
 
 def max_avoidance_m1(
@@ -160,7 +148,7 @@ def max_avoidance_m1(
         ResourceLimitError: ``K`` exceeds ``node_limit``, or the time
             limit is hit.
     """
-    deadline = _guard(topology.K, node_limit, time_limit)
+    search = _Search(topology.K, node_limit, time_limit)
     hears = topology.hears
     pairs = [(r, t) for r in range(1, topology.K + 1) for t in sorted(hears[r])]
     n = len(pairs)
@@ -199,7 +187,6 @@ def max_avoidance_m1(
         best += 1
         best_set |= 1 << v
         cand &= compat[v]
-    visited = 0
 
     def color_order(cand: int) -> list[tuple[int, int]]:
         # Greedy coloring: a clique inside cand has at most max-color members.
@@ -218,9 +205,8 @@ def max_avoidance_m1(
         return order
 
     def expand(cand: int, cur: int, cur_set: int) -> None:
-        nonlocal best, best_set, visited
-        visited += 1
-        deadline.check()
+        nonlocal best, best_set
+        search.tick()
         for v, c in reversed(color_order(cand)):
             if cur + c <= best:
                 return
@@ -235,7 +221,7 @@ def max_avoidance_m1(
     if n:
         expand(everything, 0, 0)
     chosen = frozenset(pairs[i] for i in range(n) if best_set >> i & 1)
-    return best, AvoidanceSchedule(pairs=chosen, value=best, nodes_explored=visited)
+    return best, AvoidanceSchedule(pairs=chosen, value=best, nodes_explored=search.nodes)
 
 
 def _matching(rows: Sequence[Collection[int]]) -> dict[int, int]:
@@ -293,9 +279,16 @@ def _deliverable(desired: int, crows: Sequence[int]) -> bool:
     matched iff the path exists.  An empty desired row is never matched,
     and with no cancellation rows a nonempty one always is.
     """
-    rows = [_bits(row) for row in crows]
-    rows.append(_bits(desired))
-    return len(crows) in _matching(rows).values()
+    return len(crows) in _support_matching(desired, crows).values()
+
+
+def _support_matching(desired: int, crows: Sequence[int]) -> dict[int, int]:
+    """The matching :func:`_deliverable` decides by, as ``{transmitter: row}``.
+
+    The cancellation rows keep their indices and the desired row is row
+    ``len(crows)``.  Beam design reads a beam's support off it too.
+    """
+    return _matching([*map(_bits, crows), _bits(desired)])
 
 
 def _delivers(i: int, sends: dict[int, int], heard: dict[int, int], rivals: Iterable[int]) -> bool:
@@ -344,15 +337,13 @@ def max_avoidance_cooperative(
     if B < 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
     K = topology.K
-    deadline = _guard(K, node_limit, time_limit)
+    search = _Search(K, node_limit, time_limit)
     budget = int(Fraction(B) * K)
     heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
     verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
-    visited = 0
 
     def fit(A: tuple[int, ...]) -> dict[int, frozenset[int]] | None:
         """Each message's cheapest transmit set, or None if they overrun the budget."""
-        nonlocal visited
         pool = 0
         for k in A:
             pool |= heard[k]
@@ -366,8 +357,7 @@ def max_avoidance_cooperative(
                 own = heard[i]
                 others = [heard[k] for k in A if k != i]
                 for combo in itertools.combinations(antennas, level):
-                    visited += 1
-                    deadline.check()
+                    search.tick()
                     T = sum(combo)
                     desired = T & own
                     if not desired:
@@ -396,10 +386,10 @@ def max_avoidance_cooperative(
             if sets is not None:
                 witness = MessageAssignment(K=K, transmit_sets={**empty, **sets})
                 return size, CooperativeWitness(
-                    active=frozenset(A), assignment=witness, nodes_explored=visited
+                    active=frozenset(A), assignment=witness, nodes_explored=search.nodes
                 )
     witness = MessageAssignment(K=K, transmit_sets=dict(empty))
-    return 0, CooperativeWitness(active=frozenset(), assignment=witness, nodes_explored=visited)
+    return 0, CooperativeWitness(active=frozenset(), assignment=witness, nodes_explored=search.nodes)
 
 
 def max_activation_for_assignment(
@@ -425,18 +415,16 @@ def max_activation_for_assignment(
     if topology.K != assignment.K:
         raise InvalidParameterError("topology and assignment sizes disagree")
     K = topology.K
-    deadline = _guard(K, node_limit, time_limit)
+    search = _Search(K, node_limit, time_limit)
     heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
     sends = {i: _mask(T) for i, T in assignment.transmit_sets.items()}
     order = [i for i in range(1, K + 1) if sends[i] & heard[i]]
     best = 0
     best_set: frozenset[int] = frozenset()
-    visited = 0
 
     def down(pos: int, active: frozenset[int]) -> None:
-        nonlocal best, best_set, visited
-        visited += 1
-        deadline.check()
+        nonlocal best, best_set
+        search.tick()
         if len(active) > best:
             best = len(active)
             best_set = active
@@ -451,7 +439,7 @@ def max_activation_for_assignment(
         down(pos + 1, active)
 
     down(0, frozenset())
-    return best, ActivationWitness(active=best_set, nodes_explored=visited)
+    return best, ActivationWitness(active=best_set, nodes_explored=search.nodes)
 
 
 def certify_lower_bound(

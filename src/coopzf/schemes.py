@@ -34,9 +34,9 @@ class ZfScheme:
         K: number of users.
         active_messages: messages allocated one degree of freedom.
         serving: active message ``i`` -> transmitter delivering it.
-        cancel_at: active message ``i`` -> ordered receivers where its
-            interference is nulled (the order drives forward
-            substitution during beam design).
+        cancel_at: active message ``i`` -> receivers where its
+            interference is nulled.  Beam design reads only the set;
+            documents keep the stored order.
         deactivated_transmitters: transmitters that never transmit.
         declared_pudof: the generator's exact per-user DoF claim.
         declared_backhaul: the generator's exact backhaul-load claim.

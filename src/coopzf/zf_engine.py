@@ -9,10 +9,13 @@ degrees-of-freedom count is a pure coefficient property.
 
 Each stage works in batches rather than coefficient by coefficient.  The
 channel draw takes all its normals in one call and reads them as one
-array of complex gains.  Beam design solves chain-ordered systems by
-forward substitution and every other system in one stacked dense solve
-per system size.  Verification scatters each beam over the active
-receivers that hear it, so its cost is linear in ``sum |T_i| * degree``.
+array of complex gains.  Beam design depends only on the set of each
+message's cancellation receivers: it solves one coefficient at a time
+where it can, reads the beam's support off the matching that decides
+deliverability where it cannot, and sends the cyclic rest to one
+stacked dense solve per system size.  Verification scatters each beam
+over the active receivers that hear it, so its cost is linear in
+``sum |T_i| * degree``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import json
 import numpy as np
 
 from .assignment import MessageAssignment, metrics
-from .errors import InvalidParameterError, SolverFailureError
+from .errors import CoopZfError, InvalidParameterError, SolverFailureError
+from .oracle import _mask, _support_matching
 from .schemes import DofReport, ZfScheme
 from .topology import NetworkTopology
 
@@ -133,98 +137,109 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     return ChannelRealization(coefficients=coefficients, seed=seed)
 
 
-def _chain_solve(
+def _support(
     gains: dict[tuple[int, int], complex],
     hears: dict[int, frozenset[int]],
+    message: int,
     T: list[int],
     serving: int,
     cancel: tuple[int, ...],
-) -> dict[int, complex] | None:
-    """Forward substitution along the cancellation order, if it applies.
+) -> tuple[dict[int, complex], list[int]]:
+    """A message's beam as far as peeling sets it, and the cyclic rows left.
 
-    Succeeds when every constraint, taken in stored order, involves
-    exactly one not-yet-determined transmitter coefficient; transmitters
-    touched by no constraint are fixed to zero.  ``gains`` is a
-    realization's coefficient map (absent keys read as 0).
+    Peeling solves each row with one unset coefficient ``u`` as
+    ``-sum(H[c,t] * v[t]) / H[c,u]`` over the other ``t`` in ``T`` heard
+    at ``c``, ascending.  The serving coefficient is pinned to 1 and the
+    cancellation rows are peeled; untouched coefficients are 0.  If rows
+    are left, the support is read off the matching that decides generic
+    deliverability (:func:`coopzf.oracle._deliverable`): the desired
+    row's column is pinned to 1, unmatched columns are 0, unmatched rows
+    are dropped (generically in the span of the matched ones), and the
+    rest is peeled again, leaving a square system with a perfect
+    matching.  Each coefficient is set by the one row that can set it,
+    and rows are taken ascending, so only the set of ``cancel`` matters.
+
+    Raises:
+        InvalidParameterError: ``serving`` is outside ``T``.
+        SolverFailureError: the desired row is unmatched (the message is
+            not deliverable), or a pivot gain is zero.
     """
-    v: dict[int, complex] = {serving: 1.0 + 0j}
-    for c in cancel:
-        heard = hears[c]
-        involved = [t for t in T if t in heard]
-        unknown = [t for t in involved if t not in v]
-        if len(unknown) != 1:
-            return None
-        u = unknown[0]
-        h_u = gains.get((c, u), 0j)
-        if h_u == 0:
-            return None
-        acc = sum(gains.get((c, t), 0j) * v[t] for t in involved if t != u)
-        v[u] = -acc / h_u
-    for t in T:
-        v.setdefault(t, 0j)
-    return v
+    def peel(v: dict[int, complex], rows: list[int]) -> list[int]:
+        # Passes alternate direction, so a chain peels in two whichever way
+        # it runs; a row left has no unset coefficient or several.
+        while True:
+            left = []
+            for c in rows:
+                involved = [t for t in T if t in hears[c]]
+                unknown = [t for t in involved if t not in v]
+                if len(unknown) != 1:
+                    left.append(c)
+                    continue
+                u = unknown[0]
+                h_u = gains.get((c, u), 0j)
+                if h_u == 0:
+                    raise SolverFailureError(f"cancellation system for message {message} is singular")
+                acc = sum(gains.get((c, t), 0j) * v[t] for t in involved if t != u)
+                v[u] = -acc / h_u
+            if not left or len(left) == len(rows):
+                return left
+            rows = left[::-1]
+
+    if serving not in T:
+        raise InvalidParameterError(
+            f"serving transmitter {serving} of message {message} is outside its transmit set {T}"
+        )
+    rows = sorted(cancel)
+    v = {serving: 1.0 + 0j}
+    if not peel(v, rows):
+        for t in T:
+            v.setdefault(t, 0j)
+        return v, []
+    crows = [_mask(hears[c].intersection(T)) for c in rows]
+    match = _support_matching(_mask(hears[message].intersection(T)), crows)
+    if len(rows) not in match.values():
+        raise SolverFailureError(f"cancellation system for message {message} is singular")
+    v = {t: 1.0 + 0j for t, r in match.items() if r == len(rows)}
+    v.update((t, 0j) for t in T if t not in match)
+    return v, peel(v, [rows[r] for r in sorted(match.values())[:-1]])
 
 
-def _solve_one(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One system: a direct solve, or least squares when it is singular."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(A, b, rcond=None)[0]
-
-
-def _dense_solve(
+def _solve_cyclic(
     gains: dict[tuple[int, int], complex],
-    systems: list[tuple[int, list[int], int, tuple[int, ...]]],
-) -> dict[int, dict[int, complex]]:
-    """Direct linear solves of cancellation systems, stacked by size.
+    beams: dict[int, dict[int, complex]],
+    systems: list[tuple[int, list[int], list[int]]],
+) -> None:
+    """Finish each beam with one stacked solve per system size.
 
-    Each system is ``(message, T, serving, cancel)``.  Its unknowns are
-    the non-serving transmitters in ascending order; when there are more
-    unknowns than constraints, the trailing extras are fixed to zero so
-    the system is square.  The systems of one size go through one
-    stacked ``np.linalg.solve`` and one vectorised residual check; only
-    a stack that raises ``LinAlgError`` is solved system by system, with
-    ``lstsq`` for the singular ones.
-
-    Returns:
-        Each message's beam, in ``systems`` order.
+    Each system is ``(message, columns, rows)``: the beam's unset
+    coefficients, ascending, and as many rows left by :func:`_support`.
+    A stack that raises ``LinAlgError`` is solved by pseudo-inverse.
 
     Raises:
         SolverFailureError: a solution misses its right-hand side; the
-            first such message in ``systems`` order is named.
+            lowest such message is named.
     """
-    stacks: dict[int, list[int]] = {}
-    for index, system in enumerate(systems):
-        stacks.setdefault(len(system[3]), []).append(index)
-    solutions: list = [None] * len(systems)
+    stacks: dict[int, list[tuple[int, list[int], list[int]]]] = {}
+    for system in systems:
+        stacks.setdefault(len(system[2]), []).append(system)
+    failed = []
     for m, members in stacks.items():
-        A = np.zeros((len(members), m, m), dtype=complex)
+        A = np.empty((len(members), m, m), dtype=complex)
         b = np.empty((len(members), m, 1), dtype=complex)
-        columns = []
-        for row, index in enumerate(members):
-            _, T, serving, cancel = systems[index]
-            free = [t for t in T if t != serving]
-            solve_for = free[:m]
-            A[row, :, : len(solve_for)] = [[gains.get((c, t), 0j) for t in solve_for] for c in cancel]
-            b[row, :, 0] = [-gains.get((c, serving), 0j) for c in cancel]
-            columns.append(free)
+        for row, (message, columns, rows) in enumerate(members):
+            A[row] = [[gains.get((c, t), 0j) for t in columns] for c in rows]
+            b[row, :, 0] = [-sum(gains.get((c, t), 0j) * x for t, x in beams[message].items()) for c in rows]
         try:
             x = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
-            x = np.stack([_solve_one(a, rhs) for a, rhs in zip(A, b)])
-        solved = np.isclose(A @ x, b, rtol=1e-9, atol=1e-12).all(axis=(1, 2))
-        for row, index in enumerate(members):
-            solutions[index] = (solved[row], columns[row], x[row, :, 0].tolist())
-    beams: dict[int, dict[int, complex]] = {}
-    for (message, _, serving, cancel), (ok, free, x) in zip(systems, solutions):
-        if not ok:
-            raise SolverFailureError(f"cancellation system for message {message} is singular")
-        v = {serving: 1.0 + 0j}
-        v.update(zip(free, x))
-        v.update((t, 0j) for t in free[len(cancel) :])
-        beams[message] = v
-    return beams
+            x = np.linalg.pinv(A) @ b
+        ok = np.isclose(A @ x, b, rtol=1e-9, atol=1e-12).all(axis=(1, 2))
+        for row, (message, columns, _) in enumerate(members):
+            beams[message].update(zip(columns, x[row, :, 0].tolist()))
+            if not ok[row]:
+                failed.append(message)
+    if failed:
+        raise SolverFailureError(f"cancellation system for message {min(failed)} is singular")
 
 
 def design_beams(
@@ -235,40 +250,34 @@ def design_beams(
 ) -> BeamDesign:
     """Solve every active message's beam vector.
 
-    The serving transmitter's coefficient is pinned to 1; each receiver
-    in the cancellation list contributes one linear constraint zeroing
-    the message's received coefficient there.  Cancellation lists
-    produced by the generators are chain-ordered, so forward
-    substitution applies, reading ``channels.coefficients`` directly;
-    every other system is collected and solved densely, one stacked
-    solve per system size (:func:`_dense_solve`).
+    Each receiver in a message's cancellation list contributes one
+    linear constraint zeroing the message's received coefficient there;
+    only the set of receivers matters, never its order.  Constraints are
+    solved one coefficient at a time where they can be, which finishes
+    every generator's scheme (:func:`_support`); what stays cyclic goes
+    to one stacked solve per system size (:func:`_solve_cyclic`).
 
     Raises:
         InvalidParameterError: an active message's serving transmitter
             is outside its transmit set.
-        SolverFailureError: a cancellation system is singular (measure
-            zero under generic channels).  When both apply, the error of
-            the lower-numbered message is raised.
+        SolverFailureError: a message is not deliverable, or its system
+            is singular on this realization (measure zero under generic
+            channels).  When several apply, the error of the
+            lowest-numbered message is raised.
     """
     gains = channels.coefficients
-    beams: dict[int, dict[int, complex] | None] = {}
-    dense = []
-    outside = None
+    beams: dict[int, dict[int, complex]] = {}
+    cyclic = []
     for i in sorted(scheme.active_messages):
         T = sorted(assignment.transmit_sets.get(i, ()))
-        serving = scheme.serving.get(i)
-        if serving not in T:
-            outside = InvalidParameterError(
-                f"serving transmitter {serving} of message {i} is outside its transmit set {T}"
-            )
-            break
-        cancel = scheme.cancel_at[i]
-        beams[i] = _chain_solve(gains, topology.hears, T, serving, cancel)
-        if beams[i] is None:
-            dense.append((i, T, serving, cancel))
-    beams.update(_dense_solve(gains, dense))
-    if outside is not None:
-        raise outside
+        try:
+            beams[i], rows = _support(gains, topology.hears, i, T, scheme.serving.get(i), scheme.cancel_at[i])
+        except CoopZfError:
+            _solve_cyclic(gains, beams, cyclic)  # a lower message's failure comes first
+            raise
+        if rows:
+            cyclic.append((i, [t for t in T if t not in beams[i]], rows))
+    _solve_cyclic(gains, beams, cyclic)
     return BeamDesign(beams=beams)
 
 

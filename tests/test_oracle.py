@@ -290,14 +290,14 @@ def test_cooperative_lc3_k12_b2():
 def test_every_counted_node_ticks_the_deadline(monkeypatch, topo):
     # A node skipped without a tick would escape --time-limit.
     ticks = 0
-    check = oracle._Deadline.check
+    tick = oracle._Search.tick
 
     def counting(self):
         nonlocal ticks
         ticks += 1
-        check(self)
+        tick(self)
 
-    monkeypatch.setattr(oracle._Deadline, "check", counting)
+    monkeypatch.setattr(oracle._Search, "tick", counting)
     _, witness = max_avoidance_cooperative(topo, 1)
     assert ticks == witness.nodes_explored > 0
     ticks = 0

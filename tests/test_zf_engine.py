@@ -37,7 +37,7 @@ from coopzf import (
     wyner_backhaul_scheme,
 )
 from coopzf import zf_engine
-from coopzf.zf_engine import _chain_solve, _dense_solve
+from coopzf.zf_engine import _solve_cyclic
 
 
 def _representatives():
@@ -121,48 +121,105 @@ def test_empty_cancellation_gives_unit_beam():
 
 
 def test_chain_and_dense_routes_agree():
+    # the stacked solve, handed a generator's whole system, reproduces the peeled beam
     for topo, assignment, scheme in _representatives():
         channels = sample_channels(topo, 5)
-        systems = [
-            (i, sorted(assignment.transmit_sets[i]), scheme.serving[i], scheme.cancel_at[i])
-            for i in sorted(scheme.active_messages)
-        ]
-        beams = _dense_solve(channels.coefficients, systems)
-        assert list(beams) == [i for i, *_ in systems]
-        for i, T, serving, cancel in systems:
-            chain = _chain_solve(channels.coefficients, topo.hears, T, serving, cancel)
-            dense = beams[i]
-            assert chain is not None, (scheme.name, i)
-            assert set(dense) == set(chain) == set(T), (scheme.name, i)
-            for t in T:
-                diff = abs(chain[t] - dense[t])
-                scale = max(1.0, abs(dense[t]))
-                assert diff / scale <= 1e-10, (scheme.name, i, t)
+        peeled = design_beams(topo, channels, assignment, scheme).beams
+        beams, systems = {}, []
+        for i in sorted(scheme.active_messages):
+            beams[i] = {scheme.serving[i]: 1 + 0j}
+            free = sorted(assignment.transmit_sets[i] - {scheme.serving[i]})
+            systems.append((i, free, sorted(scheme.cancel_at[i])))
+        _solve_cyclic(channels.coefficients, beams, systems)
+        assert list(peeled) == list(beams)
+        for i, v in peeled.items():
+            assert set(beams[i]) == set(v) == assignment.transmit_sets[i], (scheme.name, i)
+            for t in v:
+                diff = abs(beams[i][t] - v[t])
+                assert diff / max(1.0, abs(v[t])) <= 1e-10, (scheme.name, i, t)
 
 
-def test_stacked_dense_solve_matches_one_system_at_a_time():
-    # reversed cancellation orders defeat forward substitution; the systems come in several sizes
-    topo = build_wyner(48)
-    assignment, scheme = wyner_backhaul_scheme(48, 3)
+def _cyclic_scheme(K, sizes):
+    """Messages on ``build_locally_connected(K, 3)`` whose cancellation rows cannot be peeled.
+
+    Message ``m`` of size 2 has ``T = {m, m+1, m+2}`` and cancels at
+    ``m+1`` and ``m+2``, which both hear all of ``T``; size 3 adds
+    antenna and receiver ``m+3``.  Messages sit six users apart, and
+    their interference at each other is not nulled.
+    """
+    tsets = {i: frozenset() for i in range(1, K + 1)}
+    serving, cancel = {}, {}
+    for m, size in zip(range(1, K - 4, 6), sizes):
+        tsets[m] = frozenset(range(m, m + size + 1))
+        serving[m], cancel[m] = m, tuple(range(m + 1, m + size + 1))
+    scheme = ZfScheme(
+        K=K,
+        active_messages=frozenset(serving),
+        serving=serving,
+        cancel_at=cancel,
+        deactivated_transmitters=frozenset(),
+        declared_pudof=Fraction(len(serving), K),
+        declared_backhaul=Fraction(sum(map(len, tsets.values())), K),
+    )
+    return build_locally_connected(K, 3), MessageAssignment(K=K, transmit_sets=tsets), scheme
+
+
+def test_stacked_dense_solve_matches_one_system_at_a_time(monkeypatch):
+    topo, assignment, scheme = _cyclic_scheme(60, [2, 3, 2, 3, 3, 2, 2, 3])
     channels = sample_channels(topo, 2)
-    systems = [
-        (i, sorted(assignment.transmit_sets[i]), scheme.serving[i], scheme.cancel_at[i][::-1])
-        for i in sorted(scheme.active_messages)
-    ]
-    assert len({len(cancel) for *_, cancel in systems}) > 1
-    stacked = _dense_solve(channels.coefficients, systems)
-    for system in systems:
-        assert _dense_solve(channels.coefficients, [system]) == {system[0]: stacked[system[0]]}
+    stacked = []
+    solve = zf_engine._solve_cyclic
+    monkeypatch.setattr(
+        zf_engine, "_solve_cyclic", lambda g, b, systems: (stacked.extend(systems), solve(g, b, systems))
+    )
+    beams = design_beams(topo, channels, assignment, scheme).beams
+    assert sorted(len(rows) for *_, rows in stacked) == [2] * 4 + [3] * 4
+    for i, v in beams.items():
+        for c in scheme.cancel_at[i]:
+            assert abs(sum(channels.gain(c, t) * x for t, x in v.items())) < 1e-12
+        assert abs(sum(channels.gain(i, t) * x for t, x in v.items())) > 1e-6
+        alone = dataclasses.replace(
+            scheme, active_messages=frozenset({i}), serving={i: i}, cancel_at={i: scheme.cancel_at[i]}
+        )
+        assert design_beams(topo, channels, assignment, alone).beams == {i: v}
 
 
 def test_singular_system_in_a_stack_is_named():
-    # message 2 must cancel at receiver 3, which hears its serving transmitter but not its free one
-    gains = {(1, 1): 1 + 0j, (1, 2): 2 + 0j, (3, 2): 1 + 0j}
-    regular = (1, [1, 2], 1, (1,))
-    singular = (2, [1, 2], 2, (3,))
-    assert _dense_solve(gains, [regular])[1] == {1: 1 + 0j, 2: -0.5 + 0j}
-    with pytest.raises(SolverFailureError, match="message 2 is singular"):
-        _dense_solve(gains, [regular, singular])
+    topo, assignment, scheme = _cyclic_scheme(30, [2, 2, 2])
+    gains = dict(sample_channels(topo, 0).coefficients)
+    # receivers 8 and 9 now hear transmitters 8 and 9 alike, but transmitter 7
+    # differently, and likewise 14 and 15: the lower message is named
+    for m in (7, 13):
+        gains[(m + 2, m + 1)], gains[(m + 2, m + 2)] = gains[(m + 1, m + 1)], gains[(m + 1, m + 2)]
+    channels = ChannelRealization(coefficients=gains, seed=-1)
+    with pytest.raises(SolverFailureError, match="message 7 is singular"):
+        design_beams(topo, channels, assignment, scheme)
+    # message 13 cannot null receivers 12 and 14 from transmitters 13 and 14,
+    # since 12 hears only 13: it is not deliverable, and message 7 comes first
+    assignment.transmit_sets[13] = frozenset({13, 14})
+    scheme.cancel_at[13] = (12, 14)
+    with pytest.raises(SolverFailureError, match="message 7 is singular"):
+        design_beams(topo, channels, assignment, scheme)
+    with pytest.raises(SolverFailureError, match="message 13 is singular"):
+        design_beams(topo, sample_channels(topo, 0), assignment, scheme)
+
+
+def test_zero_pivot_gain_is_named():
+    # receiver 2 must null message 1 through transmitter 2, which it does not hear
+    topo = build_wyner(2)
+    channels = ChannelRealization(coefficients={(1, 1): 1.0 + 0j, (2, 1): 0.5 + 0j}, seed=-1)
+    assignment = MessageAssignment(K=2, transmit_sets={1: frozenset({1, 2}), 2: frozenset()})
+    scheme = ZfScheme(
+        K=2,
+        active_messages=frozenset({1}),
+        serving={1: 1},
+        cancel_at={1: (2,)},
+        deactivated_transmitters=frozenset(),
+        declared_pudof=Fraction(1, 2),
+        declared_backhaul=Fraction(1),
+    )
+    with pytest.raises(SolverFailureError, match="message 1 is singular"):
+        design_beams(topo, channels, assignment, scheme)
 
 
 def test_serving_error_waits_for_earlier_singular_system():
@@ -498,21 +555,32 @@ def _random_valid_schemes(count, seed=0):
     return out
 
 
-def test_rank_rejection_implies_numerical_failure():
-    # Only this direction holds: design_beams pins the serving antenna and
-    # drops trailing free ones, so some deliverable schemes still fail.
+def test_rank_test_agrees_with_numerical_delivery():
     rejected = 0
     for topo, assignment, scheme in _random_valid_schemes(2_000):
-        if certify_lower_bound(topo, scheme, assignment):
-            continue
-        rejected += 1
         channels = sample_channels(topo, 0)
         try:
             beams = design_beams(topo, channels, assignment, scheme)
+            delivered = verify(topo, channels, scheme, beams).passed
         except SolverFailureError:
-            continue
-        assert not verify(topo, channels, scheme, beams).passed, (assignment, scheme)
+            delivered = False
+        certified = certify_lower_bound(topo, scheme, assignment)
+        assert certified == delivered, (assignment, scheme)
+        rejected += not certified
     assert rejected >= 50, rejected
+
+
+def test_random_schemes_ignore_the_cancellation_order():
+    for topo, assignment, scheme in _random_valid_schemes(500, seed=1):
+        channels = sample_channels(topo, 0)
+        outcomes = []
+        for cancel_at in (scheme.cancel_at, {i: c[::-1] for i, c in scheme.cancel_at.items()}):
+            try:
+                beams = design_beams(topo, channels, assignment, dataclasses.replace(scheme, cancel_at=cancel_at))
+                outcomes.append(repr([(i, list(v.items())) for i, v in beams.beams.items()]))
+            except SolverFailureError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1], (assignment, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -547,27 +615,16 @@ def test_channel_draws_are_pinned(topo, seed, digest):
     assert hashlib.sha256(repr(list(coefficients.items())).encode()).hexdigest() == digest
 
 
-def _reversed_cancellation(assignment, scheme):
-    return assignment, dataclasses.replace(
-        scheme, cancel_at={i: c[::-1] for i, c in scheme.cancel_at.items()}
-    )
-
-
 @pytest.mark.parametrize(
     ("topo", "pair", "digest"),
     [
-        (
-            build_wyner(480),
-            _reversed_cancellation(*wyner_backhaul_scheme(480, 2)),
-            "eb9e063faec16e610ba0f19091803c6ef902235587858493ac47b8817465ba1d",
-        ),
         (
             build_two_dim(576),
             two_dim_scheme(576),
             "c4e963d6fc559941706f918eb729da49bdbacdfc94838bfffd05611d7c372704",
         ),
     ],
-    ids=["wyner_K480_B2_dense_seed0", "two_dim_K576_chain_seed0"],
+    ids=["two_dim_K576_chain_seed0"],
 )
 def test_numeric_path_is_pinned(topo, pair, digest):
     assignment, scheme = pair
@@ -576,6 +633,29 @@ def test_numeric_path_is_pinned(topo, pair, digest):
     body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
     body += verify(topo, channels, scheme, beams).to_json()
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    ("topo", "pair"),
+    [
+        (build_wyner(480), wyner_backhaul_scheme(480, 2)),
+        (build_locally_connected(180, 4), table1_scheme(180, 4)),
+    ],
+    ids=["wyner_K480_B2", "table1_L4_K180"],
+)
+def test_cancellation_order_changes_no_bit(topo, pair):
+    assignment, scheme = pair
+    channels = sample_channels(topo, 0)
+
+    def numeric(cancel_at):
+        reordered = dataclasses.replace(scheme, cancel_at=cancel_at)
+        beams = design_beams(topo, channels, assignment, reordered)
+        body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
+        return body + verify(topo, channels, reordered, beams).to_json()
+
+    generated = numeric(scheme.cancel_at)
+    assert numeric({i: c[::-1] for i, c in scheme.cancel_at.items()}) == generated
+    assert numeric({i: c[1:] + c[:1] for i, c in scheme.cancel_at.items()}) == generated
 
 
 def test_batched_draw_matches_the_per_draw_stream():
