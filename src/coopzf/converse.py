@@ -33,11 +33,12 @@ providing the supporting decodability argument.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .assignment import MessageAssignment, metrics
+from .assignment import MessageAssignment
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
 from .oracle import AvoidanceSchedule, _matching, validate_schedule
 from .topology import HexLattice, NetworkTopology
@@ -637,7 +638,8 @@ class BackhaulConverseResult:
         K: number of users.
         slack: ``bound - (4B - 1) K / (4B)`` as an exact fraction;
             zero means the scan is tight against the matching scheme.
-        scanned: bound obtained at every cutoff tried, for reporting.
+        scanned: bound obtained at every cutoff tried, ``M < min(2B, K)``,
+            for reporting.
     """
 
     M: int
@@ -662,19 +664,19 @@ class BackhaulConverseResult:
         }
 
 
-def _low_cooperation_candidates(assignment: MessageAssignment, M: int) -> tuple[list[int], list[int]]:
+def _low_cooperation_candidates(sizes: Sequence[int], M: int) -> tuple[list[int], list[int]]:
     """Messages with small transmit sets, and the evenly spaced candidates among them.
 
     ``S`` lists every message whose transmit set has at most ``M``
-    members, ascending.  Candidates sit at positions ``M + 1``,
-    ``3M + 2``, ``5M + 3``, ... within ``S`` (1-based), i.e. every
-    ``2M + 1`` entries, so any two candidates are separated by at least
-    ``2M`` other low-cooperation messages.  Candidates whose forward
-    window would leave the chain (index ``> K - M``) are dropped; the
-    spacing means at most one candidate is ever dropped.
+    members (``sizes[i - 1] = |T_i|``), ascending.  Candidates sit at
+    positions ``M + 1``, ``3M + 2``, ``5M + 3``, ... within ``S`` (1-based),
+    i.e. every ``2M + 1`` entries, so any two candidates are separated by
+    at least ``2M`` other low-cooperation messages.  Candidates whose
+    forward window would leave the chain (index ``> K - M``) are dropped;
+    the spacing means at most one candidate is ever dropped.
     """
-    K = assignment.K
-    S = [i for i in range(1, K + 1) if len(assignment.transmit_sets[i]) <= M]
+    K = len(sizes)
+    S = [i for i, size in enumerate(sizes, 1) if size <= M]
     kept = [s for s in S[M :: 2 * M + 1] if s + M <= K]
     return S, kept
 
@@ -688,7 +690,8 @@ def backhaul_converse(assignment: MessageAssignment, B: int | Fraction) -> Backh
     enough to pick well-separated candidates; each candidate can be
     deactivated and its signal reconstructed from its neighbors, so no
     scheme can serve them all.  The scan keeps the best (smallest)
-    bound over all cutoffs.
+    bound over the cutoffs ``M < min(2B, K)``: a cutoff ``M >= K``
+    keeps no candidate, so its bound is ``K`` and it is never the best.
 
     Args:
         assignment: transmit sets on a chain network with ``K`` users.
@@ -707,37 +710,27 @@ def backhaul_converse(assignment: MessageAssignment, B: int | Fraction) -> Backh
     B_int = int(B_frac)
     if B_int < 1:
         raise InvalidParameterError("backhaul budget must be at least 1")
-    m = metrics(assignment)
-    if m.B > B_int:
+    K, sets = assignment.K, assignment.transmit_sets
+    sizes = [len(sets[i]) for i in range(1, K + 1)]
+    if sum(sizes) > B_int * K:
         raise PreconditionViolationError(
-            f"assignment has average load {m.B}, above the budget {B_int}"
+            f"assignment has average load {Fraction(sum(sizes), K)}, above the budget {B_int}"
         )
-    K = assignment.K
-    best: tuple[int, int, tuple[int, ...], tuple[int, ...]] | None = None
-    scanned: dict[int, int] = {}
-    for M in range(0, 2 * B_int):
-        S, kept = _low_cooperation_candidates(assignment, M)
-        bound = K - len(kept)
-        scanned[M] = bound
-        if best is None or bound < best[0]:
-            best = (bound, M, tuple(S), tuple(kept))
-    bound, M, S, kept = best
+    candidates = {M: _low_cooperation_candidates(sizes, M) for M in range(min(2 * B_int, K))}
+    scanned = {M: K - len(kept) for M, (_, kept) in candidates.items()}
+    M = min(scanned, key=scanned.__getitem__)  # the first cutoff with the smallest bound
+    (S, kept), bound = candidates[M], scanned[M]
     slack = Fraction(bound) - Fraction((4 * B_int - 1) * K, 4 * B_int)
     return BackhaulConverseResult(
         M=M,
-        S=S,
-        A_bar=kept,
+        S=tuple(S),
+        A_bar=tuple(kept),
         A_bar_size=len(kept),
         bound=bound,
         K=K,
         slack=slack,
         scanned=scanned,
     )
-
-
-def _chain_window(T: frozenset[int], i: int, M: int) -> frozenset[int]:
-    """The part of ``T`` inside message ``i``'s chain window ``[i-M, i+M-1]``."""
-    return frozenset(t for t in T if i - M <= t <= i + M - 1)
 
 
 def appendix_receiver_set(
@@ -758,16 +751,15 @@ def appendix_receiver_set(
     """
     if M < 0:
         raise InvalidParameterError("cutoff must be at least 0")
-    K = assignment.K
-    S, kept = _low_cooperation_candidates(assignment, M)
-    in_S = set(S)
-    reduced_sets = {}
-    for i in range(1, K + 1):
-        T = assignment.transmit_sets[i]
-        if i in in_S:
-            T = _chain_window(T, i, M)
-        reduced_sets[i] = T
-    A = frozenset(range(1, K + 1)) - set(kept)
+    K, sets = assignment.K, assignment.transmit_sets
+    S, kept = _low_cooperation_candidates([len(sets[i]) for i in range(1, K + 1)], M)
+    reduced_sets = dict(sets)
+    for i in S:  # most sets already fit their window; rebuild only the others
+        for t in sets[i]:
+            if not i - M <= t < i + M:
+                reduced_sets[i] = frozenset(t for t in sets[i] if i - M <= t < i + M)
+                break
+    A = frozenset(range(1, K + 1)).difference(kept)
     return A, MessageAssignment(K=K, transmit_sets=reduced_sets)
 
 
@@ -776,12 +768,12 @@ def reconstructibility_check(
 ) -> bool:
     """Whether receivers in ``A`` pin down every transmitted signal on a chain.
 
-    Starts from the signals known trivially — transmitters carrying
-    only messages of receivers inside ``A`` contribute no unknown — and
-    repeatedly uses any receiver in ``A`` whose heard set has a single
-    unknown left to resolve it.  Returns True when the walk resolves
-    every transmitter, which is the decodability fact behind
-    deactivating the complement of ``A``.
+    The unknowns are the transmitters carrying a message of a receiver
+    outside ``A``.  A worklist holds the receivers in ``A`` that hear one
+    unknown; each resolves it and updates only that transmitter's
+    hearers, so the walk costs ``sum(|T_i| for i not in A)`` times the
+    hearing degree.  Returns True when every transmitter is resolved,
+    which is the decodability fact behind deactivating the complement of ``A``.
 
     Args:
         topology: must be a chain network (each receiver hears at most
@@ -791,7 +783,7 @@ def reconstructibility_check(
 
     Raises:
         PreconditionViolationError: for non-chain topologies.
-        InvalidParameterError: if ``A`` contains out-of-range indices.
+        InvalidParameterError: if ``A`` holds anything but ints in ``1..K``.
     """
     chain = topology.kind == "wyner" or (
         topology.kind == "locally_connected" and topology.params.get("L") == 1
@@ -802,21 +794,22 @@ def reconstructibility_check(
         raise InvalidParameterError("topology and assignment sizes disagree")
     K = topology.K
     A = frozenset(A)
-    if any(not (1 <= i <= K) for i in A):
-        raise InvalidParameterError("receiver set contains out-of-range indices")
+    if A and (set(map(type, A)) != {int} or min(A) < 1 or max(A) > K):
+        raise InvalidParameterError(f"receiver set holds a value that is not an int in 1..{K}")
 
-    carried_for_outside: set[int] = set()
-    for i in range(1, K + 1):
-        if i not in A:
-            carried_for_outside.update(assignment.transmit_sets[i])
-    known = set(range(1, K + 1)) - carried_for_outside
-
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(A):
-            unknown = [t for t in topology.hears[j] if t not in known]
-            if len(unknown) == 1:
-                known.add(unknown[0])
-                changed = True
-    return len(known) == K
+    sets = assignment.transmit_sets
+    unknown = set().union(*(sets[i] for i in frozenset(range(1, K + 1)).difference(A)))
+    pending = Counter(j for t in unknown for j in topology.hearers(t) if j in A)
+    ready = [j for j, count in pending.items() if count == 1]
+    while ready:
+        j = ready.pop()
+        if pending[j] != 1:
+            continue  # its last unknown was resolved by another receiver
+        (t,) = topology.hears[j] & unknown
+        unknown.remove(t)
+        for h in topology.hearers(t):
+            if h in A:
+                pending[h] -= 1
+                if pending[h] == 1:
+                    ready.append(h)
+    return not unknown

@@ -18,7 +18,6 @@ from coopzf import (
     metrics,
     wyner_backhaul_scheme,
 )
-from coopzf.converse import _chain_window
 
 
 def reduce_wyner(assignment: MessageAssignment, M: int) -> MessageAssignment:
@@ -37,7 +36,10 @@ def reduce_wyner(assignment: MessageAssignment, M: int) -> MessageAssignment:
     for i, T in assignment.transmit_sets.items():
         if len(T) > M:
             raise PreconditionViolationError(f"|T_{i}| = {len(T)} exceeds M = {M}")
-    reduced = {i: _chain_window(T, i, M) for i, T in assignment.transmit_sets.items()}
+    reduced = {
+        i: frozenset(t for t in T if i - M <= t <= i + M - 1)
+        for i, T in assignment.transmit_sets.items()
+    }
     return MessageAssignment(K=assignment.K, transmit_sets=reduced)
 
 

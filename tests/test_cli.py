@@ -436,6 +436,18 @@ def test_certify_backhaul(capsys, monkeypatch):
     assert doc["scanned"] == {"0": 6, "1": 6}
 
 
+def test_certify_backhaul_scans_no_cutoff_beyond_the_users(capsys, monkeypatch):
+    # a cutoff M >= K keeps no candidate, so a huge budget costs nothing extra
+    doc = json.dumps({"K": 2, "transmit_sets": [[1], [2]]})
+    start = time.perf_counter()
+    code, out, _ = _run(["certify", "--backhaul", "--B", "1000000000"], capsys, monkeypatch, stdin=doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    result = json.loads(out)
+    assert result["scanned"] == {"0": 2, "1": 2}
+    assert (result["M"], result["bound"]) == (0, 2)
+
+
 def test_certify_groups(capsys, monkeypatch):
     empty = json.dumps({"K": 9, "transmit_sets": [[] for _ in range(9)]})
     code, out, _ = _run(["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=empty)

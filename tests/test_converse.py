@@ -39,6 +39,7 @@ from coopzf import (
 )
 from coopzf import converse
 from coopzf.converse import _bound_problems, _lp_bound
+from test_zf_engine import _CountingVector
 from worked_example import toy_instance
 
 
@@ -568,3 +569,134 @@ def test_budget_scan_dominates_exact_activation():
         for M in (0, 1):
             A, reduced = appendix_receiver_set(a, M)
             assert reconstructibility_check(topo, reduced, A)
+
+
+def test_reconstruction_walk_rejects_receivers_that_are_not_users():
+    topo = build_wyner(4)
+    a = MessageAssignment(K=4, transmit_sets={i: frozenset({i}) for i in range(1, 5)})
+    for A in ({1, 2, 2.5}, {True, 2, 3}, {1, 2.0}, {0, 1}, {5}):
+        with pytest.raises(InvalidParameterError, match="not an int in 1..4"):
+            reconstructibility_check(topo, a, A)
+
+
+# References for the backhaul chain: the sweep walk and the full trimming
+# pass that the worklist walk and the windowed copy replaced.
+
+
+def _reference_candidates(assignment, M):
+    K = assignment.K
+    S = [i for i in range(1, K + 1) if len(assignment.transmit_sets[i]) <= M]
+    return S, [s for s in S[M :: 2 * M + 1] if s + M <= K]
+
+
+def _sweep_walk(topology, assignment, A):
+    """Reference walk: sweep ``A`` ascending until a pass resolves nothing."""
+    K = topology.K
+    carried_for_outside = set()
+    for i in range(1, K + 1):
+        if i not in A:
+            carried_for_outside.update(assignment.transmit_sets[i])
+    known = set(range(1, K + 1)) - carried_for_outside
+    changed = True
+    while changed:
+        changed = False
+        for j in sorted(A):
+            unknown = [t for t in topology.hears[j] if t not in known]
+            if len(unknown) == 1:
+                known.add(unknown[0])
+                changed = True
+    return len(known) == K
+
+
+def _trimmed_receiver_set(assignment, M):
+    """Reference receiver set: rebuild every transmit set, windowing the low-cooperation ones."""
+    K = assignment.K
+    S, kept = _reference_candidates(assignment, M)
+    in_S = set(S)
+    reduced = {}
+    for i in range(1, K + 1):
+        T = assignment.transmit_sets[i]
+        if i in in_S:
+            T = frozenset(t for t in T if i - M <= t <= i + M - 1)
+        reduced[i] = T
+    return frozenset(range(1, K + 1)) - set(kept), MessageAssignment(K=K, transmit_sets=reduced)
+
+
+def _scan_reference(assignment, B):
+    """Reference scan over every cutoff ``M < 2B``, keeping the first smallest bound."""
+    K = assignment.K
+    best, scanned = None, {}
+    for M in range(2 * B):
+        S, kept = _reference_candidates(assignment, M)
+        scanned[M] = K - len(kept)
+        if best is None or scanned[M] < best[0]:
+            best = (scanned[M], M, tuple(S), tuple(kept))
+    bound, M, S, kept = best
+    slack = Fraction(bound) - Fraction((4 * B - 1) * K, 4 * B)
+    return converse.BackhaulConverseResult(M, S, kept, len(kept), bound, K, slack, scanned)
+
+
+def _budgeted_chain(K, B, rng):
+    budget, sets = B * K, {}
+    for i in range(1, K + 1):
+        lo, hi = max(1, i - 2 * B), min(K, i + 2 * B - 1)
+        size = min(rng.randint(0, 2 * B), budget, hi - lo + 1)
+        budget -= size
+        sets[i] = frozenset(rng.sample(range(lo, hi + 1), size))
+    return MessageAssignment(K=K, transmit_sets=sets)
+
+
+def test_backhaul_chain_matches_the_references_on_random_chains():
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for draw in range(2000):
+        K, B = rng.randint(1, 40), rng.randint(1, 3)
+        topo = build_wyner(K) if draw % 2 else build_locally_connected(K, 1)
+        a = _budgeted_chain(K, B, rng)
+        A = frozenset(i for i in range(1, K + 1) if rng.random() < 0.8)
+        verdict = reconstructibility_check(topo, a, A)
+        assert verdict == _sweep_walk(topo, a, A), (a.transmit_sets, A)
+        verdicts[verdict] += 1
+        for M in range(2 * B + 1):
+            pair = appendix_receiver_set(a, M)
+            assert pair == _trimmed_receiver_set(a, M)
+            assert reconstructibility_check(topo, pair[1], pair[0]) == _sweep_walk(topo, pair[1], pair[0])
+        # a budget with 2B > K scans only the cutoffs M < K, and the result
+        # is the one the full scan picks
+        expected = _scan_reference(a, B).to_json()
+        expected["scanned"] = {m: v for m, v in expected["scanned"].items() if int(m) < K}
+        assert backhaul_converse(a, B).to_json() == expected
+    assert min(verdicts.values()) >= 500, verdicts
+
+
+@pytest.mark.parametrize("B", [1, 2, 3])
+def test_backhaul_chain_matches_the_references_at_sweep_sizes(B):
+    rng = random.Random(B)
+    for K in (240, 480, 720, 960):
+        topo = build_wyner(K)
+        for a in (wyner_backhaul_scheme(K, B)[0], _budgeted_chain(K, B, rng)):
+            assert backhaul_converse(a, B).to_json() == _scan_reference(a, B).to_json()
+            for M in range(2 * B):
+                A, reduced = appendix_receiver_set(a, M)
+                assert (A, reduced) == _trimmed_receiver_set(a, M)
+                assert reconstructibility_check(topo, reduced, A) and _sweep_walk(topo, reduced, A)
+
+
+def test_reconstruction_walk_cost_does_not_grow_with_users():
+    # one deactivated user: the walk reads only the rows near it, where the
+    # sweep reads every row of A at least twice
+    counts = []
+    for K in (96, 7680):
+        topo = build_wyner(K)
+        tally = [0]
+        topo.hears = _CountingVector(topo.hears, tally)
+        topo._hearers = _CountingVector(topo._hearers, tally)
+        a, _ = wyner_backhaul_scheme(K, 2)
+        A = frozenset(range(1, K + 1)) - {6}
+        assert reconstructibility_check(topo, a, A)
+        counts.append(tally[0])
+        if K == 96:
+            tally[0] = 0
+            assert _sweep_walk(topo, a, A)
+            assert tally[0] >= 2 * len(A)
+    assert counts[0] == counts[1] > 0, counts

@@ -673,7 +673,7 @@ def test_resampling_follows_the_per_draw_stream(monkeypatch):
 
 
 class _CountingVector(dict):
-    """A beam vector that counts every read of its entries in a shared tally."""
+    """A beam vector or hearing map that counts every read of its entries in a shared tally."""
 
     def __init__(self, entries, tally):
         super().__init__(entries)
