@@ -315,65 +315,96 @@ def max_avoidance_cooperative(
     message is independent of the others', so the set is feasible iff
     those minima fit the budget.  The minima are found level-wise for
     all open messages together: at level ``l`` every open message tries
-    the size-``l`` subsets of the antennas the active set hears, in lex
-    order, and its first deliverable one is its cheapest.  A message
-    still open after level ``l`` provably costs at least ``l + 1``, so
-    the set is rejected as soon as the proven costs sum past the budget,
-    or when a message stays open after the whole pool.  Each message
-    gets the lex-first minimum-size transmit set.
+    the size-``l`` subsets of its ball in lex order, and its first
+    deliverable one is its cheapest.  A message still open after level
+    ``l`` provably costs at least ``l + 1``, so the set is rejected as
+    soon as the proven costs sum past the budget, or when a message is
+    still open after the last level, the size of the pool the set hears.
 
-    Transmit sets and hearing sets are bitmasks.  A subset that misses
-    the message's own receiver is rejected by one ``&``; otherwise its
-    support rows go to :func:`_deliverable`, whose verdicts are
-    memoised for the duration of the call, keyed by the rows, since
-    many active sets share the same local row systems.  Every subset
-    tried counts as a node and ticks the time limit.
+    The ball of message ``i`` at level ``l`` holds the antennas within
+    ``l - 1`` hops of ``heard[i]``; one hop adds ``heard[k]`` for each
+    active ``k`` that hears the ball.  Lemma: a minimum-size deliverable
+    set ``T`` is connected in the bipartite graph between ``T`` and its
+    rows (receiver ``i`` and the active receivers that hear ``T``).  Were
+    it not, the row system would be block-diagonal; generic rank is term
+    rank (Edmonds 1967) and adds over the blocks, so the component that
+    holds row ``i`` would be deliverable on its own and smaller.  Each
+    member of ``T`` is therefore within ``l - 1`` hops, and as the ball
+    is a sublist of the pool, each message still gets the lex-first
+    minimum-size transmit set of the whole pool.
+
+    A level's outcome depends only on ``(i, l, N)``, where ``N`` lists
+    the other active receivers that hear the ball; ``N`` also fixes the
+    ball, hop by hop.  The first deliverable set, or None, is memoised
+    under that key for the call, and so are the verdicts of
+    :func:`_deliverable`, keyed by the rows.  Sets are bitmasks, and a
+    subset that misses the own receiver is rejected by one ``&``.  Each
+    active set tried and each subset tried is a node and ticks the time
+    limit, so a run of memo hits still reads the clock.
 
     Raises:
-        InvalidParameterError: ``B`` is negative, ``node_limit`` is
-            below 1, or ``time_limit`` is not finite and positive.
+        InvalidParameterError: ``B`` is negative or not finite,
+            ``node_limit`` is below 1, or ``time_limit`` is not finite
+            and positive.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
     if B < 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
+    if not B < math.inf:
+        raise InvalidParameterError(f"B must be finite, got {B}")
     K = topology.K
     search = _Search(K, node_limit, time_limit)
     budget = int(Fraction(B) * K)
     heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
     verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
+    cheapest: dict[tuple[int, int, tuple[int, ...]], int | None] = {}
+
+    def first(i: int, level: int, near: tuple[int, ...], ball: int) -> int | None:
+        """The lex-first deliverable size-``level`` subset of ``ball`` for message ``i``."""
+        own = heard[i]
+        rows = [heard[k] for k in near]
+        for combo in itertools.combinations([1 << t for t in _bits(ball)], level):
+            search.tick()
+            T = sum(combo)
+            desired = T & own
+            if not desired:
+                continue
+            key = (desired, tuple(row for h in rows if (row := T & h)))
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = _deliverable(*key)
+            if ok:
+                return T
+        return None
 
     def fit(A: tuple[int, ...]) -> dict[int, frozenset[int]] | None:
         """Each message's cheapest transmit set, or None if they overrun the budget."""
+        search.tick()
         pool = 0
         for k in A:
             pool |= heard[k]
-        antennas = [1 << t for t in _bits(pool)]
+        others = [(k, heard[k]) for k in A]
+        balls = {i: heard[i] for i in A}
         sets: dict[int, frozenset[int]] = {}
         waiting = A
         proven = len(A)  # sum of the proven per-message costs
-        for level in range(1, len(antennas) + 1):
+        for level in range(1, pool.bit_count() + 1):
             still = []
             for i in waiting:
-                own = heard[i]
-                others = [heard[k] for k in A if k != i]
-                for combo in itertools.combinations(antennas, level):
-                    search.tick()
-                    T = sum(combo)
-                    desired = T & own
-                    if not desired:
-                        continue
-                    key = (desired, tuple(row for h in others if (row := T & h)))
-                    ok = verdicts.get(key)
-                    if ok is None:
-                        ok = verdicts[key] = _deliverable(*key)
-                    if ok:
-                        sets[i] = frozenset(_bits(T))
-                        break
-                else:
-                    proven += 1
-                    if proven > budget:
-                        return None
-                    still.append(i)
+                near = tuple(k for k, h in others if k != i and h & balls[i])
+                key = (i, level, near)
+                if key not in cheapest:
+                    cheapest[key] = first(i, level, near, balls[i])
+                T = cheapest[key]
+                if T is not None:
+                    sets[i] = frozenset(_bits(T))
+                    continue
+                proven += 1
+                if proven > budget:
+                    return None
+                still.append(i)
+                for k in near:
+                    balls[i] |= heard[k]
             if not still:
                 return sets
             waiting = still

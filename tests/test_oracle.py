@@ -35,7 +35,7 @@ from coopzf import (
 )
 from coopzf import oracle
 from coopzf.assignment import MessageAssignment
-from coopzf.oracle import _deliverable, _matching
+from coopzf.oracle import _bits, _deliverable, _mask, _matching
 
 
 def test_single_transmitter_chain_values():
@@ -236,11 +236,148 @@ def test_cooperative_matches_reference(L):
             assert got == _cooperative_reference(topo, B), (K, B)
 
 
+def _whole_pool_reference(topology, B):
+    """Reference: the level-wise search with every message trying subsets of the whole pool.
+
+    Each active set ``A`` offers every open message all size-``l`` subsets
+    of the antennas ``A`` hears, and re-derives its cheapest set for every
+    ``A``; there is no ball, no memo, no node count and no deadline.
+    """
+    K = topology.K
+    budget = int(Fraction(B) * K)
+    heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
+
+    def fit(A):
+        pool = 0
+        for k in A:
+            pool |= heard[k]
+        antennas = [1 << t for t in _bits(pool)]
+        sets = {}
+        waiting = A
+        proven = len(A)
+        for level in range(1, len(antennas) + 1):
+            still = []
+            for i in waiting:
+                others = [heard[k] for k in A if k != i]
+                for combo in itertools.combinations(antennas, level):
+                    T = sum(combo)
+                    desired = T & heard[i]
+                    if desired and _deliverable(desired, [row for h in others if (row := T & h)]):
+                        sets[i] = frozenset(_bits(T))
+                        break
+                else:
+                    proven += 1
+                    if proven > budget:
+                        return None
+                    still.append(i)
+            if not still:
+                return sets
+            waiting = still
+        return None
+
+    empty = {i: frozenset() for i in range(1, K + 1)}
+    for size in range(min(K, budget), 0, -1):
+        for A in itertools.combinations(range(1, K + 1), size):
+            sets = fit(A)
+            if sets is not None:
+                return size, frozenset(A), {**empty, **sets}
+    return 0, frozenset(), empty
+
+
+def _component(desired, crows):
+    """The rows connected to the desired row through shared columns, in order."""
+    reach = desired
+    grown = True
+    while grown:
+        grown = False
+        for row in crows:
+            if row & reach and row & ~reach:
+                reach |= row
+                grown = True
+    return [row for row in crows if row & reach]
+
+
+def test_deliverability_depends_only_on_the_desired_component():
+    # Rows drawn on two disjoint column halves split the row system into
+    # blocks; generic rank adds over the blocks, so the blocks that miss
+    # the desired row cannot change its verdict.
+    rng = np.random.default_rng(18)
+    split = verdicts = 0
+    for _ in range(2_000):
+        desired = int(rng.integers(1, 8))
+        sides = rng.choice([0, 3], size=rng.integers(1, 7))
+        crows = [int(rng.integers(1, 8)) << int(side) for side in sides]
+        part = _component(desired, crows)
+        assert _deliverable(desired, crows) == _deliverable(desired, part), (desired, crows)
+        split += len(part) < len(crows)
+        verdicts += _deliverable(desired, crows)
+    assert split > 1_000
+    assert 300 < verdicts < 1_700
+
+
+def _ball(heard, i, A, hops):
+    """The antennas within ``hops`` hops of ``heard[i]``, hopping through the receivers of ``A``."""
+    ball = heard[i]
+    for _ in range(hops):
+        for h in [heard[k] for k in A if heard[k] & ball]:
+            ball |= h
+    return ball
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [
+        build_wyner(7),
+        build_locally_connected(7, 2),
+        build_locally_connected(7, 3),
+        build_hexagonal(3)[0],
+    ],
+    ids=["wyner7", "lc2-7", "lc3-7", "hex3"],
+)
+def test_minimum_transmit_sets_lie_in_the_ball(topo):
+    # Every minimum-size deliverable set of size l, over the whole pool of
+    # every active set, lies within l - 1 hops of the own receiver's antennas.
+    K = topo.K
+    heard = {i: _mask(topo.hears[i]) for i in range(1, K + 1)}
+    outside_ball = 0
+    for size in range(1, K + 1):
+        for A in itertools.combinations(range(1, K + 1), size):
+            pool = _mask(t for k in A for t in topo.hears[k])
+            for i in A:
+                for level in range(1, pool.bit_count() + 1):
+                    found = []
+                    for combo in itertools.combinations([1 << t for t in _bits(pool)], level):
+                        T = sum(combo)
+                        crows = [T & heard[k] for k in A if k != i and T & heard[k]]
+                        if T & heard[i] and _deliverable(T & heard[i], crows):
+                            found.append(T)
+                    if found:
+                        ball = _ball(heard, i, A, level - 1)
+                        assert all(T & ~ball == 0 for T in found), (A, i, level)
+                        outside_ball += pool & ~ball != 0
+                        break
+    assert outside_ball > 0
+
+
 def _chains(Ks):
     for L in (None, 1, 2, 3):
         for K in Ks:
             name = f"wyner{K}" if L is None else f"lc{L}-{K}"
             yield name, build_wyner(K) if L is None else build_locally_connected(K, L)
+
+
+_BUDGETS = (0, Fraction(1, 2), 1, 2)
+
+
+def _coop_cases():
+    """The cooperative search's grid: chains K <= 10 and hex n=3 at every budget, hex n=4 at B <= 1.
+
+    hex n=4 at B=2 is left out: it takes 2.75 million nodes and several seconds.
+    """
+    hex3, _ = build_hexagonal(3)
+    hex4, _ = build_hexagonal(4)
+    cases = [(name, topo, B) for name, topo in _chains(range(1, 11)) for B in _BUDGETS]
+    return cases + [("hex3", hex3, B) for B in _BUDGETS] + [("hex4", hex4, B) for B in _BUDGETS[:3]]
 
 
 def _oracle_digest() -> str:
@@ -250,13 +387,7 @@ def _oracle_digest() -> str:
     def put(*items):
         digest.update(repr(items).encode() + b"\n")
 
-    hex3, _ = build_hexagonal(3)
-    hex4, _ = build_hexagonal(4)
-    budgets = (0, Fraction(1, 2), 1, 2)
-    # hex n=4 stops at B=1/2: B=1 and B=2 take 1.7 and 5.4 million nodes.
-    coop = [(name, topo, B) for name, topo in _chains(range(1, 11)) for B in budgets]
-    coop += [("hex3", hex3, B) for B in budgets] + [("hex4", hex4, B) for B in budgets[:2]]
-    for name, topo, B in coop:
+    for name, topo, B in _coop_cases():
         value, witness = max_avoidance_cooperative(topo, B, node_limit=topo.K)
         sets = sorted((i, sorted(T)) for i, T in witness.assignment.transmit_sets.items())
         put("coop", name, str(B), value, sorted(witness.active), sets, witness.nodes_explored)
@@ -272,16 +403,29 @@ def _oracle_digest() -> str:
 
 
 def test_oracle_outputs_are_pinned():
-    # Taken from the frozenset searches that ran two full matchings per
-    # deliverability test; the bitmask searches must reproduce every value,
-    # witness and node count.
-    assert _oracle_digest() == "403c740bfd61b9c6e6b17b7725b905cb6a45abefd708fccf80c6d1f445b959be"
+    # Taken when the cooperative search first offered each message only its
+    # ball; values and witnesses equal the whole-pool reference's, and the
+    # activation and single-transmitter outputs, node counts included, are
+    # those of the frozenset searches that ran two full matchings per test.
+    assert _oracle_digest() == "b2f57f596f09c557c509350ec6018eaffe4ea02b462e7687c635c015501eddc2"
 
 
 def test_cooperative_lc3_k12_b2():
+    # The whole-pool search needs 247,725 nodes here.
     value, witness = max_avoidance_cooperative(build_locally_connected(12, 3), 2)
     assert value == 8
-    assert witness.nodes_explored == 247_725
+    assert witness.nodes_explored == 73_736
+
+
+@pytest.mark.parametrize("family", ["wyner", "lc", "hex3", "hex4", "grid"])
+def test_cooperative_matches_whole_pool_reference(family):
+    # The digest grid plus grid K=9 and K=16 at B <= 1.
+    grid = [(f"grid{K}", build_two_dim(K), B) for K in (9, 16) for B in _BUDGETS[:3]]
+    for name, topo, B in _coop_cases() + grid:
+        if name.startswith(family):
+            value, witness = max_avoidance_cooperative(topo, B, node_limit=topo.K)
+            got = (value, witness.active, witness.assignment.transmit_sets)
+            assert got == _whole_pool_reference(topo, B), (name, B)
 
 
 @pytest.mark.parametrize(
@@ -311,9 +455,15 @@ def test_cooperative_zero_budget():
     assert witness.active == frozenset()
 
 
-@pytest.mark.parametrize("B", [-1, Fraction(-1, 2)], ids=["-1", "-1/2"])
+@pytest.mark.parametrize("B", [-1, Fraction(-1, 2), float("-inf")], ids=["-1", "-1/2", "-inf"])
 def test_cooperative_rejects_negative_budget(B):
     with pytest.raises(InvalidParameterError, match="B must be >= 0"):
+        max_avoidance_cooperative(build_wyner(4), B)
+
+
+@pytest.mark.parametrize("B", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_cooperative_rejects_non_finite_budget(B):
+    with pytest.raises(InvalidParameterError, match="B must be finite"):
         max_avoidance_cooperative(build_wyner(4), B)
 
 
@@ -495,6 +645,16 @@ def test_node_limit_must_be_positive(limit):
 def test_time_limit_enforced():
     with pytest.raises(ResourceLimitError):
         max_avoidance_cooperative(build_wyner(8), 2, time_limit=1e-9)
+
+
+def test_time_limit_stops_a_long_cooperative_search():
+    # hex n=4 at B=2 takes 2.75 million nodes; the deadline is read within
+    # 1024 nodes, memo hits included, since every active set tried ticks.
+    topo, _ = build_hexagonal(4)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="time limit"):
+        max_avoidance_cooperative(topo, 2, node_limit=topo.K, time_limit=1e-3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_expired_time_limit_stops_tiny_searches():
