@@ -19,6 +19,7 @@ wins); no other subcommand reads either.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -399,7 +400,14 @@ def _add_one_of(sub: argparse.ArgumentParser, dest: str, names: tuple[str, ...])
         )
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first :func:`main` call and reused.
+
+    Reuse is safe: every parse returns a fresh ``Namespace``, and argparse
+    looks up ``sys.stdout``/``sys.stderr`` only when it prints.  Importing
+    this module builds nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="coopzf",
         description="Cooperative zero-forcing schemes, oracles, and certified bounds.",

@@ -7,7 +7,8 @@ preconditions, unsupported inputs) from internal failures (a linear solve
 that unexpectedly degenerates, a decomposition search that comes up empty)
 and from deliberate resource guards on exponential searches.  The JSON
 readers share one context manager that reports a malformed document as
-an invalid parameter, and one check of the user indices they read.
+an invalid parameter, one check of the user indices they read, and one
+check of the JSON type of their other fields.
 """
 
 from __future__ import annotations
@@ -73,4 +74,20 @@ def _check_users(kind: str, K, users: Iterable) -> None:
         if type(u) is not int or not 1 <= u <= K:
             raise InvalidParameterError(
                 f"malformed {kind} document (user {u!r} is not an int or lies outside 1..{K})"
+            )
+
+
+def _check_fields(kind: str, obj: dict, /, **types: type) -> None:
+    """Reject a document whose named fields, where present, are not of the given types.
+
+    Only the types are named in the message, so a huge value costs nothing
+    to report.  A missing field is left to the reader's own lookup.
+
+    Raises:
+        InvalidParameterError: naming the first field of another type.
+    """
+    for name, expected in types.items():
+        if name in obj and not isinstance(obj[name], expected):
+            raise InvalidParameterError(
+                f"malformed {kind} document ({name} is a {type(obj[name]).__name__}, not a {expected.__name__})"
             )

@@ -22,7 +22,13 @@ import json
 import math
 
 from .assignment import MessageAssignment
-from .errors import DecompositionFailureError, InvalidParameterError, _check_users, _document_errors
+from .errors import (
+    DecompositionFailureError,
+    InvalidParameterError,
+    _check_fields,
+    _check_users,
+    _document_errors,
+)
 from .topology import HexLattice, NetworkTopology, topology_from_dict
 
 
@@ -645,9 +651,11 @@ def scheme_from_json(
             index that is not an ``int`` in ``1..K`` (a boolean or an
             integral float is not), ``serving``/``cancel_at`` keys other
             than the decimal forms ``str(i)`` of the active users (so
-            ``"01"``, ``"+1"`` and ``" 1"`` are refused), an embedded
-            topology of another ``K``, or a deactivated transmitter
-            inside an active transmit set.
+            ``"01"``, ``"+1"`` and ``" 1"`` are refused), a ``name`` that
+            is not a string, a ``family`` that is not a list, declared
+            fractions that are not strings, an embedded topology of
+            another ``K`` or of the wrong field types, or a deactivated
+            transmitter inside an active transmit set.
     """
     with _document_errors("scheme"):
         obj = json.loads(text)
@@ -665,7 +673,9 @@ def scheme_from_json(
             raise InvalidParameterError(
                 "malformed scheme document (serving/cancel_at not keyed by active)"
             )
+        _check_fields("scheme", obj, name=str, family=list, declared=dict)
         declared = obj.get("declared", {})
+        _check_fields("scheme", declared, pudof=str, backhaul=str)
         scheme = ZfScheme(
             K=obj["K"],
             active_messages=frozenset(obj["active"]),

@@ -24,7 +24,7 @@ from itertools import chain
 import json
 import math
 
-from .errors import InvalidParameterError, _check_users, _document_errors
+from .errors import InvalidParameterError, _check_fields, _check_users, _document_errors
 
 # Coset names for lattice points z = a + b*w (w a primitive sixth root of
 # unity); the class of (a + b) mod 3 determines which edges leave z.
@@ -88,10 +88,17 @@ class NetworkTopology:
 
 
 def topology_from_dict(obj) -> NetworkTopology:
-    """Rebuild a :class:`NetworkTopology` from the parsed object of :meth:`NetworkTopology.to_json`."""
+    """Rebuild a :class:`NetworkTopology` from the parsed object of :meth:`NetworkTopology.to_json`.
+
+    Raises:
+        InvalidParameterError: a missing field, a ``K`` or hearing list
+            entry that is not an ``int`` user, a ``kind`` that is not a
+            string or ``params`` that is not an object.
+    """
     with _document_errors("topology"):
         rows = obj["hears"]
         _check_users("topology", obj["K"], chain.from_iterable(rows))
+        _check_fields("topology", obj, kind=str, params=dict)
         hears = {i + 1: frozenset(row) for i, row in enumerate(rows)}
         return NetworkTopology(kind=obj["kind"], K=obj["K"], params=obj["params"], hears=hears)
 

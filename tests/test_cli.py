@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,22 @@ _INCONSISTENT_SCHEMES = {
     "K '4'": json.dumps({**json.loads(_wyner_document()), "K": "4"}),
 }
 
+# Scheme documents whose other fields have the wrong JSON type; the readers
+# would echo them (name), split them (family) or read them as numbers
+# (declared fractions, which are strings in every written document).
+_WYNER_TOPOLOGY = json.loads(build_wyner(4).to_json())
+_MISTYPED_FIELDS = {
+    "name 5": _wyner_document(name=5),
+    "name object": _wyner_document(name={"a": 1}),
+    "family 'ab'": _wyner_document(family="ab"),
+    "declared pudof 1.5": _wyner_document(declared={"pudof": 1.5, "backhaul": "1"}),
+    "declared pudof true": _wyner_document(declared={"pudof": True, "backhaul": "1"}),
+    "declared backhaul 1": _wyner_document(declared={"pudof": "3/4", "backhaul": 1}),
+    "declared list": _wyner_document(declared=["3/4", "1"]),
+    "topology kind 7": _wyner_document(topology={**_WYNER_TOPOLOGY, "kind": 7}),
+    "topology params [1]": _wyner_document(topology={**_WYNER_TOPOLOGY, "params": [1]}),
+}
+
 # Assignment and schedule documents whose K or users are not ints in 1..K.
 _NON_INTEGER_USERS = {
     "transmit set names true": (
@@ -158,7 +178,7 @@ _MALFORMED_CASES = [
 ] + [
     pytest.param(argv, document, id=f"{' '.join(argv)}-{label}")
     for argv in (["verify"], ["report"], ["certify", "--lower-bound"])
-    for label, document in _INCONSISTENT_SCHEMES.items()
+    for label, document in {**_INCONSISTENT_SCHEMES, **_MISTYPED_FIELDS}.items()
 ] + [
     pytest.param(argv, json.dumps(obj), id=f"{' '.join(argv)}-{label}")
     for label, (argv, obj) in _NON_INTEGER_USERS.items()
@@ -577,3 +597,181 @@ def test_table_formats(capsys):
     code, out, _ = _run(["table1", "--format", "text"], capsys)
     assert code == 0
     assert out.splitlines()[0].split() == ["L", "pudof", "backhaul", "ratio", "K_min"]
+
+
+# A fixed script of invocations with their exit codes; ``_PIPE`` feeds the
+# stdout of the latest ``scheme`` call to stdin.  Each call's exit code,
+# stdout and stderr are hashed together, so a change to any byte of the
+# front end's output (argparse's usage text included) moves a digest.
+# argparse's wording differs between Python minor versions; the digests
+# are of Python 3.11.
+_PIPE = object()
+_DROPPED_CANCELLATION = _wyner_document(
+    8, cancel_at={"1": [], "2": [], "4": [], "5": [6], "6": [], "8": []}
+)
+_TRANSCRIPT = [
+    (["scheme", "--wyner", "--K", "8", "--B", "1"], None, 0),
+    (["verify", "--seed", "7"], _PIPE, 0),
+    (["certify", "--backhaul", "--B", "1"], _PIPE, 0),
+    (["oracle", "--max-activation", "--wyner", "--K", "8"], _PIPE, 0),
+    (["scheme", "--lc", "--K", "12", "--L", "2", "--M", "2"], None, 0),
+    (["verify"], _PIPE, 0),
+    (["scheme", "--table1", "--K", "18", "--L", "4"], None, 0),
+    (["verify", "--seed", "2"], _PIPE, 0),
+    (["scheme", "--two-dim", "--K", "144"], None, 0),
+    (["verify"], _PIPE, 0),
+    (["scheme", "--hex-coset", "--n", "6"], None, 0),
+    (["verify", "--seed", "5"], _PIPE, 0),
+    (["report"], _PIPE, 0),
+    (["scheme", "--hex-coop", "--n", "6"], None, 0),
+    (["verify", "--seed", "3"], _PIPE, 0),
+    (["report"], _PIPE, 0),
+    (["certify", "--lower-bound"], _PIPE, 0),
+    (["certify", "--groups", "--n", "3"], json.dumps({"K": 9, "transmit_sets": [[] for _ in range(9)]}), 0),
+    (["certify", "--states", "--n", "3"], json.dumps({"pairs": [[1, 1], [5, 5]]}), 0),
+    (["oracle", "--m1", "--hex", "--n", "4"], None, 0),
+    (["oracle", "--coop", "--wyner", "--K", "4", "--B", "1"], None, 0),
+    (["table1"], None, 0),
+    (["table1", "--format", "csv"], None, 0),
+    (["table1", "--L", "5", "--format", "text"], None, 0),
+    (["verify"], _DROPPED_CANCELLATION, 1),
+    (["scheme", "--bogus"], None, 2),
+    (["report"], "not json", 2),
+    (["oracle", "--m1", "--wyner", "--K", "40", "--node-limit", "5"], None, 3),
+]
+
+_TRANSCRIPT_SHA256 = [
+    "fecfb9958a0b1d760ab871fa16a9b59d47166b25d807d249bafe02ec0909b40f",
+    "74d4858d247d342145b6a4b6bc535b4496cc9cac12c7900c41cf03589a6849ce",
+    "b8b9b811ebb96163ec2cb8054a65733a5a3e840b300031c9ead8c9c5594d54ea",
+    "74934500f926ec26ab5687b628115e6ca5dcc7f3faf9c7ee1ee88a1c3b35ac20",
+    "29a76c35f375d13ff39f35332477c1defa3068e2691f527b85f941ff37f34d7c",
+    "6c7718d9912aad54a4a5e79a35b378e2d6dfe21ebea7b2c3a658b79f4f3f3694",
+    "0b702ab2b7782d534dc65307ec8e46e17efaed8695e8e8e33b95772cd6eaae73",
+    "7c0006f7e45ee272266d75f4e6c81d5146599d36fdad88f1bd702e73c3123e16",
+    "5e4beb57fdd608b9ad8c5e739da0db7ad95d9cb249ab5eb50adc57e1bc1dcf0a",
+    "e16981dfa35dba4d6fe66844501ddcd608bc7e80715a8d2ef310e45af3002ac9",
+    "5a211610b6916602c6b7dfb532aafc850ff9bc3e0aa672d4b2596fe674bf57cc",
+    "4cedd47406efe99e6160e8c87fdae499b6ddf11281f6240fa73c4781ae50f256",
+    "ee785335d8abfc5914d6cb066e4b5ac17f87fb8a1c60ae0806c418b77e8c5917",
+    "406a8f914f1f8cf4a3bb11068c40751ac2a49f32245dc95949fa7ad738109a87",
+    "01e9e6877713df29eeb067a255df20911092e5eee19329fd5700b43dc4739099",
+    "78e5cc7234eb73ec7089df06afee9eacac32c7c0a8c02cf546d9402aedf1fcc5",
+    "98fed51f15db93fa0c861923ecd957bb62c52262fdf6a04f962f2d9e5352247f",
+    "5f385efa967eaf936f17fee932bd38bcfdc43327999a11a5ad71a07fdf2bcb99",
+    "7624cf137b8f2434cec9bb0e6ebc766e5ece37e63fd5677bfe295b9fa28b76fa",
+    "a23cc549d9a5629dc99b8db182678afc47296452163e0ccf61430b7091deb281",
+    "bd4ab25b06f3998287fd4738257ff09336349b759e7d27013e90da403750ec78",
+    "c8577c4fd0c6722197c24bd5cac6681920460171574fb2c0d1bd3022e26fffac",
+    "109b09198565b72b420fdbf0f3eacda4f81d6de729a1c8bcddff542e439c9a85",
+    "8a736deb962bb95d9f380338ad3dd52780ba0d4565db3c5daab122bc5d8b3d0a",
+    "f09b45bf284f1f7365823065951769fee46afe37047f3eec0248c0f6e8878e0c",
+    "150d8d318cba5b282759e36d582efe26a135edbaa2d50c0fd1730eb493c25737",
+    "d4a0d195b9312088552f49954a3ef89f0e0a3126e540342bbc002c949288da15",
+    "60677fcd47f4fa08591d9b0ac5980bf94ec0d6c5c9c41b2f2a99a1093646f952",
+]
+
+
+def _transcript(capsys, monkeypatch) -> tuple[list[int], list[str]]:
+    codes, digests, scheme_out = [], [], ""
+    for argv, stdin, _ in _TRANSCRIPT:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(scheme_out if stdin is _PIPE else stdin or ""))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if argv[0] == "scheme":
+            scheme_out = out
+        codes.append(code)
+        digests.append(hashlib.sha256(f"{code}\n{out}{err}".encode()).hexdigest())
+    return codes, digests
+
+
+def test_pinned_cli_transcript(capsys, monkeypatch):
+    """Two runs of the script in one process print the pinned bytes both times."""
+    monkeypatch.delenv("COOPZF_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
+    for _ in range(2):
+        codes, digests = _transcript(capsys, monkeypatch)
+        assert codes == [code for _, _, code in _TRANSCRIPT]
+        assert digests == _TRANSCRIPT_SHA256
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize(("argv", "code"), [(["scheme", "--bogus"], 2), (["--help"], 0)], ids=["usage-error", "help"])
+def test_reused_parser_prints_to_the_streams_current_at_each_call(monkeypatch, argv, code):
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(argv) == code
+        printed, silent = (err, out) if code else (out, err)
+        assert printed.getvalue().startswith("usage: coopzf")
+        assert silent.getvalue() == ""
+
+
+def test_no_parsed_value_carries_over_to_the_next_call(capsys, monkeypatch):
+    monkeypatch.delenv("COOPZF_SEED", raising=False)
+    doc = _wyner_document(8)
+    code, out, _ = _run(["verify", "--seed", "5"], capsys, monkeypatch, stdin=doc)
+    assert code == 0 and json.loads(out)["seed"] == 5
+    code, out, _ = _run(["verify"], capsys, monkeypatch, stdin=doc)
+    assert code == 0 and json.loads(out)["seed"] == 0
+    code, out, _ = _run(["table1", "--format", "csv"], capsys)
+    assert code == 0 and out.startswith("L,pudof")
+    code, out, _ = _run(["table1"], capsys)
+    assert code == 0 and json.loads(out)["problems"] == []
+
+
+# The real entry point, ``sys.exit(main())`` under ``python -m coopzf.cli``,
+# in fresh interpreters that import the package from this checkout.
+_SUBPROCESS_ENV = {
+    **{key: value for key, value in os.environ.items() if key != "COOPZF_SEED"},
+    "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+}
+
+
+def _coopzf(*argv: str, **kwargs) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "coopzf.cli", *argv],
+        env=_SUBPROCESS_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        **kwargs,
+    )
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import coopzf.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=_SUBPROCESS_ENV, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+def test_entry_point_pipes_scheme_into_verify():
+    scheme = _coopzf("scheme", "--wyner", "--K", "8", "--B", "1")
+    verify = _coopzf("verify", "--seed", "7", stdin=scheme.stdout)
+    scheme.stdout.close()  # verify holds the read end now
+    out, err = verify.communicate(timeout=60)
+    scheme.wait(timeout=60)
+    assert (scheme.returncode, verify.returncode, err) == (0, 0, "")
+    report = json.loads(out)
+    assert report["pass"] is True and report["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    ("document", "code"),
+    [("not json", 2), (_DROPPED_CANCELLATION, 1)],
+    ids=["not-json", "dropped-cancellation"],
+)
+def test_entry_point_exit_codes(document, code):
+    verify = _coopzf("verify", stdin=subprocess.PIPE)
+    out, err = verify.communicate(document, timeout=60)
+    assert verify.returncode == code
+    if code == 2:
+        assert (out, err.startswith("error: malformed")) == ("", True)
+    else:
+        assert json.loads(out)["pass"] is False
