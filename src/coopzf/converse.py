@@ -15,6 +15,9 @@ from its network; :class:`~coopzf.topology.HexLattice` builds all three
 once, so no certify or audit call derives geometry.  A group's program
 is solved in closed form: its optimum is ``|live| - nu/2``, with ``nu``
 the maximum matching of the bipartite double cover of its conflicts.
+The builders keep every such bound in half units, as the int
+``2|live| - nu``, and turn it into a ``Fraction`` once per group when
+they emit the certificate.
 
 Two group builders are provided: :func:`algorithm1_certify` works from
 a message assignment with per-message cooperation at most one, and
@@ -32,6 +35,8 @@ providing the supporting decodability argument.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from collections import Counter
 from collections.abc import Sequence
@@ -188,8 +193,8 @@ def _double_cover(
     return live, [joined[x] for x in live]
 
 
-def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> Fraction:
-    """Exact max of sum of d_i over d in [0, 1]^n meeting the constraints.
+def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> int:
+    """Twice the exact max of sum of d_i over d in [0, 1]^n meeting the constraints.
 
     Pair constraints cap ``d_i + d_k <= 1`` (only when both endpoints
     are members); zero constraints force ``d_i = 0``.  With ``y = 1 - d``
@@ -197,10 +202,11 @@ def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> Fracti
     conflict graph.  Its optimum is half-integral (Nemhauser & Trotter
     1975) and equals half the maximum matching ``nu`` of the graph's
     bipartite double cover (König), so the bound is
-    ``(2 |live| - nu) / 2``.
+    ``(2 |live| - nu) / 2``.  It is returned in half units, as the int
+    ``2 |live| - nu``.
     """
     live, rows = _double_cover(nodes, constraints)
-    return Fraction(2 * len(live) - len(_matching(rows)), 2)
+    return 2 * len(live) - len(_matching(rows))
 
 
 def _konig_cover(
@@ -234,7 +240,8 @@ def _bound_problems(group: CertifiedGroup) -> list[str]:
     matching ``M`` uses only their edges and no endpoint twice, the
     cover ``C`` meets every edge, and ``|C| = |M|``.  By weak duality
     ``M`` is then maximum whatever code produced it, so the group's
-    optimum is ``|live| - |M|/2``.
+    optimum is ``|live| - |M|/2``; it is compared with the recorded
+    bound in half units, as ``2|live| - |M|``.
     """
     live, rows = _double_cover(group.nodes, group.constraints)
     matching = _matching(rows)
@@ -257,10 +264,11 @@ def _bound_problems(group: CertifiedGroup) -> list[str]:
     )
     if not proven:
         return [f"group {list(group.nodes)} has no matching-and-cover witness for its system"]
-    optimum = len(alive) - Fraction(len(matched), 2)
-    if optimum != group.bound:
+    twice = 2 * len(alive) - len(matched)
+    if 2 * group.bound.numerator != twice * group.bound.denominator:
         return [
-            f"group {list(group.nodes)} records bound {group.bound} but its system solves to {optimum}"
+            f"group {list(group.nodes)} records bound {group.bound} "
+            f"but its system solves to {Fraction(twice, 2)}"
         ]
     return []
 
@@ -281,9 +289,9 @@ class _GroupBuilder:
     """Mutable accumulator for groups while a certify pass runs.
 
     Every constraint is selected from ``facts``, the output of
-    :func:`lemma_pairwise_bounds`.  Each group keeps its exact bound,
-    solved once in closed form by :func:`_lp_bound` when the group is
-    opened or grown.
+    :func:`lemma_pairwise_bounds`.  Each group keeps its exact bound
+    in half units, the int :func:`_lp_bound` returns, solved once when
+    the group is opened or grown; :meth:`finish` makes it a ``Fraction``.
     """
 
     def __init__(self, facts: Facts) -> None:
@@ -302,10 +310,11 @@ class _GroupBuilder:
         for x in nodes:
             self.of[x] = gid
 
-    def merge(self, x: int, gid: int, bound: Fraction | None = None) -> None:
+    def merge(self, x: int, gid: int, bound: int | None = None) -> None:
         """Add ``x`` to group ``gid`` with its pair facts against the members.
 
-        ``bound`` is the grown group's bound when the caller has solved it.
+        ``bound`` is the grown group's bound, in half units, when the
+        caller has solved it.
         """
         g = self.groups[gid]
         g["constraints"].extend(_select(self.facts, [x], g["nodes"]))
@@ -319,13 +328,13 @@ class _GroupBuilder:
         done = [
             CertifiedGroup(
                 nodes=tuple(sorted(g["nodes"])),
-                bound=g["bound"],
+                bound=Fraction(g["bound"], 2),
                 constraints=tuple(g["constraints"]),
                 note=g["note"],
             )
             for g in self.groups
         ]
-        total = sum((g.bound for g in done), Fraction(0)) + len(uncovered)
+        total = Fraction(sum(g["bound"] for g in self.groups), 2) + len(uncovered)
         return GroupCertificate(
             groups=tuple(done),
             uncovered=frozenset(uncovered),
@@ -402,6 +411,7 @@ def algorithm1_certify(
         return x in builder.of or x in uncovered
 
     # Sweep 1: self-serving nodes pair up inside their own cell.
+    coords = lattice.coords
     for x in ordered(sorted(self_servers)):
         if done(x):
             continue
@@ -409,7 +419,8 @@ def algorithm1_certify(
         if not pool:
             uncovered.add(x)
             continue
-        partner = min(pool, key=lambda y: (lattice.real_part(y), y))
+        # Twice the real part, a - b/2, so the leftmost partner wins.
+        partner = min(pool, key=lambda y: (2 * coords[y][0] - coords[y][1], y))
         builder.new([x, partner], [x], "self-serving pair")
 
     # Sweep 2: nodes served from outside their cell, grouped per linking triangle.
@@ -446,15 +457,17 @@ def algorithm1_certify(
             continue
         # Only a group holding another hearer of tx[x] gains a fact about x.
         gids = {builder.of[k] for k in topology.hearers(tx[x]) if k != x and k in builder.of}
-        best: tuple[Fraction, int, Fraction] | None = None
+        # Bounds in half units: a grown group bound above (|nodes| + 1) / 2
+        # dilutes it.
+        best: tuple[int, int, int] | None = None
         for gid in sorted(gids):
             g = builder.groups[gid]
             extra = _select(facts, [x], g["nodes"])
-            new_lp = _lp_bound(tuple(g["nodes"]) + (x,), tuple(g["constraints"] + extra))
-            key = (new_lp - g["bound"], gid, new_lp)
+            new = _lp_bound(tuple(g["nodes"]) + (x,), tuple(g["constraints"] + extra))
+            key = (new - g["bound"], gid, new)
             if best is None or key[:2] < best[:2]:
                 best = key
-        if best is None or best[2] > Fraction(len(builder.groups[best[1]]["nodes"]) + 1, 2):
+        if best is None or best[2] > len(builder.groups[best[1]]["nodes"]) + 1:
             uncovered.add(x)  # no partner, or attaching would dilute the group
         else:
             builder.merge(x, best[1], best[2])
@@ -699,11 +712,16 @@ def backhaul_converse(assignment: MessageAssignment, B: int | Fraction) -> Backh
             not exceed it.
 
     Raises:
-        InvalidParameterError: if ``B < 1``.
+        InvalidParameterError: if ``B`` is a bool or not a real number,
+            is not finite, or is below 1.
         UnsupportedError: if ``B`` is not an integer.
         PreconditionViolationError: if the assignment's average
             transmit-set size exceeds ``B``.
     """
+    if isinstance(B, bool) or not isinstance(B, numbers.Real):
+        raise InvalidParameterError(f"B must be a number, got {B!r}")
+    if not -math.inf < B < math.inf:
+        raise InvalidParameterError(f"B must be finite, got {B}")
     B_frac = Fraction(B)
     if B_frac.denominator != 1:
         raise UnsupportedError("only integer backhaul budgets are scanned")
@@ -747,10 +765,13 @@ def appendix_receiver_set(
 
     Args:
         assignment: transmit sets on a chain network.
-        M: cooperation-size cutoff, at least 0.
+        M: cooperation-size cutoff, an int of at least 0.
+
+    Raises:
+        InvalidParameterError: if ``M`` is a bool, not an int, or negative.
     """
-    if M < 0:
-        raise InvalidParameterError("cutoff must be at least 0")
+    if isinstance(M, bool) or not isinstance(M, int) or M < 0:
+        raise InvalidParameterError(f"cutoff must be an int of at least 0, got {M!r}")
     K, sets = assignment.K, assignment.transmit_sets
     S, kept = _low_cooperation_candidates([len(sets[i]) for i in range(1, K + 1)], M)
     reduced_sets = dict(sets)

@@ -119,6 +119,47 @@ class _Search:
             raise ResourceLimitError("search time limit exceeded")
 
 
+def _color_order(compat: list[int], cand: int) -> list[tuple[int, int]]:
+    """Greedy coloring of ``cand``: a clique inside it has at most max-color members."""
+    order = []
+    color = 0
+    rest = cand
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            avail &= ~compat[v]
+            rest &= ~(1 << v)
+            order.append((v, color))
+    return order
+
+
+def _expand(
+    search: _Search, compat: list[int], cand: int, cur: int, cur_set: int, best: int, best_set: int
+) -> tuple[int, int]:
+    """Branch and bound below the clique ``cur_set`` (``cur`` members) over ``cand``.
+
+    Returns the incumbent ``(best, best_set)``, improved where the branch
+    finds a larger clique.
+    """
+    search.tick()
+    for v, c in reversed(_color_order(compat, cand)):
+        if cur + c <= best:
+            break
+        if cur + 1 > best:
+            best = cur + 1
+            best_set = cur_set | (1 << v)
+        newcand = cand & compat[v]
+        if newcand:
+            best, best_set = _expand(
+                search, compat, newcand, cur + 1, cur_set | (1 << v), best, best_set
+            )
+        cand &= ~(1 << v)
+    return best, best_set
+
+
 def max_avoidance_m1(
     topology: NetworkTopology, node_limit: int = 36, time_limit: float | None = None
 ) -> tuple[int, AvoidanceSchedule]:
@@ -188,40 +229,28 @@ def max_avoidance_m1(
         best_set |= 1 << v
         cand &= compat[v]
 
-    def color_order(cand: int) -> list[tuple[int, int]]:
-        # Greedy coloring: a clique inside cand has at most max-color members.
-        order = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= avail - 1
-                avail &= ~compat[v]
-                rest &= ~(1 << v)
-                order.append((v, color))
-        return order
-
-    def expand(cand: int, cur: int, cur_set: int) -> None:
-        nonlocal best, best_set
-        search.tick()
-        for v, c in reversed(color_order(cand)):
-            if cur + c <= best:
-                return
-            if cur + 1 > best:
-                best = cur + 1
-                best_set = cur_set | (1 << v)
-            newcand = cand & compat[v]
-            if newcand:
-                expand(newcand, cur + 1, cur_set | (1 << v))
-            cand &= ~(1 << v)
-
     if n:
-        expand(everything, 0, 0)
+        best, best_set = _expand(search, compat, everything, 0, 0, best, best_set)
     chosen = frozenset(pairs[i] for i in range(n) if best_set >> i & 1)
     return best, AvoidanceSchedule(pairs=chosen, value=best, nodes_explored=search.nodes)
+
+
+def _augment(
+    rows: Sequence[Collection[int]], match_col: dict[int, int], r: int, seen: set[int]
+) -> bool:
+    """Kuhn's augmenting step: match row ``r``, moving matched rows along the way.
+
+    Row ``r`` tries its columns in order, skipping those in ``seen``; a
+    column already in ``match_col`` is taken when its row can move on.
+    """
+    for c in rows[r]:
+        if c in seen:
+            continue
+        seen.add(c)
+        if c not in match_col or _augment(rows, match_col, match_col[c], seen):
+            match_col[c] = r
+            return True
+    return False
 
 
 def _matching(rows: Sequence[Collection[int]]) -> dict[int, int]:
@@ -229,21 +258,12 @@ def _matching(rows: Sequence[Collection[int]]) -> dict[int, int]:
 
     Kuhn's augmenting paths: each row in turn tries its columns, evicting
     a column's current row when that row can move to another column.
+    The step is a module function, not a closure, so a call leaves no
+    reference cycle for the garbage collector.
     """
     match_col: dict[int, int] = {}
-
-    def try_row(r: int, seen: set[int]) -> bool:
-        for c in rows[r]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or try_row(match_col[c], seen):
-                match_col[c] = r
-                return True
-        return False
-
     for r in range(len(rows)):
-        try_row(r, set())
+        _augment(rows, match_col, r, set())
     return match_col
 
 
@@ -452,24 +472,23 @@ def max_activation_for_assignment(
     order = [i for i in range(1, K + 1) if sends[i] & heard[i]]
     best = 0
     best_set: frozenset[int] = frozenset()
-
-    def down(pos: int, active: frozenset[int]) -> None:
-        nonlocal best, best_set
+    # Each branch explores its include child before its exclude child.
+    stack = [(0, frozenset())]
+    while stack:
+        pos, active = stack.pop()
         search.tick()
         if len(active) > best:
             best = len(active)
             best_set = active
         if pos == len(order) or len(active) + len(order) - pos <= best:
-            return
+            continue
         i = order[pos]
         grown = active | {i}
+        stack.append((pos + 1, active))
         if _delivers(i, sends, heard, grown) and all(
             _delivers(k, sends, heard, grown) for k in active if sends[k] & heard[i]
         ):
-            down(pos + 1, grown)
-        down(pos + 1, active)
-
-    down(0, frozenset())
+            stack.append((pos + 1, grown))
     return best, ActivationWitness(active=best_set, nodes_explored=search.nodes)
 
 

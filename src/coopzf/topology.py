@@ -19,7 +19,6 @@ transmitter ``i`` with receiver ``i``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 import json
 import math
@@ -290,11 +289,6 @@ class HexLattice:
         a, b = self.coords[i]
         da, db = _CORNER_STEPS[(a + b - _CIRCLE) % 3]
         return (a - da, b - db)
-
-    def real_part(self, i: int) -> Fraction:
-        """Horizontal position of user ``i`` in the complex plane."""
-        a, b = self.coords[i]
-        return Fraction(a) - Fraction(b, 2)
 
 
 def hexagonal_from_coords(coords: list[tuple[int, int]]) -> tuple[NetworkTopology, HexLattice]:

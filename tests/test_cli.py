@@ -756,8 +756,10 @@ def test_entry_point_pipes_scheme_into_verify():
     verify = _coopzf("verify", "--seed", "7", stdin=scheme.stdout)
     scheme.stdout.close()  # verify holds the read end now
     out, err = verify.communicate(timeout=60)
+    with scheme.stderr:
+        scheme_err = scheme.stderr.read()
     scheme.wait(timeout=60)
-    assert (scheme.returncode, verify.returncode, err) == (0, 0, "")
+    assert (scheme.returncode, verify.returncode, err, scheme_err) == (0, 0, "", "")
     report = json.loads(out)
     assert report["pass"] is True and report["seed"] == 7
 

@@ -235,7 +235,7 @@ def test_lp_bound_and_audit_match_enumeration():
         for _ in range(count):
             nodes, constraints = _random_system(rng, n)
             optimum = _lp_bound_reference(nodes, constraints)
-            assert _lp_bound(nodes, constraints) == optimum, (nodes, constraints)
+            assert _lp_bound(nodes, constraints) == 2 * optimum, (nodes, constraints)
             group = CertifiedGroup(nodes=nodes, bound=optimum, constraints=constraints)
             assert _bound_problems(group) == []
             for wrong in (optimum - half, optimum + half):
@@ -502,6 +502,9 @@ def test_budget_scan_parameter_errors():
         backhaul_converse(a, Fraction(3, 2))
     with pytest.raises(InvalidParameterError):
         backhaul_converse(a, 0)
+    for B in (float("nan"), float("inf"), "1", True):
+        with pytest.raises(InvalidParameterError):
+            backhaul_converse(a, B)
     a2, _ = wyner_backhaul_scheme(8, 2)
     with pytest.raises(PreconditionViolationError):
         backhaul_converse(a2, 1)
@@ -514,8 +517,9 @@ def test_receiver_set_reconstructs_block_schemes():
         A, reduced = appendix_receiver_set(a, res.M)
         assert len(A) == res.bound
         assert reconstructibility_check(build_wyner(K), reduced, A)
-    with pytest.raises(InvalidParameterError):
-        appendix_receiver_set(a, -1)
+    for M in (-1, 1.5, True):
+        with pytest.raises(InvalidParameterError):
+            appendix_receiver_set(a, M)
 
 
 def test_reconstruction_walk_extremes():

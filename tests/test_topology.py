@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -183,12 +182,6 @@ def test_adjacent_nodes_share_at_most_one_common_neighbor():
             assert len(common) <= 1
             if i in inner and j in inner:
                 assert len(common) == 1
-
-
-def test_real_part_is_exact():
-    _, lat = build_hexagonal(3)
-    for i, (a, b) in lat.coords.items():
-        assert lat.real_part(i) == Fraction(a) - Fraction(b, 2)
 
 
 def test_custom_coords_toy_has_twelve_edges():
