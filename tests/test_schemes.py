@@ -417,6 +417,41 @@ def test_scheme_documents_are_pinned(generator):
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
+def _grid_instances():
+    """(topology, assignment, scheme) for every generator over a range of sizes."""
+    for B in range(1, 6):
+        for blocks in range(1, 4):
+            K = 4 * B * blocks
+            yield (build_wyner(K), *wyner_backhaul_scheme(K, B))
+    for L in range(1, 7):
+        for M in range(1, 6):
+            K = 2 * (2 * M + L)
+            yield (build_locally_connected(K, L), *locally_connected_scheme(K, L, M))
+    for L in range(2, 7):
+        for copies in (1, 2):
+            K = copies * table1_row(L)["K_min"]
+            yield (build_locally_connected(K, L), *table1_scheme(K, L))
+    for N in (12, 24, 84):
+        yield (build_locally_connected(N, 1), *two_dim_row_scheme(N))
+    for N in (12, 24):
+        yield (build_two_dim(N * N), *two_dim_scheme(N * N))
+    for n in (6, 12):
+        topology, lattice = build_hexagonal(n)
+        yield (topology, *hexagonal_cooperative_scheme(lattice))
+
+
+def test_scheme_documents_are_pinned_across_sizes():
+    # One SHA-256 over every document of the grid, newline-separated.
+    documents = "\n".join(
+        scheme_to_json(scheme, topology=topology, assignment=assignment)
+        for topology, assignment, scheme in _grid_instances()
+    )
+    assert (
+        hashlib.sha256(documents.encode()).hexdigest()
+        == "8f2b471c2c6c7e16e5cddfed57c7faf749e4639e3f2a8f36b944a3c828b5f218"
+    )
+
+
 def test_scheme_json_round_trip():
     topo = build_locally_connected(7, 3)
     a, s = locally_connected_scheme(7, 3, 2)
