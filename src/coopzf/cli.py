@@ -127,20 +127,24 @@ def _run_topology(args: argparse.Namespace) -> int:
 
 
 def _run_scheme(args: argparse.Namespace) -> int:
-    topology, lattice = _build_topology(args)
-    if args.kind == "wyner":
-        B = _as_int(_require(args.B, "--B"), "--B")
-        assignment, scheme = wyner_backhaul_scheme(args.K, B)
-    elif args.kind == "lc":
-        assignment, scheme = locally_connected_scheme(args.K, args.L, _require(args.M, "--M"))
-    elif args.kind == "table1":
-        assignment, scheme = table1_scheme(args.K, args.L)
-    elif args.kind == "two_dim":
-        assignment, scheme = two_dim_scheme(args.K)
-    elif args.kind == "hex_coset":
-        assignment, scheme = hexagonal_coset_scheme(lattice)
+    if args.kind in ("hex_coset", "hex_coop"):
+        topology, lattice = _build_topology(args)
+        generate = hexagonal_coset_scheme if args.kind == "hex_coset" else hexagonal_cooperative_scheme
+        assignment, scheme = generate(lattice)
     else:
-        assignment, scheme = hexagonal_cooperative_scheme(lattice)
+        # The generator checks its parameters before a topology of K users is built.
+        K = _require(args.K, "--K")
+        if args.kind == "wyner":
+            B = _as_int(_require(args.B, "--B"), "--B")
+            assignment, scheme = wyner_backhaul_scheme(K, B)
+        elif args.kind == "lc":
+            L, M = _require(args.L, "--L"), _require(args.M, "--M")
+            assignment, scheme = locally_connected_scheme(K, L, M)
+        elif args.kind == "table1":
+            assignment, scheme = table1_scheme(K, _require(args.L, "--L"))
+        else:
+            assignment, scheme = two_dim_scheme(K)
+        topology, _ = _build_topology(args)
     _emit(scheme_to_json(scheme, topology=topology, assignment=assignment))
     return 0
 

@@ -8,13 +8,15 @@ that unexpectedly degenerates, a decomposition search that comes up empty)
 and from deliberate resource guards on exponential searches.  The JSON
 readers share one context manager that reports a malformed document as
 an invalid parameter, one check of the user indices they read, and one
-check of the JSON type of their other fields.
+check of the JSON type of their other fields.  Integer parameters of the
+generators and topology builders pass one check too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from contextlib import contextmanager
+import operator
 
 
 class CoopZfError(Exception):
@@ -91,3 +93,21 @@ def _check_fields(kind: str, obj: dict, /, **types: type) -> None:
             raise InvalidParameterError(
                 f"malformed {kind} document ({name} is a {type(obj[name]).__name__}, not a {expected.__name__})"
             )
+
+
+def _check_int(name: str, value) -> int:
+    """``value`` as a plain ``int``, for an integer parameter called ``name``.
+
+    A ``bool`` is refused, and so is any value that is not an integer
+    type (``7.0`` and ``Fraction(7)`` included), so a caller's mistake
+    never reaches arithmetic that fails with a bare ``TypeError``.
+
+    Raises:
+        InvalidParameterError: naming the parameter and the type given.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, not {type(value).__name__}")

@@ -3,14 +3,17 @@
 A scheme pairs a message assignment with an activation plan: which
 messages get one degree of freedom, which transmitter delivers each,
 at which receivers each message's interference must be nulled, and
-which transmitters stay silent.  Generators cover linear chains under
-an integer backhaul budget, locally connected linear networks, convex
-combinations of block schemes, the best known block mixtures for
-L = 2..6, square-grid networks, and hexagonal-sectored networks (both
-the non-cooperative coset plan and the cooperative plan, which silences
-the circles and diamonds of every odd row so that each pair of rows
-becomes one isolated chain; it covers every side that is a multiple
-of 6).
+which transmitters stay silent.  Every chain scheme is a list of blocks
+``(a, gap, b, s)`` laid end to end by one emitter: the Wyner scheme
+under integer backhaul ``B`` is the asymmetric block
+``(2B, 1, 2B-1, 0)``, the locally connected scheme of order ``M`` is
+``(M, L, M, floor(L/2))``, and the best known unit-backhaul rows for
+L = 2..6 and the square-grid row scheme lay order-2 and then order-3
+blocks.  Square-grid schemes copy that row onto every served row;
+hexagonal networks get the non-cooperative coset plan and the
+cooperative plan, which silences the circles and diamonds of every odd
+row so that each pair of rows becomes one isolated chain (every side
+that is a multiple of 6).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     DecompositionFailureError,
     InvalidParameterError,
     _check_fields,
+    _check_int,
     _check_users,
     _document_errors,
 )
@@ -47,8 +51,8 @@ class ZfScheme:
         declared_pudof: the generator's exact per-user DoF claim.
         declared_backhaul: the generator's exact backhaul-load claim.
         name: human-readable generator tag.
-        family: compatibility key for concatenating block schemes; two
-            schemes may be combined only if their families match.
+        family: the network family the scheme is built for and its
+            parameter, e.g. ``("linear", L)``.
     """
 
     K: int
@@ -169,7 +173,7 @@ def _finish(
 
 
 def _embed(K: int, placements, name: str, family: tuple) -> tuple[MessageAssignment, ZfScheme]:
-    """Lay block schemes into a ``K``-user network.
+    """Relabel chain schemes into a ``K``-user network (grid rows, hexagonal chains).
 
     Each placement is ``(assignment, scheme, rx, tx)``: local user ``p``
     of the block becomes global receiver ``rx[p-1]`` and transmitter
@@ -192,148 +196,84 @@ def _embed(K: int, placements, name: str, family: tuple) -> tuple[MessageAssignm
     return _finish(K, tsets, serving, cancel, pudof / K, backhaul / K, name, family)
 
 
-def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
-    """Chain-network scheme with integer backhaul budget ``B``.
+def _chain(blocks, name: str, family: tuple) -> tuple[MessageAssignment, ZfScheme]:
+    """Lay chain blocks ``(a, gap, b, s)`` end to end on one linear network.
 
-    The network splits into independent blocks of ``4B`` users.  In each
-    block the first ``2B`` messages are sent by ascending transmitter
-    spans ``{i,...,2B}``, message ``2B+1`` is dropped, the last ``2B-1``
-    messages are sent by descending spans ``{2B+1,...,i-1}``, and the
-    block's last transmitter stays silent, isolating the next block.
-    Per-user DoF is ``(4B-1)/4B`` with backhaul exactly ``B``.
-
-    Raises:
-        InvalidParameterError: ``B < 1`` or ``4B`` does not divide ``K``.
+    In each block (local index ``i``) the first ``a`` messages are sent
+    by transmitter spans ``{i+s,...,a+s}`` from transmitter ``i+s``, the
+    next ``gap`` are dropped, and the last ``b`` are sent by spans
+    ``{a+1+s,...,i-gap+s}`` from transmitter ``i-gap+s``.  Each message
+    nulls its interference at the other active receivers of its half,
+    nearest first.  The declared values come from each block's closed
+    form, ``a+b`` messages served at load ``(a(a+1) + b(b+1))/2``.
     """
-    if B < 1:
-        raise InvalidParameterError("B must be a positive integer")
-    F = 4 * B
-    if K < 1 or K % F != 0:
-        raise InvalidParameterError(f"K must be a positive multiple of {F}")
     tsets: dict[int, frozenset[int]] = {}
     serving: dict[int, int] = {}
     cancel: dict[int, tuple[int, ...]] = {}
-    for o in range(0, K, F):
-        for i in range(1, 2 * B + 1):
-            m = o + i
-            tsets[m] = frozenset(range(m, o + 2 * B + 1))
-            serving[m] = m
-            cancel[m] = tuple(range(m + 1, o + 2 * B + 1))
-        tsets[o + 2 * B + 1] = frozenset()
-        for i in range(2 * B + 2, F + 1):
-            m = o + i
-            tsets[m] = frozenset(range(o + 2 * B + 1, m))
-            serving[m] = m - 1
-            cancel[m] = tuple(range(m - 1, o + 2 * B + 1, -1))
-    return _finish(
-        K,
-        tsets,
-        serving,
-        cancel,
-        Fraction(4 * B - 1, 4 * B),
-        Fraction(B),
-        f"wyner_backhaul_B{B}",
-        ("linear", 1),
-    )
+    served = load = o = 0
+    for a, gap, b, s in blocks:
+        head, tail = o + a, o + a + gap
+        for m in range(o + 1, head + 1):
+            tsets[m] = frozenset(range(m + s, head + s + 1))
+            serving[m] = m + s
+            cancel[m] = tuple(range(m + 1, head + 1))
+        for m in range(head + 1, tail + 1):
+            tsets[m] = frozenset()
+        o = tail + b
+        for m in range(tail + 1, o + 1):
+            tsets[m] = frozenset(range(head + 1 + s, m - gap + s + 1))
+            serving[m] = m - gap + s
+            cancel[m] = tuple(range(m - 1, tail, -1))
+        served += a + b
+        load += a * (a + 1) + b * (b + 1)
+    return _finish(o, tsets, serving, cancel, Fraction(served, o), Fraction(load, 2 * o), name, family)
+
+
+def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
+    """Chain-network scheme with integer backhaul budget ``B``.
+
+    The network splits into :func:`_chain` blocks ``(2B, 1, 2B-1, 0)``
+    of ``4B`` users; the block's last transmitter stays silent, isolating
+    the next block.  Per-user DoF is ``(4B-1)/4B`` with backhaul exactly
+    ``B``.
+
+    Raises:
+        InvalidParameterError: ``K`` or ``B`` not an integer, ``B < 1``
+            or ``4B`` not dividing ``K``.
+    """
+    B = _check_int("B", B)
+    if B < 1:
+        raise InvalidParameterError("B must be a positive integer")
+    F = 4 * B
+    K = _check_int("K", K)
+    if K < 1 or K % F != 0:
+        raise InvalidParameterError(f"K must be a positive multiple of {F}")
+    return _chain([(2 * B, 1, 2 * B - 1, 0)] * (K // F), f"wyner_backhaul_B{B}", ("linear", 1))
 
 
 def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment, ZfScheme]:
     """Block scheme for locally connected chains with cooperation order ``M``.
 
-    Blocks have ``2M+L`` users.  Within a block (local indices), the
-    first ``M`` messages use transmitter spans ``{i+s,...,M+s}`` with
-    ``s = floor(L/2)``, the middle ``L`` messages are dropped, and the
-    last ``M`` messages use spans ``{M+1+s,...,i-L+s}``; the ``s``
-    leading and ``L-s`` trailing transmitters of the block stay silent,
-    which isolates consecutive blocks.  Per-user DoF is ``2M/(2M+L)``
-    with backhaul exactly ``M(M+1)/(2M+L)``.
+    The network splits into :func:`_chain` blocks ``(M, L, M, floor(L/2))``
+    of ``2M+L`` users; the unused leading and trailing transmitters of a
+    block stay silent, isolating consecutive blocks.  Per-user DoF is
+    ``2M/(2M+L)`` with backhaul exactly ``M(M+1)/(2M+L)``.
 
     Raises:
-        InvalidParameterError: nonpositive parameters or ``(2M+L)`` not
-            dividing ``K``.
+        InvalidParameterError: non-integer or nonpositive parameters, or
+            ``(2M+L)`` not dividing ``K``.
     """
+    L = _check_int("L", L)
     if L < 1:
         raise InvalidParameterError("L must be a positive integer")
+    M = _check_int("M", M)
     if M < 1:
         raise InvalidParameterError("M must be a positive integer")
     F = 2 * M + L
+    K = _check_int("K", K)
     if K < 1 or K % F != 0:
         raise InvalidParameterError(f"K must be a positive multiple of {F}")
-    s = L // 2
-    tsets: dict[int, frozenset[int]] = {}
-    serving: dict[int, int] = {}
-    cancel: dict[int, tuple[int, ...]] = {}
-    for o in range(0, K, F):
-        for i in range(1, M + 1):
-            m = o + i
-            tsets[m] = frozenset(range(o + i + s, o + M + s + 1))
-            serving[m] = o + i + s
-            cancel[m] = tuple(range(m + 1, o + M + 1))
-        for i in range(M + 1, M + L + 1):
-            tsets[o + i] = frozenset()
-        for i in range(L + M + 1, F + 1):
-            m = o + i
-            tsets[m] = frozenset(range(o + M + 1 + s, o + i - L + s + 1))
-            serving[m] = o + i - L + s
-            cancel[m] = tuple(range(m - 1, o + L + M, -1))
-    return _finish(
-        K,
-        tsets,
-        serving,
-        cancel,
-        Fraction(2 * M, F),
-        Fraction(M * (M + 1), F),
-        f"locally_connected_L{L}_M{M}",
-        ("linear", L),
-    )
-
-
-def convex_combination(parts) -> tuple[MessageAssignment, ZfScheme]:
-    """Concatenate block schemes end to end.
-
-    Args:
-        parts: list of ``(generator, count)`` where ``generator`` is a
-            zero-argument callable returning one block's
-            ``(assignment, scheme)`` and ``count`` is how many copies of
-            that block to lay down.  All blocks must share the same
-            scheme family.
-
-    Returns:
-        The combined assignment and scheme on ``K = sum(count * block
-        size)`` users; per-user DoF and backhaul are the exact
-        block-length-weighted averages.
-
-    Raises:
-        InvalidParameterError: empty parts, negative counts, or
-            mismatched scheme families.
-    """
-    if not parts:
-        raise InvalidParameterError("parts must be non-empty")
-    blocks = []
-    for gen, count in parts:
-        if count < 0:
-            raise InvalidParameterError("block counts must be nonnegative")
-        if count == 0:
-            continue
-        asg, sch = gen()
-        blocks.append((asg, sch, count))
-    if not blocks:
-        raise InvalidParameterError("at least one positive block count is required")
-    family = blocks[0][1].family
-    for _, sch, _ in blocks:
-        if sch.family != family:
-            raise InvalidParameterError(
-                f"cannot combine schemes of families {family} and {sch.family}"
-            )
-    placements = []
-    o = 0
-    for asg, sch, count in blocks:
-        for _ in range(count):
-            span = range(o + 1, o + asg.K + 1)
-            placements.append((asg, sch, span, span))
-            o += asg.K
-    name = "+".join(f"{count}x{sch.name}" for _, sch, count in blocks)
-    return _embed(o, placements, name, family)
+    return _chain([(M, L, M, L // 2)] * (K // F), f"locally_connected_L{L}_M{M}", ("linear", L))
 
 
 def table1_row(L: int) -> dict:
@@ -349,6 +289,7 @@ def table1_row(L: int) -> dict:
         K_min, users_m2, users_m3, ratio (users ratio in lowest terms),
         pudof, backhaul.
     """
+    L = _check_int("L", L)
     if L not in (2, 3, 4, 5, 6):
         raise InvalidParameterError("L must be one of 2..6")
     g = math.gcd(L - 2, 6 - L)
@@ -376,44 +317,39 @@ def table1_row(L: int) -> dict:
 def table1_scheme(K: int, L: int) -> tuple[MessageAssignment, ZfScheme]:
     """Instantiate the best known unit-backhaul mixture at size ``K``.
 
+    The row's order-2 blocks ``(2, L, 2, floor(L/2))`` come first, then
+    its order-3 blocks ``(3, L, 3, floor(L/2))``, ``K / K_min`` times over.
+
     Raises:
-        InvalidParameterError: ``L`` outside 2..6 or ``K`` not a
+        InvalidParameterError: ``L`` outside 2..6 or ``K`` not an integer
             multiple of the row's minimal tiling length.
     """
     row = table1_row(L)
+    L = row["L"]
+    K = _check_int("K", K)
     if K < 1 or K % row["K_min"] != 0:
-        raise InvalidParameterError(
-            f"K must be a positive multiple of {row['K_min']} for L={L}"
-        )
+        raise InvalidParameterError(f"K must be a positive multiple of {row['K_min']} for L={L}")
     m = K // row["K_min"]
-    parts = [
-        (lambda F=row["block_m2"], l=L: locally_connected_scheme(F, l, 2), m * row["blocks_m2"]),
-        (lambda F=row["block_m3"], l=L: locally_connected_scheme(F, l, 3), m * row["blocks_m3"]),
-    ]
-    assignment, scheme = convex_combination(parts)
-    scheme.name = f"table1_L{L}"
-    return assignment, scheme
+    s = L // 2
+    blocks = [(2, L, 2, s)] * (m * row["blocks_m2"]) + [(3, L, 3, s)] * (m * row["blocks_m3"])
+    return _chain(blocks, f"table1_L{L}", ("linear", L))
 
 
 def two_dim_row_scheme(N: int) -> tuple[MessageAssignment, ZfScheme]:
     """Chain scheme run along one active row of the square grid.
 
-    Equal counts of 5-user (order 2) and 7-user (order 3) chain blocks
-    give row per-user DoF exactly 5/6 at row backhaul exactly 3/2.
+    Equal counts of 5-user ``(2, 1, 2, 0)`` and 7-user ``(3, 1, 3, 0)``
+    chain blocks give row per-user DoF exactly 5/6 at row backhaul
+    exactly 3/2.
 
     Raises:
         InvalidParameterError: ``N`` not a positive multiple of 12.
     """
+    N = _check_int("N", N)
     if N < 12 or N % 12 != 0:
         raise InvalidParameterError("row length N must be a positive multiple of 12")
     a = N // 12
-    parts = [
-        (lambda: locally_connected_scheme(5, 1, 2), a),
-        (lambda: locally_connected_scheme(7, 1, 3), a),
-    ]
-    assignment, scheme = convex_combination(parts)
-    scheme.name = f"two_dim_row_N{N}"
-    return assignment, scheme
+    return _chain([(2, 1, 2, 0)] * a + [(3, 1, 3, 0)] * a, f"two_dim_row_N{N}", ("linear", 1))
 
 
 def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
@@ -430,6 +366,7 @@ def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
         InvalidParameterError: ``K`` not a perfect square or ``sqrt(K)``
             not a multiple of 12.
     """
+    K = _check_int("K", K)
     if K < 1:
         raise InvalidParameterError("K must be >= 1")
     N = math.isqrt(K)
@@ -554,33 +491,6 @@ def decompose_hexagonal_to_linear(lattice: HexLattice) -> tuple[frozenset[int], 
     if chains is None:
         raise DecompositionFailureError(f"kept nodes of the n={n} lattice do not form paths")
     return removed, chains
-
-
-def validate_linear_decomposition(
-    lattice: HexLattice, deactivated: frozenset[int], chains: list[list[int]]
-) -> list[str]:
-    """Structural checks for a chain decomposition; returns violations."""
-    problems: list[str] = []
-    K = len(lattice.coords)
-    if K % 3 == 0 and len(deactivated) != K // 3:
-        problems.append(f"expected {K // 3} deactivated nodes, got {len(deactivated)}")
-    members: list[int] = [u for chain in chains for u in chain]
-    if len(members) != len(set(members)):
-        problems.append("chains overlap")
-    if set(members) | set(deactivated) != set(lattice.coords) or set(members) & set(deactivated):
-        problems.append("chains plus deactivated nodes must partition the lattice")
-    kept = set(members)
-    pos: dict[int, tuple[int, int]] = {}
-    for ci, chain in enumerate(chains):
-        for p, u in enumerate(chain):
-            pos[u] = (ci, p)
-    for u in members:
-        ci, p = pos[u]
-        expected = {chains[ci][q] for q in (p - 1, p + 1) if 0 <= q < len(chains[ci])}
-        actual = lattice.neighbors[u] & kept
-        if actual != expected:
-            problems.append(f"node {u} neighbors {sorted(actual)} instead of {sorted(expected)}")
-    return problems
 
 
 def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfScheme]:

@@ -23,7 +23,13 @@ from itertools import chain
 import json
 import math
 
-from .errors import InvalidParameterError, _check_fields, _check_users, _document_errors
+from .errors import (
+    InvalidParameterError,
+    _check_fields,
+    _check_int,
+    _check_users,
+    _document_errors,
+)
 
 # Coset names for lattice points z = a + b*w (w a primitive sixth root of
 # unity); the class of (a + b) mod 3 determines which edges leave z.
@@ -115,6 +121,7 @@ def build_wyner(K: int) -> NetworkTopology:
     Args:
         K: number of users, at least 1.
     """
+    K = _check_int("K", K)
     if K < 1:
         raise InvalidParameterError("K must be >= 1")
     hears = {i: frozenset(j for j in (i - 1, i) if 1 <= j <= K) for i in range(1, K + 1)}
@@ -135,8 +142,10 @@ def build_locally_connected(K: int, L: int) -> NetworkTopology:
         K: number of users, at least 1.
         L: connectivity parameter, at least 0.
     """
+    K = _check_int("K", K)
     if K < 1:
         raise InvalidParameterError("K must be >= 1")
+    L = _check_int("L", L)
     if L < 0:
         raise InvalidParameterError("L must be >= 0")
     lo, hi = -((L + 1) // 2), L // 2
@@ -160,6 +169,7 @@ def build_two_dim(K: int) -> NetworkTopology:
     Args:
         K: a perfect square, at least 1.
     """
+    K = _check_int("K", K)
     if K < 1:
         raise InvalidParameterError("K must be >= 1")
     N = math.isqrt(K)
@@ -314,6 +324,7 @@ def build_hexagonal(n: int) -> tuple[NetworkTopology, HexLattice]:
     Args:
         n: side length, at least 1.
     """
+    n = _check_int("n", n)
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     coords = [(a, b) for b in range(n) for a in range(n)]

@@ -239,6 +239,24 @@ def test_huge_K_is_rejected_without_building_its_range(capsys, monkeypatch, argv
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--wyner", "--K", "2000002", "--B", "1"], "K must be a positive multiple of 4"),
+        (["--lc", "--K", "2000001", "--L", "3", "--M", "2"], "K must be a positive multiple of 7"),
+        (["--table1", "--K", "2000004", "--L", "4"], "K must be a positive multiple of 18 for L=4"),
+        (["--two-dim", "--K", "2002225"], "sqrt(K) must be a multiple of 12"),
+    ],
+    ids=["wyner", "lc", "table1", "two-dim"],
+)
+def test_scheme_parameters_are_checked_before_the_topology(capsys, argv, message):
+    # A K the generator refuses is reported without building its K-user topology.
+    start = time.perf_counter()
+    code, out, err = _run(["scheme", *argv], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # Flags another subcommand reads; each is a usage error here.
 _UNREAD_FLAGS = [
     (["verify", "--K", "8"], "scheme"),

@@ -1,4 +1,4 @@
-"""Scheme generators: block constructions, mixtures, grid and lattice schemes."""
+"""Scheme generators: chain blocks, table rows, grid and lattice schemes."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from coopzf import (
+    HexLattice,
     InvalidParameterError,
     MessageAssignment,
     build_hexagonal,
@@ -15,7 +16,6 @@ from coopzf import (
     build_two_dim,
     build_wyner,
     check_local_cooperation,
-    convex_combination,
     decompose_hexagonal_to_linear,
     design_beams,
     dof_report,
@@ -30,11 +30,16 @@ from coopzf import (
     table1_scheme,
     two_dim_row_scheme,
     two_dim_scheme,
-    validate_linear_decomposition,
     validate_scheme,
     verify,
     wyner_backhaul_scheme,
 )
+from coopzf.schemes import _chain
+
+# Two order-2 blocks and one order-3 block on the L=3 chain, under the
+# name the block-mixture generator gave them.
+_MIXED_BLOCKS = [(2, 3, 2, 1)] * 2 + [(3, 3, 3, 1)]
+_MIXED_NAME = "2xlocally_connected_L3_M2+1xlocally_connected_L3_M3"
 
 
 def _generators():
@@ -50,13 +55,7 @@ def _generators():
         K = table1_row(L)["K_min"]
         a, s = table1_scheme(K, L)
         out.append((build_locally_connected(K, L), a, s))
-    a, s = convex_combination(
-        [
-            (lambda: locally_connected_scheme(7, 3, 2), 2),
-            (lambda: locally_connected_scheme(9, 3, 3), 0),
-            (lambda: locally_connected_scheme(9, 3, 3), 1),
-        ]
-    )
+    a, s = _chain(_MIXED_BLOCKS, _MIXED_NAME, ("linear", 3))
     out.append((build_locally_connected(23, 3), a, s))
     a, s = two_dim_scheme(144)
     out.append((build_two_dim(144), a, s))
@@ -115,6 +114,33 @@ def test_wide_chain_block_divisibility_required():
         locally_connected_scheme(6, 0, 2)
 
 
+_NOT_INTEGERS = {
+    "wyner-B-float": lambda: wyner_backhaul_scheme(12, 1.5),
+    "wyner-B-bool": lambda: wyner_backhaul_scheme(8, True),
+    "wyner-K-float": lambda: wyner_backhaul_scheme(8.0, 2),
+    "lc-K-float": lambda: locally_connected_scheme(7.0, 3, 2),
+    "lc-L-bool": lambda: locally_connected_scheme(5, True, 2),
+    "lc-M-fraction": lambda: locally_connected_scheme(7, 3, Fraction(2)),
+    "table1-K-float": lambda: table1_scheme(18.0, 4),
+    "table1-L-float": lambda: table1_scheme(18, 4.0),
+    "table1-row-L-float": lambda: table1_row(4.0),
+    "two-dim-row-N-float": lambda: two_dim_row_scheme(24.0),
+    "two-dim-K-float": lambda: two_dim_scheme(144.0),
+    "build-wyner-bool": lambda: build_wyner(True),
+    "build-wyner-str": lambda: build_wyner("8"),
+    "build-lc-K-float": lambda: build_locally_connected(7.0, 3),
+    "build-lc-L-bool": lambda: build_locally_connected(7, True),
+    "build-two-dim-float": lambda: build_two_dim(144.0),
+    "build-hexagonal-bool": lambda: build_hexagonal(True),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOT_INTEGERS))
+def test_integer_parameters_reject_other_types(call):
+    with pytest.raises(InvalidParameterError, match="must be an integer, not"):
+        _NOT_INTEGERS[call]()
+
+
 def test_generators_pass_structural_validation():
     for topo, a, s in _generators():
         assert validate_scheme(topo, a, s) == [], s.name
@@ -153,42 +179,6 @@ def test_block_isolation_brute_force():
                         assert t not in topo.hears[k], (s.name, i, t, k)
 
 
-def test_mixture_single_part_is_identity():
-    base_a, base_s = locally_connected_scheme(7, 3, 2)
-    mix_a, mix_s = convex_combination([(lambda: locally_connected_scheme(7, 3, 2), 1)])
-    assert mix_a.transmit_sets == base_a.transmit_sets
-    assert mix_s.active_messages == base_s.active_messages
-    assert mix_s.serving == base_s.serving
-    assert mix_s.cancel_at == base_s.cancel_at
-    assert mix_s.declared_pudof == base_s.declared_pudof
-    assert mix_s.declared_backhaul == base_s.declared_backhaul
-
-
-def test_mixture_weighted_fractions():
-    # seven users of order 2 to three of order 3 on the L=3 chain
-    a, s = convex_combination(
-        [
-            (lambda: locally_connected_scheme(7, 3, 2), 3),
-            (lambda: locally_connected_scheme(9, 3, 3), 1),
-        ]
-    )
-    assert s.K == 30
-    assert s.declared_pudof == Fraction(3, 5)
-    assert s.declared_backhaul == 1
-
-
-def test_mixture_rejects_family_mismatch():
-    with pytest.raises(InvalidParameterError):
-        convex_combination(
-            [
-                (lambda: locally_connected_scheme(7, 3, 2), 1),
-                (lambda: locally_connected_scheme(8, 2, 3), 1),
-            ]
-        )
-    with pytest.raises(InvalidParameterError):
-        convex_combination([])
-
-
 def test_table_rows_exact():
     want = {
         2: (Fraction(2, 3), (1, 0), 6),
@@ -210,10 +200,13 @@ def test_table_rows_exact():
 
 
 def test_table_scheme_scales_to_multiples():
-    a, s = table1_scheme(36, 4)
-    assert s.declared_pudof == Fraction(5, 9)
-    assert s.declared_backhaul == 1
-    assert metrics(a).B == 1
+    # K=30 at L=3 is three order-2 blocks of seven users and one order-3 block of nine.
+    for K, L, pudof in [(36, 4, Fraction(5, 9)), (30, 3, Fraction(3, 5))]:
+        a, s = table1_scheme(K, L)
+        assert s.K == K
+        assert s.declared_pudof == pudof
+        assert s.declared_backhaul == 1
+        assert metrics(a).B == 1
     with pytest.raises(InvalidParameterError):
         table1_scheme(20, 4)
     with pytest.raises(InvalidParameterError):
@@ -285,6 +278,33 @@ def test_coset_scheme_small_lattice():
     a, s = hexagonal_coset_scheme(lat)
     circles = sum(1 for c in lat.cosets.values() if c == "circle")
     assert s.declared_pudof == Fraction(circles, 4)
+
+
+def validate_linear_decomposition(
+    lattice: HexLattice, deactivated: frozenset[int], chains: list[list[int]]
+) -> list[str]:
+    """Structural checks for a chain decomposition; returns violations."""
+    problems: list[str] = []
+    K = len(lattice.coords)
+    if K % 3 == 0 and len(deactivated) != K // 3:
+        problems.append(f"expected {K // 3} deactivated nodes, got {len(deactivated)}")
+    members: list[int] = [u for chain in chains for u in chain]
+    if len(members) != len(set(members)):
+        problems.append("chains overlap")
+    if set(members) | set(deactivated) != set(lattice.coords) or set(members) & set(deactivated):
+        problems.append("chains plus deactivated nodes must partition the lattice")
+    kept = set(members)
+    pos: dict[int, tuple[int, int]] = {}
+    for ci, chain in enumerate(chains):
+        for p, u in enumerate(chain):
+            pos[u] = (ci, p)
+    for u in members:
+        ci, p = pos[u]
+        expected = {chains[ci][q] for q in (p - 1, p + 1) if 0 <= q < len(chains[ci])}
+        actual = lattice.neighbors[u] & kept
+        if actual != expected:
+            problems.append(f"node {u} neighbors {sorted(actual)} instead of {sorted(expected)}")
+    return problems
 
 
 def test_linear_decomposition_valid():
@@ -375,15 +395,7 @@ _PINNED_DOCUMENTS = {
         "e263cf201d56143646cd95840bb8eba3bbc18db7db773e6bbaaf9587a427aa13",
     ),
     "convex_combination": (
-        lambda: (
-            build_locally_connected(23, 3),
-            *convex_combination(
-                [
-                    (lambda: locally_connected_scheme(7, 3, 2), 2),
-                    (lambda: locally_connected_scheme(9, 3, 3), 1),
-                ]
-            ),
-        ),
+        lambda: (build_locally_connected(23, 3), *_chain(_MIXED_BLOCKS, _MIXED_NAME, ("linear", 3))),
         "41126e913a01f5dd91d7b68a233e11c18b37cc19fd34e3c8af04523e29910cb7",
     ),
     "table1_scheme": (
