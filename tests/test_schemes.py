@@ -199,14 +199,22 @@ def test_table_rows_exact():
         assert n2 * (4 + L) + n3 * (6 + L) == row["K_min"]
 
 
+def test_mixture_weighted_fractions():
+    # seven users of order 2 to three of order 3 on the L=3 chain
+    a, s = _chain([(2, 3, 2, 1)] * 3 + [(3, 3, 3, 1)], "mix", ("linear", 3))
+    assert s.K == 30
+    assert s.declared_pudof == Fraction(3, 5)
+    assert s.declared_backhaul == 1
+    table_a, table_s = table1_scheme(30, 3)
+    assert a.transmit_sets == table_a.transmit_sets
+    assert (s.declared_pudof, s.declared_backhaul) == (table_s.declared_pudof, table_s.declared_backhaul)
+
+
 def test_table_scheme_scales_to_multiples():
-    # K=30 at L=3 is three order-2 blocks of seven users and one order-3 block of nine.
-    for K, L, pudof in [(36, 4, Fraction(5, 9)), (30, 3, Fraction(3, 5))]:
-        a, s = table1_scheme(K, L)
-        assert s.K == K
-        assert s.declared_pudof == pudof
-        assert s.declared_backhaul == 1
-        assert metrics(a).B == 1
+    a, s = table1_scheme(36, 4)
+    assert s.declared_pudof == Fraction(5, 9)
+    assert s.declared_backhaul == 1
+    assert metrics(a).B == 1
     with pytest.raises(InvalidParameterError):
         table1_scheme(20, 4)
     with pytest.raises(InvalidParameterError):
