@@ -52,6 +52,7 @@ from .oracle import (
     max_avoidance_m1,
 )
 from .schemes import (
+    _check_hex_coop_side,
     hexagonal_cooperative_scheme,
     hexagonal_coset_scheme,
     locally_connected_scheme,
@@ -128,6 +129,9 @@ def _run_topology(args: argparse.Namespace) -> int:
 
 def _run_scheme(args: argparse.Namespace) -> int:
     if args.kind in ("hex_coset", "hex_coop"):
+        if args.kind == "hex_coop":
+            # The side rule needs only n; an n x n lattice costs n^2 to build.
+            _check_hex_coop_side(_require(args.n, "--n"))
         topology, lattice = _build_topology(args)
         generate = hexagonal_coset_scheme if args.kind == "hex_coset" else hexagonal_cooperative_scheme
         assignment, scheme = generate(lattice)

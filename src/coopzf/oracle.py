@@ -119,8 +119,13 @@ class _Search:
             raise ResourceLimitError("search time limit exceeded")
 
 
-def _color_order(compat: list[int], cand: int) -> list[tuple[int, int]]:
-    """Greedy coloring of ``cand``: a clique inside it has at most max-color members."""
+def _color_order(clash: list[int], cand: int) -> list[tuple[int, int]]:
+    """Greedy coloring of ``cand``: a clique inside it has at most max-color members.
+
+    ``clash[v]`` holds the services that clash with ``v``, ``v`` itself
+    excluded, so a color class keeps only the services that clash with
+    every member placed so far.
+    """
     order = []
     color = 0
     rest = cand
@@ -128,16 +133,23 @@ def _color_order(compat: list[int], cand: int) -> list[tuple[int, int]]:
         color += 1
         avail = rest
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            avail &= ~compat[v]
-            rest &= ~(1 << v)
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail &= clash[v]
+            rest ^= low
             order.append((v, color))
     return order
 
 
 def _expand(
-    search: _Search, compat: list[int], cand: int, cur: int, cur_set: int, best: int, best_set: int
+    search: _Search,
+    compat: list[int],
+    clash: list[int],
+    cand: int,
+    cur: int,
+    cur_set: int,
+    best: int,
+    best_set: int,
 ) -> tuple[int, int]:
     """Branch and bound below the clique ``cur_set`` (``cur`` members) over ``cand``.
 
@@ -145,7 +157,7 @@ def _expand(
     finds a larger clique.
     """
     search.tick()
-    for v, c in reversed(_color_order(compat, cand)):
+    for v, c in reversed(_color_order(clash, cand)):
         if cur + c <= best:
             break
         if cur + 1 > best:
@@ -154,9 +166,9 @@ def _expand(
         newcand = cand & compat[v]
         if newcand:
             best, best_set = _expand(
-                search, compat, newcand, cur + 1, cur_set | (1 << v), best, best_set
+                search, compat, clash, newcand, cur + 1, cur_set | (1 << v), best, best_set
             )
-        cand &= ~(1 << v)
+        cand ^= 1 << v
     return best, best_set
 
 
@@ -215,10 +227,13 @@ def max_avoidance_m1(
 
     # Fewest clashes is highest degree; the stable sort keeps pair-index
     # order among equal degrees.
-    clash = clashes(pairs)
-    pairs = [pairs[x] for x in sorted(range(n), key=lambda x: clash[x].bit_count())]
+    degree = [mask.bit_count() for mask in clashes(pairs)]
+    pairs = [pairs[x] for x in sorted(range(n), key=degree.__getitem__)]
     everything = (1 << n) - 1
-    compat = [everything & ~mask for mask in clashes(pairs)]
+    masks = clashes(pairs)
+    compat = [everything & ~mask for mask in masks]
+    # A service clashes with itself; the coloring wants the others.
+    clash = [mask ^ 1 << v for v, mask in enumerate(masks)]
 
     best = 0
     best_set = 0
@@ -230,7 +245,7 @@ def max_avoidance_m1(
         cand &= compat[v]
 
     if n:
-        best, best_set = _expand(search, compat, everything, 0, 0, best, best_set)
+        best, best_set = _expand(search, compat, clash, everything, 0, 0, best, best_set)
     chosen = frozenset(pairs[i] for i in range(n) if best_set >> i & 1)
     return best, AvoidanceSchedule(pairs=chosen, value=best, nodes_explored=search.nodes)
 
@@ -333,9 +348,35 @@ def max_avoidance_cooperative(
     ``B*K`` since every active message costs at least one transmitter.
     Given an active set, the cheapest workable transmit set of each
     message is independent of the others', so the set is feasible iff
-    those minima fit the budget.  The minima are found level-wise for
-    all open messages together: at level ``l`` every open message tries
-    the size-``l`` subsets of its ball in lex order, and its first
+    those minima fit the budget.
+
+    Level 1, the single antennas, has a closed form.  Lemma: antenna
+    ``t`` alone serves message ``i`` of the active set ``A`` iff ``t``
+    is private to ``i``, that is, ``t`` is in ``heard[i]`` and no other
+    receiver of ``A`` hears it.  The desired row ``{t} & heard[i]`` is
+    empty unless ``i`` hears ``t``.  Each other receiver that hears
+    ``t`` adds the cancellation row ``{t}``, the same as the desired
+    row, so column ``t`` is already matched and the term rank does not
+    rise; with no such receiver there is no cancellation row and the
+    desired row is matched.  With ``twice`` the antennas heard by at
+    least two receivers of ``A``, message ``i``'s lex-first singleton is
+    the lowest bit of ``heard[i] & ~twice``, and the cost proven after
+    level 1 is exactly ``price(A) = |A| + shared(A)``, where
+    ``shared(A)`` counts the messages of ``A`` without a private
+    antenna.  A receiver joining ``A`` only grows ``twice``, so
+    ``shared`` never falls: the price of a prefix bounds the price of
+    every active set that extends it.
+
+    The active sets of one size are walked depth-first over receivers in
+    lex order.  A prefix ``P`` is dropped once ``size + shared(P)``
+    passes the budget, or once too few receivers remain to fill it.
+    Only sets whose price overruns the budget are dropped, so the first
+    feasible set of each size, and with it the witness, is the lex-first
+    one, as with a plain enumeration of the combinations.
+
+    From level 2 on, the minima are found level-wise for all open
+    messages together: at level ``l`` every open message tries the
+    size-``l`` subsets of its ball in lex order, and its first
     deliverable one is its cheapest.  A message still open after level
     ``l`` provably costs at least ``l + 1``, so the set is rejected as
     soon as the proven costs sum past the budget, or when a message is
@@ -358,9 +399,10 @@ def max_avoidance_cooperative(
     ball, hop by hop.  The first deliverable set, or None, is memoised
     under that key for the call, and so are the verdicts of
     :func:`_deliverable`, keyed by the rows.  Sets are bitmasks, and a
-    subset that misses the own receiver is rejected by one ``&``.  Each
-    active set tried and each subset tried is a node and ticks the time
-    limit, so a run of memo hits still reads the clock.
+    subset that misses the own receiver is rejected by one ``&``.  A
+    node is a prefix extension of the walk, whole active sets included,
+    or a subset tried from level 2 on; each ticks the time limit, so a
+    run of memo hits still reads the clock.
 
     Raises:
         InvalidParameterError: ``B`` is negative or not finite,
@@ -397,18 +439,30 @@ def max_avoidance_cooperative(
                 return T
         return None
 
-    def fit(A: tuple[int, ...]) -> dict[int, frozenset[int]] | None:
-        """Each message's cheapest transmit set, or None if they overrun the budget."""
-        search.tick()
-        pool = 0
-        for k in A:
-            pool |= heard[k]
+    def fit(A: tuple[int, ...], pool: int, twice: int) -> dict[int, frozenset[int]] | None:
+        """Each message's cheapest transmit set, or None if they overrun the budget.
+
+        ``pool`` holds the antennas ``A`` hears and ``twice`` those heard
+        by at least two of its receivers; ``price(A)`` fits the budget.
+        """
         others = [(k, heard[k]) for k in A]
-        balls = {i: heard[i] for i in A}
         sets: dict[int, frozenset[int]] = {}
-        waiting = A
-        proven = len(A)  # sum of the proven per-message costs
-        for level in range(1, pool.bit_count() + 1):
+        balls: dict[int, int] = {}
+        for i in A:
+            private = heard[i] & ~twice
+            if private:
+                sets[i] = frozenset({(private & -private).bit_length() - 1})
+                continue
+            # The 1-hop ball, through every receiver of A that hears heard[i].
+            balls[i] = 0
+            for _, h in others:
+                if h & heard[i]:
+                    balls[i] |= h
+        waiting = list(balls)
+        proven = len(A) + len(waiting)  # sum of the proven per-message costs
+        for level in range(2, pool.bit_count() + 1):
+            if not waiting:
+                break
             still = []
             for i in waiting:
                 near = tuple(k for k, h in others if k != i and h & balls[i])
@@ -425,20 +479,51 @@ def max_avoidance_cooperative(
                 still.append(i)
                 for k in near:
                     balls[i] |= heard[k]
-            if not still:
-                return sets
             waiting = still
+        return None if waiting else sets
+
+    def walk(size: int) -> tuple[tuple[int, ...], dict[int, frozenset[int]]] | None:
+        """The lex-first active set of ``size`` that fits, with its transmit sets.
+
+        Each frame holds a prefix, the antennas heard by at least one
+        and at least two of its receivers, ``shared(prefix)``, and the
+        receivers left to extend it by.  The walk keeps its own stack,
+        so a call leaves no reference cycle behind.
+        """
+        frames = [((), 0, 0, 0, iter(range(1, K - size + 2)))]
+        while frames:
+            prefix, once, twice, shared, ks = frames[-1]
+            k = next(ks, None)
+            if k is None:
+                frames.pop()
+                continue
+            search.tick()
+            h = heard[k]
+            # k has a private antenna iff it hears one the prefix does not;
+            # a member loses its last private antennas only to the new ones.
+            new = once & h & ~twice
+            grown = twice | new
+            cost = shared + (not h & ~once)
+            if new:
+                cost += sum(1 for i in prefix if heard[i] & new and not heard[i] & ~grown)
+            if size + cost > budget:
+                continue
+            P = (*prefix, k)
+            if len(P) < size:
+                frames.append((P, once | h, grown, cost, iter(range(k + 1, K - size + len(P) + 2))))
+            elif (sets := fit(P, once | h, grown)) is not None:
+                return P, sets
         return None
 
     empty = {i: frozenset() for i in range(1, K + 1)}
     for size in range(min(K, budget), 0, -1):
-        for A in itertools.combinations(range(1, K + 1), size):
-            sets = fit(A)
-            if sets is not None:
-                witness = MessageAssignment(K=K, transmit_sets={**empty, **sets})
-                return size, CooperativeWitness(
-                    active=frozenset(A), assignment=witness, nodes_explored=search.nodes
-                )
+        found = walk(size)
+        if found is not None:
+            A, sets = found
+            witness = MessageAssignment(K=K, transmit_sets={**empty, **sets})
+            return size, CooperativeWitness(
+                active=frozenset(A), assignment=witness, nodes_explored=search.nodes
+            )
     witness = MessageAssignment(K=K, transmit_sets=dict(empty))
     return 0, CooperativeWitness(active=frozenset(), assignment=witness, nodes_explored=search.nodes)
 

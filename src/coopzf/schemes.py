@@ -493,6 +493,12 @@ def decompose_hexagonal_to_linear(lattice: HexLattice) -> tuple[frozenset[int], 
     return removed, chains
 
 
+def _check_hex_coop_side(n: int | None) -> None:
+    """Raise unless ``n``, a lattice side (None when not grid-built), is a multiple of 6."""
+    if n is None or n % 6 != 0:
+        raise InvalidParameterError("lattice must be grid-built with side n a multiple of 6")
+
+
 def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfScheme]:
     """Cooperative hexagonal plan: chains of 8-user blocks at order 3.
 
@@ -506,8 +512,7 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
         InvalidParameterError: the lattice is not a grid with side ``n``
             a multiple of 6 (the chains then hold whole blocks of 8).
     """
-    if lattice.n is None or lattice.n % 6 != 0:
-        raise InvalidParameterError("lattice must be grid-built with side n a multiple of 6")
+    _check_hex_coop_side(lattice.n)
     _, chains = decompose_hexagonal_to_linear(lattice)
     placements = [(*locally_connected_scheme(len(chain), 2, 3), chain, chain) for chain in chains]
     return _embed(len(lattice.coords), placements, "hexagonal_cooperative", ("hexagonal", lattice.n))

@@ -23,14 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import json
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .assignment import MessageAssignment, metrics
 from .errors import CoopZfError, InvalidParameterError, SolverFailureError
 from .oracle import _mask, _support_matching
 from .schemes import DofReport, ZfScheme
 from .topology import NetworkTopology
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAGNITUDE_FLOOR = 1e-6
 _DEFAULT_TOL = 1e-8
@@ -120,6 +122,8 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     """
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    import numpy as np  # here, so that importing coopzf leaves numpy unloaded
+
     rng = np.random.default_rng(seed)
     keys = [(i, t) for i in range(1, topology.K + 1) for t in sorted(topology.hears[i])]
     scale = np.sqrt(2)
@@ -219,6 +223,8 @@ def _solve_cyclic(
         SolverFailureError: a solution misses its right-hand side; the
             lowest such message is named.
     """
+    import numpy as np
+
     stacks: dict[int, list[tuple[int, list[int], list[int]]]] = {}
     for system in systems:
         stacks.setdefault(len(system[2]), []).append(system)

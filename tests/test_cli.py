@@ -63,6 +63,14 @@ def test_report_subcommand(capsys, monkeypatch):
         assert rep["backhaul"] == "1"
 
 
+def test_hex_coop_checks_the_side_before_building_the_lattice(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_hexagonal", lambda n: built.append(n))
+    code, out, err = _run(["scheme", "--hex-coop", "--n", "301"], capsys)
+    assert (code, out, built) == (2, "", [])
+    assert "lattice must be grid-built with side n a multiple of 6" in err
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     _, doc, _ = _run(["scheme", "--wyner", "--K", "4", "--B", "1"], capsys)
     obj = json.loads(doc)
@@ -679,7 +687,7 @@ _TRANSCRIPT_SHA256 = [
     "5f385efa967eaf936f17fee932bd38bcfdc43327999a11a5ad71a07fdf2bcb99",
     "7624cf137b8f2434cec9bb0e6ebc766e5ece37e63fd5677bfe295b9fa28b76fa",
     "a23cc549d9a5629dc99b8db182678afc47296452163e0ccf61430b7091deb281",
-    "bd4ab25b06f3998287fd4738257ff09336349b759e7d27013e90da403750ec78",
+    "a25a9331093beb58c64adf9ea32cc6e3a0f5e93236eea3788d1239b97317ba70",
     "c8577c4fd0c6722197c24bd5cac6681920460171574fb2c0d1bd3022e26fffac",
     "109b09198565b72b420fdbf0f3eacda4f81d6de729a1c8bcddff542e439c9a85",
     "8a736deb962bb95d9f380338ad3dd52780ba0d4565db3c5daab122bc5d8b3d0a",
@@ -767,6 +775,15 @@ def test_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", probe], env=_SUBPROCESS_ENV, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+def test_importing_the_package_loads_no_numpy():
+    # numpy is imported by the calls that draw channels or solve beams.
+    probe = "import sys, coopzf, coopzf.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=_SUBPROCESS_ENV, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_entry_point_pipes_scheme_into_verify():

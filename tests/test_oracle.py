@@ -359,6 +359,93 @@ def test_minimum_transmit_sets_lie_in_the_ball(topo):
     assert outside_ball > 0
 
 
+def _twice(heard, A):
+    """The antennas heard by at least two receivers of ``A``."""
+    once = twice = 0
+    for k in A:
+        twice |= once & heard[k]
+        once |= heard[k]
+    return twice
+
+
+def _price(heard, A):
+    """``|A|`` plus the receivers of ``A`` with no antenna that only they hear."""
+    twice = _twice(heard, A)
+    return len(A) + sum(not heard[i] & ~twice for i in A)
+
+
+def _cheapest(heard, A, i, cap):
+    """The size of message ``i``'s smallest deliverable subset of the pool, or ``cap`` if above it."""
+    pool = 0
+    for k in A:
+        pool |= heard[k]
+    for level in range(1, cap):
+        for combo in itertools.combinations([1 << t for t in _bits(pool)], level):
+            T = sum(combo)
+            crows = [T & heard[k] for k in A if k != i and T & heard[k]]
+            if T & heard[i] and _deliverable(T & heard[i], crows):
+                return level
+    return cap
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [
+        build_wyner(10),
+        build_locally_connected(10, 2),
+        build_locally_connected(10, 3),
+        build_hexagonal(3)[0],
+        build_hexagonal(4)[0],
+        build_two_dim(9),
+        build_two_dim(16),
+    ],
+    ids=["wyner10", "lc2-10", "lc3-10", "hex3", "hex4", "grid9", "grid16"],
+)
+def test_level_one_is_closed_form_and_price_bounds_the_cost(topo):
+    # A singleton {t} serves i iff t is private to i: every other receiver
+    # that hears t adds the cancellation row {t}, equal to the desired row.
+    K = topo.K
+    heard = {i: _mask(topo.hears[i]) for i in range(1, K + 1)}
+    rng = np.random.default_rng(22)
+    shared = 0
+    for _ in range(40):
+        A = sorted(rng.choice(np.arange(1, K + 1), size=rng.integers(1, K + 1), replace=False).tolist())
+        twice = _twice(heard, A)
+        costs = []
+        for i in A:
+            # The search's first(i, 1, ...): heard[i]'s singletons in lex order.
+            lex_first = next(
+                (
+                    T
+                    for T in (1 << t for t in _bits(heard[i]))
+                    if _deliverable(T, [T for k in A if k != i and T & heard[k]])
+                ),
+                0,
+            )
+            private = heard[i] & ~twice
+            assert lex_first == private & -private, (A, i)
+            costs.append(_cheapest(heard, A, i, cap=3))
+        price = _price(heard, A)
+        assert price == sum(min(c, 2) for c in costs) <= sum(costs), A
+        for k in set(range(1, K + 1)) - set(A):
+            assert _price(heard, sorted([*A, k])) >= price, (A, k)
+        shared += price - len(A)
+    assert shared > 0
+
+
+@pytest.mark.parametrize(
+    ("topo", "value"),
+    [(build_wyner(16), 12), (build_hexagonal(4)[0], 9)],
+    ids=["wyner16", "hex4"],
+)
+def test_cooperative_b1_optimum_at_k16(topo, value):
+    got, witness = max_avoidance_cooperative(topo, 1, node_limit=16)
+    assert got == value == len(witness.active)
+    assert metrics(witness.assignment).B <= 1
+    reached, _ = max_activation_for_assignment(topo, witness.assignment)
+    assert reached == value
+
+
 def _chains(Ks):
     for L in (None, 1, 2, 3):
         for K in Ks:
@@ -403,18 +490,20 @@ def _oracle_digest() -> str:
 
 
 def test_oracle_outputs_are_pinned():
-    # Taken when the cooperative search first offered each message only its
-    # ball; values and witnesses equal the whole-pool reference's, and the
-    # activation and single-transmitter outputs, node counts included, are
-    # those of the frozenset searches that ran two full matchings per test.
-    assert _oracle_digest() == "b2f57f596f09c557c509350ec6018eaffe4ea02b462e7687c635c015501eddc2"
+    # Taken when the cooperative search first priced each active set and
+    # solved level 1 in closed form; only its node counts moved, so values
+    # and witnesses equal the whole-pool reference's, and the activation
+    # and single-transmitter outputs, node counts included, are those of
+    # the frozenset searches that ran two full matchings per test.
+    assert _oracle_digest() == "722a92f8c40eccd934bf967467dcd6c51d6f8d5726416897613fa8c8d2fe6831"
 
 
 def test_cooperative_lc3_k12_b2():
-    # The whole-pool search needs 247,725 nodes here.
+    # The whole-pool search needs 247,725 nodes here, and the ball search
+    # that fitted level 1 by enumeration 73,736.
     value, witness = max_avoidance_cooperative(build_locally_connected(12, 3), 2)
     assert value == 8
-    assert witness.nodes_explored == 73_736
+    assert witness.nodes_explored == 73_218
 
 
 @pytest.mark.parametrize("family", ["wyner", "lc", "hex3", "hex4", "grid"])
