@@ -572,17 +572,13 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
     in_cell = [(r, t) for r, t in pairs if lattice.cell_anchor(r) == lattice.cell_anchor(t)]
     cross = [(r, t) for r, t in pairs if lattice.cell_anchor(r) != lattice.cell_anchor(t)]
 
-    state: dict[tuple[int, int, int], int] = {}
-    for mt in lattice.cells:
-        ms = set(mt)
-        if any(r in ms for r, _ in in_cell):
-            state[mt] = 1
-        elif any(t in ms for _, t in cross):
-            state[mt] = 2
-        elif any(r in ms for r, _ in cross):
-            state[mt] = 3
-        else:
-            state[mt] = 0
+    # A cell takes the first state that holds: a member served in-cell (1),
+    # transmitting outward (2) or served from outward (3); else 0.
+    state = dict.fromkeys(lattice.cells, 0)
+    for k, members in ((3, [r for r, _ in cross]), (2, [t for _, t in cross]), (1, [r for r, _ in in_cell])):
+        for x in members:
+            if lattice.cell[x] is not None:
+                state[lattice.cell[x]] = k
 
     # Each cross-cell service lives in one linking triangle; collect its triple.
     forced_uncovered: set[int] = set()
@@ -597,6 +593,12 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
 
     builder = _GroupBuilder(facts)
     consumed: set[tuple[int, int, int]] = set()
+    served_in: dict = {}
+    attach: dict = {}
+    for r, _ in in_cell:
+        served_in.setdefault(lattice.cell[r], []).append(r)
+    for tr in triples:
+        attach.setdefault(lattice.cell[tr[0]], []).append(tr)
 
     # Absorb triples into the cell of their bystander node when that cell
     # is complete and not itself exporting or importing a service.  The
@@ -604,10 +606,10 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
     for mt in lattice.cells:
         if state[mt] not in (0, 1):
             continue
-        attached = [tr for tr in triples if tr[0] in mt and tr not in consumed]
+        attached = attach.get(mt, [])
         consumed.update(attached)
         members = sorted(set(mt).union(*((t, r) for _, t, r in attached)))
-        served = [r for r, _ in in_cell if r in mt] + [r for _, _, r in attached]
+        served = served_in.get(mt, []) + [r for _, _, r in attached]
         builder.new(
             members,
             served + [x for x in members if x in zeros],

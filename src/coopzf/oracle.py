@@ -81,13 +81,14 @@ def validate_schedule(topology: NetworkTopology, schedule: AvoidanceSchedule) ->
             inside.append((r, t))
         else:
             problems.append(f"pair ({r}, {t}) names a user outside 1..{K}")
+    sent_by: dict[int, list[int]] = {}
     for r, t in inside:
+        sent_by.setdefault(t, []).append(r)
         if t not in topology.hears[r]:
             problems.append(f"receiver {r} does not hear its transmitter {t}")
     for r, t in inside:
-        for r2, t2 in inside:
-            if t2 != t and t2 in topology.hears[r]:
-                problems.append(f"receiver {r} hears interfering transmitter {t2}")
+        heard = sorted((r2, t2) for t2 in topology.hears[r] if t2 != t for r2 in sent_by.get(t2, ()))
+        problems.extend(f"receiver {r} hears interfering transmitter {t2}" for _, t2 in heard)
     if schedule.value != len(schedule.pairs):
         problems.append("value does not equal the number of pairs")
     return problems

@@ -2,18 +2,18 @@
 
 A scheme pairs a message assignment with an activation plan: which
 messages get one degree of freedom, which transmitter delivers each,
-at which receivers each message's interference must be nulled, and
-which transmitters stay silent.  Every chain scheme is a list of blocks
-``(a, gap, b, s)`` laid end to end by one emitter: the Wyner scheme
-under integer backhaul ``B`` is the asymmetric block
-``(2B, 1, 2B-1, 0)``, the locally connected scheme of order ``M`` is
-``(M, L, M, floor(L/2))``, and the best known unit-backhaul rows for
-L = 2..6 and the square-grid row scheme lay order-2 and then order-3
-blocks.  Square-grid schemes copy that row onto every served row;
-hexagonal networks get the non-cooperative coset plan and the
-cooperative plan, which silences the circles and diamonds of every odd
-row so that each pair of rows becomes one isolated chain (every side
-that is a multiple of 6).
+and at which receivers each message's interference must be nulled;
+the transmitters no active message uses stay silent.  Every chain
+scheme is a list of blocks ``(a, gap, b, s)`` laid end to end by one
+emitter: the Wyner scheme under integer backhaul ``B`` is the
+asymmetric block ``(2B, 1, 2B-1, 0)``, the locally connected scheme of
+order ``M`` is ``(M, L, M, floor(L/2))``, and the best known
+unit-backhaul rows for L = 2..6 and the square-grid row scheme lay
+order-2 and then order-3 blocks.  Square-grid schemes copy that row
+onto every served row; hexagonal networks get the non-cooperative
+coset plan and the cooperative plan, which silences the circles and
+diamonds of every odd row so that each pair of rows becomes one
+isolated chain (every side that is a multiple of 6).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .topology import HexLattice, NetworkTopology, topology_from_dict
 class ZfScheme:
     """Activation plan for one-shot zero-forcing.
 
+    Silent transmitters are not stored; :func:`scheme_to_json` derives them.
+
     Attributes:
         K: number of users.
         active_messages: messages allocated one degree of freedom.
@@ -47,7 +49,6 @@ class ZfScheme:
         cancel_at: active message ``i`` -> receivers where its
             interference is nulled.  Beam design reads only the set;
             documents keep the stored order.
-        deactivated_transmitters: transmitters that never transmit.
         declared_pudof: the generator's exact per-user DoF claim.
         declared_backhaul: the generator's exact backhaul-load claim.
         name: human-readable generator tag.
@@ -59,7 +60,6 @@ class ZfScheme:
     active_messages: frozenset[int]
     serving: dict[int, int]
     cancel_at: dict[int, tuple[int, ...]]
-    deactivated_transmitters: frozenset[int]
     declared_pudof: Fraction
     declared_backhaul: Fraction
     name: str = ""
@@ -100,10 +100,10 @@ def validate_scheme(
 
     Checked: serving transmitters belong to the transmit set and are
     audible at their receiver; cancellation lists stay within receivers
-    that hear the transmit set, never include the served receiver, and
-    leave one coefficient free for delivery; every active receiver
-    hearing any transmitter of ``T_i`` appears in ``C_i`` (complete
-    interference coverage); deactivated transmitters carry nothing.
+    that hear the transmit set and never include the served receiver;
+    every active receiver hearing any transmitter of ``T_i`` appears in
+    ``C_i`` (complete interference coverage).  Deliverability is left to
+    the rank test and the numeric path.
 
     Coverage only visits the active receivers in ``hearers(t)`` for
     ``t in T_i``, so the cost is linear in ``sum |T_i| * degree``.
@@ -131,17 +131,9 @@ def validate_scheme(
             audible_at |= topology.hearers(tx)
         if not set(C) <= audible_at:
             problems.append(f"cancellation list of message {i} includes receivers that hear none of its transmitters")
-        if len(C) > len(T) - 1:
-            problems.append(f"message {i} has too many cancellation constraints for |T|={len(T)}")
         for k in sorted(audible_at & scheme.active_messages):
             if k != i and k not in C:
                 problems.append(f"active receiver {k} hears message {i} but is not in its cancellation list")
-    used = set()
-    for i in scheme.active_messages:
-        used |= assignment.transmit_sets.get(i, frozenset())
-    overlap = scheme.deactivated_transmitters & used
-    if overlap:
-        problems.append(f"deactivated transmitters {sorted(overlap)} appear in active transmit sets")
     return problems
 
 
@@ -155,15 +147,12 @@ def _finish(
     name: str,
     family: tuple,
 ) -> tuple[MessageAssignment, ZfScheme]:
-    """Build the assignment and scheme; every transmitter no active message uses is silenced."""
-    active = frozenset(serving)
-    used = frozenset().union(*(tsets[i] for i in active))
+    """Build the assignment and scheme; the served messages are the active ones."""
     scheme = ZfScheme(
         K=K,
-        active_messages=active,
+        active_messages=frozenset(serving),
         serving=serving,
         cancel_at=cancel,
-        deactivated_transmitters=frozenset(range(1, K + 1)) - used,
         declared_pudof=pudof,
         declared_backhaul=backhaul,
         name=name,
@@ -518,59 +507,57 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
     return _embed(len(lattice.coords), placements, "hexagonal_cooperative", ("hexagonal", lattice.n))
 
 
-def scheme_to_json(
-    scheme: ZfScheme,
-    topology: NetworkTopology | None = None,
-    assignment: MessageAssignment | None = None,
-) -> str:
-    """Serialize a scheme, optionally embedding topology and transmit sets.
+def scheme_to_json(scheme: ZfScheme, topology: NetworkTopology, assignment: MessageAssignment) -> str:
+    """Serialize a scheme with its topology and transmit sets.
 
-    The embedded copies make the output self-contained for piping into
-    verification or certification commands.  The whole document is
-    encoded once: the topology enters as :meth:`NetworkTopology.to_dict`
-    and the transmit sets as :meth:`MessageAssignment.to_dict` lists.
+    Every document is whole, so it can be piped into verification or
+    certification commands as it stands.  The whole document is encoded
+    once: the topology enters as :meth:`NetworkTopology.to_dict` and the
+    transmit sets as :meth:`MessageAssignment.to_dict` lists.  The
+    ``"deactivated"`` list, the transmitters no active message uses, is
+    derived here for readers of the document; :func:`scheme_from_json`
+    does not read it.
     """
+    used = frozenset().union(*(assignment.transmit_sets[i] for i in scheme.active_messages))
     obj: dict = {
         "K": scheme.K,
         "active": sorted(scheme.active_messages),
         "serving": {str(i): scheme.serving[i] for i in sorted(scheme.serving)},
         "cancel_at": {str(i): list(scheme.cancel_at[i]) for i in sorted(scheme.cancel_at)},
-        "deactivated": sorted(scheme.deactivated_transmitters),
+        "deactivated": [t for t in range(1, scheme.K + 1) if t not in used],
         "declared": {
             "pudof": str(scheme.declared_pudof),
             "backhaul": str(scheme.declared_backhaul),
         },
         "name": scheme.name,
         "family": list(scheme.family),
+        "topology": topology.to_dict(),
+        "transmit_sets": assignment.to_dict()["transmit_sets"],
     }
-    if topology is not None:
-        obj["topology"] = topology.to_dict()
-    if assignment is not None:
-        obj["transmit_sets"] = assignment.to_dict()["transmit_sets"]
     return json.dumps(obj)
 
 
-def scheme_from_json(
-    text: str,
-) -> tuple[ZfScheme, NetworkTopology | None, MessageAssignment | None]:
-    """Inverse of :func:`scheme_to_json`; embedded sections are optional.
+def scheme_from_json(text: str) -> tuple[ZfScheme, NetworkTopology, MessageAssignment]:
+    """Inverse of :func:`scheme_to_json`; the topology and transmit sets are required.
 
     The text is parsed once; the embedded topology is built from its
     parsed object (:func:`topology_from_dict`).  User indices are checked
     against ``K`` without building ``1..K``, and the embedded lists are
     counted against ``K`` first, so a document that claims a huge ``K``
-    is rejected without memory or time proportional to ``K``.
+    is rejected without memory or time proportional to ``K``.  The
+    ``"deactivated"`` list is derived data: like any key the reader does
+    not know, it is never read.
 
     Raises:
-        InvalidParameterError: malformed JSON or shape, a ``K`` or user
+        InvalidParameterError: malformed JSON or shape, a missing
+            ``topology`` or ``transmit_sets`` section, a ``K`` or user
             index that is not an ``int`` in ``1..K`` (a boolean or an
             integral float is not), ``serving``/``cancel_at`` keys other
             than the decimal forms ``str(i)`` of the active users (so
             ``"01"``, ``"+1"`` and ``" 1"`` are refused), a ``name`` that
             is not a string, a ``family`` that is not a list, declared
-            fractions that are not strings, an embedded topology of
-            another ``K`` or of the wrong field types, or a deactivated
-            transmitter inside an active transmit set.
+            fractions that are not strings, or an embedded topology of
+            another ``K`` or of the wrong field types.
     """
     with _document_errors("scheme"):
         obj = json.loads(text)
@@ -578,8 +565,7 @@ def scheme_from_json(
             obj["active"],
             obj["serving"].values(),
             *obj["cancel_at"].values(),
-            obj["deactivated"],
-            *obj.get("transmit_sets", ()),
+            *obj["transmit_sets"],
         )
         _check_users("scheme", obj["K"], users)
         # JSON keys are strings; only the canonical "4" names user 4, not "04" or " 4".
@@ -596,29 +582,18 @@ def scheme_from_json(
             active_messages=frozenset(obj["active"]),
             serving={int(i): t for i, t in obj["serving"].items()},
             cancel_at={int(i): tuple(c) for i, c in obj["cancel_at"].items()},
-            deactivated_transmitters=frozenset(obj["deactivated"]),
             declared_pudof=Fraction(declared.get("pudof", "0")),
             declared_backhaul=Fraction(declared.get("backhaul", "0")),
             name=obj.get("name", ""),
             family=tuple(obj.get("family", ())),
         )
-        topology = None
-        if "topology" in obj:
-            topology = topology_from_dict(obj["topology"])
-            if topology.K != scheme.K:
-                raise InvalidParameterError(
-                    f"malformed scheme document (embedded topology has K={topology.K}, document K={scheme.K})"
-                )
-        assignment = None
-        if "transmit_sets" in obj:
-            assignment = MessageAssignment(
-                K=scheme.K,
-                transmit_sets={i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])},
+        topology = topology_from_dict(obj["topology"])
+        if topology.K != scheme.K:
+            raise InvalidParameterError(
+                f"malformed scheme document (embedded topology has K={topology.K}, document K={scheme.K})"
             )
-            used = frozenset().union(*(assignment.transmit_sets.get(i, ()) for i in scheme.active_messages))
-            overlap = scheme.deactivated_transmitters & used
-            if overlap:
-                raise InvalidParameterError(
-                    f"malformed scheme document (deactivated transmitters {sorted(overlap)} appear in active transmit sets)"
-                )
+        assignment = MessageAssignment(
+            K=scheme.K,
+            transmit_sets={i + 1: frozenset(row) for i, row in enumerate(obj["transmit_sets"])},
+        )
     return scheme, topology, assignment

@@ -118,21 +118,27 @@ def _wyner_document(K: int = 4, **fields) -> str:
     return json.dumps(obj)
 
 
+def _without(key: str) -> str:
+    """The 4-user, B=1 chain scheme document without its top-level ``key``."""
+    obj = json.loads(_wyner_document())
+    del obj[key]
+    return json.dumps(obj)
+
+
 # Documents that parse but name users outside 1..K, mismatch the active
-# set, silence a transmitter an active message uses or embed a topology of
-# another size; for K=4, active is [1, 2, 4], served by transmitters 1, 2,
-# 3, and T_1 = {1, 2}.
+# set, embed a topology of another size or lack the topology or the
+# transmit sets; for K=4, active is [1, 2, 4], served by transmitters 1, 2,
+# 3, and T_1 = {1, 2}.  The "deactivated" list is derived data that no
+# reader reads, so it cannot make a document inconsistent.
 _INCONSISTENT_SCHEMES = {
     "cancel_at lacks 1": _wyner_document(cancel_at={"2": [], "4": []}),
     "cancel_at 1 names 9": _wyner_document(cancel_at={"1": [9], "2": [], "4": []}),
     "active names 99": _wyner_document(active=[1, 2, 4, 99]),
     "serving 1 names 9": _wyner_document(serving={"1": 9, "2": 2, "4": 3}),
-    "deactivated names 1": _wyner_document(deactivated=[1, 4]),
     "topology K=4": _wyner_document(8, topology=json.loads(build_wyner(4).to_json())),
     # Values that equal users without being ints: sets would merge them.
     "active names true and 2.0": _wyner_document(active=[True, 2.0, 4]),
     "serving 1 names true": _wyner_document(serving={"1": True, "2": 2, "4": 3}),
-    "deactivated names x and 999": _wyner_document(deactivated=["x", 999]),
     "transmit set 1 names 1.0": _wyner_document(transmit_sets=[[1.0, 2], [2], [], [3]]),
     "topology row 1 names true": _wyner_document(
         topology={**json.loads(build_wyner(4).to_json()), "hears": [[True], [1, 2], [2, 3], [3, 4]]}
@@ -144,6 +150,8 @@ _INCONSISTENT_SCHEMES = {
     "cancel_at key '2 '": _wyner_document(cancel_at={"1": [2], "2 ": [], "4": []}),
     "K 4.5": json.dumps({**json.loads(_wyner_document()), "K": 4.5}),
     "K '4'": json.dumps({**json.loads(_wyner_document()), "K": "4"}),
+    "no topology": _without("topology"),
+    "no transmit_sets": _without("transmit_sets"),
 }
 
 # Scheme documents whose other fields have the wrong JSON type; the readers
@@ -215,21 +223,44 @@ def test_malformed_stdin_exits_two(capsys, monkeypatch, argv, document):
     assert err.startswith("error: malformed")
 
 
+# Documents whose "deactivated" list silences a transmitter an active
+# message uses, names users of no network, or is missing; the list is
+# derived when a document is written and never read.
+_DERIVED_DEACTIVATED = {
+    "deactivated names 1": _wyner_document(deactivated=[1, 4]),
+    "deactivated names x and 999": _wyner_document(deactivated=["x", 999]),
+    "no deactivated": _without("deactivated"),
+}
+
+
+@pytest.mark.parametrize(
+    ("argv", "document"),
+    [
+        pytest.param(argv, document, id=f"{' '.join(argv)}-{label}")
+        for argv in (["verify"], ["report"], ["certify", "--lower-bound"])
+        for label, document in _DERIVED_DEACTIVATED.items()
+    ],
+)
+def test_deactivated_is_derived_not_read(capsys, monkeypatch, argv, document):
+    generated = _run(argv, capsys, monkeypatch, stdin=_wyner_document())
+    assert generated[0] == 0
+    assert _run(argv, capsys, monkeypatch, stdin=document) == generated
+
+
 def _huge_k_cases():
     """An 8-user chain document whose K, top-level or embedded, claims 10**12 users."""
     huge = 10**12
     doc = json.loads(_wyner_document(8))
-    bare = {key: value for key, value in doc.items() if key != "topology"}
     cases = {
         "verify-document K": (["verify"], {**doc, "K": huge}),
         "verify-topology K": (["verify"], {**doc, "topology": {**doc["topology"], "K": huge}}),
-        "report-document K": (["report"], {**bare, "K": huge}),
+        "report-document K": (["report"], {**doc, "K": huge}),
         "certify --backhaul-assignment K": (
             ["certify", "--backhaul", "--B", "1"],
             {"K": huge, "transmit_sets": doc["transmit_sets"]},
         ),
         # json reads 1e400 as an infinite float, which int() cannot take
-        "report-document K infinite": (["report"], {**bare, "K": float("inf")}),
+        "report-document K infinite": (["report"], {**doc, "K": float("inf")}),
         "certify --backhaul-assignment K infinite": (
             ["certify", "--backhaul", "--B", "1"],
             {"K": float("inf"), "transmit_sets": doc["transmit_sets"]},
@@ -588,7 +619,6 @@ def test_certify_lower_bound_pass_and_fail(capsys, monkeypatch):
         active=[2, 3],
         serving={"2": 1, "3": 2},
         cancel_at={"2": [], "3": [2]},
-        deactivated=[3],
         transmit_sets=[[], [1], [2, 4], []],
     )
     code, out, _ = _run(["certify", "--lower-bound"], capsys, monkeypatch, stdin=undeliverable)

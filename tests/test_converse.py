@@ -35,6 +35,7 @@ from coopzf import (
     schedule_assignment,
     triangle_state_bound,
     validate_certificate,
+    validate_schedule,
     wyner_backhaul_scheme,
 )
 from coopzf import converse
@@ -450,6 +451,37 @@ def test_state_bound_rejects_users_outside_lattice(pair):
     schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)
     with pytest.raises(PreconditionViolationError, match="outside 1..9"):
         triangle_state_bound(lattice, schedule)
+
+
+class _CountedUser(int):
+    """A user index that counts each hash, so each set or dict lookup of it."""
+
+    def __new__(cls, value, tally):
+        user = super().__new__(cls, value)
+        user.tally = tally
+        return user
+
+    def __hash__(self):
+        self.tally[0] += 1
+        return super().__hash__()
+
+
+def test_schedule_checks_grow_linearly_with_users():
+    # every lookup of a scheduled user is counted; an all-pairs check looks
+    # each one up once per other pair, a per-cell scan once per cell
+    counts = []
+    for n in (12, 48):
+        topo, lattice = build_hexagonal(n)
+        tally = [0]
+        circles = [_CountedUser(i, tally) for i in lattice.coords if lattice.cosets[i] == "circle"]
+        schedule = AvoidanceSchedule(pairs=frozenset((i, i) for i in circles), value=len(circles))
+        tally[0] = 0
+        assert validate_schedule(topo, schedule) == []
+        validated = tally[0]
+        triangle_state_bound(lattice, schedule)
+        counts.append((validated, tally[0] - validated))
+    for small, large in zip(*counts):
+        assert 0 < small and large <= 18 * small, counts
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import dataclasses
 from fractions import Fraction
 import hashlib
 import itertools
+import random
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from coopzf import (
     build_two_dim,
     build_wyner,
     certify_lower_bound,
+    design_beams,
     hexagonal_cooperative_scheme,
     hexagonal_coset_scheme,
     locally_connected_scheme,
@@ -28,9 +30,11 @@ from coopzf import (
     max_avoidance_cooperative,
     max_avoidance_m1,
     metrics,
+    sample_channels,
     table1_scheme,
     validate_schedule,
     validate_scheme,
+    verify,
     wyner_backhaul_scheme,
 )
 from coopzf import oracle
@@ -601,7 +605,6 @@ def test_certify_accepts_empty_scheme():
         active_messages=frozenset(),
         serving={},
         cancel_at={},
-        deactivated_transmitters=frozenset(range(1, 5)),
         declared_pudof=Fraction(0),
         declared_backhaul=Fraction(0),
     )
@@ -684,12 +687,33 @@ def test_certify_rejects_undeliverable_valid_scheme():
         active_messages=frozenset({2, 3}),
         serving={2: 1, 3: 2},
         cancel_at={2: (), 3: (2,)},
-        deactivated_transmitters=frozenset({3}),
         declared_pudof=Fraction(1, 2),
         declared_backhaul=Fraction(3, 4),
     )
     assert validate_scheme(topo, a, s) == []
     assert not certify_lower_bound(topo, s, a)
+
+
+def test_certify_accepts_more_cancellations_than_spare_antennas():
+    # |C_6| = 2 > |T_6| - 1 = 1, yet receivers 2 and 3 hear only antenna 2
+    # of T_6 = {2, 6}: the beam v_2 = 0, v_6 = 1 nulls both and reaches 6.
+    topo = build_wyner(8)
+    sets = dict.fromkeys(range(1, 9), frozenset())
+    sets.update({2: frozenset({1}), 3: frozenset({3}), 6: frozenset({2, 6})})
+    a = MessageAssignment(K=8, transmit_sets=sets)
+    s = ZfScheme(
+        K=8,
+        active_messages=frozenset({2, 3, 6}),
+        serving={2: 1, 3: 3, 6: 6},
+        cancel_at={2: (), 3: (), 6: (2, 3)},
+        declared_pudof=Fraction(3, 8),
+        declared_backhaul=Fraction(1, 2),
+    )
+    assert validate_scheme(topo, a, s) == []
+    assert certify_lower_bound(topo, s, a)
+    channels = sample_channels(topo, 0)
+    assert verify(topo, channels, s, design_beams(topo, channels, a, s)).passed
+    assert max_activation_for_assignment(topo, a)[0] == 3
 
 
 def test_certify_runs_no_search_at_any_size(monkeypatch):
@@ -782,3 +806,28 @@ def test_schedule_naming_users_outside_topology_is_a_violation(pair):
     topo, _ = build_hexagonal(3)
     schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)
     assert validate_schedule(topo, schedule) == [f"pair {pair} names a user outside 1..9"]
+
+
+def _interference_all_pairs(topology, pairs):
+    """Reference: each scheduled pair checked against every other, in sorted order."""
+    K = topology.K
+    inside = sorted((r, t) for r, t in pairs if 1 <= r <= K and 1 <= t <= K)
+    return [
+        f"receiver {r} hears interfering transmitter {t2}"
+        for r, t in inside
+        for _, t2 in inside
+        if t2 != t and t2 in topology.hears[r]
+    ]
+
+
+def test_schedule_interference_matches_all_pairs_reference():
+    # random pairs repeat receivers and transmitters and leave the lattice
+    rng = random.Random(3)
+    for n in range(2, 8):
+        topo, _ = build_hexagonal(n)
+        for _ in range(20):
+            count = rng.randint(0, topo.K)
+            pairs = frozenset((rng.randint(1, topo.K + 1), rng.randint(1, topo.K)) for _ in range(count))
+            problems = validate_schedule(topo, AvoidanceSchedule(pairs=pairs, value=len(pairs)))
+            interference = [p for p in problems if "interfering" in p]
+            assert interference == _interference_all_pairs(topo, pairs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 import hashlib
+import json
 
 import pytest
 
@@ -77,7 +78,7 @@ def test_chain_block_four_users():
     }
     assert sorted(s.active_messages) == [1, 2, 4]
     assert s.declared_pudof == Fraction(3, 4)
-    assert s.deactivated_transmitters == frozenset({4})
+    assert json.loads(scheme_to_json(s, build_wyner(4), a))["deactivated"] == [4]
 
 
 def test_chain_block_dof_counts():
@@ -145,7 +146,8 @@ def test_generators_pass_structural_validation():
     for topo, a, s in _generators():
         assert validate_scheme(topo, a, s) == [], s.name
         used = set().union(*(a.transmit_sets[i] for i in s.active_messages))
-        assert s.deactivated_transmitters == set(range(1, s.K + 1)) - used, s.name
+        deactivated = json.loads(scheme_to_json(s, topo, a))["deactivated"]
+        assert deactivated == sorted(set(range(1, s.K + 1)) - used), s.name
 
 
 def test_generators_declare_exact_metrics():
@@ -244,10 +246,11 @@ def test_grid_scheme_silences_every_third_transmitter_row():
     N = 12
     a, s = two_dim_scheme(N * N)
     silent_rows = {r for r in range(1, N + 1) if r % 3 == 0}
+    deactivated = json.loads(scheme_to_json(s, build_two_dim(N * N), a))["deactivated"]
     for tx in range(1, N * N + 1):
         row = (tx - 1) // N + 1
         if row in silent_rows:
-            assert tx in s.deactivated_transmitters
+            assert tx in deactivated
     used = set()
     for i in s.active_messages:
         used |= a.transmit_sets[i]
@@ -472,6 +475,12 @@ def test_scheme_documents_are_pinned_across_sizes():
     )
 
 
+def test_read_documents_are_written_back_byte_for_byte():
+    for topology, assignment, scheme in _grid_instances():
+        document = scheme_to_json(scheme, topology=topology, assignment=assignment)
+        assert scheme_to_json(*scheme_from_json(document)) == document, scheme.name
+
+
 def test_scheme_json_round_trip():
     topo = build_locally_connected(7, 3)
     a, s = locally_connected_scheme(7, 3, 2)
@@ -480,7 +489,7 @@ def test_scheme_json_round_trip():
     assert s2.active_messages == s.active_messages
     assert s2.serving == s.serving
     assert s2.cancel_at == s.cancel_at
-    assert s2.deactivated_transmitters == s.deactivated_transmitters
+    assert json.loads(doc)["deactivated"] == [1, 6, 7]
     assert s2.declared_pudof == s.declared_pudof
     assert topo2.hears == topo.hears
     assert a2.transmit_sets == a.transmit_sets
@@ -495,7 +504,6 @@ def test_validate_scheme_flags_gaps():
         active_messages=s.active_messages,
         serving=dict(s.serving),
         cancel_at={i: () for i in s.active_messages},
-        deactivated_transmitters=s.deactivated_transmitters,
         declared_pudof=s.declared_pudof,
         declared_backhaul=s.declared_backhaul,
     )
@@ -510,7 +518,6 @@ def test_validate_scheme_flags_empty_transmit_set():
         active_messages=frozenset({1}),
         serving={1: 1},
         cancel_at={1: ()},
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(1, 2),
         declared_backhaul=Fraction(0),
     )

@@ -92,7 +92,6 @@ def test_hand_computed_beam():
         active_messages=frozenset({1}),
         serving={1: 1},
         cancel_at={1: (2,)},
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(1, 2),
         declared_backhaul=Fraction(1),
     )
@@ -112,7 +111,6 @@ def test_empty_cancellation_gives_unit_beam():
         active_messages=frozenset({1}),
         serving={1: 1},
         cancel_at={1: ()},
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(1, 2),
         declared_backhaul=Fraction(1, 2),
     )
@@ -157,7 +155,6 @@ def _cyclic_scheme(K, sizes):
         active_messages=frozenset(serving),
         serving=serving,
         cancel_at=cancel,
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(len(serving), K),
         declared_backhaul=Fraction(sum(map(len, tsets.values())), K),
     )
@@ -214,7 +211,6 @@ def test_zero_pivot_gain_is_named():
         active_messages=frozenset({1}),
         serving={1: 1},
         cancel_at={1: (2,)},
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(1, 2),
         declared_backhaul=Fraction(1),
     )
@@ -233,7 +229,6 @@ def test_serving_error_waits_for_earlier_singular_system():
         active_messages=frozenset({1, 3}),
         serving={1: 1, 3: 3},
         cancel_at={1: (2, 3), 3: ()},
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(2, 3),
         declared_backhaul=Fraction(2, 3),
     )
@@ -285,7 +280,6 @@ def test_uncovered_interference_is_reported_not_raised():
         active_messages=frozenset({1, 2}),
         serving={1: 1, 2: 2},
         cancel_at={1: (), 2: ()},
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(1),
         declared_backhaul=Fraction(1),
     )
@@ -308,7 +302,6 @@ def test_serving_outside_transmit_set_is_rejected():
         active_messages=frozenset({2}),
         serving={2: 2},
         cancel_at={2: ()},
-        deactivated_transmitters=frozenset(),
         declared_pudof=Fraction(1, 2),
         declared_backhaul=Fraction(1, 2),
     )
@@ -325,7 +318,6 @@ def test_all_inactive_scheme_passes_vacuously():
         active_messages=frozenset(),
         serving={},
         cancel_at={},
-        deactivated_transmitters=frozenset({1, 2, 3}),
         declared_pudof=Fraction(0),
         declared_backhaul=Fraction(0),
     )
@@ -365,7 +357,6 @@ def test_dof_report_values():
         active_messages=frozenset(),
         serving={},
         cancel_at={},
-        deactivated_transmitters=frozenset({1, 2}),
         declared_pudof=Fraction(0),
         declared_backhaul=Fraction(0),
         name="empty",
@@ -539,14 +530,12 @@ def _random_valid_schemes(count, seed=0):
             rng.shuffle(rivals)
             cancel[i] = tuple(rivals)
         else:
-            used = frozenset().union(*(tsets[i] for i in active))
             assignment = MessageAssignment(K=K, transmit_sets=tsets)
             scheme = ZfScheme(
                 K=K,
                 active_messages=active,
                 serving=serving,
                 cancel_at=cancel,
-                deactivated_transmitters=frozenset(users) - used,
                 declared_pudof=Fraction(len(active), K),
                 declared_backhaul=Fraction(sum(map(len, tsets.values())), K),
             )
