@@ -527,7 +527,10 @@ def validate_certificate(
             if c not in allowed:
                 problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
         problems.extend(_bound_problems(g))
-    total = sum((g.bound for g in certificate.groups), Fraction(0)) + len(certificate.uncovered)
+    # One Fraction over the common denominator, exact for any recorded bounds.
+    den = math.lcm(*(g.bound.denominator for g in certificate.groups))
+    units = sum(g.bound.numerator * (den // g.bound.denominator) for g in certificate.groups)
+    total = Fraction(units + den * len(certificate.uncovered), den)
     if total != certificate.bound_total:
         problems.append("bound_total does not match the sum of group bounds")
     if certificate.certified_bound != int(total):

@@ -120,28 +120,6 @@ class _Search:
             raise ResourceLimitError("search time limit exceeded")
 
 
-def _color_order(clash: list[int], cand: int) -> list[tuple[int, int]]:
-    """Greedy coloring of ``cand``: a clique inside it has at most max-color members.
-
-    ``clash[v]`` holds the services that clash with ``v``, ``v`` itself
-    excluded, so a color class keeps only the services that clash with
-    every member placed so far.
-    """
-    order = []
-    color = 0
-    rest = cand
-    while rest:
-        color += 1
-        avail = rest
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            avail &= clash[v]
-            rest ^= low
-            order.append((v, color))
-    return order
-
-
 def _expand(
     search: _Search,
     compat: list[int],
@@ -154,22 +132,46 @@ def _expand(
 ) -> tuple[int, int]:
     """Branch and bound below the clique ``cur_set`` (``cur`` members) over ``cand``.
 
-    Returns the incumbent ``(best, best_set)``, improved where the branch
-    finds a larger clique.
+    A greedy coloring splits ``cand`` into classes, each a bitset built
+    from its lowest member up: ``clash[v]`` holds the services that
+    clash with ``v``, ``v`` itself excluded, so a class keeps only the
+    services that clash with every member placed so far.  A clique has
+    at most one member per class, so a branch on class ``c`` or below
+    reaches at most ``cur + c``; only the classes above ``best - cur``
+    are kept, and each is branched on from its highest bit down, the
+    last class first.  Returns the incumbent ``(best, best_set)``,
+    improved where the branch finds a larger clique.
     """
     search.tick()
-    for v, c in reversed(_color_order(clash, cand)):
-        if cur + c <= best:
-            break
-        if cur + 1 > best:
-            best = cur + 1
-            best_set = cur_set | (1 << v)
-        newcand = cand & compat[v]
-        if newcand:
-            best, best_set = _expand(
-                search, compat, clash, newcand, cur + 1, cur_set | (1 << v), best, best_set
-            )
-        cand ^= 1 << v
+    classes = []
+    color = 0
+    rest = cand
+    while rest:
+        avail = rest
+        members = 0
+        while avail:
+            low = avail & -avail
+            members |= low
+            avail &= clash[low.bit_length() - 1]
+        rest ^= members
+        color += 1
+        if cur + color > best:
+            classes.append((color, members))
+    for c, members in reversed(classes):
+        while members:
+            if cur + c <= best:
+                return best, best_set
+            v = members.bit_length() - 1
+            members ^= 1 << v
+            if cur + 1 > best:
+                best = cur + 1
+                best_set = cur_set | (1 << v)
+            newcand = cand & compat[v]
+            if newcand:
+                best, best_set = _expand(
+                    search, compat, clash, newcand, cur + 1, cur_set | (1 << v), best, best_set
+                )
+            cand ^= 1 << v
     return best, best_set
 
 
@@ -349,7 +351,163 @@ def max_avoidance_cooperative(
     ``B*K`` since every active message costs at least one transmitter.
     Given an active set, the cheapest workable transmit set of each
     message is independent of the others', so the set is feasible iff
-    those minima fit the budget.
+    those minima fit the budget.  The witness is the lex-first feasible
+    active set of the largest size, each message on its lex-first
+    minimum-size transmit set.
+
+    Connectivity lemma: a minimum-size deliverable set ``T`` of message
+    ``i`` is connected in the bipartite graph between ``T`` and its rows
+    (receiver ``i`` and the active receivers that hear ``T``).  Were it
+    not, the row system would be block-diagonal; generic rank is term
+    rank (Edmonds 1967) and adds over the blocks, so the component that
+    holds row ``i`` would be deliverable on its own and smaller.
+
+    On Wyner's network, where every receiver ``i`` hears exactly
+    ``{i-1, i}`` within ``1..K`` (``build_wyner``, and
+    ``build_locally_connected`` at ``L = 1``), the optimum is computed
+    from run costs by :func:`_wyner_runs`; every other topology goes to
+    the level-wise search :func:`_levelwise_cooperative`.  Both give the
+    same value, active set and transmit sets.
+
+    Span lemma (Wyner): for active ``i``, let ``j`` be the first
+    inactive receiver right of ``i`` (``K+1`` if none) and ``j'`` the
+    last inactive receiver left of it.  Message ``i`` costs exactly
+    ``min(j - i, i - j')``, or ``j - i`` when there is no ``j'``; its
+    lex-first minimum set is the left span ``{j'..i-1}`` when that is
+    no longer than the right span ``{i..j-1}``, else the right span.
+    Proof: antenna ``t`` is heard by receivers ``t`` and ``t+1`` only,
+    so a connected ``T`` is an interval ``{a..b}`` whose inner
+    receivers ``a+1..b`` are rows, hence active, and ``i`` lies in
+    ``a..b+1`` as its desired row is nonempty.  The support is
+    bidiagonal: row ``k`` meets columns ``k-1`` and ``k``.  If receivers
+    ``a`` and ``b+1`` are both rows, dropping row ``i`` leaves rows
+    ``a..i-1``, matched to columns ``a..i-1``, and rows ``i+1..b+1``,
+    matched to columns ``i..b``: the cancellation rows alone reach term
+    rank ``|T|``, so the desired row cannot raise it and ``T`` fails.
+    So receiver ``a`` is inactive, hence ``a = j'`` and ``T`` contains
+    the left span, or receiver ``b+1`` is inactive or ``K+1``, hence
+    ``b+1 = j`` and ``T`` contains the right span.  Each span is
+    deliverable: the cancellation rows match row ``k`` to column ``k``
+    in the right span and to ``k-1`` in the left one, which leaves the
+    desired row's column ``i`` or ``i-1`` free.  So a minimum set is one
+    of the two spans, and the left one sorts first on a tie.
+
+    Run costs: the active receivers fall into runs between inactive
+    ones, and ``K+1`` closes the last run.  A run of ``r`` with an
+    inactive receiver on its left costs ``sum min(p, r+1-p)``, that is
+    ``(r+1)**2 // 4``; the first run, with none on its left, costs
+    ``r(r+1)/2``.  Their marginal costs, ``ceil(k/2)`` and ``k`` for the
+    ``k``-th member, are nondecreasing.
+
+    Raises:
+        InvalidParameterError: ``B`` is negative or not finite,
+            ``node_limit`` is below 1, or ``time_limit`` is not finite
+            and positive.
+        ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
+    """
+    if B < 0:
+        raise InvalidParameterError(f"B must be >= 0, got {B}")
+    if not B < math.inf:
+        raise InvalidParameterError(f"B must be finite, got {B}")
+    K = topology.K
+    search = _Search(K, node_limit, time_limit)
+    budget = int(Fraction(B) * K)
+    if all(topology.hears[i] == {i - 1, i} - {0} for i in range(1, K + 1)):
+        A, sets = _wyner_runs(search, K, budget)
+    else:
+        A, sets = _levelwise_cooperative(search, topology, budget)
+    empty = {i: frozenset() for i in range(1, K + 1)}
+    witness = MessageAssignment(K=K, transmit_sets={**empty, **sets})
+    return len(A), CooperativeWitness(
+        active=frozenset(A), assignment=witness, nodes_explored=search.nodes
+    )
+
+
+def _completion(first: bool, t: int, add: int, fresh: int) -> int:
+    """The least cost of ``add`` more active receivers after an open run of ``t``.
+
+    ``first`` says whether the open run is the first one, and ``fresh``
+    inactive receivers are still to come, each opening a closed run.
+    The candidate marginal costs are the open run's from its
+    ``(t+1)``-th member on and ``1, 1, 2, 2, ...`` for each fresh run;
+    all are nondecreasing, so the least cost takes the ``add`` smallest.
+    The level ``v`` of the largest one taken is found by bisection on
+    how many candidates are at most ``v``.
+    """
+    if not add:
+        return 0
+
+    def upto(v: int) -> tuple[int, int]:
+        """How many candidates are at most ``v``, and their sum."""
+        extra = max(0, v - t if first else 2 * v - t)
+        grown = _run_cost(first, t + extra) - _run_cost(first, t)
+        return 2 * fresh * v + extra, fresh * v * (v + 1) + grown
+
+    lo, hi = 1, add + t
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if upto(mid)[0] >= add:
+            hi = mid
+        else:
+            lo = mid + 1
+    count, total = upto(lo - 1)
+    return total + (add - count) * lo
+
+
+def _run_cost(first: bool, r: int) -> int:
+    """The cost of a run of ``r``: the first run, or one with an inactive receiver on its left."""
+    return r * (r + 1) // 2 if first else (r + 1) ** 2 // 4
+
+
+def _wyner_runs(
+    search: _Search, K: int, budget: int
+) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
+    """The Wyner optimum from run costs: its active set and transmit sets.
+
+    The cheapest active set of ``size`` splits ``size`` active receivers
+    into the first run and one closed run per inactive receiver; as the
+    marginal costs are nondecreasing, that is :func:`_completion` from
+    an empty first run.  The value is the largest size whose cheapest
+    cost fits the budget.  One pass from receiver 1 to ``K`` then makes
+    each receiver active iff a completion within the budget remains,
+    which yields the lex-first active set of that size.  Each message
+    takes the span the span lemma names.  A node is a size tried or a
+    receiver decided, so the time limit still applies.
+    """
+    for size in range(min(K, budget), 0, -1):
+        search.tick()
+        if _completion(True, 0, size, K - size) <= budget:
+            break
+    else:
+        return (), {}
+    active: list[int] = []
+    first, run, closed = True, 0, 0  # the open run, and the cost of the runs before it
+    for p in range(1, K + 1):
+        search.tick()
+        add = size - len(active) - 1
+        if add >= 0 and (
+            closed + _run_cost(first, run + 1) + _completion(first, run + 1, add, K - p - add)
+            <= budget
+        ):
+            active.append(p)
+            run += 1
+        else:
+            closed += _run_cost(first, run)
+            first, run = False, 0
+    chosen = set(active)
+    gaps = [0, *(p for p in range(1, K + 1) if p not in chosen), K + 1]
+    sets = {}
+    for left, right in zip(gaps, gaps[1:]):
+        for i in range(left + 1, right):
+            span = range(left, i) if left and i - left <= right - i else range(i, right)
+            sets[i] = frozenset(span)
+    return tuple(active), sets
+
+
+def _levelwise_cooperative(
+    search: _Search, topology: NetworkTopology, budget: int
+) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
+    """The optimum by search: its active set and transmit sets.
 
     Level 1, the single antennas, has a closed form.  Lemma: antenna
     ``t`` alone serves message ``i`` of the active set ``A`` iff ``t``
@@ -385,14 +543,9 @@ def max_avoidance_cooperative(
 
     The ball of message ``i`` at level ``l`` holds the antennas within
     ``l - 1`` hops of ``heard[i]``; one hop adds ``heard[k]`` for each
-    active ``k`` that hears the ball.  Lemma: a minimum-size deliverable
-    set ``T`` is connected in the bipartite graph between ``T`` and its
-    rows (receiver ``i`` and the active receivers that hear ``T``).  Were
-    it not, the row system would be block-diagonal; generic rank is term
-    rank (Edmonds 1967) and adds over the blocks, so the component that
-    holds row ``i`` would be deliverable on its own and smaller.  Each
-    member of ``T`` is therefore within ``l - 1`` hops, and as the ball
-    is a sublist of the pool, each message still gets the lex-first
+    active ``k`` that hears the ball.  By the connectivity lemma each
+    member of a minimum-size set is within ``l - 1`` hops, and as the
+    ball is a sublist of the pool, each message still gets the lex-first
     minimum-size transmit set of the whole pool.
 
     A level's outcome depends only on ``(i, l, N)``, where ``N`` lists
@@ -404,20 +557,8 @@ def max_avoidance_cooperative(
     node is a prefix extension of the walk, whole active sets included,
     or a subset tried from level 2 on; each ticks the time limit, so a
     run of memo hits still reads the clock.
-
-    Raises:
-        InvalidParameterError: ``B`` is negative or not finite,
-            ``node_limit`` is below 1, or ``time_limit`` is not finite
-            and positive.
-        ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
-    if B < 0:
-        raise InvalidParameterError(f"B must be >= 0, got {B}")
-    if not B < math.inf:
-        raise InvalidParameterError(f"B must be finite, got {B}")
     K = topology.K
-    search = _Search(K, node_limit, time_limit)
-    budget = int(Fraction(B) * K)
     heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
     verdicts: dict[tuple[int, tuple[int, ...]], bool] = {}
     cheapest: dict[tuple[int, int, tuple[int, ...]], int | None] = {}
@@ -516,17 +657,11 @@ def max_avoidance_cooperative(
                 return P, sets
         return None
 
-    empty = {i: frozenset() for i in range(1, K + 1)}
     for size in range(min(K, budget), 0, -1):
         found = walk(size)
         if found is not None:
-            A, sets = found
-            witness = MessageAssignment(K=K, transmit_sets={**empty, **sets})
-            return size, CooperativeWitness(
-                active=frozenset(A), assignment=witness, nodes_explored=search.nodes
-            )
-    witness = MessageAssignment(K=K, transmit_sets=dict(empty))
-    return 0, CooperativeWitness(active=frozenset(), assignment=witness, nodes_explored=search.nodes)
+            return found
+    return (), {}
 
 
 def max_activation_for_assignment(

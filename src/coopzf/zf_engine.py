@@ -174,16 +174,26 @@ def _support(
         while True:
             left = []
             for c in rows:
-                involved = [t for t in T if t in hears[c]]
-                unknown = [t for t in involved if t not in v]
-                if len(unknown) != 1:
+                heard = hears[c]
+                involved = [t for t in T if t in heard]
+                u = None
+                for t in involved:
+                    if t not in v:
+                        if u is not None:  # a second unset coefficient
+                            u = None
+                            break
+                        u = t
+                if u is None:
                     left.append(c)
                     continue
-                u = unknown[0]
                 h_u = gains.get((c, u), 0j)
                 if h_u == 0:
                     raise SolverFailureError(f"cancellation system for message {message} is singular")
-                acc = sum(gains.get((c, t), 0j) * v[t] for t in involved if t != u)
+                # From int 0 in ascending t: the pinned beam bits depend on this order.
+                acc = 0
+                for t in involved:
+                    if t != u:
+                        acc += gains.get((c, t), 0j) * v[t]
                 v[u] = -acc / h_u
             if not left or len(left) == len(rows):
                 return left

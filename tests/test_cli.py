@@ -717,7 +717,7 @@ _TRANSCRIPT_SHA256 = [
     "5f385efa967eaf936f17fee932bd38bcfdc43327999a11a5ad71a07fdf2bcb99",
     "7624cf137b8f2434cec9bb0e6ebc766e5ece37e63fd5677bfe295b9fa28b76fa",
     "a23cc549d9a5629dc99b8db182678afc47296452163e0ccf61430b7091deb281",
-    "a25a9331093beb58c64adf9ea32cc6e3a0f5e93236eea3788d1239b97317ba70",
+    "2f9f328c450249153b120d67c4fb59485a9ec3365a1178b91b3d823d3760e06f",
     "c8577c4fd0c6722197c24bd5cac6681920460171574fb2c0d1bd3022e26fffac",
     "109b09198565b72b420fdbf0f3eacda4f81d6de729a1c8bcddff542e439c9a85",
     "8a736deb962bb95d9f380338ad3dd52780ba0d4565db3c5daab122bc5d8b3d0a",

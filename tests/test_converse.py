@@ -180,6 +180,31 @@ def test_validate_certificate_flags_tampering():
     assert any("bound_total" in p for p in problems)
 
 
+def test_certificate_total_is_exact_for_any_recorded_bounds():
+    # Tampered bounds need not be halves; the total must still be exact.
+    _, lattice = build_hexagonal(3)
+    assignment = MessageAssignment(K=9, transmit_sets={i: frozenset({i}) for i in range(1, 10)})
+    groups = (
+        CertifiedGroup(nodes=(1,), bound=Fraction(1, 3)),
+        CertifiedGroup(nodes=(2,), bound=Fraction(2, 7)),
+    )
+
+    def problems(bound_total):
+        cert = GroupCertificate(
+            groups=groups,
+            uncovered=frozenset(range(3, 10)),
+            certified_bound=7,
+            bound_total=bound_total,
+        )
+        return validate_certificate(lattice, assignment, cert)
+
+    exact = problems(Fraction(160, 21))  # 1/3 + 2/7 + 7
+    assert sum("solves to" in p for p in exact) == 2
+    assert not any("bound_total" in p or "certified_bound" in p for p in exact)
+    for wrong in (Fraction(160, 21) + Fraction(1, 10**12), Fraction(31, 4), 7):
+        assert any("bound_total" in p for p in problems(wrong)), wrong
+
+
 def _lp_bound_reference(nodes, constraints):
     """Exact max of sum of d_i over d in {0, 1/2, 1} meeting the constraints.
 

@@ -15,6 +15,7 @@ import pytest
 from coopzf import (
     AvoidanceSchedule,
     InvalidParameterError,
+    NetworkTopology,
     ResourceLimitError,
     ZfScheme,
     build_hexagonal,
@@ -150,13 +151,80 @@ def test_cooperative_chain_values():
         assert witness.nodes_explored > 0
 
 
+def _levelwise(topology, B, node_limit=None):
+    """The level-wise search alone, as ``(value, active, transmit_sets, nodes)``."""
+    K = topology.K
+    search = oracle._Search(K, node_limit or K, None)
+    A, sets = oracle._levelwise_cooperative(search, topology, int(Fraction(B) * K))
+    return len(A), frozenset(A), {**{i: frozenset() for i in range(1, K + 1)}, **sets}, search.nodes
+
+
 def test_cooperative_wyner_node_count():
     # Rejecting an active set once its proven per-message costs pass B*K
     # closes K=10 in a few thousand nodes; bounding each message only by
     # the budget its predecessors left needs 25,204.
-    value, witness = max_avoidance_cooperative(build_wyner(10), 1)
+    value, _, _, nodes = _levelwise(build_wyner(10), 1)
     assert value == 7
-    assert witness.nodes_explored <= 8_000
+    assert nodes <= 8_000
+
+
+_DP_BUDGETS = (0, *map(Fraction, ("1/3", "1/2", "2/3", "1", "5/4", "3/2", "2", "5/2", "3", "5")))
+
+
+def test_wyner_runs_match_the_levelwise_search():
+    for K in range(1, 13):
+        topo = build_wyner(K)
+        for B in _DP_BUDGETS:
+            value, witness = max_avoidance_cooperative(topo, B, node_limit=K)
+            got = (value, witness.active, witness.assignment.transmit_sets)
+            assert got == _levelwise(topo, B)[:3], (K, B)
+
+
+def test_wyner_optimum_table():
+    # K = 1..12 at B = 1/2, 1, 3/2 and 2, first found by brute force over
+    # all 2^K active sets with the span cost min(j - i, i - j').
+    table = {
+        Fraction(1, 2): [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6],
+        1: [1, 1, 2, 3, 4, 4, 5, 6, 7, 7, 8, 9],
+        Fraction(3, 2): [1, 2, 2, 3, 4, 5, 6, 7, 7, 8, 9, 10],
+        2: [1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10, 10],
+    }
+    for B, row in table.items():
+        got = [max_avoidance_cooperative(build_wyner(K), B)[0] for K in range(1, 13)]
+        assert got == row, B
+
+
+def test_wyner_runs_reach_k400():
+    topo = build_wyner(400)
+    start = time.perf_counter()
+    value, witness = max_avoidance_cooperative(topo, 3, node_limit=400)
+    assert time.perf_counter() - start < 1.0
+    assert value == 367 == len(witness.active)
+    assert metrics(witness.assignment).B <= 3
+    heard = {i: _mask(topo.hears[i]) for i in range(1, 401)}
+    sends = {i: _mask(T) for i, T in witness.assignment.transmit_sets.items()}
+    assert all(oracle._delivers(i, sends, heard, witness.active) for i in witness.active)
+
+
+def test_only_wyner_hearing_sets_take_the_run_costs(monkeypatch):
+    calls = []
+    runs = oracle._wyner_runs
+
+    def counting(*args):
+        calls.append(args)
+        return runs(*args)
+
+    monkeypatch.setattr(oracle, "_wyner_runs", counting)
+    # Tagged "wyner", but receiver i hears {i, i+1}: the search decides it.
+    mirrored = NetworkTopology(
+        kind="wyner", K=6, params={}, hears={i: frozenset({i, i + 1} - {7}) for i in range(1, 7)}
+    )
+    value, witness = max_avoidance_cooperative(mirrored, 1)
+    assert calls == []
+    assert (value, witness.active, witness.assignment.transmit_sets) == _levelwise(mirrored, 1)[:3]
+    value, witness = max_avoidance_cooperative(build_locally_connected(6, 1), 1)
+    assert len(calls) == 1
+    assert (value, witness.active) == (4, frozenset({1, 2, 4, 5}))
 
 
 def _reference_deliverable(i, T, active, hears):
@@ -494,12 +562,13 @@ def _oracle_digest() -> str:
 
 
 def test_oracle_outputs_are_pinned():
-    # Taken when the cooperative search first priced each active set and
-    # solved level 1 in closed form; only its node counts moved, so values
-    # and witnesses equal the whole-pool reference's, and the activation
-    # and single-transmitter outputs, node counts included, are those of
-    # the frozenset searches that ran two full matchings per test.
-    assert _oracle_digest() == "722a92f8c40eccd934bf967467dcd6c51d6f8d5726416897613fa8c8d2fe6831"
+    # Taken when Wyner-shaped chains (wyner*, lc1-*) moved from the search
+    # to their run costs; only their cooperative node counts moved (1,542
+    # to 430 over the grid), so values and witnesses equal the whole-pool
+    # reference's, and the activation and single-transmitter outputs, node
+    # counts included, are those of the frozenset searches that ran two
+    # full matchings per test.
+    assert _oracle_digest() == "429ca68a90596a982297c180739b1a0aa9b88466c2130e70d1e12b39012b4949"
 
 
 def test_cooperative_lc3_k12_b2():
