@@ -248,8 +248,7 @@ def _audited(lattice, assignment, certificate) -> int:
 def _run_certify(args: argparse.Namespace) -> int:
     if args.mode == "backhaul":
         assignment = assignment_from_json(sys.stdin.read())
-        B = _as_int(_require(args.B, "--B"), "--B")
-        result = backhaul_converse(assignment, B)
+        result = backhaul_converse(assignment, _require(args.B, "--B"))
         _emit(json.dumps(result.to_json()))
         return 0
     if args.mode == "groups":
@@ -326,14 +325,10 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
         lines = [",".join(columns)]
         lines += [",".join(str(r[c]) for c in columns) for r in rows]
         return "\n".join(lines)
-    if fmt == "text":
-        widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
-        header = "  ".join(c.ljust(widths[c]) for c in columns)
-        body = [
-            "  ".join(str(r[c]).ljust(widths[c]) for c in columns) for r in rows
-        ]
-        return "\n".join([header] + body)
-    return json.dumps({"rows": rows})
+    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
+    header = "  ".join(c.ljust(widths[c]) for c in columns)
+    body = ["  ".join(str(r[c]).ljust(widths[c]) for c in columns) for r in rows]
+    return "\n".join([header] + body)
 
 
 def _run_table1(args: argparse.Namespace) -> int:

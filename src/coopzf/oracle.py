@@ -431,27 +431,23 @@ def _completion(first: bool, t: int, add: int, fresh: int) -> int:
     The candidate marginal costs are the open run's from its
     ``(t+1)``-th member on and ``1, 1, 2, 2, ...`` for each fresh run;
     all are nondecreasing, so the least cost takes the ``add`` smallest.
-    The level ``v`` of the largest one taken is found by bisection on
-    how many candidates are at most ``v``.
+    With ``c`` 1 for the first run and 2 otherwise, ``max(2*fresh*v,
+    (2*fresh+c)*v - t)`` candidates are at most ``v``.  The level of the
+    largest one taken, the least ``v`` where that reaches ``add``, is
+    ``ceil((add+t)/(2*fresh+c))``, or ``ceil(add/(2*fresh))`` when
+    ``fresh > 0`` and that is smaller; every candidate below the level
+    is taken.
     """
     if not add:
         return 0
-
-    def upto(v: int) -> tuple[int, int]:
-        """How many candidates are at most ``v``, and their sum."""
-        extra = max(0, v - t if first else 2 * v - t)
-        grown = _run_cost(first, t + extra) - _run_cost(first, t)
-        return 2 * fresh * v + extra, fresh * v * (v + 1) + grown
-
-    lo, hi = 1, add + t
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if upto(mid)[0] >= add:
-            hi = mid
-        else:
-            lo = mid + 1
-    count, total = upto(lo - 1)
-    return total + (add - count) * lo
+    c = 1 if first else 2
+    level = -(-(add + t) // (2 * fresh + c))
+    if fresh:
+        level = min(level, -(-add // (2 * fresh)))
+    v = level - 1
+    extra = max(0, c * v - t)  # the open run's candidates at most v
+    total = fresh * v * (v + 1) + _run_cost(first, t + extra) - _run_cost(first, t)
+    return total + (add - 2 * fresh * v - extra) * level
 
 
 def _run_cost(first: bool, r: int) -> int:

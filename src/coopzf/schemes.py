@@ -3,17 +3,17 @@
 A scheme pairs a message assignment with an activation plan: which
 messages get one degree of freedom, which transmitter delivers each,
 and at which receivers each message's interference must be nulled;
-the transmitters no active message uses stay silent.  Every chain
-scheme is a list of blocks ``(a, gap, b, s)`` laid end to end by one
-emitter: the Wyner scheme under integer backhaul ``B`` is the
-asymmetric block ``(2B, 1, 2B-1, 0)``, the locally connected scheme of
-order ``M`` is ``(M, L, M, floor(L/2))``, and the best known
-unit-backhaul rows for L = 2..6 and the square-grid row scheme lay
-order-2 and then order-3 blocks.  Square-grid schemes copy that row
-onto every served row; hexagonal networks get the non-cooperative
-coset plan and the cooperative plan, which silences the circles and
-diamonds of every odd row so that each pair of rows becomes one
-isolated chain (every side that is a multiple of 6).
+the transmitters no active message uses stay silent.  Every scheme is
+a list of blocks ``(a, gap, b, s)`` that one emitter lays end to end
+along rows of user labels: the Wyner scheme under integer backhaul
+``B`` is the asymmetric block ``(2B, 1, 2B-1, 0)``, the locally
+connected scheme of order ``M`` is ``(M, L, M, floor(L/2))``, and the
+best known unit-backhaul rows for L = 2..6 and the square-grid row lay
+order-2 and then order-3 blocks.  Square-grid schemes lay that row
+along every served row; hexagonal networks get the coset plan, one-user
+blocks on the circles, and the cooperative plan, which silences the
+circles and diamonds of every odd row so that each pair of rows becomes
+one isolated chain of order-3 blocks (every side that is a multiple of 6).
 """
 
 from __future__ import annotations
@@ -137,85 +137,55 @@ def validate_scheme(
     return problems
 
 
-def _finish(
-    K: int,
-    tsets: dict[int, frozenset[int]],
-    serving: dict[int, int],
-    cancel: dict[int, tuple[int, ...]],
-    pudof: Fraction,
-    backhaul: Fraction,
-    name: str,
-    family: tuple,
-) -> tuple[MessageAssignment, ZfScheme]:
-    """Build the assignment and scheme; the served messages are the active ones."""
+def _chain(K: int, rows, name: str, family: tuple) -> tuple[MessageAssignment, ZfScheme]:
+    """Lay chain blocks ``(a, gap, b, s)`` end to end along rows of a ``K``-user network.
+
+    Each row is ``(blocks, rx, tx)``: its blocks are laid from local
+    user 1 on, and local user ``p`` is global receiver ``rx[p-1]`` and
+    transmitter ``tx[p-1]``.  In each block (local index ``i``) the
+    first ``a`` messages are sent by transmitter spans
+    ``{i+s,...,a+s}`` from transmitter ``i+s``, the next ``gap`` are
+    dropped, and the last ``b`` are sent by spans
+    ``{a+1+s,...,i-gap+s}`` from transmitter ``i-gap+s``.  Each message
+    nulls its interference at the other active receivers of its half,
+    nearest first.  Users no block serves get empty transmit sets.  The
+    declared values come from each block's closed form, ``a+b``
+    messages served at load ``(a(a+1) + b(b+1))/2``, summed over every
+    block and divided by ``K``.
+    """
+    tsets: dict[int, frozenset[int]] = dict.fromkeys(range(1, K + 1), frozenset())
+    serving: dict[int, int] = {}
+    cancel: dict[int, tuple[int, ...]] = {}
+    served = load = 0
+    for blocks, rx, tx in rows:
+        o = 0
+        for a, gap, b, s in blocks:
+            head, tail = o + a, o + a + gap
+            fore, span = tuple(rx[o:head]), tx[o + s : head + s]
+            for k, r in enumerate(fore):
+                tsets[r] = frozenset(span[k:])
+                serving[r] = span[k]
+                cancel[r] = fore[k + 1 :]
+            o = tail + b
+            if b:  # the coset plan lays one-user blocks, with no second half
+                aft, span = tuple(rx[tail:o]), tx[head + s : o - gap + s]
+                for k, r in enumerate(aft):
+                    tsets[r] = frozenset(span[: k + 1])
+                    serving[r] = span[k]
+                    cancel[r] = aft[:k][::-1]
+            served += a + b
+            load += a * (a + 1) + b * (b + 1)
     scheme = ZfScheme(
         K=K,
         active_messages=frozenset(serving),
         serving=serving,
         cancel_at=cancel,
-        declared_pudof=pudof,
-        declared_backhaul=backhaul,
+        declared_pudof=Fraction(served, K),
+        declared_backhaul=Fraction(load, 2 * K),
         name=name,
         family=family,
     )
     return MessageAssignment(K=K, transmit_sets=tsets), scheme
-
-
-def _embed(K: int, placements, name: str, family: tuple) -> tuple[MessageAssignment, ZfScheme]:
-    """Relabel chain schemes into a ``K``-user network (grid rows, hexagonal chains).
-
-    Each placement is ``(assignment, scheme, rx, tx)``: local user ``p``
-    of the block becomes global receiver ``rx[p-1]`` and transmitter
-    ``tx[p-1]``.  Users no placement covers get empty transmit sets.  The
-    declared puDoF and backhaul are the block-size-weighted sums of the
-    blocks' declared values, so exact closed forms carry through.
-    """
-    tsets = {i: frozenset() for i in range(1, K + 1)}
-    serving: dict[int, int] = {}
-    cancel: dict[int, tuple[int, ...]] = {}
-    pudof = backhaul = Fraction(0)
-    for asg, sch, rx, tx in placements:
-        for p in range(1, asg.K + 1):
-            tsets[rx[p - 1]] = frozenset(tx[q - 1] for q in asg.transmit_sets[p])
-        for p in sch.active_messages:
-            serving[rx[p - 1]] = tx[sch.serving[p] - 1]
-            cancel[rx[p - 1]] = tuple(rx[c - 1] for c in sch.cancel_at[p])
-        pudof += asg.K * sch.declared_pudof
-        backhaul += asg.K * sch.declared_backhaul
-    return _finish(K, tsets, serving, cancel, pudof / K, backhaul / K, name, family)
-
-
-def _chain(blocks, name: str, family: tuple) -> tuple[MessageAssignment, ZfScheme]:
-    """Lay chain blocks ``(a, gap, b, s)`` end to end on one linear network.
-
-    In each block (local index ``i``) the first ``a`` messages are sent
-    by transmitter spans ``{i+s,...,a+s}`` from transmitter ``i+s``, the
-    next ``gap`` are dropped, and the last ``b`` are sent by spans
-    ``{a+1+s,...,i-gap+s}`` from transmitter ``i-gap+s``.  Each message
-    nulls its interference at the other active receivers of its half,
-    nearest first.  The declared values come from each block's closed
-    form, ``a+b`` messages served at load ``(a(a+1) + b(b+1))/2``.
-    """
-    tsets: dict[int, frozenset[int]] = {}
-    serving: dict[int, int] = {}
-    cancel: dict[int, tuple[int, ...]] = {}
-    served = load = o = 0
-    for a, gap, b, s in blocks:
-        head, tail = o + a, o + a + gap
-        for m in range(o + 1, head + 1):
-            tsets[m] = frozenset(range(m + s, head + s + 1))
-            serving[m] = m + s
-            cancel[m] = tuple(range(m + 1, head + 1))
-        for m in range(head + 1, tail + 1):
-            tsets[m] = frozenset()
-        o = tail + b
-        for m in range(tail + 1, o + 1):
-            tsets[m] = frozenset(range(head + 1 + s, m - gap + s + 1))
-            serving[m] = m - gap + s
-            cancel[m] = tuple(range(m - 1, tail, -1))
-        served += a + b
-        load += a * (a + 1) + b * (b + 1)
-    return _finish(o, tsets, serving, cancel, Fraction(served, o), Fraction(load, 2 * o), name, family)
 
 
 def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
@@ -237,7 +207,9 @@ def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
     K = _check_int("K", K)
     if K < 1 or K % F != 0:
         raise InvalidParameterError(f"K must be a positive multiple of {F}")
-    return _chain([(2 * B, 1, 2 * B - 1, 0)] * (K // F), f"wyner_backhaul_B{B}", ("linear", 1))
+    users = range(1, K + 1)
+    blocks = [(2 * B, 1, 2 * B - 1, 0)] * (K // F)
+    return _chain(K, [(blocks, users, users)], f"wyner_backhaul_B{B}", ("linear", 1))
 
 
 def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment, ZfScheme]:
@@ -262,7 +234,9 @@ def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment,
     K = _check_int("K", K)
     if K < 1 or K % F != 0:
         raise InvalidParameterError(f"K must be a positive multiple of {F}")
-    return _chain([(M, L, M, L // 2)] * (K // F), f"locally_connected_L{L}_M{M}", ("linear", L))
+    users = range(1, K + 1)
+    blocks = [(M, L, M, L // 2)] * (K // F)
+    return _chain(K, [(blocks, users, users)], f"locally_connected_L{L}_M{M}", ("linear", L))
 
 
 def table1_row(L: int) -> dict:
@@ -321,7 +295,8 @@ def table1_scheme(K: int, L: int) -> tuple[MessageAssignment, ZfScheme]:
     m = K // row["K_min"]
     s = L // 2
     blocks = [(2, L, 2, s)] * (m * row["blocks_m2"]) + [(3, L, 3, s)] * (m * row["blocks_m3"])
-    return _chain(blocks, f"table1_L{L}", ("linear", L))
+    users = range(1, K + 1)
+    return _chain(K, [(blocks, users, users)], f"table1_L{L}", ("linear", L))
 
 
 def two_dim_row_scheme(N: int) -> tuple[MessageAssignment, ZfScheme]:
@@ -337,8 +312,13 @@ def two_dim_row_scheme(N: int) -> tuple[MessageAssignment, ZfScheme]:
     N = _check_int("N", N)
     if N < 12 or N % 12 != 0:
         raise InvalidParameterError("row length N must be a positive multiple of 12")
-    a = N // 12
-    return _chain([(2, 1, 2, 0)] * a + [(3, 1, 3, 0)] * a, f"two_dim_row_N{N}", ("linear", 1))
+    users = range(1, N + 1)
+    return _chain(N, [(_row_blocks(N), users, users)], f"two_dim_row_N{N}", ("linear", 1))
+
+
+def _row_blocks(N: int) -> list[tuple[int, int, int, int]]:
+    """The grid row's blocks for a row of ``N`` users, ``12 | N``: order 2, then order 3."""
+    return [(2, 1, 2, 0)] * (N // 12) + [(3, 1, 3, 0)] * (N // 12)
 
 
 def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
@@ -363,8 +343,8 @@ def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
         raise InvalidParameterError("K must be a perfect square")
     if N % 12 != 0:
         raise InvalidParameterError("sqrt(K) must be a multiple of 12")
-    row_asg, row_sch = two_dim_row_scheme(N)
-    placements = []
+    blocks = _row_blocks(N)
+    rows = []
     for rho in range(1, N + 1):
         if rho % 3 == 1:
             t_row = rho
@@ -374,32 +354,22 @@ def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
             continue
         rx = range((rho - 1) * N + 1, rho * N + 1)
         tx = range((t_row - 1) * N + 1, t_row * N + 1)
-        placements.append((row_asg, row_sch, rx, tx))
-    return _embed(K, placements, f"two_dim_N{N}", ("two_dim", N))
+        rows.append((blocks, rx, tx))
+    return _chain(K, rows, f"two_dim_N{N}", ("two_dim", N))
 
 
 def hexagonal_coset_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfScheme]:
     """Hexagonal plan with no cooperation: only circle-coset users talk.
 
     No two circle nodes are adjacent, so every active receiver hears its
-    own transmitter and nothing else — no cancellation is needed.
+    own transmitter and nothing else — no cancellation is needed; each
+    circle is a one-user :func:`_chain` block ``(1, 0, 0, 0)``.
     Per-user DoF and backhaul both equal ``|circles| / K`` (one third of
     the users on a full grid with side divisible by 3).
     """
-    K = len(lattice.coords)
     circles = sorted(i for i in lattice.coords if lattice.cosets[i] == "circle")
-    tsets = {i: frozenset([i] if lattice.cosets[i] == "circle" else []) for i in lattice.coords}
-    share = Fraction(len(circles), K)
-    return _finish(
-        K,
-        tsets,
-        {i: i for i in circles},
-        {i: () for i in circles},
-        share,
-        share,
-        "hexagonal_coset",
-        ("hexagonal", lattice.n or 0),
-    )
+    rows = [([(1, 0, 0, 0)] * len(circles), circles, circles)]
+    return _chain(len(lattice.coords), rows, "hexagonal_coset", ("hexagonal", lattice.n or 0))
 
 
 def _chains_of(lattice: HexLattice, removed: frozenset[int]) -> list[list[int]] | None:
@@ -492,10 +462,11 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
     """Cooperative hexagonal plan: chains of 8-user blocks at order 3.
 
     The row-pair decomposition silences one third of the nodes and
-    leaves ``n/2`` isolated chains of ``4n/3`` nodes; each chain runs the
-    connectivity-2, order-3 block scheme on blocks of eight, delivering
-    3/4 of the chain's messages at chain backhaul 3/2 — overall per-user
-    DoF exactly 1/2 at backhaul exactly 1.
+    leaves ``n/2`` isolated chains of ``4n/3`` nodes; :func:`_chain`
+    lays the connectivity-2, order-3 blocks ``(3, 2, 3, 1)`` of eight
+    users along each chain, delivering 3/4 of the chain's messages at
+    chain backhaul 3/2 — overall per-user DoF exactly 1/2 at backhaul
+    exactly 1.
 
     Raises:
         InvalidParameterError: the lattice is not a grid with side ``n``
@@ -503,8 +474,8 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
     """
     _check_hex_coop_side(lattice.n)
     _, chains = decompose_hexagonal_to_linear(lattice)
-    placements = [(*locally_connected_scheme(len(chain), 2, 3), chain, chain) for chain in chains]
-    return _embed(len(lattice.coords), placements, "hexagonal_cooperative", ("hexagonal", lattice.n))
+    rows = [([(3, 2, 3, 1)] * (len(chain) // 8), chain, chain) for chain in chains]
+    return _chain(len(lattice.coords), rows, "hexagonal_cooperative", ("hexagonal", lattice.n))
 
 
 def scheme_to_json(scheme: ZfScheme, topology: NetworkTopology, assignment: MessageAssignment) -> str:

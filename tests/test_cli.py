@@ -525,6 +525,15 @@ def test_certify_backhaul_scans_no_cutoff_beyond_the_users(capsys, monkeypatch):
     assert (result["M"], result["bound"]) == (0, 2)
 
 
+def test_certify_backhaul_rejects_a_budget_that_is_not_an_integer(capsys, monkeypatch):
+    a, _ = wyner_backhaul_scheme(8, 1)
+    code, out, err = _run(
+        ["certify", "--backhaul", "--B", "3/2"], capsys, monkeypatch, stdin=a.to_json()
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: only integer backhaul budgets are scanned\n"
+
+
 def test_certify_groups(capsys, monkeypatch):
     empty = json.dumps({"K": 9, "transmit_sets": [[] for _ in range(9)]})
     code, out, _ = _run(["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=empty)

@@ -194,6 +194,19 @@ def test_wyner_optimum_table():
         assert got == row, B
 
 
+def test_completion_takes_the_smallest_candidate_marginals():
+    # The open run's marginals from its (t+1)-th member on, k for the
+    # first run and ceil(k/2) otherwise, and 1, 1, 2, 2, ... per fresh run.
+    for first in (True, False):
+        for t in range(12):
+            for fresh in range(12):
+                own = [k if first else (k + 1) // 2 for k in range(t + 1, t + 31)]
+                candidates = sorted(own + [(k + 1) // 2 for k in range(1, 31)] * fresh)
+                for add in range(30):
+                    want = sum(candidates[:add])
+                    assert oracle._completion(first, t, add, fresh) == want, (first, t, add, fresh)
+
+
 def test_wyner_runs_reach_k400():
     topo = build_wyner(400)
     start = time.perf_counter()

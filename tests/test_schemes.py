@@ -43,6 +43,10 @@ _MIXED_BLOCKS = [(2, 3, 2, 1)] * 2 + [(3, 3, 3, 1)]
 _MIXED_NAME = "2xlocally_connected_L3_M2+1xlocally_connected_L3_M3"
 
 
+def _mixed():
+    return _chain(23, [(_MIXED_BLOCKS, range(1, 24), range(1, 24))], _MIXED_NAME, ("linear", 3))
+
+
 def _generators():
     """(topology, assignment, scheme) for one instance of every generator."""
     out = []
@@ -56,7 +60,7 @@ def _generators():
         K = table1_row(L)["K_min"]
         a, s = table1_scheme(K, L)
         out.append((build_locally_connected(K, L), a, s))
-    a, s = _chain(_MIXED_BLOCKS, _MIXED_NAME, ("linear", 3))
+    a, s = _mixed()
     out.append((build_locally_connected(23, 3), a, s))
     a, s = two_dim_scheme(144)
     out.append((build_two_dim(144), a, s))
@@ -203,7 +207,8 @@ def test_table_rows_exact():
 
 def test_mixture_weighted_fractions():
     # seven users of order 2 to three of order 3 on the L=3 chain
-    a, s = _chain([(2, 3, 2, 1)] * 3 + [(3, 3, 3, 1)], "mix", ("linear", 3))
+    blocks = [(2, 3, 2, 1)] * 3 + [(3, 3, 3, 1)]
+    a, s = _chain(30, [(blocks, range(1, 31), range(1, 31))], "mix", ("linear", 3))
     assert s.K == 30
     assert s.declared_pudof == Fraction(3, 5)
     assert s.declared_backhaul == 1
@@ -406,7 +411,7 @@ _PINNED_DOCUMENTS = {
         "e263cf201d56143646cd95840bb8eba3bbc18db7db773e6bbaaf9587a427aa13",
     ),
     "convex_combination": (
-        lambda: (build_locally_connected(23, 3), *_chain(_MIXED_BLOCKS, _MIXED_NAME, ("linear", 3))),
+        lambda: (build_locally_connected(23, 3), *_mixed()),
         "41126e913a01f5dd91d7b68a233e11c18b37cc19fd34e3c8af04523e29910cb7",
     ),
     "table1_scheme": (
@@ -458,9 +463,12 @@ def _grid_instances():
         yield (build_locally_connected(N, 1), *two_dim_row_scheme(N))
     for N in (12, 24):
         yield (build_two_dim(N * N), *two_dim_scheme(N * N))
-    for n in (6, 12):
+    for n in (6, 12, 18):
         topology, lattice = build_hexagonal(n)
         yield (topology, *hexagonal_cooperative_scheme(lattice))
+    for n in (1, 2, 3, 4, 5, 9, 12):
+        topology, lattice = build_hexagonal(n)
+        yield (topology, *hexagonal_coset_scheme(lattice))
 
 
 def test_scheme_documents_are_pinned_across_sizes():
@@ -471,7 +479,7 @@ def test_scheme_documents_are_pinned_across_sizes():
     )
     assert (
         hashlib.sha256(documents.encode()).hexdigest()
-        == "8f2b471c2c6c7e16e5cddfed57c7faf749e4639e3f2a8f36b944a3c828b5f218"
+        == "22fc3348675fb80b0733fa764b709bfa5e36ade89b6f7b676d23ceda44bf7913"
     )
 
 
