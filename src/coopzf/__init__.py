@@ -6,144 +6,91 @@ numerically on random channels; search exact combinatorial oracles;
 and certify upper bounds on the number of simultaneously served users.
 """
 
-from .assignment import (
-    CooperationMetrics,
-    MessageAssignment,
-    assignment_from_json,
-    check_local_cooperation,
-    metrics,
-)
-from .converse import (
-    BackhaulConverseResult,
-    CertifiedGroup,
-    GroupCertificate,
-    algorithm1_certify,
-    appendix_receiver_set,
-    backhaul_converse,
-    lemma_pairwise_bounds,
-    reconstructibility_check,
-    schedule_assignment,
-    triangle_state_bound,
-    validate_certificate,
-)
-from .errors import (
-    CoopZfError,
-    DecompositionFailureError,
-    InvalidParameterError,
-    PreconditionViolationError,
-    ResourceLimitError,
-    SolverFailureError,
-    UnsupportedError,
-)
-from .oracle import (
-    ActivationWitness,
-    AvoidanceSchedule,
-    CooperativeWitness,
-    certify_lower_bound,
-    max_activation_for_assignment,
-    max_avoidance_cooperative,
-    max_avoidance_m1,
-    validate_schedule,
-)
-from .schemes import (
-    DofReport,
-    ZfScheme,
-    decompose_hexagonal_to_linear,
-    hexagonal_cooperative_scheme,
-    hexagonal_coset_scheme,
-    locally_connected_scheme,
-    scheme_from_json,
-    scheme_to_json,
-    table1_row,
-    table1_scheme,
-    two_dim_row_scheme,
-    two_dim_scheme,
-    validate_scheme,
-    wyner_backhaul_scheme,
-)
-from .topology import (
-    HexLattice,
-    NetworkTopology,
-    build_hexagonal,
-    build_locally_connected,
-    build_two_dim,
-    build_wyner,
-    hexagonal_from_coords,
-    topology_from_dict,
-    topology_from_json,
-)
-from .zf_engine import (
-    BeamDesign,
-    ChannelRealization,
-    VerificationReport,
-    design_beams,
-    dof_report,
-    sample_channels,
-    verify,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivationWitness",
-    "AvoidanceSchedule",
-    "BackhaulConverseResult",
-    "BeamDesign",
-    "CertifiedGroup",
-    "ChannelRealization",
-    "CooperationMetrics",
-    "CooperativeWitness",
-    "CoopZfError",
-    "DecompositionFailureError",
-    "DofReport",
-    "GroupCertificate",
-    "HexLattice",
-    "InvalidParameterError",
-    "MessageAssignment",
-    "NetworkTopology",
-    "PreconditionViolationError",
-    "ResourceLimitError",
-    "SolverFailureError",
-    "UnsupportedError",
-    "VerificationReport",
-    "ZfScheme",
-    "algorithm1_certify",
-    "appendix_receiver_set",
-    "assignment_from_json",
-    "backhaul_converse",
-    "build_hexagonal",
-    "build_locally_connected",
-    "build_two_dim",
-    "build_wyner",
-    "certify_lower_bound",
-    "check_local_cooperation",
-    "decompose_hexagonal_to_linear",
-    "design_beams",
-    "dof_report",
-    "hexagonal_cooperative_scheme",
-    "hexagonal_coset_scheme",
-    "hexagonal_from_coords",
-    "lemma_pairwise_bounds",
-    "locally_connected_scheme",
-    "max_activation_for_assignment",
-    "max_avoidance_cooperative",
-    "max_avoidance_m1",
-    "metrics",
-    "reconstructibility_check",
-    "sample_channels",
-    "schedule_assignment",
-    "scheme_from_json",
-    "scheme_to_json",
-    "table1_row",
-    "table1_scheme",
-    "topology_from_dict",
-    "topology_from_json",
-    "triangle_state_bound",
-    "two_dim_row_scheme",
-    "two_dim_scheme",
-    "validate_certificate",
-    "validate_scheme",
-    "validate_schedule",
-    "verify",
-    "wyner_backhaul_scheme",
-]
+# Each public name and the layer that defines it.  A layer is imported on
+# the first access to one of its names, and the package never caches what
+# it returns, so a name rebound in its layer is what the package hands out.
+# Once imported, a layer is a package global, which spares later reads the
+# import machinery.
+_HOME = {
+    "ActivationWitness": "oracle",
+    "AvoidanceSchedule": "oracle",
+    "BackhaulConverseResult": "converse",
+    "BeamDesign": "zf_engine",
+    "CertifiedGroup": "converse",
+    "ChannelRealization": "zf_engine",
+    "CooperationMetrics": "assignment",
+    "CooperativeWitness": "oracle",
+    "CoopZfError": "errors",
+    "DecompositionFailureError": "errors",
+    "DofReport": "schemes",
+    "GroupCertificate": "converse",
+    "HexLattice": "topology",
+    "InvalidParameterError": "errors",
+    "MessageAssignment": "assignment",
+    "NetworkTopology": "topology",
+    "PreconditionViolationError": "errors",
+    "ResourceLimitError": "errors",
+    "SolverFailureError": "errors",
+    "UnsupportedError": "errors",
+    "VerificationReport": "zf_engine",
+    "ZfScheme": "schemes",
+    "algorithm1_certify": "converse",
+    "appendix_receiver_set": "converse",
+    "assignment_from_json": "assignment",
+    "backhaul_converse": "converse",
+    "build_hexagonal": "topology",
+    "build_locally_connected": "topology",
+    "build_two_dim": "topology",
+    "build_wyner": "topology",
+    "certify_lower_bound": "oracle",
+    "check_local_cooperation": "assignment",
+    "decompose_hexagonal_to_linear": "schemes",
+    "design_beams": "zf_engine",
+    "dof_report": "schemes",
+    "hexagonal_cooperative_scheme": "schemes",
+    "hexagonal_coset_scheme": "schemes",
+    "hexagonal_from_coords": "topology",
+    "lemma_pairwise_bounds": "converse",
+    "locally_connected_scheme": "schemes",
+    "max_activation_for_assignment": "oracle",
+    "max_avoidance_cooperative": "oracle",
+    "max_avoidance_m1": "oracle",
+    "metrics": "assignment",
+    "reconstructibility_check": "converse",
+    "sample_channels": "zf_engine",
+    "schedule_assignment": "converse",
+    "scheme_from_json": "schemes",
+    "scheme_to_json": "schemes",
+    "table1_row": "schemes",
+    "table1_scheme": "schemes",
+    "topology_from_dict": "topology",
+    "topology_from_json": "topology",
+    "triangle_state_bound": "converse",
+    "two_dim_row_scheme": "schemes",
+    "two_dim_scheme": "schemes",
+    "validate_certificate": "converse",
+    "validate_scheme": "schemes",
+    "validate_schedule": "oracle",
+    "verify": "zf_engine",
+    "wyner_backhaul_scheme": "schemes",
+}
+_LAYERS = frozenset(_HOME.values()) | {"cli"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    layer = _HOME.get(name)
+    if layer is not None:
+        return getattr(globals().get(layer) or import_module(f"{__name__}.{layer}"), name)
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -27,13 +27,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .assignment import assignment_from_json
-from .converse import (
-    algorithm1_certify,
-    backhaul_converse,
-    schedule_assignment,
-    triangle_state_bound,
-    validate_certificate,
-)
 from .errors import (
     DecompositionFailureError,
     InvalidParameterError,
@@ -44,15 +37,9 @@ from .errors import (
     _check_users,
     _document_errors,
 )
-from .oracle import (
-    AvoidanceSchedule,
-    certify_lower_bound,
-    max_activation_for_assignment,
-    max_avoidance_cooperative,
-    max_avoidance_m1,
-)
 from .schemes import (
     _check_hex_coop_side,
+    dof_report,
     hexagonal_cooperative_scheme,
     hexagonal_coset_scheme,
     locally_connected_scheme,
@@ -69,7 +56,9 @@ from .topology import (
     build_two_dim,
     build_wyner,
 )
-from .zf_engine import design_beams, dof_report, sample_channels, verify
+
+# The numeric engine, the searches and the certificates load inside the
+# subcommands that call them, so scheme, report and table1 never import them.
 
 SEED_ENV_VAR = "COOPZF_SEED"
 
@@ -166,6 +155,8 @@ def _resolve_seed(parsed_seed: int | None) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .zf_engine import design_beams, sample_channels, verify
+
     seed = _resolve_seed(args.seed)
     scheme, topology, assignment = scheme_from_json(sys.stdin.read())
     channels = sample_channels(topology, seed)
@@ -192,6 +183,8 @@ def _search_limits(args: argparse.Namespace) -> dict:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
+    from .oracle import max_activation_for_assignment, max_avoidance_cooperative, max_avoidance_m1
+
     topology, lattice = _build_topology(args)
     if args.mode == "m1":
         value, schedule = max_avoidance_m1(topology, **_search_limits(args))
@@ -238,6 +231,8 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 def _audited(lattice, assignment, certificate) -> int:
     """Print a group certificate with its audit problems; exit 1 when there are any."""
+    from .converse import validate_certificate
+
     problems = validate_certificate(lattice, assignment, certificate)
     obj = certificate.to_json()
     obj["problems"] = problems
@@ -246,6 +241,9 @@ def _audited(lattice, assignment, certificate) -> int:
 
 
 def _run_certify(args: argparse.Namespace) -> int:
+    from .converse import algorithm1_certify, backhaul_converse, schedule_assignment, triangle_state_bound
+    from .oracle import AvoidanceSchedule, certify_lower_bound
+
     if args.mode == "backhaul":
         assignment = assignment_from_json(sys.stdin.read())
         result = backhaul_converse(assignment, _require(args.B, "--B"))

@@ -43,9 +43,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._rank import _matching
 from .assignment import MessageAssignment
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
-from .oracle import AvoidanceSchedule, _matching, validate_schedule
+from .oracle import AvoidanceSchedule, validate_schedule
 from .topology import HexLattice, NetworkTopology
 
 Constraint = tuple  # ("pair", i, k) or ("zero", i)

@@ -24,7 +24,7 @@ from itertools import chain
 import json
 import math
 
-from .assignment import MessageAssignment
+from .assignment import MessageAssignment, metrics
 from .errors import (
     DecompositionFailureError,
     InvalidParameterError,
@@ -91,6 +91,17 @@ class DofReport:
                 "scheme_name": self.scheme_name,
             }
         )
+
+
+def dof_report(scheme: ZfScheme, assignment: MessageAssignment) -> DofReport:
+    """Exact degrees-of-freedom and backhaul accounting for a scheme."""
+    achieved = len(scheme.active_messages)
+    return DofReport(
+        achieved_dof=achieved,
+        per_user_dof=Fraction(achieved, scheme.K),
+        backhaul=metrics(assignment).B,
+        scheme_name=scheme.name,
+    )
 
 
 def validate_scheme(

@@ -21,14 +21,13 @@ over the active receivers that hear it, so its cost is linear in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import json
 from typing import TYPE_CHECKING
 
-from .assignment import MessageAssignment, metrics
+from ._rank import _mask, _support_matching
+from .assignment import MessageAssignment
 from .errors import CoopZfError, InvalidParameterError, SolverFailureError
-from .oracle import _mask, _support_matching
-from .schemes import DofReport, ZfScheme
+from .schemes import ZfScheme
 from .topology import NetworkTopology
 
 if TYPE_CHECKING:
@@ -156,7 +155,7 @@ def _support(
     at ``c``, ascending.  The serving coefficient is pinned to 1 and the
     cancellation rows are peeled; untouched coefficients are 0.  If rows
     are left, the support is read off the matching that decides generic
-    deliverability (:func:`coopzf.oracle._deliverable`): the desired
+    deliverability (:func:`coopzf._rank._deliverable`): the desired
     row's column is pinned to 1, unmatched columns are 0, unmatched rows
     are dropped (generically in the span of the matched ones), and the
     rest is peeled again, leaving a square system with a perfect
@@ -357,15 +356,4 @@ def verify(
             passed = False
     return VerificationReport(
         passed=passed, dof=len(active), max_residual=max_residual, per_receiver=per_receiver
-    )
-
-
-def dof_report(scheme: ZfScheme, assignment: MessageAssignment) -> DofReport:
-    """Exact degrees-of-freedom and backhaul accounting for a scheme."""
-    achieved = len(scheme.active_messages)
-    return DofReport(
-        achieved_dof=achieved,
-        per_user_dof=Fraction(achieved, scheme.K),
-        backhaul=metrics(assignment).B,
-        scheme_name=scheme.name,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from coopzf import build_wyner, scheme_to_json, wyner_backhaul_scheme
-from coopzf import cli
+from coopzf import cli, converse
 from coopzf.cli import main, report_table1
 
 
@@ -567,14 +567,14 @@ def test_certify_states_prints_its_audit(capsys, monkeypatch):
 
 
 def test_certify_states_exits_one_on_tampered_bound(capsys, monkeypatch):
-    honest = cli.triangle_state_bound
+    honest = converse.triangle_state_bound
 
     def tampered(lattice, schedule):
         cert = honest(lattice, schedule)
         g0 = dataclasses.replace(cert.groups[0], bound=cert.groups[0].bound - 1)
         return dataclasses.replace(cert, groups=(g0,) + cert.groups[1:])
 
-    monkeypatch.setattr(cli, "triangle_state_bound", tampered)
+    monkeypatch.setattr(converse, "triangle_state_bound", tampered)
     schedule = _coset_schedule(capsys, 6)
     code, out, _ = _run(["certify", "--states", "--n", "6"], capsys, monkeypatch, stdin=schedule)
     assert code == 1
@@ -583,14 +583,14 @@ def test_certify_states_exits_one_on_tampered_bound(capsys, monkeypatch):
 
 
 def test_certify_groups_exits_one_on_tampered_bound(capsys, monkeypatch):
-    honest = cli.algorithm1_certify
+    honest = converse.algorithm1_certify
 
     def tampered(lattice, assignment):
         cert = honest(lattice, assignment)
         g0 = dataclasses.replace(cert.groups[0], bound=cert.groups[0].bound - 1)
         return dataclasses.replace(cert, groups=(g0,) + cert.groups[1:])
 
-    monkeypatch.setattr(cli, "algorithm1_certify", tampered)
+    monkeypatch.setattr(converse, "algorithm1_certify", tampered)
     self_serving = json.dumps({"K": 9, "transmit_sets": [[i] for i in range(1, 10)]})
     code, out, _ = _run(["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=self_serving)
     assert code == 1
@@ -823,6 +823,46 @@ def test_importing_the_package_loads_no_numpy():
         [sys.executable, "-c", probe], env=_SUBPROCESS_ENV, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("coopzf.")) + ["numpy"] * ("numpy" in sys.modules)
+
+def run(argv, stdin=""):
+    sys.stdin, out = io.StringIO(stdin), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+import coopzf
+steps = {"package": loaded()}
+from coopzf.cli import main
+steps["cli"] = loaded()
+doc = run(["scheme", "--wyner", "--K", "8", "--B", "1"])
+run(["report"], doc)
+run(["table1"])
+steps["scheme, report, table1"] = loaded()
+run(["verify"], doc)
+steps["verify"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_each_entry_point_loads_only_the_layers_it_uses():
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE], env=_SUBPROCESS_ENV, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    front = ["coopzf.assignment", "coopzf.cli", "coopzf.errors", "coopzf.schemes", "coopzf.topology"]
+    assert json.loads(done.stdout) == {
+        "package": [],
+        "cli": front,
+        "scheme, report, table1": front,
+        "verify": sorted([*front, "coopzf._rank", "coopzf.zf_engine"]) + ["numpy"],
+    }
 
 
 def test_entry_point_pipes_scheme_into_verify():

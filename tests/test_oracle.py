@@ -40,7 +40,7 @@ from coopzf import (
 )
 from coopzf import oracle
 from coopzf.assignment import MessageAssignment
-from coopzf.oracle import _bits, _deliverable, _mask, _matching
+from coopzf._rank import _bits, _deliverable, _mask, _matching
 
 
 def test_single_transmitter_chain_values():

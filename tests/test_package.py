@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import random
 from collections import Counter
 
@@ -11,11 +12,24 @@ import pytest
 import coopzf
 
 
-def test_all_names_resolve_once():
+def test_all_names_resolve_once(monkeypatch):
     repeated = [name for name, count in Counter(coopzf.__all__).items() if count > 1]
     assert repeated == []
     missing = [name for name in coopzf.__all__ if not hasattr(coopzf, name)]
     assert missing == []
+    assert set(coopzf.__all__) <= set(dir(coopzf))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        coopzf.no_such_name
+    # Each name is the object its defining layer holds, read at access time.
+    exported = {name: getattr(coopzf, name) for name in coopzf.__all__}
+    strays = [
+        name for name, obj in exported.items() if getattr(importlib.import_module(obj.__module__), name) is not obj
+    ]
+    assert strays == []
+    assert coopzf.converse is importlib.import_module("coopzf.converse")
+    monkeypatch.setattr(coopzf.zf_engine, "verify", stand_in := object())
+    monkeypatch.setattr(coopzf.converse, "triangle_state_bound", stand_in)
+    assert coopzf.verify is coopzf.triangle_state_bound is stand_in
 
 
 def _public_calls():
