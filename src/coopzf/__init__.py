@@ -25,7 +25,6 @@ _HOME = {
     "CooperationMetrics": "assignment",
     "CooperativeWitness": "oracle",
     "CoopZfError": "errors",
-    "DecompositionFailureError": "errors",
     "DofReport": "schemes",
     "GroupCertificate": "converse",
     "HexLattice": "topology",

@@ -28,7 +28,6 @@ from itertools import chain
 
 from .assignment import assignment_from_json
 from .errors import (
-    DecompositionFailureError,
     InvalidParameterError,
     PreconditionViolationError,
     ResourceLimitError,
@@ -451,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParameterError, PreconditionViolationError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailureError, DecompositionFailureError) as exc:
+    except SolverFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

@@ -4,12 +4,12 @@ Every error raised intentionally by this package derives from
 :class:`CoopZfError`, so callers can catch one base type.  The concrete
 subclasses distinguish caller mistakes (bad parameters, violated
 preconditions, unsupported inputs) from internal failures (a linear solve
-that unexpectedly degenerates, a decomposition search that comes up empty)
-and from deliberate resource guards on exponential searches.  The JSON
-readers share one context manager that reports a malformed document as
-an invalid parameter, one check of the user indices they read, and one
-check of the JSON type of their other fields.  Integer parameters of the
-generators and topology builders pass one check too.
+that unexpectedly degenerates) and from deliberate resource guards on
+exponential searches.  The JSON readers share one context manager that
+reports a malformed document as an invalid parameter, one check of the
+user indices they read, and one check of the JSON type of their other
+fields.  Integer parameters of the generators and topology builders pass
+one check too.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class UnsupportedError(CoopZfError):
 
 class SolverFailureError(CoopZfError):
     """A numeric solve degenerated (singular system, no solution)."""
-
-
-class DecompositionFailureError(CoopZfError):
-    """A structural decomposition search found no valid result."""
 
 
 class ResourceLimitError(CoopZfError):

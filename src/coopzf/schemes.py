@@ -26,7 +26,6 @@ import math
 
 from .assignment import MessageAssignment, metrics
 from .errors import (
-    DecompositionFailureError,
     InvalidParameterError,
     _check_fields,
     _check_int,
@@ -383,90 +382,49 @@ def hexagonal_coset_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfSc
     return _chain(len(lattice.coords), rows, "hexagonal_coset", ("hexagonal", lattice.n or 0))
 
 
-def _chains_of(lattice: HexLattice, removed: frozenset[int]) -> list[list[int]] | None:
-    """Order the kept nodes into simple paths, or None if they are not paths."""
-    kept = set(lattice.coords) - set(removed)
-    adj = {u: lattice.neighbors[u] & kept for u in kept}
-    if any(len(a) > 2 for a in adj.values()):
-        return None
-    chains: list[list[int]] = []
-    seen: set[int] = set()
-    for start in sorted(kept):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        if len(comp) == 1:
-            chains.append([start])
-            continue
-        ends = sorted(v for v in comp if len(adj[v]) <= 1)
-        if len(ends) != 2:
-            return None
-        chain = [ends[0]]
-        prev: int | None = None
-        cur = ends[0]
-        while True:
-            step = [v for v in adj[cur] if v != prev]
-            if not step:
-                break
-            prev, cur = cur, step[0]
-            chain.append(cur)
-        if len(chain) != len(comp):
-            return None
-        chains.append(chain)
-    return chains
+def _check_hex_coop_side(n: int | None) -> None:
+    """Raise unless ``n``, a lattice side (None when not grid-built), is a multiple of 6."""
+    if n is None or n % 6 != 0:
+        raise InvalidParameterError("lattice must be grid-built with side n a multiple of 6")
 
 
 def decompose_hexagonal_to_linear(lattice: HexLattice) -> tuple[frozenset[int], list[list[int]]]:
     """Silence a third of a hexagonal grid so the rest splits into chains.
 
-    No edge joins two chains and each kept node's kept neighbors are its
-    chain neighbors, so every chain is an isolated locally connected
-    linear network with connectivity 2.  For even ``n`` the circles and
-    diamonds of every odd row ``b`` are silenced: within a row the only
-    missing edge is circle→diamond, squares have no upward edges, and a
-    square's two downward edges reach the circle and diamond it sits
-    above, so row ``2j`` plus the squares of row ``2j+1`` form one path
-    of ``4n/3`` nodes (a multiple of 8 exactly when ``6 | n``).  For odd
-    ``n`` the square coset is silenced, leaving paths of lengths ``1..n``.
+    The circles and diamonds of every odd row are silenced.  Within a row
+    the only missing edge is circle→diamond, squares have no upward edges,
+    and a square's two downward edges reach the circle and diamond it sits
+    above.  So row ``2j`` and the squares of row ``2j+1`` form one isolated
+    path of ``4n/3`` nodes, a linear network of connectivity 2, read off in
+    closed form: walk ``a`` along row ``2j`` and put the square
+    ``(a, 2j+1)`` just before each diamond ``(a, 2j)``, where it joins that
+    diamond to the circle at ``a-1``.  Sides must be multiples of 6, so
+    every chain holds whole blocks of 8 users.
 
     Args:
-        lattice: grid-built lattice with side ``n`` divisible by 3.
+        lattice: grid-built lattice with side ``n`` a multiple of 6.
 
     Returns:
-        ``(deactivated, chains)`` with ``|deactivated| = K/3`` and
-        chains listed in path order.
+        ``(deactivated, chains)`` with ``|deactivated| = K/3``, chains in
+        row-pair order, each in path order from its lower-numbered end.
 
     Raises:
-        InvalidParameterError: lattice not grid-built or ``3 ∤ n``.
-        DecompositionFailureError: the kept nodes do not form paths.
+        InvalidParameterError: lattice not grid-built or ``6 ∤ n``.
     """
     n = lattice.n
-    if n is None or n % 3 != 0:
-        raise InvalidParameterError("lattice must be grid-built with side n divisible by 3")
-    if n % 2 == 0:
-        removed = frozenset(
-            i for i, (_, b) in lattice.coords.items() if b % 2 == 1 and lattice.cosets[i] != "square"
-        )
-    else:
-        removed = frozenset(i for i in lattice.coords if lattice.cosets[i] == "square")
-    chains = _chains_of(lattice, removed)
-    if chains is None:
-        raise DecompositionFailureError(f"kept nodes of the n={n} lattice do not form paths")
-    return removed, chains
-
-
-def _check_hex_coop_side(n: int | None) -> None:
-    """Raise unless ``n``, a lattice side (None when not grid-built), is a multiple of 6."""
-    if n is None or n % 6 != 0:
-        raise InvalidParameterError("lattice must be grid-built with side n a multiple of 6")
+    _check_hex_coop_side(n)
+    at = lattice.index_of
+    chains: list[list[int]] = []
+    for b in range(0, n, 2):
+        path: list[int] = []
+        for a in range(n):
+            if (a + b) % 3 == 2:
+                path.append(at[a, b + 1])
+            path.append(at[a, b])
+        if path[0] > path[-1]:
+            path.reverse()
+        chains.append(path)
+    return frozenset(lattice.coords).difference(*chains), chains
 
 
 def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfScheme]:
@@ -483,7 +441,6 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
         InvalidParameterError: the lattice is not a grid with side ``n``
             a multiple of 6 (the chains then hold whole blocks of 8).
     """
-    _check_hex_coop_side(lattice.n)
     _, chains = decompose_hexagonal_to_linear(lattice)
     rows = [([(3, 2, 3, 1)] * (len(chain) // 8), chain, chain) for chain in chains]
     return _chain(len(lattice.coords), rows, "hexagonal_cooperative", ("hexagonal", lattice.n))

@@ -159,8 +159,10 @@ def _support(
     row's column is pinned to 1, unmatched columns are 0, unmatched rows
     are dropped (generically in the span of the matched ones), and the
     rest is peeled again, leaving a square system with a perfect
-    matching.  Each coefficient is set by the one row that can set it,
-    and rows are taken ascending, so only the set of ``cancel`` matters.
+    matching.  Each coefficient is set by the one row that can set it;
+    the first pass takes the rows ascending and later passes alternate
+    direction over the rows left, so only the sorted set of ``cancel``
+    matters.
 
     Raises:
         InvalidParameterError: ``serving`` is outside ``T``.

@@ -348,8 +348,21 @@ def test_linear_decomposition_chain_adjacency():
                     assert abs(q - p) == 1, "chain adjacency must be consecutive"
 
 
-def test_linear_decomposition_requires_multiple_of_three():
-    _, lat = build_hexagonal(4)
+@pytest.mark.parametrize("n", range(6, 97, 6))
+def test_linear_decomposition_row_pairs(n):
+    _, lat = build_hexagonal(n)
+    deact, chains = decompose_hexagonal_to_linear(lat)
+    assert validate_linear_decomposition(lat, deact, chains) == []
+    assert len(deact) == n * n // 3
+    assert [len(c) for c in chains] == [4 * n // 3] * (n // 2)
+    assert all(c[0] < c[-1] for c in chains)
+    rows = [sorted({lat.coords[u][1] for u in c}) for c in chains]
+    assert rows == [[b, b + 1] for b in range(0, n, 2)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 15])
+def test_linear_decomposition_requires_multiple_of_six(n):
+    _, lat = build_hexagonal(n)
     with pytest.raises(InvalidParameterError):
         decompose_hexagonal_to_linear(lat)
 
@@ -378,9 +391,6 @@ def test_cooperative_lattice_chain_dof_share():
 @pytest.mark.parametrize("n", [6, 12, 18, 24])
 def test_cooperative_lattice_sweep(n):
     topo, lat = build_hexagonal(n)
-    deact, chains = decompose_hexagonal_to_linear(lat)
-    assert validate_linear_decomposition(lat, deact, chains) == []
-    assert [len(c) for c in chains] == [4 * n // 3] * (n // 2)
     a, s = hexagonal_cooperative_scheme(lat)
     assert validate_scheme(topo, a, s) == []
     channels = sample_channels(topo, 0)
@@ -463,7 +473,7 @@ def _grid_instances():
         yield (build_locally_connected(N, 1), *two_dim_row_scheme(N))
     for N in (12, 24):
         yield (build_two_dim(N * N), *two_dim_scheme(N * N))
-    for n in (6, 12, 18):
+    for n in (6, 12, 18, 24, 48):
         topology, lattice = build_hexagonal(n)
         yield (topology, *hexagonal_cooperative_scheme(lattice))
     for n in (1, 2, 3, 4, 5, 9, 12):
@@ -479,7 +489,7 @@ def test_scheme_documents_are_pinned_across_sizes():
     )
     assert (
         hashlib.sha256(documents.encode()).hexdigest()
-        == "22fc3348675fb80b0733fa764b709bfa5e36ade89b6f7b676d23ceda44bf7913"
+        == "3122faa778ad6520a859ef5a9eebfc97dd325ceac5413702c0c53fa694ed447f"
     )
 
 
