@@ -56,6 +56,12 @@ def assignment_from_json(text: str) -> MessageAssignment:
     """Rebuild a :class:`MessageAssignment` from its JSON form."""
     with _document_errors("assignment"):
         obj = json.loads(text)
+    return assignment_from_dict(obj)
+
+
+def assignment_from_dict(obj) -> MessageAssignment:
+    """Rebuild a :class:`MessageAssignment` from the parsed object of its JSON form."""
+    with _document_errors("assignment"):
         rows = obj["transmit_sets"]
         _check_users("assignment", obj["K"], chain.from_iterable(rows))
         sets = {i + 1: frozenset(row) for i, row in enumerate(rows)}

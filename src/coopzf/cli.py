@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-from .assignment import assignment_from_json
+from .assignment import assignment_from_dict, assignment_from_json
 from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
@@ -50,6 +50,7 @@ from .schemes import (
     wyner_backhaul_scheme,
 )
 from .topology import (
+    _is_wyner_chain,
     build_hexagonal,
     build_locally_connected,
     build_two_dim,
@@ -244,7 +245,19 @@ def _run_certify(args: argparse.Namespace) -> int:
     from .oracle import AvoidanceSchedule, certify_lower_bound
 
     if args.mode == "backhaul":
-        assignment = assignment_from_json(sys.stdin.read())
+        # A bare assignment implies the Wyner chain; an embedded topology must be one.
+        with _document_errors("assignment"):
+            obj = json.loads(sys.stdin.read())
+            assignment = assignment_from_dict(obj)
+            wyner = True
+            if "topology" in obj:
+                rows = obj["topology"]["hears"]
+                _check_users("assignment", assignment.K, chain.from_iterable(rows))
+                wyner = len(rows) == assignment.K and _is_wyner_chain(rows)
+        if not wyner:
+            raise PreconditionViolationError(
+                "the backhaul converse needs a Wyner chain: receiver i must hear exactly {i-1, i}"
+            )
         result = backhaul_converse(assignment, _require(args.B, "--B"))
         _emit(json.dumps(result.to_json()))
         return 0

@@ -23,7 +23,7 @@ from ._rank import _bits, _deliverable, _mask
 from .assignment import MessageAssignment
 from .errors import InvalidParameterError, ResourceLimitError
 from .schemes import ZfScheme, validate_scheme
-from .topology import NetworkTopology
+from .topology import NetworkTopology, _is_wyner_chain
 
 
 @dataclass
@@ -337,7 +337,7 @@ def max_avoidance_cooperative(
     K = topology.K
     search = _Search(K, node_limit, time_limit)
     budget = int(Fraction(B) * K)
-    if all(topology.hears[i] == {i - 1, i} - {0} for i in range(1, K + 1)):
+    if _is_wyner_chain(topology.hears[i] for i in range(1, K + 1)):
         A, sets = _wyner_runs(search, K, budget)
     else:
         A, sets = _levelwise_cooperative(search, topology, budget)

@@ -115,6 +115,15 @@ def topology_from_json(text: str) -> NetworkTopology:
     return topology_from_dict(obj)
 
 
+def _is_wyner_chain(rows) -> bool:
+    """Whether receiver ``i`` hears exactly ``{i-1, i}`` within ``1..K``.
+
+    ``rows`` are the hearing sets of receivers ``1..K`` in order, or the
+    hearing lists of a parsed topology document.
+    """
+    return all(set(row) == ({i - 1, i} if i > 1 else {1}) for i, row in enumerate(rows, 1))
+
+
 def build_wyner(K: int) -> NetworkTopology:
     """Linear chain: receiver ``i`` hears transmitters ``{i-1, i}``.
 

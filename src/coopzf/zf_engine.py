@@ -7,15 +7,14 @@ realization — that every active receiver sees its own message clearly
 and no residual interference.  Noise is never simulated: the
 degrees-of-freedom count is a pure coefficient property.
 
-Each stage works in batches rather than coefficient by coefficient.  The
-channel draw takes all its normals in one call and reads them as one
-array of complex gains.  Beam design depends only on the set of each
-message's cancellation receivers: it solves one coefficient at a time
-where it can, reads the beam's support off the matching that decides
-deliverability where it cannot, and sends the cyclic rest to one
-stacked dense solve per system size.  Verification scatters each beam
-over the active receivers that hear it, so its cost is linear in
-``sum |T_i| * degree``.
+The channel draw takes all its normals in one call and reads them as one
+array of complex gains.  Beam design finishes each message's beam before
+it starts the next, and depends only on the set of the message's
+cancellation receivers: it solves one coefficient at a time where it
+can, reads the beam's support off the matching that decides
+deliverability where it cannot, and finishes the cyclic rest with one
+dense solve.  Verification scatters each beam over the active receivers
+that hear it, so its cost is linear in ``sum |T_i| * degree``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from ._rank import _mask, _support_matching
 from .assignment import MessageAssignment
-from .errors import CoopZfError, InvalidParameterError, SolverFailureError
+from .errors import InvalidParameterError, SolverFailureError
 from .schemes import ZfScheme
 from .topology import NetworkTopology
 
@@ -147,8 +146,8 @@ def _support(
     T: list[int],
     serving: int,
     cancel: tuple[int, ...],
-) -> tuple[dict[int, complex], list[int]]:
-    """A message's beam as far as peeling sets it, and the cyclic rows left.
+) -> dict[int, complex]:
+    """A message's beam over ``T``, designed start to finish.
 
     Peeling solves each row with one unset coefficient ``u`` as
     ``-sum(H[c,t] * v[t]) / H[c,u]`` over the other ``t`` in ``T`` heard
@@ -158,16 +157,17 @@ def _support(
     deliverability (:func:`coopzf._rank._deliverable`): the desired
     row's column is pinned to 1, unmatched columns are 0, unmatched rows
     are dropped (generically in the span of the matched ones), and the
-    rest is peeled again, leaving a square system with a perfect
-    matching.  Each coefficient is set by the one row that can set it;
-    the first pass takes the rows ascending and later passes alternate
-    direction over the rows left, so only the sorted set of ``cancel``
-    matters.
+    rest is peeled again.  Rows still left form a square system with a
+    perfect matching, which :func:`_solve_cyclic` finishes.  Each
+    coefficient is set by the one row that can set it; the first pass
+    takes the rows ascending and later passes alternate direction over
+    the rows left, so only the sorted set of ``cancel`` matters.
 
     Raises:
         InvalidParameterError: ``serving`` is outside ``T``.
         SolverFailureError: the desired row is unmatched (the message is
-            not deliverable), or a pivot gain is zero.
+            not deliverable), a pivot gain is zero, or the square system
+            is singular.
     """
     def peel(v: dict[int, complex], rows: list[int]) -> list[int]:
         # Passes alternate direction, so a chain peels in two whichever way
@@ -209,54 +209,43 @@ def _support(
     if not peel(v, rows):
         for t in T:
             v.setdefault(t, 0j)
-        return v, []
+        return v
     crows = [_mask(hears[c].intersection(T)) for c in rows]
     match = _support_matching(_mask(hears[message].intersection(T)), crows)
     if len(rows) not in match.values():
         raise SolverFailureError(f"cancellation system for message {message} is singular")
     v = {t: 1.0 + 0j for t, r in match.items() if r == len(rows)}
     v.update((t, 0j) for t in T if t not in match)
-    return v, peel(v, [rows[r] for r in sorted(match.values())[:-1]])
+    rows = peel(v, [rows[r] for r in sorted(match.values())[:-1]])
+    if rows:
+        _solve_cyclic(gains, message, v, [t for t in T if t not in v], rows)
+    return v
 
 
 def _solve_cyclic(
     gains: dict[tuple[int, int], complex],
-    beams: dict[int, dict[int, complex]],
-    systems: list[tuple[int, list[int], list[int]]],
+    message: int,
+    v: dict[int, complex],
+    columns: list[int],
+    rows: list[int],
 ) -> None:
-    """Finish each beam with one stacked solve per system size.
-
-    Each system is ``(message, columns, rows)``: the beam's unset
-    coefficients, ascending, and as many rows left by :func:`_support`.
-    A stack that raises ``LinAlgError`` is solved by pseudo-inverse.
+    """Append to beam ``v`` its unset ``columns``, solved densely from as many peeled-out ``rows``.
 
     Raises:
-        SolverFailureError: a solution misses its right-hand side; the
-            lowest such message is named.
+        SolverFailureError: the system is singular, or its solution
+            misses its right-hand side.
     """
     import numpy as np
 
-    stacks: dict[int, list[tuple[int, list[int], list[int]]]] = {}
-    for system in systems:
-        stacks.setdefault(len(system[2]), []).append(system)
-    failed = []
-    for m, members in stacks.items():
-        A = np.empty((len(members), m, m), dtype=complex)
-        b = np.empty((len(members), m, 1), dtype=complex)
-        for row, (message, columns, rows) in enumerate(members):
-            A[row] = [[gains.get((c, t), 0j) for t in columns] for c in rows]
-            b[row, :, 0] = [-sum(gains.get((c, t), 0j) * x for t, x in beams[message].items()) for c in rows]
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            x = np.linalg.pinv(A) @ b
-        ok = np.isclose(A @ x, b, rtol=1e-9, atol=1e-12).all(axis=(1, 2))
-        for row, (message, columns, _) in enumerate(members):
-            beams[message].update(zip(columns, x[row, :, 0].tolist()))
-            if not ok[row]:
-                failed.append(message)
-    if failed:
-        raise SolverFailureError(f"cancellation system for message {min(failed)} is singular")
+    A = np.array([[gains.get((c, t), 0j) for t in columns] for c in rows], dtype=complex)
+    b = np.array([-sum(gains.get((c, t), 0j) * x for t, x in v.items()) for c in rows], dtype=complex)
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.isclose(A @ x, b, rtol=1e-9, atol=1e-12).all():
+        raise SolverFailureError(f"cancellation system for message {message} is singular")
+    v.update(zip(columns, x.tolist()))
 
 
 def design_beams(
@@ -269,10 +258,10 @@ def design_beams(
 
     Each receiver in a message's cancellation list contributes one
     linear constraint zeroing the message's received coefficient there;
-    only the set of receivers matters, never its order.  Constraints are
-    solved one coefficient at a time where they can be, which finishes
-    every generator's scheme (:func:`_support`); what stays cyclic goes
-    to one stacked solve per system size (:func:`_solve_cyclic`).
+    only the set of receivers matters, never its order.  The messages
+    are designed one at a time in ascending order, each start to finish
+    (:func:`_support`): peeled one coefficient at a time, which finishes
+    every generator's scheme, and what stays cyclic solved densely.
 
     Raises:
         InvalidParameterError: an active message's serving transmitter
@@ -282,19 +271,10 @@ def design_beams(
             channels).  When several apply, the error of the
             lowest-numbered message is raised.
     """
-    gains = channels.coefficients
-    beams: dict[int, dict[int, complex]] = {}
-    cyclic = []
+    beams = {}
     for i in sorted(scheme.active_messages):
         T = sorted(assignment.transmit_sets.get(i, ()))
-        try:
-            beams[i], rows = _support(gains, topology.hears, i, T, scheme.serving.get(i), scheme.cancel_at[i])
-        except CoopZfError:
-            _solve_cyclic(gains, beams, cyclic)  # a lower message's failure comes first
-            raise
-        if rows:
-            cyclic.append((i, [t for t in T if t not in beams[i]], rows))
-    _solve_cyclic(gains, beams, cyclic)
+        beams[i] = _support(channels.coefficients, topology.hears, i, T, scheme.serving.get(i), scheme.cancel_at[i])
     return BeamDesign(beams=beams)
 
 

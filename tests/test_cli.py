@@ -10,11 +10,19 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coopzf import build_wyner, scheme_to_json, wyner_backhaul_scheme
+from coopzf import (
+    MessageAssignment,
+    ZfScheme,
+    build_locally_connected,
+    build_wyner,
+    scheme_to_json,
+    wyner_backhaul_scheme,
+)
 from coopzf import cli, converse
 from coopzf.cli import main, report_table1
 
@@ -534,6 +542,42 @@ def test_certify_backhaul_rejects_a_budget_that_is_not_an_integer(capsys, monkey
     assert err == "error: only integer backhaul budgets are scanned\n"
 
 
+def test_certify_backhaul_needs_the_wyner_chain(capsys, monkeypatch):
+    # every user served alone on the interference-free K=8 network: the
+    # Wyner scan's bound of 6 would be false there
+    K = 8
+    assignment = MessageAssignment(K=K, transmit_sets={i: frozenset({i}) for i in range(1, K + 1)})
+    scheme = ZfScheme(
+        K=K,
+        active_messages=frozenset(range(1, K + 1)),
+        serving={i: i for i in range(1, K + 1)},
+        cancel_at={i: () for i in range(1, K + 1)},
+        declared_pudof=Fraction(1),
+        declared_backhaul=Fraction(1),
+    )
+    free = scheme_to_json(scheme, build_locally_connected(K, 0), assignment)
+    code, out, _ = _run(["verify"], capsys, monkeypatch, stdin=free)
+    assert (code, json.loads(out)["dof"]) == (0, "1")
+    code, out, _ = _run(["certify", "--lower-bound"], capsys, monkeypatch, stdin=free)
+    assert (code, json.loads(out)) == (0, {"certified": True, "active": 8, "K": 8})
+    code, out, err = _run(["certify", "--backhaul", "--B", "1"], capsys, monkeypatch, stdin=free)
+    assert (code, out) == (2, "")
+    assert err == "error: the backhaul converse needs a Wyner chain: receiver i must hear exactly {i-1, i}\n"
+    # the same transmit sets bare, or on the Wyner chain, are scanned
+    for doc in (assignment.to_json(), scheme_to_json(scheme, build_wyner(K), assignment)):
+        code, out, _ = _run(["certify", "--backhaul", "--B", "1"], capsys, monkeypatch, stdin=doc)
+        assert (code, json.loads(out)["bound"]) == (0, 6)
+    # a topology section that is not a topology is a malformed document
+    obj = json.loads(assignment.to_json())
+    chain_with_a_float = [[1.0]] + [[i, i + 1] for i in range(1, 8)]
+    for topology in (5, {"hears": 5}, {"hears": [5] * 8}, {"hears": chain_with_a_float}):
+        code, out, err = _run(
+            ["certify", "--backhaul", "--B", "1"], capsys, monkeypatch, stdin=json.dumps({**obj, "topology": topology})
+        )
+        assert (code, out) == (2, ""), topology
+        assert err.startswith("error: malformed assignment document"), topology
+
+
 def test_certify_groups(capsys, monkeypatch):
     empty = json.dumps({"K": 9, "transmit_sets": [[] for _ in range(9)]})
     code, out, _ = _run(["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=empty)
@@ -609,6 +653,16 @@ def test_certify_states_rejects_users_outside_lattice(capsys, monkeypatch, pairs
     assert "outside 1..9" in err
 
 
+# Structurally valid, but receiver 2 hears the same single antenna of
+# T_3 = {2, 4} as receiver 3, so message 3 cannot be delivered.
+_UNDELIVERABLE = _wyner_document(
+    active=[2, 3],
+    serving={"2": 1, "3": 2},
+    cancel_at={"2": [], "3": [2]},
+    transmit_sets=[[], [1], [2, 4], []],
+)
+
+
 def test_certify_lower_bound_pass_and_fail(capsys, monkeypatch):
     _, doc, _ = _run(["scheme", "--wyner", "--K", "4", "--B", "1"], capsys)
     code, out, _ = _run(["certify", "--lower-bound"], capsys, monkeypatch, stdin=doc)
@@ -622,17 +676,15 @@ def test_certify_lower_bound_pass_and_fail(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["certified"] is False
-    # Structurally valid, but receiver 2 hears the same single antenna of
-    # T_3 = {2, 4} as receiver 3, so message 3 cannot be delivered.
-    undeliverable = _wyner_document(
-        active=[2, 3],
-        serving={"2": 1, "3": 2},
-        cancel_at={"2": [], "3": [2]},
-        transmit_sets=[[], [1], [2, 4], []],
-    )
-    code, out, _ = _run(["certify", "--lower-bound"], capsys, monkeypatch, stdin=undeliverable)
+    code, out, _ = _run(["certify", "--lower-bound"], capsys, monkeypatch, stdin=_UNDELIVERABLE)
     assert code == 1
     assert json.loads(out) == {"certified": False, "active": 2, "K": 4}
+
+
+def test_verify_names_an_undeliverable_message(capsys, monkeypatch):
+    code, out, err = _run(["verify"], capsys, monkeypatch, stdin=_UNDELIVERABLE)
+    assert (code, out) == (1, "")
+    assert err == "error: cancellation system for message 3 is singular\n"
 
 
 def test_table_single_row(capsys):

@@ -398,6 +398,27 @@ def test_validate_certificate_flags_nodes_outside_lattice(where):
     ]
 
 
+def test_validate_certificate_names_a_broken_partition():
+    # group (2, 5) twice, node 2 also uncovered, nodes 7 and 9 nowhere
+    _, lattice = build_hexagonal(3)
+    assignment = MessageAssignment(K=9, transmit_sets={i: frozenset({i}) for i in range(1, 10)})
+    cert = algorithm1_certify(lattice, assignment)
+    g0 = cert.groups[0]
+    assert g0.nodes == (2, 5)
+    broken = GroupCertificate(
+        groups=(g0, g0),
+        uncovered=frozenset({1, 2, 3, 4, 6, 8}),
+        certified_bound=cert.certified_bound,
+        bound_total=cert.bound_total,
+    )
+    assert validate_certificate(lattice, assignment, broken)[:4] == [
+        "node 2 appears in more than one group",
+        "node 5 appears in more than one group",
+        "nodes [2] are both grouped and uncovered",
+        "nodes [7, 9] are in no group and not uncovered",
+    ]
+
+
 def test_validate_certificate_rejects_self_pairs():
     # ("pair", i, i) caps d_i at 1/2; were it accepted, singleton groups
     # would certify 1 served user where the coset scheme serves 3.

@@ -118,6 +118,44 @@ def test_single_transmitter_matches_milp_on_chains(L):
         assert value == _milp_m1(topo), K
 
 
+# Instances whose greedy incumbent is not optimal, so the search improves
+# it and prunes inside a color class: (topology, greedy, optimum).
+_GREEDY_FALLS_SHORT = [
+    (build_two_dim(25), 11, 12),
+    (
+        NetworkTopology(
+            kind="custom",
+            K=5,
+            params={},
+            hears={
+                1: frozenset({1, 3, 4}),
+                2: frozenset({2, 3}),
+                3: frozenset({3, 5}),
+                4: frozenset({3, 4, 5}),
+                5: frozenset({2, 5}),
+            },
+        ),
+        2,
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize(("topo", "greedy", "value"), _GREEDY_FALLS_SHORT, ids=["two_dim25", "custom5"])
+def test_single_transmitter_search_improves_the_greedy_incumbent(monkeypatch, topo, greedy, value):
+    found, witness = max_avoidance_m1(topo)
+    assert found == witness.value == value
+    assert validate_schedule(topo, witness) == []
+    # with no search below the root, the answer is the greedy incumbent
+    monkeypatch.setattr(oracle, "_expand", lambda *args: args[-2:])
+    assert max_avoidance_m1(topo)[0] == greedy
+
+
+@pytest.mark.parametrize(("topo", "value"), [(t, v) for t, _, v in _GREEDY_FALLS_SHORT], ids=["two_dim25", "custom5"])
+def test_single_transmitter_matches_milp_where_greedy_falls_short(topo, value):
+    assert _milp_m1(topo) == value
+
+
 def test_single_transmitter_beats_alternating_self_service():
     for K in range(2, 9):
         value, _ = max_avoidance_m1(build_wyner(K))
@@ -888,6 +926,11 @@ def test_schedule_naming_users_outside_topology_is_a_violation(pair):
     topo, _ = build_hexagonal(3)
     schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)
     assert validate_schedule(topo, schedule) == [f"pair {pair} names a user outside 1..9"]
+
+
+def test_schedule_value_must_count_its_pairs():
+    schedule = AvoidanceSchedule(pairs=frozenset({(1, 1)}), value=2)
+    assert validate_schedule(build_wyner(3), schedule) == ["value does not equal the number of pairs"]
 
 
 def _interference_all_pairs(topology, pairs):

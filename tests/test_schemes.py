@@ -528,6 +528,28 @@ def test_validate_scheme_flags_gaps():
     assert any("cancellation" in p or "hears" in p for p in validate_scheme(topo, a, broken))
 
 
+def test_validate_scheme_names_each_inconsistency():
+    # cancel_at has a key 3 that is not active; message 1 lists receiver 2
+    # twice, its own receiver, and receiver 5, which hears none of T_1 = {1, 2}
+    topo = build_wyner(6)
+    sets = dict.fromkeys(range(1, 7), frozenset())
+    a = MessageAssignment(K=6, transmit_sets={**sets, 1: frozenset({1, 2}), 2: frozenset({2})})
+    s = type(wyner_backhaul_scheme(4, 1)[1])(
+        K=6,
+        active_messages=frozenset({1, 2}),
+        serving={1: 1, 2: 2},
+        cancel_at={1: (2, 2, 1, 5), 2: (), 3: ()},
+        declared_pudof=Fraction(1, 3),
+        declared_backhaul=Fraction(1, 2),
+    )
+    assert validate_scheme(topo, a, s) == [
+        "serving/cancel_at keys must equal active_messages",
+        "cancellation list of message 1 has duplicates",
+        "message 1 lists its own receiver for cancellation",
+        "cancellation list of message 1 includes receivers that hear none of its transmitters",
+    ]
+
+
 def test_validate_scheme_flags_empty_transmit_set():
     topo = build_wyner(2)
     a = MessageAssignment(K=2, transmit_sets={1: frozenset(), 2: frozenset()})

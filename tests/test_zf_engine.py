@@ -13,6 +13,7 @@ import pytest
 from coopzf import (
     BeamDesign,
     ChannelRealization,
+    CoopZfError,
     InvalidParameterError,
     MessageAssignment,
     SolverFailureError,
@@ -119,21 +120,19 @@ def test_empty_cancellation_gives_unit_beam():
 
 
 def test_chain_and_dense_routes_agree():
-    # the stacked solve, handed a generator's whole system, reproduces the peeled beam
+    # the dense solve, handed a generator message's whole system, reproduces the peeled beam
     for topo, assignment, scheme in _representatives():
         channels = sample_channels(topo, 5)
         peeled = design_beams(topo, channels, assignment, scheme).beams
-        beams, systems = {}, []
-        for i in sorted(scheme.active_messages):
-            beams[i] = {scheme.serving[i]: 1 + 0j}
-            free = sorted(assignment.transmit_sets[i] - {scheme.serving[i]})
-            systems.append((i, free, sorted(scheme.cancel_at[i])))
-        _solve_cyclic(channels.coefficients, beams, systems)
-        assert list(peeled) == list(beams)
+        assert sorted(peeled) == sorted(scheme.active_messages)
         for i, v in peeled.items():
-            assert set(beams[i]) == set(v) == assignment.transmit_sets[i], (scheme.name, i)
+            dense = {scheme.serving[i]: 1 + 0j}
+            free = sorted(assignment.transmit_sets[i] - {scheme.serving[i]})
+            if free:  # a beam with one antenna is its serving coefficient
+                _solve_cyclic(channels.coefficients, i, dense, free, sorted(scheme.cancel_at[i]))
+            assert set(dense) == set(v) == assignment.transmit_sets[i], (scheme.name, i)
             for t in v:
-                diff = abs(beams[i][t] - v[t])
+                diff = abs(dense[t] - v[t])
                 assert diff / max(1.0, abs(v[t])) <= 1e-10, (scheme.name, i, t)
 
 
@@ -161,16 +160,18 @@ def _cyclic_scheme(K, sizes):
     return build_locally_connected(K, 3), MessageAssignment(K=K, transmit_sets=tsets), scheme
 
 
-def test_stacked_dense_solve_matches_one_system_at_a_time(monkeypatch):
+def test_each_cyclic_beam_is_finished_by_its_own_dense_solve(monkeypatch):
     topo, assignment, scheme = _cyclic_scheme(60, [2, 3, 2, 3, 3, 2, 2, 3])
     channels = sample_channels(topo, 2)
-    stacked = []
+    solved = []
     solve = zf_engine._solve_cyclic
     monkeypatch.setattr(
-        zf_engine, "_solve_cyclic", lambda g, b, systems: (stacked.extend(systems), solve(g, b, systems))
+        zf_engine,
+        "_solve_cyclic",
+        lambda g, message, v, columns, rows: (solved.append(rows), solve(g, message, v, columns, rows)),
     )
     beams = design_beams(topo, channels, assignment, scheme).beams
-    assert sorted(len(rows) for *_, rows in stacked) == [2] * 4 + [3] * 4
+    assert sorted(map(len, solved)) == [2] * 4 + [3] * 4
     for i, v in beams.items():
         for c in scheme.cancel_at[i]:
             assert abs(sum(channels.gain(c, t) * x for t, x in v.items())) < 1e-12
@@ -290,6 +291,30 @@ def test_uncovered_interference_is_reported_not_raised():
     rows = {row["rx"]: row for row in report.per_receiver}
     assert rows[2]["max_interf"] > 0.0
     assert rows[1]["max_interf"] == 0.0  # receiver 1 hears only transmitter 1
+
+
+def test_desired_signal_below_the_floor_fails():
+    # receiver 1 hears only transmitter 1, receiver 2 hears both
+    topo = build_wyner(2)
+    channels = ChannelRealization(coefficients={(1, 1): 1 + 0j, (2, 1): 0.5 + 0j, (2, 2): 1 + 0j}, seed=-1)
+    scheme = ZfScheme(
+        K=2,
+        active_messages=frozenset({1, 2}),
+        serving={1: 1, 2: 2},
+        cancel_at={1: (), 2: ()},
+        declared_pudof=Fraction(1),
+        declared_backhaul=Fraction(1),
+    )
+    # a faint desired signal with interference beside it: the residual is infinite
+    report = verify(topo, channels, scheme, BeamDesign(beams={1: {1: 1 + 0j}, 2: {2: 1e-9 + 0j}}))
+    assert not report.passed
+    assert report.max_residual == float("inf")
+    assert report.per_receiver[1] == {"rx": 2, "desired_mag": 1e-9, "max_interf": 0.5}
+    # a faint desired signal alone fails too, but adds no residual
+    report = verify(topo, channels, scheme, BeamDesign(beams={1: {1: 1e-9 + 0j}, 2: {2: 1 + 0j}}))
+    assert not report.passed
+    assert report.max_residual == 5e-10
+    assert report.per_receiver[0] == {"rx": 1, "desired_mag": 1e-9, "max_interf": 0.0}
 
 
 def test_serving_outside_transmit_set_is_rejected():
@@ -622,6 +647,35 @@ def test_numeric_path_is_pinned(topo, pair, digest):
     body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
     body += verify(topo, channels, scheme, beams).to_json()
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_dense_route_is_pinned(monkeypatch):
+    # every random scheme that reaches the dense solve, and the cyclic scheme
+    # with eight dense systems: beams and verdicts, or the error
+    solved = []
+    solve = zf_engine._solve_cyclic
+    monkeypatch.setattr(zf_engine, "_solve_cyclic", lambda *args: (solved.append(args[1]), solve(*args)))
+
+    def numeric(topo, assignment, scheme):
+        channels = sample_channels(topo, 0)
+        try:
+            beams = design_beams(topo, channels, assignment, scheme)
+        except CoopZfError as error:
+            return type(error).__name__ + str(error)
+        body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
+        return body + verify(topo, channels, scheme, beams).to_json()
+
+    lines = []
+    for case in _random_valid_schemes(2_000):
+        reached = len(solved)
+        line = numeric(*case)
+        if len(solved) > reached:
+            lines.append(line)
+    systems = len(solved)
+    lines.append(numeric(*_cyclic_scheme(60, [2, 3, 2, 3, 3, 2, 2, 3])))
+    assert (len(lines) - 1, systems) == (76, 80)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d744975417c01bdba9f5eecec73752e31fa11cddd66607f9f621865e0de458f2"
 
 
 @pytest.mark.parametrize(
