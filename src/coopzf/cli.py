@@ -240,21 +240,26 @@ def _audited(lattice, assignment, certificate) -> int:
     return 0 if not problems else 1
 
 
+def _read_assignment():
+    """The assignment on stdin, with the hearing rows of its embedded topology or None."""
+    with _document_errors("assignment"):
+        obj = json.loads(sys.stdin.read())
+        assignment = assignment_from_dict(obj)
+        rows = None
+        if "topology" in obj:
+            rows = obj["topology"]["hears"]
+            _check_users("assignment", assignment.K, chain.from_iterable(rows))
+    return assignment, rows
+
+
 def _run_certify(args: argparse.Namespace) -> int:
     from .converse import algorithm1_certify, backhaul_converse, schedule_assignment, triangle_state_bound
     from .oracle import AvoidanceSchedule, certify_lower_bound
 
     if args.mode == "backhaul":
         # A bare assignment implies the Wyner chain; an embedded topology must be one.
-        with _document_errors("assignment"):
-            obj = json.loads(sys.stdin.read())
-            assignment = assignment_from_dict(obj)
-            wyner = True
-            if "topology" in obj:
-                rows = obj["topology"]["hears"]
-                _check_users("assignment", assignment.K, chain.from_iterable(rows))
-                wyner = len(rows) == assignment.K and _is_wyner_chain(rows)
-        if not wyner:
+        assignment, rows = _read_assignment()
+        if rows is not None and not (len(rows) == assignment.K and _is_wyner_chain(rows)):
             raise PreconditionViolationError(
                 "the backhaul converse needs a Wyner chain: receiver i must hear exactly {i-1, i}"
             )
@@ -262,8 +267,17 @@ def _run_certify(args: argparse.Namespace) -> int:
         _emit(json.dumps(result.to_json()))
         return 0
     if args.mode == "groups":
-        assignment = assignment_from_json(sys.stdin.read())
-        _, lattice = build_hexagonal(_require(args.n, "--n"))
+        # A bare assignment implies the lattice of side n; an embedded topology must be it.
+        assignment, rows = _read_assignment()
+        n = _require(args.n, "--n")
+        topology, lattice = build_hexagonal(n)
+        if rows is not None and not (
+            len(rows) == topology.K and all(set(row) == topology.hears[i] for i, row in enumerate(rows, 1))
+        ):
+            raise PreconditionViolationError(
+                f"the group certificate needs the hexagonal lattice of side {n}: "
+                "the document's topology must hear as it does"
+            )
         return _audited(lattice, assignment, algorithm1_certify(lattice, assignment))
     if args.mode == "states":
         topology, lattice = build_hexagonal(_require(args.n, "--n"))

@@ -6,8 +6,11 @@ assignment.  The primitive fact is pairwise: when message ``i`` is
 assigned to the single transmitter ``j``, every other receiver that
 hears ``j`` competes with ``i`` — at most one of the two can be served.
 A message none of whose transmitters its receiver hears is never
-served.  :func:`lemma_pairwise_bounds` is the one definition of both
-facts.  Group certificates assemble them over node groups of a
+served.  :func:`_facts` is the one definition of both facts: it reads
+each message's rivals as the hearer set of its one transmitter, the
+very frozenset the topology holds, so no fact is copied or built as a
+tuple; :func:`lemma_pairwise_bounds` is their expanded form, the set of
+``(i, k)`` pairs.  Group certificates assemble them over node groups of a
 hexagonal lattice, solve each group's packing program exactly, and
 add one for every node left outside all groups.  The groups are cut
 from the lattice's cells and linking triangles, and the facts come
@@ -23,8 +26,9 @@ Two group builders are provided: :func:`algorithm1_certify` works from
 a message assignment with per-message cooperation at most one, and
 :func:`triangle_state_bound` works from an explicit served schedule,
 through the assignment :func:`schedule_assignment` reads off it.  Both
-take every constraint from the lemma, and :func:`validate_certificate`
-accepts exactly the lemma's facts.  The auditor trusts no solver: it
+take every constraint from the facts, and :func:`validate_certificate`
+accepts exactly the lemma's facts, testing each recorded constraint
+against the hearer sets directly.  The auditor trusts no solver: it
 checks each group's bound against a matching and a vertex cover of
 equal size, which certify the optimum by weak duality.
 :func:`backhaul_converse` is the linear-network counterpart: it scans
@@ -43,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._rank import _matching
+from ._rank import _konig_cover, _matching
 from .assignment import MessageAssignment
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
 from .oracle import AvoidanceSchedule, validate_schedule
@@ -57,11 +61,11 @@ Constraint = tuple  # ("pair", i, k) or ("zero", i)
 # ---------------------------------------------------------------------------
 
 
-Facts = tuple[frozenset[tuple[int, int]], frozenset[int]]
+Facts = tuple[dict[int, frozenset[int]], frozenset[int]]
 
 
-def lemma_pairwise_bounds(topology: NetworkTopology, assignment: MessageAssignment) -> Facts:
-    """All pairwise conflicts and zero facts implied by a 1-cooperative assignment.
+def _facts(topology: NetworkTopology, assignment: MessageAssignment) -> Facts:
+    """The pairwise conflicts and zero facts of a 1-cooperative assignment.
 
     This is the single definition of a certificate fact:
 
@@ -73,14 +77,11 @@ def lemma_pairwise_bounds(topology: NetworkTopology, assignment: MessageAssignme
       serving both in one shot is impossible, so their served
       indicators sum to at most one.
 
-    Args:
-        topology: who hears whom.
-        assignment: transmit sets, each of size at most one.
-
     Returns:
-        ``(pairs, zeros)`` where ``pairs`` holds ordered tuples
-        ``(i, k)`` (``i`` the assigned message, ``k`` the competing
-        receiver) and ``zeros`` the never-served message indices.
+        ``(rivals, zeros)``: ``rivals[i]`` is ``topology.hearers(j)``
+        itself, not a copy, for every message ``i`` that is not zero,
+        so ``(i, k)`` is a pair fact iff ``k != i and k in rivals[i]``;
+        ``zeros`` holds the never-served message indices.
 
     Raises:
         PreconditionViolationError: if some transmit set has size > 1.
@@ -88,20 +89,36 @@ def lemma_pairwise_bounds(topology: NetworkTopology, assignment: MessageAssignme
     """
     if topology.K != assignment.K:
         raise InvalidParameterError("topology and assignment sizes disagree")
-    pairs: set[tuple[int, int]] = set()
+    hears, sets = topology.hears, assignment.transmit_sets
+    rivals: dict[int, frozenset[int]] = {}
     zeros: set[int] = set()
     for i in range(1, assignment.K + 1):
-        T = assignment.transmit_sets[i]
+        T = sets[i]
         if len(T) > 1:
             raise PreconditionViolationError(
                 f"message {i} uses {len(T)} transmitters; at most one allowed"
             )
-        if not T & topology.hears[i]:
+        if not T & hears[i]:
             zeros.add(i)
             continue
         (j,) = T
-        pairs.update((i, k) for k in topology.hearers(j) if k != i)
-    return frozenset(pairs), frozenset(zeros)
+        rivals[i] = topology.hearers(j)
+    return rivals, frozenset(zeros)
+
+
+def lemma_pairwise_bounds(
+    topology: NetworkTopology, assignment: MessageAssignment
+) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+    """All pairwise conflicts and zero facts implied by a 1-cooperative assignment.
+
+    The facts of :func:`_facts`, with the same errors, as ``(pairs,
+    zeros)``: ``pairs`` holds every ordered tuple ``(i, k)`` (``i`` the
+    assigned message, ``k`` the competing receiver) and ``zeros`` the
+    never-served message indices.
+    """
+    rivals, zeros = _facts(topology, assignment)
+    pairs = frozenset((i, k) for i, heard in rivals.items() for k in heard if k != i)
+    return pairs, zeros
 
 
 def schedule_assignment(schedule: AvoidanceSchedule, K: int) -> MessageAssignment:
@@ -210,30 +227,6 @@ def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> int:
     return 2 * len(live) - len(_matching(rows))
 
 
-def _konig_cover(
-    live: list[int], rows: list[set[int]], matching: dict[int, int]
-) -> tuple[set[int], set[int]]:
-    """König's vertex cover of the double cover, from a maximum ``matching``.
-
-    Walks the alternating paths from every unmatched left copy; the
-    cover is the left copies not reached and the right copies reached,
-    returned as two sets of node indices.
-    """
-    reached = set(range(len(rows))) - set(matching.values())
-    stack = list(reached)
-    right: set[int] = set()
-    while stack:
-        for c in rows[stack.pop()]:
-            if c in right:
-                continue
-            right.add(c)
-            p = matching.get(c)
-            if p is not None and p not in reached:
-                reached.add(p)
-                stack.append(p)
-    return {x for p, x in enumerate(live) if p not in reached}, right
-
-
 def _bound_problems(group: CertifiedGroup) -> list[str]:
     """Audit ``group.bound`` with a matching and a König cover of its double cover.
 
@@ -276,21 +269,35 @@ def _bound_problems(group: CertifiedGroup) -> list[str]:
 
 def _select(facts: Facts, subjects: Sequence[int], members: Sequence[int]) -> list[Constraint]:
     """Each subject's zero fact, or its pair facts with ``members``, in order."""
-    pairs, zeros = facts
+    rivals, zeros = facts
     out: list[Constraint] = []
     for i in subjects:
         if i in zeros:
             out.append(("zero", i))
         else:
-            out.extend(("pair", i, k) for k in members if (i, k) in pairs)
+            heard = rivals[i]
+            out.extend(("pair", i, k) for k in members if k != i and k in heard)
     return out
+
+
+def _is_fact(c: object, members: Sequence[int], facts: Facts) -> bool:
+    """Whether constraint ``c`` is one of ``facts`` that names only ``members``."""
+    if not isinstance(c, tuple):
+        return False
+    rivals, zeros = facts
+    if len(c) == 2 and c[0] == "zero":
+        return c[1] in members and c[1] in zeros
+    if len(c) == 3 and c[0] == "pair":
+        _, i, k = c
+        return i in members and k in members and k != i and k in rivals.get(i, ())
+    return False
 
 
 class _GroupBuilder:
     """Mutable accumulator for groups while a certify pass runs.
 
     Every constraint is selected from ``facts``, the output of
-    :func:`lemma_pairwise_bounds`.  Each group keeps its exact bound
+    :func:`_facts`.  Each group keeps its exact bound
     in half units, the int :func:`_lp_bound` returns, solved once when
     the group is opened or grown; :meth:`finish` makes it a ``Fraction``.
     """
@@ -379,10 +386,10 @@ def algorithm1_certify(
     """
     nodes = sorted(lattice.coords)
     topology, mains, middles = lattice.topology, lattice.cell, lattice.link
-    facts = lemma_pairwise_bounds(topology, assignment)
-    zeros = facts[1]
+    facts = _facts(topology, assignment)
+    rivals, zeros = facts
     # The one audible transmitter of every message that is not a zero fact.
-    tx = {i: next(iter(assignment.transmit_sets[i])) for i in nodes if i not in zeros}
+    tx = {i: next(iter(assignment.transmit_sets[i])) for i in rivals}
 
     self_servers = [x for x in nodes if tx.get(x) == x]
     # Served from outside its cell: no cell member transmits to it, and it
@@ -457,7 +464,7 @@ def algorithm1_certify(
             builder.new([x], [x], "residual unassigned")
             continue
         # Only a group holding another hearer of tx[x] gains a fact about x.
-        gids = {builder.of[k] for k in topology.hearers(tx[x]) if k != x and k in builder.of}
+        gids = {builder.of[k] for k in rivals[x] if k != x and k in builder.of}
         # Bounds in half units: a grown group bound above (|nodes| + 1) / 2
         # dilutes it.
         best: tuple[int, int, int] | None = None
@@ -485,13 +492,14 @@ def validate_certificate(
     every recorded constraint is one of the facts
     :func:`lemma_pairwise_bounds` derives for this assignment on this
     lattice and names only members of its group (so a self-pair
-    ``("pair", i, i)`` is never accepted); and that every group's bound
-    equals the exact optimum of its recorded constraint system.  The
-    optimum is not taken from the builders' solver: the auditor finds a
-    maximum matching and a König vertex cover of the group's double
-    cover and checks that they are a matching and a cover of the
-    recorded system of equal size, which proves the optimum by weak
-    duality.
+    ``("pair", i, i)`` is never accepted, nor anything but a tuple),
+    tested against each message's hearer set without expanding the
+    facts; and that every group's bound equals the exact optimum of
+    its recorded constraint system.  The optimum is not taken from the
+    builders' solver: the auditor finds a maximum matching and a König
+    vertex cover of the group's double cover and checks that they are a
+    matching and a cover of the recorded system of equal size, which
+    proves the optimum by weak duality.
 
     Returns:
         A list of problem descriptions; empty when the certificate is
@@ -503,7 +511,7 @@ def validate_certificate(
     """
     problems: list[str] = []
     nodes = set(lattice.coords)
-    facts = lemma_pairwise_bounds(lattice.topology, assignment)
+    facts = _facts(lattice.topology, assignment)
 
     seen: set[int] = set()
     for g in certificate.groups:
@@ -522,10 +530,8 @@ def validate_certificate(
         problems.append(f"nodes {sorted(outside)} are not nodes of the lattice")
 
     for g in certificate.groups:
-        # The facts that name only members of this group.
-        allowed = set(_select(facts, g.nodes, g.nodes))
         for c in g.constraints:
-            if c not in allowed:
+            if not _is_fact(c, g.nodes, facts):
                 problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
         problems.extend(_bound_problems(g))
     # One Fraction over the common denominator, exact for any recorded bounds.
@@ -568,7 +574,7 @@ def triangle_state_bound(lattice: HexLattice, schedule: AvoidanceSchedule) -> Gr
     problems = validate_schedule(topology, schedule)
     if problems:
         raise PreconditionViolationError("; ".join(problems))
-    facts = lemma_pairwise_bounds(topology, schedule_assignment(schedule, topology.K))
+    facts = _facts(topology, schedule_assignment(schedule, topology.K))
     zeros = facts[1]
 
     # Compared by anchor, so that two users of one clipped cell count as in-cell.

@@ -587,6 +587,55 @@ def test_certify_groups(capsys, monkeypatch):
     assert all(g["bound"] == "0" for g in doc["groups"])
 
 
+def test_certify_groups_needs_the_lattice_of_its_side(capsys, monkeypatch):
+    # every user served alone on the interference-free K=9 network: the
+    # lattice's bound of 7 would be false there
+    K = 9
+    assignment = MessageAssignment(K=K, transmit_sets={i: frozenset({i}) for i in range(1, K + 1)})
+    scheme = ZfScheme(
+        K=K,
+        active_messages=frozenset(range(1, K + 1)),
+        serving={i: i for i in range(1, K + 1)},
+        cancel_at={i: () for i in range(1, K + 1)},
+        declared_pudof=Fraction(1),
+        declared_backhaul=Fraction(1),
+    )
+    free = scheme_to_json(scheme, build_locally_connected(K, 0), assignment)
+    code, out, _ = _run(["verify"], capsys, monkeypatch, stdin=free)
+    assert (code, json.loads(out)["dof"]) == (0, "1")
+    code, out, err = _run(["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=free)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the group certificate needs the hexagonal lattice of side 3: "
+        "the document's topology must hear as it does\n"
+    )
+    # the lattice's own hearing sets, reordered or of another side, are refused too
+    _, coset, _ = _run(["scheme", "--hex-coset", "--n", "3"], capsys)
+    obj = json.loads(coset)
+    rows = obj["topology"]["hears"]
+    for hears, n in ((rows[1:] + rows[:1], "3"), (rows, "4")):
+        doc = json.dumps({**obj, "topology": {**obj["topology"], "hears": hears}})
+        code, out, err = _run(["certify", "--groups", "--n", n], capsys, monkeypatch, stdin=doc)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the group certificate needs the hexagonal lattice")
+    # the scheme on its own lattice, or its transmit sets bare, print one certificate
+    bare = json.dumps({"K": obj["K"], "transmit_sets": obj["transmit_sets"]})
+    outs = []
+    for doc in (coset, bare):
+        code, out, _ = _run(["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=doc)
+        assert (code, json.loads(out)["certified_bound"]) == (0, 7)
+        outs.append(out)
+    assert outs[0] == outs[1]
+    # a topology section that is not a topology is a malformed document
+    lattice_with_a_float = [[1.0, 2, 4]] + rows[1:]
+    for topology in (5, {"hears": 5}, {"hears": [5] * 9}, {"hears": lattice_with_a_float}):
+        code, out, err = _run(
+            ["certify", "--groups", "--n", "3"], capsys, monkeypatch, stdin=json.dumps({**obj, "topology": topology})
+        )
+        assert (code, out) == (2, ""), topology
+        assert err.startswith("error: malformed assignment document"), topology
+
+
 def test_certify_states(capsys, monkeypatch):
     _, doc, _ = _run(["scheme", "--hex-coset", "--n", "6"], capsys)
     active = json.loads(doc)["active"]

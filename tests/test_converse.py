@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -73,6 +74,87 @@ def test_pairwise_facts_isolated_self_server():
     a = MessageAssignment(K=1, transmit_sets={1: frozenset({1})})
     pairs, zeros = lemma_pairwise_bounds(topo, a)
     assert pairs == frozenset() and zeros == frozenset()
+
+
+def _reference_lemma(topology, assignment):
+    """The lemma spelled out as one ``(i, k)`` tuple per conflict, the reference for ``_facts``."""
+    if topology.K != assignment.K:
+        raise InvalidParameterError("topology and assignment sizes disagree")
+    pairs, zeros = set(), set()
+    for i in range(1, assignment.K + 1):
+        T = assignment.transmit_sets[i]
+        if len(T) > 1:
+            raise PreconditionViolationError(
+                f"message {i} uses {len(T)} transmitters; at most one allowed"
+            )
+        if not T & topology.hears[i]:
+            zeros.add(i)
+            continue
+        (j,) = T
+        pairs.update((i, k) for k in topology.hearers(j) if k != i)
+    return frozenset(pairs), frozenset(zeros)
+
+
+def _mixed_single_tx_assignment(topology, rng):
+    """Each message unassigned, self-served, on a heard neighbour or on an inaudible transmitter."""
+    sets = {}
+    for i in range(1, topology.K + 1):
+        roll = rng.random()
+        deaf = sorted(set(range(1, topology.K + 1)) - topology.hears[i])
+        if roll < 0.25 or (roll >= 0.75 and not deaf):
+            sets[i] = frozenset()
+        elif roll < 0.45:
+            sets[i] = frozenset({i})
+        elif roll < 0.75:
+            sets[i] = frozenset({rng.choice(sorted(topology.hears[i]))})
+        else:
+            sets[i] = frozenset({rng.choice(deaf)})
+    return MessageAssignment(K=topology.K, transmit_sets=sets)
+
+
+def _fact_instances():
+    yield toy_instance()[0]
+    for n in range(1, 13):
+        yield build_hexagonal(n)[0]
+
+
+def test_facts_expand_to_the_tuple_lemma():
+    rng = random.Random(30)
+    inaudible = 0
+    for topology in _fact_instances():
+        for _ in range(4):
+            assignment = _mixed_single_tx_assignment(topology, rng)
+            rivals, zeros = converse._facts(topology, assignment)
+            for i, heard in rivals.items():
+                (j,) = assignment.transmit_sets[i]
+                assert heard is topology.hearers(j)  # read, not copied
+            expanded = frozenset((i, k) for i, heard in rivals.items() for k in heard if k != i)
+            reference = _reference_lemma(topology, assignment)
+            assert (expanded, zeros) == reference == lemma_pairwise_bounds(topology, assignment)
+            inaudible += sum(
+                1 for i, T in assignment.transmit_sets.items() if T and not T & topology.hears[i]
+            )
+    assert inaudible > 0
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        {i: frozenset() for i in range(1, 9)},  # K=8 on the 9-node lattice
+        {i: frozenset({i, 9 - i}) for i in range(1, 9)},  # both errors: the size is reported
+        {**{i: frozenset({i}) for i in range(1, 10)}, 5: frozenset({4, 5}), 7: frozenset({1, 2, 3})},
+    ],
+    ids=["sizes", "sizes-and-cooperation", "cooperation"],
+)
+def test_facts_raise_the_tuple_lemmas_errors(sets):
+    topology, _ = build_hexagonal(3)
+    assignment = MessageAssignment(K=len(sets), transmit_sets=sets)
+    with pytest.raises((InvalidParameterError, PreconditionViolationError)) as expected:
+        _reference_lemma(topology, assignment)
+    for facts in (converse._facts, lemma_pairwise_bounds):
+        with pytest.raises(type(expected.value)) as got:
+            facts(topology, assignment)
+        assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +522,125 @@ def test_validate_certificate_rejects_self_pairs():
     problems = validate_certificate(lattice, assignment, cert)
     assert all("is not a fact" in p for p in problems)
     assert len(problems) == len(served)
+
+
+def _reference_select(facts, subjects, members):
+    pairs, zeros = facts
+    out = []
+    for i in subjects:
+        if i in zeros:
+            out.append(("zero", i))
+        else:
+            out.extend(("pair", i, k) for k in members if (i, k) in pairs)
+    return out
+
+
+def _reference_group_audit(lattice, assignment, certificate):
+    """Each group's problems, found by matching constraints against the expanded facts."""
+    facts = _reference_lemma(lattice.topology, assignment)
+    problems = []
+    for g in certificate.groups:
+        allowed = set(_reference_select(facts, g.nodes, g.nodes))
+        for c in g.constraints:
+            if c not in allowed:
+                problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
+        problems.extend(_bound_problems(g))
+    return problems
+
+
+def _as_bool_and_float(c):
+    """The constraint with user 1 written as ``True`` and user 2 as ``2.0``."""
+    return tuple({1: True, 2: 2.0}.get(x, x) if type(x) is int else x for x in c)
+
+
+def _tamperings(topology, certificate, assignment, other):
+    """``(case, group index, constraints)``: one group's constraints, tampered one way."""
+    pairs, zeros = _reference_lemma(topology, assignment)
+    foreign = _reference_lemma(topology, other)[0] - pairs
+    for gid, g in enumerate(certificate.groups):
+        members, recorded = set(g.nodes), g.constraints
+        outside = set(topology.hears) - members
+        recorded_zeros = [c[1] for c in recorded if c[0] == "zero"]
+        for i in g.nodes:
+            yield "self-pair", gid, recorded + (("pair", i, i),)
+            if i in zeros:
+                yield from (("zero subject", gid, recorded + (("pair", i, k),)) for k in members - {i})
+            else:
+                yield "zero of a served node", gid, recorded + (("zero", i),)
+        for i, k in sorted(pairs):
+            if i in members and k in outside:
+                yield "pair across groups", gid, recorded + (("pair", i, k),)
+            if i in members and k in members:
+                yield "both", gid, recorded + (("both", i, k),)
+        for i, k in sorted(foreign):
+            if i in members and k in members:
+                yield "pair of another assignment", gid, recorded + (("pair", i, k),)
+        for i in recorded_zeros:
+            # A short pair must name a recorded zero: the witness reads
+            # the third entry of a pair whose subject is live.
+            yield "pair without k", gid, recorded + (("pair", i),)
+            yield from (("zero with k", gid, recorded + (("zero", i, k),)) for k in g.nodes)
+        if any(x in (1, 2) for c in recorded for x in c[1:]):
+            yield "true and 2.0 as users", gid, tuple(map(_as_bool_and_float, recorded))
+            yield "true and 2.0 as users", gid, recorded + (("zero", True), ("pair", 2.0, 2.0))
+
+
+def test_auditor_rejects_what_the_expanded_facts_reject():
+    rng = random.Random(7)
+    _, toy_lattice, toy_assignment, _ = toy_instance()
+    instances = [(toy_lattice, toy_assignment)]
+    for n in (3, 4, 6):
+        _, lattice = build_hexagonal(n)
+        instances += [(lattice, _mixed_single_tx_assignment(lattice.topology, rng)) for _ in range(3)]
+    seen: dict[str, int] = {}
+    accepted: set[str] = set()
+    for lattice, assignment in instances:
+        topology = lattice.topology
+        certificate = algorithm1_certify(lattice, assignment)
+        other = _mixed_single_tx_assignment(topology, rng)
+        picked: dict[str, int] = {}
+        for case, gid, constraints in _tamperings(topology, certificate, assignment, other):
+            if picked.get(case, 0) == 3:
+                continue
+            picked[case] = picked.get(case, 0) + 1
+            g = dataclasses.replace(certificate.groups[gid], constraints=constraints)
+            tampered = dataclasses.replace(
+                certificate, groups=certificate.groups[:gid] + (g,) + certificate.groups[gid + 1:]
+            )
+            reference = _reference_group_audit(lattice, assignment, tampered)
+            assert validate_certificate(lattice, assignment, tampered) == reference, (case, constraints)
+            rejected = any("is not a fact" in p for p in reference)
+            seen[case] = seen.get(case, 0) + rejected
+            if not rejected:
+                accepted.add(case)
+    assert sorted(seen) == [
+        "both",
+        "pair across groups",
+        "pair of another assignment",
+        "pair without k",
+        "self-pair",
+        "true and 2.0 as users",
+        "zero of a served node",
+        "zero subject",
+        "zero with k",
+    ]
+    # Every tampering kind was rejected somewhere; facts naming True or 2.0
+    # for users 1 and 2 were accepted, as the expanded facts accept them.
+    assert all(seen.values())
+    assert "true and 2.0 as users" in accepted
+
+
+@pytest.mark.parametrize("constraint", [["pair", 2, 1], ["zero", 1], "zero"], ids=["pair-list", "zero-list", "str"])
+def test_auditor_reports_a_constraint_that_is_not_a_tuple(constraint):
+    _, lattice, assignment, _ = toy_instance()
+    certificate = algorithm1_certify(lattice, assignment)
+    g = certificate.groups[2]
+    tampered_group = dataclasses.replace(g, constraints=g.constraints + (constraint,))
+    tampered = dataclasses.replace(
+        certificate, groups=certificate.groups[:2] + (tampered_group,) + certificate.groups[3:]
+    )
+    problems = validate_certificate(lattice, assignment, tampered)
+    assert f"{constraint} is not a fact of this assignment within [1, 2]" in problems
 
 
 # ---------------------------------------------------------------------------

@@ -678,6 +678,36 @@ def test_dense_route_is_pinned(monkeypatch):
     assert digest == "d744975417c01bdba9f5eecec73752e31fa11cddd66607f9f621865e0de458f2"
 
 
+def _residual_entries():
+    """Right-hand sides and residuals at and beside the tolerance, infinities and NaN."""
+    inf, nan = float("inf"), float("nan")
+    specials = [0.0, -0.0, 1.0, -1.0, 1e300, inf, -inf, nan, complex(inf, 0), complex(0, -inf), complex(nan, 1)]
+    entries = [(r, b) for r in specials for b in specials]
+    for b in (0.0, 1.0, -3.5, 1e-3, 2 + 5j, 1e12):
+        limit = 1e-12 + 1e-9 * abs(b)
+        for step in (np.nextafter(limit, 0), limit, np.nextafter(limit, inf)):
+            entries += [(b + step, b), (b - step, b), (b + 1j * step, b)]
+    return entries
+
+
+def test_residual_test_keeps_the_isclose_verdict():
+    entries = _residual_entries()
+    verdicts = set()
+    for r, b in entries:
+        r, b = np.array([r], dtype=complex), np.array([b], dtype=complex)
+        expected = bool(np.isclose(r, b, rtol=1e-9, atol=1e-12).all())
+        assert zf_engine._meets(r, b) is expected, (r, b)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    # whole vectors: one entry off the tolerance fails the vector
+    rng = random.Random(5)
+    for _ in range(200):
+        picked = rng.sample(entries, 4)
+        r = np.array([r for r, _ in picked], dtype=complex)
+        b = np.array([b for _, b in picked], dtype=complex)
+        assert zf_engine._meets(r, b) is bool(np.isclose(r, b, rtol=1e-9, atol=1e-12).all())
+
+
 @pytest.mark.parametrize(
     ("topo", "pair"),
     [
