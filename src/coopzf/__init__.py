@@ -52,8 +52,6 @@ _HOME = {
     "dof_report": "schemes",
     "hexagonal_cooperative_scheme": "schemes",
     "hexagonal_coset_scheme": "schemes",
-    "hexagonal_from_coords": "topology",
-    "lemma_pairwise_bounds": "converse",
     "locally_connected_scheme": "schemes",
     "max_activation_for_assignment": "oracle",
     "max_avoidance_cooperative": "oracle",
@@ -67,9 +65,7 @@ _HOME = {
     "table1_row": "schemes",
     "table1_scheme": "schemes",
     "topology_from_dict": "topology",
-    "topology_from_json": "topology",
     "triangle_state_bound": "converse",
-    "two_dim_row_scheme": "schemes",
     "two_dim_scheme": "schemes",
     "validate_certificate": "converse",
     "validate_scheme": "schemes",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 import json
 
-from .errors import InvalidParameterError, _check_users, _document_errors
+from .errors import InvalidParameterError, _check_int, _check_users, _document_errors
 
 
 @dataclass
@@ -24,7 +24,7 @@ class MessageAssignment:
     """Transmit sets for a K-user network.
 
     Attributes:
-        K: number of users.
+        K: number of users, an ``int`` of at least 1.
         transmit_sets: map from message index ``i`` to the frozen set of
             transmitter indices knowing ``W_i`` (possibly empty).
     """
@@ -33,6 +33,8 @@ class MessageAssignment:
     transmit_sets: dict[int, frozenset[int]]
 
     def __post_init__(self) -> None:
+        if _check_int("K", self.K) < 1:
+            raise InvalidParameterError("K must be >= 1")
         # Count the keys before building 1..K (see NetworkTopology).
         sets = self.transmit_sets
         if len(sets) != self.K or set(sets) != (users := set(range(1, self.K + 1))):

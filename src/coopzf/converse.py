@@ -9,8 +9,8 @@ A message none of whose transmitters its receiver hears is never
 served.  :func:`_facts` is the one definition of both facts: it reads
 each message's rivals as the hearer set of its one transmitter, the
 very frozenset the topology holds, so no fact is copied or built as a
-tuple; :func:`lemma_pairwise_bounds` is their expanded form, the set of
-``(i, k)`` pairs.  Group certificates assemble them over node groups of a
+tuple; ``(i, k)`` is a pair fact iff ``k != i`` is one of ``i``'s
+rivals.  Group certificates assemble them over node groups of a
 hexagonal lattice, solve each group's packing program exactly, and
 add one for every node left outside all groups.  The groups are cut
 from the lattice's cells and linking triangles, and the facts come
@@ -104,21 +104,6 @@ def _facts(topology: NetworkTopology, assignment: MessageAssignment) -> Facts:
         (j,) = T
         rivals[i] = topology.hearers(j)
     return rivals, frozenset(zeros)
-
-
-def lemma_pairwise_bounds(
-    topology: NetworkTopology, assignment: MessageAssignment
-) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
-    """All pairwise conflicts and zero facts implied by a 1-cooperative assignment.
-
-    The facts of :func:`_facts`, with the same errors, as ``(pairs,
-    zeros)``: ``pairs`` holds every ordered tuple ``(i, k)`` (``i`` the
-    assigned message, ``k`` the competing receiver) and ``zeros`` the
-    never-served message indices.
-    """
-    rivals, zeros = _facts(topology, assignment)
-    pairs = frozenset((i, k) for i, heard in rivals.items() for k in heard if k != i)
-    return pairs, zeros
 
 
 def schedule_assignment(schedule: AvoidanceSchedule, K: int) -> MessageAssignment:
@@ -278,6 +263,15 @@ def _select(facts: Facts, subjects: Sequence[int], members: Sequence[int]) -> li
             heard = rivals[i]
             out.extend(("pair", i, k) for k in members if k != i and k in heard)
     return out
+
+
+def _shaped(c: object) -> bool:
+    """Whether ``c`` is a hashable tuple shaped ``("pair", i, k)`` or ``("zero", i)``."""
+    try:
+        hash(c)
+    except TypeError:
+        return False
+    return isinstance(c, tuple) and (c[:1], len(c)) in ((("pair",), 3), (("zero",), 2))
 
 
 def _is_fact(c: object, members: Sequence[int], facts: Facts) -> bool:
@@ -489,17 +483,18 @@ def validate_certificate(
     """Audit a group certificate against the assignment it claims to bound.
 
     Checks disjointness and full coverage by lattice nodes only; that
-    every recorded constraint is one of the facts
-    :func:`lemma_pairwise_bounds` derives for this assignment on this
-    lattice and names only members of its group (so a self-pair
-    ``("pair", i, i)`` is never accepted, nor anything but a tuple),
+    every recorded constraint is one of the facts :func:`_facts`
+    derives for this assignment on this lattice and names only members
+    of its group (so a self-pair ``("pair", i, i)`` is never accepted,
+    nor anything not shaped ``("pair", i, k)`` or ``("zero", i)``),
     tested against each message's hearer set without expanding the
     facts; and that every group's bound equals the exact optimum of
     its recorded constraint system.  The optimum is not taken from the
     builders' solver: the auditor finds a maximum matching and a König
     vertex cover of the group's double cover and checks that they are a
     matching and a cover of the recorded system of equal size, which
-    proves the optimum by weak duality.
+    proves the optimum by weak duality; a group with a misshapen
+    constraint has no such system, so its bound is not audited.
 
     Returns:
         A list of problem descriptions; empty when the certificate is
@@ -530,10 +525,13 @@ def validate_certificate(
         problems.append(f"nodes {sorted(outside)} are not nodes of the lattice")
 
     for g in certificate.groups:
+        shaped = True  # every fact is shaped, so only a non-fact is checked
         for c in g.constraints:
             if not _is_fact(c, g.nodes, facts):
                 problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
-        problems.extend(_bound_problems(g))
+                shaped = shaped and _shaped(c)
+        if shaped:
+            problems.extend(_bound_problems(g))
     # One Fraction over the common denominator, exact for any recorded bounds.
     den = math.lcm(*(g.bound.denominator for g in certificate.groups))
     units = sum(g.bound.numerator * (den // g.bound.denominator) for g in certificate.groups)

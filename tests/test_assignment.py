@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from coopzf import (
     InvalidParameterError,
     MessageAssignment,
+    NetworkTopology,
     PreconditionViolationError,
     assignment_from_json,
     check_local_cooperation,
@@ -149,6 +150,19 @@ def test_assignment_validates_indices():
         _asg(3, {1: {4}})
     with pytest.raises(InvalidParameterError):
         MessageAssignment(K=2, transmit_sets={1: frozenset()})
+
+
+@pytest.mark.parametrize(
+    "K, users",
+    [(0, 0), (-1, 0), (True, 1), (2.0, 2), ("2", 2), (None, 0)],
+    ids=["zero", "negative", "bool", "float", "str", "none"],
+)
+def test_constructors_refuse_a_k_that_is_not_a_positive_int(K, users):
+    # Keys 1..users would match a K that merely compares equal to an int.
+    with pytest.raises(InvalidParameterError, match="K must be"):
+        MessageAssignment(K=K, transmit_sets={i: frozenset() for i in range(1, users + 1)})
+    with pytest.raises(InvalidParameterError, match="K must be"):
+        NetworkTopology(kind="x", K=K, params={}, hears={i: frozenset({i}) for i in range(1, users + 1)})
 
 
 def test_assignment_json_round_trip():

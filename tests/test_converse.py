@@ -28,7 +28,6 @@ from coopzf import (
     build_two_dim,
     build_wyner,
     hexagonal_coset_scheme,
-    lemma_pairwise_bounds,
     max_activation_for_assignment,
     max_avoidance_m1,
     metrics,
@@ -50,9 +49,15 @@ from worked_example import toy_instance
 # ---------------------------------------------------------------------------
 
 
+def _expanded_facts(topology, assignment):
+    """``_facts`` as ``(pairs, zeros)``, with one ``(i, k)`` tuple per conflict."""
+    rivals, zeros = converse._facts(topology, assignment)
+    return frozenset((i, k) for i, heard in rivals.items() for k in heard if k != i), zeros
+
+
 def test_pairwise_facts_on_worked_example():
     topology, _, assignment, L = toy_instance()
-    pairs, zeros = lemma_pairwise_bounds(topology, assignment)
+    pairs, zeros = _expanded_facts(topology, assignment)
     assert zeros == frozenset({L["a1"], L["b2"], L["b3"], L["c3"]})
     assert (L["c1"], L["c2"]) in pairs
     assert {(L["a2"], L["a1"]), (L["a2"], L["a3"])} <= pairs
@@ -66,13 +71,13 @@ def test_pairwise_facts_reject_cooperation():
     topo = build_wyner(2)
     a = MessageAssignment(K=2, transmit_sets={1: frozenset({1, 2}), 2: frozenset()})
     with pytest.raises(PreconditionViolationError):
-        lemma_pairwise_bounds(topo, a)
+        converse._facts(topo, a)
 
 
 def test_pairwise_facts_isolated_self_server():
     topo = build_locally_connected(1, 0)
     a = MessageAssignment(K=1, transmit_sets={1: frozenset({1})})
-    pairs, zeros = lemma_pairwise_bounds(topo, a)
+    pairs, zeros = _expanded_facts(topo, a)
     assert pairs == frozenset() and zeros == frozenset()
 
 
@@ -124,13 +129,11 @@ def test_facts_expand_to_the_tuple_lemma():
     for topology in _fact_instances():
         for _ in range(4):
             assignment = _mixed_single_tx_assignment(topology, rng)
-            rivals, zeros = converse._facts(topology, assignment)
+            rivals, _ = converse._facts(topology, assignment)
             for i, heard in rivals.items():
                 (j,) = assignment.transmit_sets[i]
                 assert heard is topology.hearers(j)  # read, not copied
-            expanded = frozenset((i, k) for i, heard in rivals.items() for k in heard if k != i)
-            reference = _reference_lemma(topology, assignment)
-            assert (expanded, zeros) == reference == lemma_pairwise_bounds(topology, assignment)
+            assert _expanded_facts(topology, assignment) == _reference_lemma(topology, assignment)
             inaudible += sum(
                 1 for i, T in assignment.transmit_sets.items() if T and not T & topology.hears[i]
             )
@@ -151,10 +154,9 @@ def test_facts_raise_the_tuple_lemmas_errors(sets):
     assignment = MessageAssignment(K=len(sets), transmit_sets=sets)
     with pytest.raises((InvalidParameterError, PreconditionViolationError)) as expected:
         _reference_lemma(topology, assignment)
-    for facts in (converse._facts, lemma_pairwise_bounds):
-        with pytest.raises(type(expected.value)) as got:
-            facts(topology, assignment)
-        assert str(got.value) == str(expected.value)
+    with pytest.raises(type(expected.value)) as got:
+        converse._facts(topology, assignment)
+    assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +643,24 @@ def test_auditor_reports_a_constraint_that_is_not_a_tuple(constraint):
     )
     problems = validate_certificate(lattice, assignment, tampered)
     assert f"{constraint} is not a fact of this assignment within [1, 2]" in problems
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [("pair", 7), ("pair",), ("zero",), None, 7, ("zero", [7])],
+    ids=["pair-i", "pair", "zero", "none", "int", "unhashable"],
+)
+def test_auditor_reports_a_misshapen_constraint_without_raising(constraint):
+    # Group (7, 8) holds the live pair 7-8, so the witness would read c[1]
+    # and c[2] of every constraint it is given.
+    _, lattice, assignment, _ = toy_instance()
+    certificate = algorithm1_certify(lattice, assignment)
+    g = certificate.groups[0]
+    assert g.nodes == (7, 8)
+    tampered_group = dataclasses.replace(g, constraints=g.constraints + (constraint,))
+    tampered = dataclasses.replace(certificate, groups=(tampered_group,) + certificate.groups[1:])
+    problems = validate_certificate(lattice, assignment, tampered)
+    assert problems == [f"{constraint} is not a fact of this assignment within [7, 8]"]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from coopzf import (
     scheme_to_json,
     table1_row,
     table1_scheme,
-    two_dim_row_scheme,
     two_dim_scheme,
     validate_scheme,
     verify,
@@ -129,7 +128,6 @@ _NOT_INTEGERS = {
     "table1-K-float": lambda: table1_scheme(18.0, 4),
     "table1-L-float": lambda: table1_scheme(18, 4.0),
     "table1-row-L-float": lambda: table1_row(4.0),
-    "two-dim-row-N-float": lambda: two_dim_row_scheme(24.0),
     "two-dim-K-float": lambda: two_dim_scheme(144.0),
     "build-wyner-bool": lambda: build_wyner(True),
     "build-wyner-str": lambda: build_wyner("8"),
@@ -239,12 +237,14 @@ def test_grid_scheme_headline_fractions():
 
 
 def test_grid_row_scheme_fractions():
-    a, s = two_dim_row_scheme(84)
-    assert s.declared_pudof == Fraction(5, 6)
-    assert s.declared_backhaul == Fraction(3, 2)
-    assert len(s.active_messages) == 70
-    with pytest.raises(InvalidParameterError):
-        two_dim_row_scheme(10)
+    # Row 1 of the grid is served from transmitter row 1 alone: 70 of its
+    # 84 users at load 126, so per-user DoF 5/6 at row backhaul 3/2.
+    N = 84
+    a, s = two_dim_scheme(N * N)
+    row = set(range(1, N + 1))
+    assert all(a.transmit_sets[i] <= row for i in row)
+    assert len(s.active_messages & row) == 70
+    assert sum(len(a.transmit_sets[i]) for i in row) == 126
 
 
 def test_grid_scheme_silences_every_third_transmitter_row():
@@ -428,10 +428,6 @@ _PINNED_DOCUMENTS = {
         lambda: (build_locally_connected(18, 4), *table1_scheme(18, 4)),
         "2ebdc9699956d213859df054738041230c5353aec47d2115fda5401703278533",
     ),
-    "two_dim_row_scheme": (
-        lambda: (build_locally_connected(24, 1), *two_dim_row_scheme(24)),
-        "02aab480765502c79ef13dfe47b49cb0a0879a239bf2aa3b86f462272d16190a",
-    ),
     "two_dim_scheme": (
         lambda: (build_two_dim(144), *two_dim_scheme(144)),
         "db253944cb2a29133d6aab767c5adbd23c03ad9dc164b3395e19da1ad54161b3",
@@ -469,8 +465,6 @@ def _grid_instances():
         for copies in (1, 2):
             K = copies * table1_row(L)["K_min"]
             yield (build_locally_connected(K, L), *table1_scheme(K, L))
-    for N in (12, 24, 84):
-        yield (build_locally_connected(N, 1), *two_dim_row_scheme(N))
     for N in (12, 24):
         yield (build_two_dim(N * N), *two_dim_scheme(N * N))
     for n in (6, 12, 18, 24, 48):
@@ -489,7 +483,7 @@ def test_scheme_documents_are_pinned_across_sizes():
     )
     assert (
         hashlib.sha256(documents.encode()).hexdigest()
-        == "3122faa778ad6520a859ef5a9eebfc97dd325ceac5413702c0c53fa694ed447f"
+        == "14b91aac1e654230a3dcc3ccd79d81f7e8ae66e8039aaadcc66fd6caa9e43366"
     )
 
 

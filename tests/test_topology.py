@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopzf import (
+    HexLattice,
     InvalidParameterError,
     NetworkTopology,
     build_hexagonal,
     build_locally_connected,
     build_two_dim,
     build_wyner,
-    hexagonal_from_coords,
-    topology_from_json,
+    topology_from_dict,
 )
 
 
@@ -186,7 +186,8 @@ def test_adjacent_nodes_share_at_most_one_common_neighbor():
 
 def test_custom_coords_toy_has_twelve_edges():
     coords = [(1, 0), (2, 1), (1, 1), (0, 1), (1, 2), (0, 2), (2, 2), (2, 3), (3, 3)]
-    topo, lat = hexagonal_from_coords(coords)
+    lat = HexLattice(coords={i: p for i, p in enumerate(coords, 1)})
+    topo = lat.topology
     edge_count = sum(len(lat.neighbors[i]) for i in lat.coords) // 2
     assert edge_count == 12
     assert topo.K == 9
@@ -205,7 +206,7 @@ def test_json_round_trip():
         build_two_dim(9),
         build_hexagonal(3)[0],
     ):
-        back = topology_from_json(topo.to_json())
+        back = topology_from_dict(json.loads(topo.to_json()))
         assert back.kind == topo.kind
         assert back.K == topo.K
         assert back.hears == topo.hears

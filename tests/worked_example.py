@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from coopzf import HexLattice, MessageAssignment, NetworkTopology, hexagonal_from_coords
+from coopzf import HexLattice, MessageAssignment, NetworkTopology
 
 
 def toy_instance() -> tuple[NetworkTopology, HexLattice, MessageAssignment, dict[str, int]]:
@@ -16,7 +16,8 @@ def toy_instance() -> tuple[NetworkTopology, HexLattice, MessageAssignment, dict
     """
     names = ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3"]
     coords = [(1, 0), (2, 1), (1, 1), (0, 1), (1, 2), (0, 2), (2, 2), (2, 3), (3, 3)]
-    topology, lattice = hexagonal_from_coords(coords)
+    lattice = HexLattice(coords={i: p for i, p in enumerate(coords, 1)})
+    topology = lattice.topology
     labels = {name: i + 1 for i, name in enumerate(names)}
     sets: dict[int, frozenset[int]] = {labels[n]: frozenset() for n in names}
     sets[labels["a2"]] = frozenset({labels["a1"]})
