@@ -138,12 +138,25 @@ class CertifiedGroup:
     note: str = ""
 
     def to_json(self) -> dict:
+        """The JSON object form, each constraint as a ``{"kind", "i"[, "k"]}`` object.
+
+        Raises:
+            InvalidParameterError: a constraint is not tagged ``"pair"``
+                or ``"zero"``, or is too short for its tag.
+        """
         recorded = []
         for c in self.constraints:
-            if c[0] == "pair":
-                recorded.append({"kind": "pair", "i": c[1], "k": c[2]})
-            else:
-                recorded.append({"kind": "zero", "i": c[1]})
+            try:
+                if c[0] == "pair":
+                    recorded.append({"kind": "pair", "i": c[1], "k": c[2]})
+                elif c[0] == "zero":
+                    recorded.append({"kind": "zero", "i": c[1]})
+                else:
+                    raise LookupError
+            except (LookupError, TypeError):
+                raise InvalidParameterError(
+                    f"group {list(self.nodes)} holds a malformed constraint {c!r}"
+                ) from None
         return {
             "nodes": list(self.nodes),
             "bound": str(self.bound),

@@ -143,11 +143,13 @@ def _support(
     gains: dict[tuple[int, int], complex],
     hears: dict[int, frozenset[int]],
     message: int,
-    T: list[int],
+    members: frozenset[int],
     serving: int,
     cancel: tuple[int, ...],
 ) -> dict[int, complex]:
-    """A message's beam over ``T``, designed start to finish.
+    """A message's beam over its transmit set ``members``, designed start to finish.
+
+    ``T`` below is ``members`` in ascending order.
 
     Peeling solves each row with one unset coefficient ``u`` as
     ``-sum(H[c,t] * v[t]) / H[c,u]`` over the other ``t`` in ``T`` heard
@@ -175,8 +177,7 @@ def _support(
         while True:
             left = []
             for c in rows:
-                heard = hears[c]
-                involved = [t for t in T if t in heard]
+                involved = sorted(hears[c] & members)
                 u = None
                 for t in involved:
                     if t not in v:
@@ -200,7 +201,8 @@ def _support(
                 return left
             rows = left[::-1]
 
-    if serving not in T:
+    T = sorted(members)
+    if serving not in members:
         raise InvalidParameterError(
             f"serving transmitter {serving} of message {message} is outside its transmit set {T}"
         )
@@ -210,8 +212,8 @@ def _support(
         for t in T:
             v.setdefault(t, 0j)
         return v
-    crows = [_mask(hears[c].intersection(T)) for c in rows]
-    match = _support_matching(_mask(hears[message].intersection(T)), crows)
+    crows = [_mask(hears[c] & members) for c in rows]
+    match = _support_matching(_mask(hears[message] & members), crows)
     if len(rows) not in match.values():
         raise SolverFailureError(f"cancellation system for message {message} is singular")
     v = {t: 1.0 + 0j for t, r in match.items() if r == len(rows)}
@@ -285,8 +287,10 @@ def design_beams(
     """
     beams = {}
     for i in sorted(scheme.active_messages):
-        T = sorted(assignment.transmit_sets.get(i, ()))
-        beams[i] = _support(channels.coefficients, topology.hears, i, T, scheme.serving.get(i), scheme.cancel_at[i])
+        members = assignment.transmit_sets.get(i, frozenset())
+        beams[i] = _support(
+            channels.coefficients, topology.hears, i, members, scheme.serving.get(i), scheme.cancel_at[i]
+        )
     return BeamDesign(beams=beams)
 
 

@@ -663,6 +663,20 @@ def test_auditor_reports_a_misshapen_constraint_without_raising(constraint):
     assert problems == [f"{constraint} is not a fact of this assignment within [7, 8]"]
 
 
+@pytest.mark.parametrize(
+    "constraint",
+    [("zero",), ("pair", 7), None, 7, "zero", ("junk", 7)],
+    ids=["zero", "pair-i", "none", "int", "str", "unknown-tag"],
+)
+def test_group_to_json_names_a_malformed_constraint(constraint):
+    well_formed = CertifiedGroup(nodes=(7, 8), bound=Fraction(1), constraints=(("pair", 7, 8), ("zero", 8)))
+    assert well_formed.to_json()["constraints"] == [{"kind": "pair", "i": 7, "k": 8}, {"kind": "zero", "i": 8}]
+    group = dataclasses.replace(well_formed, constraints=well_formed.constraints + (constraint,))
+    with pytest.raises(InvalidParameterError) as raised:
+        group.to_json()
+    assert str(raised.value) == f"group [7, 8] holds a malformed constraint {constraint!r}"
+
+
 # ---------------------------------------------------------------------------
 # schedule-driven accounting on the lattice
 # ---------------------------------------------------------------------------

@@ -156,6 +156,39 @@ def test_single_transmitter_matches_milp_where_greedy_falls_short(topo, value):
     assert _milp_m1(topo) == value
 
 
+def _random_topology(seed: int, K: int) -> NetworkTopology:
+    # Receivers may miss their own transmitter or hear nothing at all.
+    rng = random.Random(seed)
+    hears = {i: frozenset(t for t in range(1, K + 1) if rng.random() < 0.3) for i in range(1, K + 1)}
+    return NetworkTopology(kind="custom", K=K, params={}, hears=hears)
+
+
+_CLASH_CASES = (
+    [(f"hex{n}", build_hexagonal(n)[0]) for n in range(2, 7)]
+    + [(f"lc{L}-{K}", build_locally_connected(K, L)) for L in (1, 2, 3) for K in range(1, 11)]
+    + [(f"grid{K}", build_two_dim(K)) for K in (4, 9, 16)]
+    + [("random12", _random_topology(32, 12))]
+)
+
+
+@pytest.mark.parametrize(("name", "topo"), _CLASH_CASES, ids=[name for name, _ in _CLASH_CASES])
+def test_clash_masks_match_the_pairwise_definition(name, topo):
+    hears = topo.hears
+    pairs = [(r, t) for r in range(1, topo.K + 1) for t in sorted(hears[r])]
+    shuffled = pairs[:]
+    random.Random(name).shuffle(shuffled)
+    for order in (pairs, shuffled):
+        expected = [
+            sum(
+                1 << y
+                for y, (r2, t2) in enumerate(order)
+                if r == r2 or t == t2 or t2 in hears[r] or t in hears[r2]
+            )
+            for r, t in order
+        ]
+        assert oracle._clash_masks(topo, order) == expected
+
+
 def test_single_transmitter_beats_alternating_self_service():
     for K in range(2, 9):
         value, _ = max_avoidance_m1(build_wyner(K))

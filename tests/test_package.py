@@ -121,3 +121,29 @@ def test_public_calls_leave_no_cyclic_garbage(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Argument guards that no other test reaches: (call, the message it raises).
+_GUARDS = {
+    "lc-scheme-M0": (lambda: coopzf.locally_connected_scheme(6, 2, 0), "M must be a positive integer"),
+    "two-dim-scheme-K0": (lambda: coopzf.two_dim_scheme(0), "K must be >= 1"),
+    "lc-K0": (lambda: coopzf.build_locally_connected(0, 2), "K must be >= 1"),
+    "two-dim-K0": (lambda: coopzf.build_two_dim(0), "K must be >= 1"),
+    "hex-empty": (lambda: coopzf.HexLattice(coords={}), "coords must be non-empty"),
+    "hex-repeated": (lambda: coopzf.HexLattice(coords={1: (0, 0), 2: (1, 0), 3: (0, 0)}), "coords must be distinct"),
+    "walk-sizes": (
+        lambda: coopzf.reconstructibility_check(
+            coopzf.build_wyner(4),
+            coopzf.MessageAssignment(K=3, transmit_sets={i: frozenset({i}) for i in range(1, 4)}),
+            frozenset(),
+        ),
+        "sizes disagree",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _GUARDS)
+def test_argument_guards_raise(name):
+    call, message = _GUARDS[name]
+    with pytest.raises(coopzf.InvalidParameterError, match=message):
+        call()
