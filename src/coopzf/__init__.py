@@ -39,7 +39,6 @@ _HOME = {
     "ZfScheme": "schemes",
     "algorithm1_certify": "converse",
     "appendix_receiver_set": "converse",
-    "assignment_from_json": "assignment",
     "backhaul_converse": "converse",
     "build_hexagonal": "topology",
     "build_locally_connected": "topology",

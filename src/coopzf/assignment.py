@@ -54,13 +54,6 @@ class MessageAssignment:
         return json.dumps(self.to_dict())
 
 
-def assignment_from_json(text: str) -> MessageAssignment:
-    """Rebuild a :class:`MessageAssignment` from its JSON form."""
-    with _document_errors("assignment"):
-        obj = json.loads(text)
-    return assignment_from_dict(obj)
-
-
 def assignment_from_dict(obj) -> MessageAssignment:
     """Rebuild a :class:`MessageAssignment` from the parsed object of its JSON form."""
     with _document_errors("assignment"):

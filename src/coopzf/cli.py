@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-from .assignment import assignment_from_dict, assignment_from_json
+from .assignment import assignment_from_dict
 from .errors import (
     InvalidParameterError,
     PreconditionViolationError,
@@ -216,7 +216,11 @@ def _run_oracle(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(out))
         return 0
-    assignment = assignment_from_json(sys.stdin.read())
+    assignment = _read_assignment(
+        _hears_as(topology),
+        f"max-activation searches the {topology.kind} network of {topology.K} users its flags build: "
+        "the document's topology must hear as it does",
+    )
     value, witness = max_activation_for_assignment(
         topology, assignment, **_search_limits(args)
     )
@@ -240,16 +244,28 @@ def _audited(lattice, assignment, certificate) -> int:
     return 0 if not problems else 1
 
 
-def _read_assignment():
-    """The assignment on stdin, with the hearing rows of its embedded topology or None."""
+def _read_assignment(fits, need: str):
+    """The assignment on stdin, read as lying on the caller's network.
+
+    A bare ``{"K", "transmit_sets"}`` document says nothing more.  A
+    ``topology`` section must list exactly ``K`` hearing rows, and
+    ``fits(rows)`` must hold, or the ``need`` message is raised as a
+    :class:`PreconditionViolationError`.
+    """
     with _document_errors("assignment"):
         obj = json.loads(sys.stdin.read())
         assignment = assignment_from_dict(obj)
-        rows = None
         if "topology" in obj:
             rows = obj["topology"]["hears"]
             _check_users("assignment", assignment.K, chain.from_iterable(rows))
-    return assignment, rows
+            if not (len(rows) == assignment.K and fits(rows)):
+                raise PreconditionViolationError(need)
+    return assignment
+
+
+def _hears_as(topology):
+    """A ``fits`` test for :func:`_read_assignment`: the rows are the hearing sets of ``topology``."""
+    return lambda rows: len(rows) == topology.K and all(set(r) == topology.hears[i] for i, r in enumerate(rows, 1))
 
 
 def _run_certify(args: argparse.Namespace) -> int:
@@ -257,27 +273,20 @@ def _run_certify(args: argparse.Namespace) -> int:
     from .oracle import AvoidanceSchedule, certify_lower_bound
 
     if args.mode == "backhaul":
-        # A bare assignment implies the Wyner chain; an embedded topology must be one.
-        assignment, rows = _read_assignment()
-        if rows is not None and not (len(rows) == assignment.K and _is_wyner_chain(rows)):
-            raise PreconditionViolationError(
-                "the backhaul converse needs a Wyner chain: receiver i must hear exactly {i-1, i}"
-            )
+        assignment = _read_assignment(
+            _is_wyner_chain, "the backhaul converse needs a Wyner chain: receiver i must hear exactly {i-1, i}"
+        )
         result = backhaul_converse(assignment, _require(args.B, "--B"))
         _emit(json.dumps(result.to_json()))
         return 0
     if args.mode == "groups":
-        # A bare assignment implies the lattice of side n; an embedded topology must be it.
-        assignment, rows = _read_assignment()
         n = _require(args.n, "--n")
         topology, lattice = build_hexagonal(n)
-        if rows is not None and not (
-            len(rows) == topology.K and all(set(row) == topology.hears[i] for i, row in enumerate(rows, 1))
-        ):
-            raise PreconditionViolationError(
-                f"the group certificate needs the hexagonal lattice of side {n}: "
-                "the document's topology must hear as it does"
-            )
+        assignment = _read_assignment(
+            _hears_as(topology),
+            f"the group certificate needs the hexagonal lattice of side {n}: "
+            "the document's topology must hear as it does",
+        )
         return _audited(lattice, assignment, algorithm1_certify(lattice, assignment))
     if args.mode == "states":
         topology, lattice = build_hexagonal(_require(args.n, "--n"))

@@ -141,22 +141,14 @@ class CertifiedGroup:
         """The JSON object form, each constraint as a ``{"kind", "i"[, "k"]}`` object.
 
         Raises:
-            InvalidParameterError: a constraint is not tagged ``"pair"``
-                or ``"zero"``, or is too short for its tag.
+            InvalidParameterError: a constraint is not a tuple shaped
+                ``("pair", i, k)`` or ``("zero", i)``.
         """
         recorded = []
         for c in self.constraints:
-            try:
-                if c[0] == "pair":
-                    recorded.append({"kind": "pair", "i": c[1], "k": c[2]})
-                elif c[0] == "zero":
-                    recorded.append({"kind": "zero", "i": c[1]})
-                else:
-                    raise LookupError
-            except (LookupError, TypeError):
-                raise InvalidParameterError(
-                    f"group {list(self.nodes)} holds a malformed constraint {c!r}"
-                ) from None
+            if not _shaped(c):
+                raise InvalidParameterError(f"group {list(self.nodes)} holds a malformed constraint {c!r}")
+            recorded.append(dict(zip(("kind", "i", "k"), c)))
         return {
             "nodes": list(self.nodes),
             "bound": str(self.bound),

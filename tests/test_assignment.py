@@ -14,11 +14,11 @@ from coopzf import (
     MessageAssignment,
     NetworkTopology,
     PreconditionViolationError,
-    assignment_from_json,
     check_local_cooperation,
     metrics,
     wyner_backhaul_scheme,
 )
+from coopzf.assignment import assignment_from_dict
 
 
 def reduce_wyner(assignment: MessageAssignment, M: int) -> MessageAssignment:
@@ -167,7 +167,7 @@ def test_constructors_refuse_a_k_that_is_not_a_positive_int(K, users):
 
 def test_assignment_json_round_trip():
     a = _asg(4, {1: {1, 2}, 4: {3}})
-    back = assignment_from_json(a.to_json())
+    back = assignment_from_dict(json.loads(a.to_json()))
     assert back.K == a.K
     assert back.transmit_sets == a.transmit_sets
 

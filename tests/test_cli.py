@@ -450,6 +450,26 @@ def test_oracle_max_activation(capsys, monkeypatch):
     assert json.loads(out)["value"] == 6
 
 
+def test_oracle_max_activation_needs_the_network_its_flags_build(capsys, monkeypatch):
+    # The LC L=2 assignment serves 8 of 12 users on its own network; read
+    # on the Wyner chain it would serve only 4.
+    _, doc, _ = _run(["scheme", "--lc", "--K", "12", "--L", "2", "--M", "2"], capsys)
+    wyner = ["oracle", "--max-activation", "--wyner", "--K", "12"]
+    code, out, err = _run(wyner, capsys, monkeypatch, stdin=doc)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: max-activation searches the wyner network of 12 users its flags build: "
+        "the document's topology must hear as it does\n"
+    )
+    code, out, _ = _run(["oracle", "--max-activation", "--lc", "--L", "2", "--K", "12"], capsys, monkeypatch, stdin=doc)
+    assert (code, json.loads(out)["value"]) == (0, 8)
+    # the same transmit sets bare are read on the flags' network
+    obj = json.loads(doc)
+    bare = json.dumps({"K": obj["K"], "transmit_sets": obj["transmit_sets"]})
+    code, out, _ = _run(wyner, capsys, monkeypatch, stdin=bare)
+    assert (code, json.loads(out)["value"]) == (0, 4)
+
+
 @pytest.mark.parametrize(("oracle_K", "assignment_K"), [(8, 4), (4, 8)])
 def test_oracle_max_activation_rejects_size_mismatch(capsys, monkeypatch, oracle_K, assignment_K):
     a, _ = wyner_backhaul_scheme(assignment_K, 1)
@@ -567,15 +587,20 @@ def test_certify_backhaul_needs_the_wyner_chain(capsys, monkeypatch):
     for doc in (assignment.to_json(), scheme_to_json(scheme, build_wyner(K), assignment)):
         code, out, _ = _run(["certify", "--backhaul", "--B", "1"], capsys, monkeypatch, stdin=doc)
         assert (code, json.loads(out)["bound"]) == (0, 6)
-    # a topology section that is not a topology is a malformed document
+    # a topology section that is not a topology is a malformed document on
+    # every assignment reader, before the reader compares it with its network
     obj = json.loads(assignment.to_json())
     chain_with_a_float = [[1.0]] + [[i, i + 1] for i in range(1, 8)]
-    for topology in (5, {"hears": 5}, {"hears": [5] * 8}, {"hears": chain_with_a_float}):
-        code, out, err = _run(
-            ["certify", "--backhaul", "--B", "1"], capsys, monkeypatch, stdin=json.dumps({**obj, "topology": topology})
-        )
-        assert (code, out) == (2, ""), topology
-        assert err.startswith("error: malformed assignment document"), topology
+    readers = (
+        ["certify", "--backhaul", "--B", "1"],
+        ["certify", "--groups", "--n", "3"],
+        ["oracle", "--max-activation", "--wyner", "--K", "8"],
+    )
+    for argv in readers:
+        for topology in (5, {"hears": 5}, {"hears": [5] * 8}, {"hears": chain_with_a_float}):
+            code, out, err = _run(argv, capsys, monkeypatch, stdin=json.dumps({**obj, "topology": topology}))
+            assert (code, out) == (2, ""), (argv, topology)
+            assert err.startswith("error: malformed assignment document"), (argv, topology)
 
 
 def test_certify_groups(capsys, monkeypatch):

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopzf import (
     AvoidanceSchedule,
@@ -665,8 +667,8 @@ def test_auditor_reports_a_misshapen_constraint_without_raising(constraint):
 
 @pytest.mark.parametrize(
     "constraint",
-    [("zero",), ("pair", 7), None, 7, "zero", ("junk", 7)],
-    ids=["zero", "pair-i", "none", "int", "str", "unknown-tag"],
+    [("zero",), ("pair", 7), None, 7, "zero", ("junk", 7), ("zero", 8, 7), ("pair", 7, 8, 9), ["pair", 7, 8]],
+    ids=["zero", "pair-i", "none", "int", "str", "unknown-tag", "zero-i-k", "pair-i-k-l", "list"],
 )
 def test_group_to_json_names_a_malformed_constraint(constraint):
     well_formed = CertifiedGroup(nodes=(7, 8), bound=Fraction(1), constraints=(("pair", 7, 8), ("zero", 8)))
@@ -675,6 +677,37 @@ def test_group_to_json_names_a_malformed_constraint(constraint):
     with pytest.raises(InvalidParameterError) as raised:
         group.to_json()
     assert str(raised.value) == f"group [7, 8] holds a malformed constraint {constraint!r}"
+
+
+_USERS = st.lists(st.integers(min_value=-1, max_value=10), max_size=3)
+_CONSTRAINTS = st.one_of(
+    st.builds(lambda tag, users: (tag, *users), st.sampled_from(("pair", "zero")), _USERS),
+    st.none(),
+    st.integers(),
+    st.text(max_size=4),
+    st.booleans(),
+    st.floats(),
+    _USERS,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_CONSTRAINTS, min_size=1, max_size=3))
+def test_auditor_and_group_writer_are_total(extra):
+    # Whatever a group records, the auditor answers with problems and the
+    # writer either names a malformed constraint or writes each one back.
+    _, lattice = build_hexagonal(3)
+    assignment, _ = hexagonal_coset_scheme(lattice)
+    certificate = algorithm1_certify(lattice, assignment)
+    g = dataclasses.replace(certificate.groups[0], constraints=certificate.groups[0].constraints + tuple(extra))
+    tampered = dataclasses.replace(certificate, groups=(g,) + certificate.groups[1:])
+    problems = validate_certificate(lattice, assignment, tampered)
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+    try:
+        written = g.to_json()["constraints"]
+    except InvalidParameterError:
+        return
+    assert [tuple(d.values()) for d in written] == list(g.constraints)
 
 
 # ---------------------------------------------------------------------------
