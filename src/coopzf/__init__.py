@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 # Once imported, a layer is a package global, which spares later reads the
 # import machinery.
 _HOME = {
-    "ActivationWitness": "oracle",
     "AvoidanceSchedule": "oracle",
     "BackhaulConverseResult": "converse",
     "BeamDesign": "zf_engine",

@@ -802,30 +802,28 @@ def appendix_receiver_set(
 def reconstructibility_check(
     topology: NetworkTopology, assignment: MessageAssignment, A: frozenset[int] | set[int]
 ) -> bool:
-    """Whether receivers in ``A`` pin down every transmitted signal on a chain.
+    """Whether receivers in ``A`` pin down every transmitted signal.
 
-    The unknowns are the transmitters carrying a message of a receiver
+    The walk reads only ``topology.hears`` and ``topology.hearers``.  The
+    unknowns are the transmitters that carry a message of a receiver
     outside ``A``.  A worklist holds the receivers in ``A`` that hear one
     unknown; each resolves it and updates only that transmitter's
     hearers, so the walk costs ``sum(|T_i| for i not in A)`` times the
     hearing degree.  Returns True when every transmitter is resolved,
-    which is the decodability fact behind deactivating the complement of ``A``.
+    which is the decodability fact behind deactivating the complement of
+    ``A``.  Each unknown is resolved as the only unknown that some
+    receiver of ``A`` hears, so a True verdict proves, on any network,
+    that ``A`` pins down every transmitted signal.
 
     Args:
-        topology: must be a chain network (each receiver hears at most
-            its own and the previous transmitter).
+        topology: the network whose hearing sets the walk reads.
         assignment: transmit sets (which messages each transmitter carries).
         A: receiver subset doing the reconstruction.
 
     Raises:
-        PreconditionViolationError: for non-chain topologies.
-        InvalidParameterError: if ``A`` holds anything but ints in ``1..K``.
+        InvalidParameterError: if the sizes disagree, or ``A`` holds
+            anything but ints in ``1..K``.
     """
-    chain = topology.kind == "wyner" or (
-        topology.kind == "locally_connected" and topology.params.get("L") == 1
-    )
-    if not chain:
-        raise PreconditionViolationError("reconstruction walk is defined on chain networks")
     if topology.K != assignment.K:
         raise InvalidParameterError("topology and assignment sizes disagree")
     K = topology.K

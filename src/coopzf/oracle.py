@@ -46,18 +46,10 @@ class AvoidanceSchedule:
 
 @dataclass
 class CooperativeWitness:
-    """Optimal active set plus minimal transmit sets realizing it."""
+    """An optimal active set and the transmit sets that serve it."""
 
     active: frozenset[int]
     assignment: MessageAssignment
-    nodes_explored: int = 0
-
-
-@dataclass
-class ActivationWitness:
-    """Optimal active set for a fixed assignment."""
-
-    active: frozenset[int]
     nodes_explored: int = 0
 
 
@@ -604,7 +596,7 @@ def max_activation_for_assignment(
     assignment: MessageAssignment,
     node_limit: int = 24,
     time_limit: float | None = None,
-) -> tuple[int, ActivationWitness]:
+) -> tuple[int, CooperativeWitness]:
     """Best activation count when the transmit sets are already fixed.
 
     Depth-first include/exclude over messages: including a receiver
@@ -645,7 +637,7 @@ def max_activation_for_assignment(
             _delivers(k, sends, heard, grown) for k in active if sends[k] & heard[i]
         ):
             stack.append((pos + 1, grown))
-    return best, ActivationWitness(active=best_set, nodes_explored=search.nodes)
+    return best, CooperativeWitness(active=best_set, assignment=assignment, nodes_explored=search.nodes)
 
 
 def certify_lower_bound(

@@ -14,12 +14,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopzf import (
     MessageAssignment,
     ZfScheme,
+    build_hexagonal,
     build_locally_connected,
     build_wyner,
+    hexagonal_coset_scheme,
     scheme_to_json,
     wyner_backhaul_scheme,
 )
@@ -284,6 +288,65 @@ def test_huge_K_is_rejected_without_building_its_range(capsys, monkeypatch, argv
     assert code == 2
     assert out == ""
     assert time.perf_counter() - start < 0.5
+
+
+def _hex_coset_document(n: int) -> str:
+    """The coset scheme document on the hexagonal lattice of side n."""
+    topology, lattice = build_hexagonal(n)
+    assignment, scheme = hexagonal_coset_scheme(lattice)
+    return scheme_to_json(scheme, topology=topology, assignment=assignment)
+
+
+# Every stdin route that reads each whole document: the chain document also
+# feeds the two commands that read its assignment on the Wyner chain, and
+# the hexagonal one the group certificate of its side.
+_COMMON_ROUTES = (["verify"], ["report"], ["certify", "--lower-bound"])
+_TOTALITY_DOCUMENTS = {
+    "wyner": (
+        _wyner_document(8),
+        _COMMON_ROUTES
+        + (["certify", "--backhaul", "--B", "1"], ["oracle", "--max-activation", "--wyner", "--K", "8"]),
+    ),
+    "hex-coset": (_hex_coset_document(3), _COMMON_ROUTES + (["certify", "--groups", "--n", "3"],)),
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_documents(draw):
+    """One scheme document with one field, at any depth, replaced or deleted."""
+    label = draw(st.sampled_from(sorted(_TOTALITY_DOCUMENTS)))
+    text, routes = _TOTALITY_DOCUMENTS[label]
+    node = doc = json.loads(text)
+    parent = key = None
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node)) if isinstance(node, dict) else st.integers(0, len(node) - 1))
+        parent, node = node, node[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return json.dumps(doc), routes
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_mutated_documents())
+def test_stdin_readers_are_total(case):
+    # Hypothesis runs each example many times, so the streams are swapped
+    # here rather than through function-scoped fixtures.
+    document, routes = case
+    for argv in routes:
+        saved = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(document), io.StringIO(), io.StringIO()
+        try:
+            code = main(argv)
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = saved
+        assert code in (0, 1, 2), (argv, code)
 
 
 @pytest.mark.parametrize(

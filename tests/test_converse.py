@@ -885,15 +885,6 @@ def test_reconstruction_walk_monotone_in_receivers():
     assert reconstructibility_check(topo, reduced, A | frozenset({3}))
 
 
-def test_reconstruction_walk_requires_chain():
-    a = MessageAssignment(K=9, transmit_sets={i: frozenset() for i in range(1, 10)})
-    with pytest.raises(PreconditionViolationError):
-        reconstructibility_check(build_two_dim(9), a, frozenset())
-    with pytest.raises(PreconditionViolationError):
-        reconstructibility_check(build_locally_connected(9, 2), a, frozenset())
-    assert reconstructibility_check(build_locally_connected(9, 1), a, frozenset())
-
-
 def _random_budgeted_assignment(K, rng):
     budget = K
     sets = {}
@@ -956,6 +947,40 @@ def _sweep_walk(topology, assignment, A):
                 known.add(unknown[0])
                 changed = True
     return len(known) == K
+
+
+def test_reconstruction_walk_reads_only_hearing_sets():
+    # The walk runs on any network and agrees with the sweep there.  The
+    # family tags change nothing: LC L=2 hearing sets tagged "wyner" and
+    # Wyner hearing sets tagged "chain" answer as their correctly tagged twins.
+    empty = MessageAssignment(K=9, transmit_sets={i: frozenset() for i in range(1, 10)})
+    for topo in (build_two_dim(9), build_locally_connected(9, 2), build_locally_connected(9, 1)):
+        assert reconstructibility_check(topo, empty, frozenset())
+    cases = [(build_locally_connected(K, L), "wyner" if L == 2 else None) for K in (12, 20, 30) for L in (2, 3, 4)]
+    cases += [(build_two_dim(K), None) for K in (9, 16, 25, 36)]
+    cases += [(build_hexagonal(n)[0], None) for n in range(3, 7)]
+    cases += [(build_wyner(K), "chain") for K in (12, 20, 30)]
+    rng = random.Random(9)
+    verdicts = {True: 0, False: 0}
+    for topo, twin_kind in cases:
+        K = topo.K
+        twin = twin_kind and NetworkTopology(kind=twin_kind, K=K, params={}, hears=topo.hears)
+        # each message draws from its receiver's two-hop pool
+        pools = {
+            i: sorted({u for t in topo.hears[i] for k in topo.hearers(t) for u in topo.hears[k]})
+            for i in range(1, K + 1)
+        }
+        for _ in range(200):
+            sets = {i: frozenset(rng.sample(pool, min(rng.randint(0, 2), len(pool)))) for i, pool in pools.items()}
+            a = MessageAssignment(K=K, transmit_sets=sets)
+            keep = rng.choice((0.6, 0.85, 0.95))
+            A = frozenset(i for i in range(1, K + 1) if rng.random() < keep)
+            verdict = reconstructibility_check(topo, a, A)
+            assert verdict == _sweep_walk(topo, a, A), (topo.kind, sets, A)
+            if twin:
+                assert reconstructibility_check(twin, a, A) == verdict
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 500, verdicts
 
 
 def _trimmed_receiver_set(assignment, M):
