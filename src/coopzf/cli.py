@@ -34,6 +34,7 @@ from .errors import (
     SolverFailureError,
     UnsupportedError,
     _check_users,
+    _collector_paused,
     _document_errors,
 )
 from .schemes import (
@@ -475,6 +476,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_collector_paused
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the exit code instead of raising SystemExit."""
     try:

@@ -9,13 +9,15 @@ exponential searches.  The JSON readers share one context manager that
 reports a malformed document as an invalid parameter, one check of the
 user indices they read, and one check of the JSON type of their other
 fields.  Integer parameters of the generators and topology builders pass
-one check too.
+one check too.  The calls that build or walk per-user tables share one
+decorator that pauses the cyclic garbage collector while they run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from contextlib import contextmanager
+import functools
+import gc
 import operator
 
 
@@ -43,15 +45,58 @@ class ResourceLimitError(CoopZfError):
     """An exact search exceeded its node or time budget."""
 
 
-@contextmanager
-def _document_errors(kind: str):
-    """Re-raise JSON syntax and document-shape errors as :class:`InvalidParameterError`."""
-    try:
-        yield
-    except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
-        raise InvalidParameterError(
-            f"malformed {kind} document ({type(exc).__name__}: {exc})"
-        ) from exc
+class _document_errors:
+    """Re-raise JSON syntax and document-shape errors as :class:`InvalidParameterError`.
+
+    A class, not a generator under ``contextlib.contextmanager``: from
+    Python 3.12 on, throwing the error into the generator leaves the
+    error, its traceback and the frames between them in a reference
+    cycle, which only the cyclic collector frees.
+    """
+
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, _type, exc, _traceback) -> bool:
+        if isinstance(exc, (ValueError, LookupError, TypeError, AttributeError, ArithmeticError)):
+            raise InvalidParameterError(
+                f"malformed {self.kind} document ({type(exc).__name__}: {exc})"
+            ) from exc
+        return False
+
+
+def _collector_paused(fn):
+    """``fn`` run with CPython's cyclic garbage collector paused.
+
+    The calls decorated with this build or walk tables of ``K`` rows, and
+    each row is a container the collector would scan, again and again,
+    as the call allocates.  No call of this package makes a reference
+    cycle (``tests/test_package.py`` pins that), so reference counting
+    frees everything such a call allocates and those scans find nothing:
+    pausing the collector changes no result, only when cyclic garbage
+    made elsewhere is collected.  A collector that is already off is
+    left off and the call runs straight through, so nested calls and
+    callers that turned the collector off themselves keep their choice.
+
+    Known limit: the state is process-wide, so another thread that turns
+    the collector off while a paused call runs has it turned back on when
+    the call returns, and one that turns it on ends the pause early.
+    Mercurial's ``util.nogc`` makes the same trade.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def _check_users(kind: str, K, users: Iterable) -> None:

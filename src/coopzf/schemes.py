@@ -30,6 +30,7 @@ from .errors import (
     _check_fields,
     _check_int,
     _check_users,
+    _collector_paused,
     _document_errors,
 )
 from .topology import HexLattice, NetworkTopology, topology_from_dict
@@ -103,6 +104,7 @@ def dof_report(scheme: ZfScheme, assignment: MessageAssignment) -> DofReport:
     )
 
 
+@_collector_paused
 def validate_scheme(
     topology: NetworkTopology, assignment: MessageAssignment, scheme: ZfScheme
 ) -> list[str]:
@@ -198,6 +200,7 @@ def _chain(K: int, rows, name: str, family: tuple) -> tuple[MessageAssignment, Z
     return MessageAssignment(K=K, transmit_sets=tsets), scheme
 
 
+@_collector_paused
 def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
     """Chain-network scheme with integer backhaul budget ``B``.
 
@@ -222,6 +225,7 @@ def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
     return _chain(K, [(blocks, users, users)], f"wyner_backhaul_B{B}", ("linear", 1))
 
 
+@_collector_paused
 def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment, ZfScheme]:
     """Block scheme for locally connected chains with cooperation order ``M``.
 
@@ -287,6 +291,7 @@ def table1_row(L: int) -> dict:
     }
 
 
+@_collector_paused
 def table1_scheme(K: int, L: int) -> tuple[MessageAssignment, ZfScheme]:
     """Instantiate the best known unit-backhaul mixture at size ``K``.
 
@@ -314,6 +319,7 @@ def _row_blocks(N: int) -> list[tuple[int, int, int, int]]:
     return [(2, 1, 2, 0)] * (N // 12) + [(3, 1, 3, 0)] * (N // 12)
 
 
+@_collector_paused
 def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
     """Square-grid scheme: silence every third transmitter row.
 
@@ -429,6 +435,7 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
     return _chain(len(lattice.coords), rows, "hexagonal_cooperative", ("hexagonal", lattice.n))
 
 
+@_collector_paused
 def scheme_to_json(scheme: ZfScheme, topology: NetworkTopology, assignment: MessageAssignment) -> str:
     """Serialize a scheme with its topology and transmit sets.
 
@@ -459,6 +466,7 @@ def scheme_to_json(scheme: ZfScheme, topology: NetworkTopology, assignment: Mess
     return json.dumps(obj)
 
 
+@_collector_paused
 def scheme_from_json(text: str) -> tuple[ZfScheme, NetworkTopology, MessageAssignment]:
     """Inverse of :func:`scheme_to_json`; the topology and transmit sets are required.
 

@@ -28,6 +28,7 @@ from .errors import (
     _check_fields,
     _check_int,
     _check_users,
+    _collector_paused,
     _document_errors,
 )
 
@@ -94,6 +95,7 @@ class NetworkTopology:
         return json.dumps(self.to_dict())
 
 
+@_collector_paused
 def topology_from_dict(obj) -> NetworkTopology:
     """Rebuild a :class:`NetworkTopology` from the parsed object of :meth:`NetworkTopology.to_json`.
 
@@ -119,6 +121,7 @@ def _is_wyner_chain(rows) -> bool:
     return all(set(row) == ({i - 1, i} if i > 1 else {1}) for i, row in enumerate(rows, 1))
 
 
+@_collector_paused
 def build_wyner(K: int) -> NetworkTopology:
     """Linear chain: receiver ``i`` hears transmitters ``{i-1, i}``.
 
@@ -132,6 +135,7 @@ def build_wyner(K: int) -> NetworkTopology:
     return NetworkTopology(kind="wyner", K=K, params={}, hears=hears)
 
 
+@_collector_paused
 def build_locally_connected(K: int, L: int) -> NetworkTopology:
     """Linear network where each transmitter reaches ``L`` neighbors.
 
@@ -160,6 +164,7 @@ def build_locally_connected(K: int, L: int) -> NetworkTopology:
     return NetworkTopology(kind="locally_connected", K=K, params={"L": L}, hears=hears)
 
 
+@_collector_paused
 def build_two_dim(K: int) -> NetworkTopology:
     """Square-grid network on ``sqrt(K) x sqrt(K)`` users.
 

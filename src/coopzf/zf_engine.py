@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from ._rank import _mask, _support_matching
 from .assignment import MessageAssignment
-from .errors import InvalidParameterError, SolverFailureError
+from .errors import InvalidParameterError, SolverFailureError, _check_int, _collector_paused
 from .schemes import ZfScheme
 from .topology import NetworkTopology
 
@@ -101,6 +102,7 @@ def _normal_stream(normals: np.ndarray, rng: np.random.Generator):
         yield from rng.standard_normal(2)
 
 
+@_collector_paused
 def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     """Draw i.i.d. standard circular complex gains on the hearing support.
 
@@ -116,8 +118,10 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     linear in the support size.
 
     Raises:
-        InvalidParameterError: ``seed`` is negative.
+        InvalidParameterError: ``seed`` is not an integer (a ``bool``
+            included), or is negative.
     """
+    seed = _check_int("seed", seed)
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     import numpy as np  # here, so that importing coopzf leaves numpy unloaded
@@ -262,6 +266,7 @@ def _meets(r, b) -> bool:
         return bool(((abs(r - b) <= 1e-12 + 1e-9 * abs(b)) & np.isfinite(b) | (r == b)).all())
 
 
+@_collector_paused
 def design_beams(
     topology: NetworkTopology,
     channels: ChannelRealization,
@@ -294,6 +299,7 @@ def design_beams(
     return BeamDesign(beams=beams)
 
 
+@_collector_paused
 def verify(
     topology: NetworkTopology,
     channels: ChannelRealization,
@@ -317,8 +323,10 @@ def verify(
     cost is linear in ``sum |T_i| * degree``.
 
     Raises:
-        InvalidParameterError: ``tol`` is not a number in (0, 1).
+        InvalidParameterError: ``tol`` is not a real number in (0, 1).
     """
+    if not isinstance(tol, Real):
+        raise InvalidParameterError(f"tol must be a real number, not {type(tol).__name__}")
     if not 0 < tol < 1:
         raise InvalidParameterError(f"tol must be in (0, 1), got {tol}")
     active = sorted(scheme.active_messages)

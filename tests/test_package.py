@@ -5,7 +5,9 @@ from __future__ import annotations
 import ast
 import gc
 import importlib
+import io
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +87,10 @@ def _public_calls():
     wyner = coopzf.build_wyner(8)
     assignment, scheme = coopzf.wyner_backhaul_scheme(8, 1)
     channels = coopzf.sample_channels(wyner, 3)
+    document = coopzf.scheme_to_json(scheme, wyner, assignment)
+    # The CLI's parser is built once per process; the help formatters
+    # argparse makes while building it leave cycles behind them.
+    coopzf.cli._parser()
     return {
         "certify": lambda: coopzf.algorithm1_certify(lattice, single),
         "audit": lambda: coopzf.validate_certificate(lattice, single, certificate),
@@ -100,27 +106,131 @@ def _public_calls():
         "walk": lambda: coopzf.reconstructibility_check(
             wyner, *reversed(coopzf.appendix_receiver_set(assignment, 1))
         ),
+        # The calls that run with the cyclic collector paused.
+        "wyner": lambda: coopzf.build_wyner(48),
+        "lc": lambda: coopzf.build_locally_connected(48, 3),
+        "two-dim": lambda: coopzf.build_two_dim(144),
+        "wyner-K0": lambda: coopzf.build_wyner(0),
+        "topology-from-dict": lambda: coopzf.topology_from_dict(wyner.to_dict()),
+        "wyner-scheme": lambda: coopzf.wyner_backhaul_scheme(48, 3),
+        "lc-scheme": lambda: coopzf.locally_connected_scheme(48, 2, 3),
+        "table1-scheme": lambda: coopzf.table1_scheme(36, 4),
+        "two-dim-scheme": lambda: coopzf.two_dim_scheme(144),
+        "validate": lambda: coopzf.validate_scheme(wyner, assignment, scheme),
+        "to-json": lambda: coopzf.scheme_to_json(scheme, wyner, assignment),
+        "from-json": lambda: coopzf.scheme_from_json(document),
+        "from-json-not-json": lambda: coopzf.scheme_from_json("not json"),
+        "sample": lambda: coopzf.sample_channels(wyner, 3),
+        # A usage error such as `scheme --wyner --K x` is left out: argparse's
+        # own exception chain leaves 6 cyclic objects behind it.
+        "cli-scheme": lambda: _main(["scheme", "--wyner", "--K", "8", "--B", "1"]),
+        "cli-verify": lambda: _main(["verify", "--seed", "7"], document),
+        "cli-report": lambda: _main(["report"], document),
+        "cli-verify-not-json": lambda: _main(["verify", "--seed", "7"], "not json"),
     }
 
 
+def _main(argv, stdin=""):
+    """``cli.main(argv)`` on the given stdin, as its exit code and what it printed."""
+    streams = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
+    try:
+        code = coopzf.cli.main(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = streams
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of the package error it raises."""
+    try:
+        return call()
+    except coopzf.CoopZfError as exc:
+        return type(exc), str(exc)
+
+
+_PAUSED = (
+    "wyner", "lc", "two-dim", "wyner-K0", "topology-from-dict",
+    "wyner-scheme", "lc-scheme", "table1-scheme", "two-dim-scheme",
+    "validate", "to-json", "from-json", "from-json-not-json", "sample", "beams-verify",
+    "cli-scheme", "cli-verify", "cli-report", "cli-verify-not-json",
+)
 _CALLS = (
     "certify", "audit", "state-bound", "cooperative", "m1",
-    "activation", "lower-bound", "beams-verify", "backhaul", "walk",
+    "activation", "lower-bound", "backhaul", "walk", *_PAUSED,
 )
 
 
 @pytest.mark.parametrize("name", _CALLS)
 def test_public_calls_leave_no_cyclic_garbage(name):
     # Reference counting frees everything a call made; the cyclic
-    # collector finds nothing to do.
+    # collector finds nothing to do.  This is what makes pausing it safe.
     call = _public_calls()[name]
     gc.disable()
     try:
         gc.collect()
-        call()
+        _outcome(call)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", _PAUSED)
+def test_paused_calls_restore_the_collector(name):
+    # `wyner-K0` and `from-json-not-json` raise out of the paused call.
+    call = _public_calls()[name]
+    try:
+        # On: on again after the call.
+        expected = _outcome(call)
+        assert gc.isenabled()
+        # Off: left off, with the same result.
+        gc.disable()
+        assert _outcome(call) == expected
+        assert not gc.isenabled()
+        # Nested in another paused call: the outer call turns it back on.
+        gc.enable()
+        assert _outcome(coopzf.errors._collector_paused(call)) == expected
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def _large_calls():
+    """Paused functions and arguments large enough that the collector would run during them."""
+    K = 2400
+    wyner = coopzf.build_wyner(K)
+    assignment, scheme = coopzf.wyner_backhaul_scheme(K, 1)
+    channels = coopzf.sample_channels(wyner, 0)
+    beams = coopzf.design_beams(wyner, channels, assignment, scheme)
+    return {
+        "build_wyner": (K,),
+        "wyner_backhaul_scheme": (K, 1),
+        "scheme_to_json": (scheme, wyner, assignment),
+        "scheme_from_json": (coopzf.scheme_to_json(scheme, wyner, assignment),),
+        "sample_channels": (wyner, 0),
+        "design_beams": (wyner, channels, assignment, scheme),
+        "verify": (wyner, channels, scheme, beams),
+    }
+
+
+@pytest.mark.parametrize("name", (
+    "build_wyner", "wyner_backhaul_scheme", "scheme_to_json", "scheme_from_json",
+    "sample_channels", "design_beams", "verify",
+))
+def test_paused_calls_run_no_collection(name):
+    paused, args = getattr(coopzf, name), _large_calls()[name]
+
+    def collections(fn):
+        seen = []
+        gc.callbacks.append(lambda phase, info: seen.append(phase))
+        try:
+            fn(*args)
+        finally:
+            gc.callbacks.pop()
+        return len(seen)
+
+    assert collections(paused.__wrapped__) > 0
+    assert collections(paused) == 0
 
 
 # Argument guards that no other test reaches: (call, the message it raises).

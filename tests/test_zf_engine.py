@@ -81,6 +81,24 @@ def test_sampling_rejects_negative_seed():
         sample_channels(build_wyner(4), -5)
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "3", None])
+def test_sampling_rejects_a_seed_that_is_not_an_int(seed):
+    # `True` once drew seed 1's channels and recorded `seed=True`.
+    with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+        sample_channels(build_wyner(4), seed)
+
+
+@pytest.mark.parametrize("tol", ["0.1", None, 1j])
+def test_verify_rejects_a_tolerance_that_is_not_real(tol):
+    topology = build_wyner(8)
+    assignment, scheme = wyner_backhaul_scheme(8, 1)
+    channels = sample_channels(topology, 0)
+    beams = design_beams(topology, channels, assignment, scheme)
+    with pytest.raises(InvalidParameterError, match="tol must be a real number"):
+        verify(topology, channels, scheme, beams, tol)
+    assert verify(topology, channels, scheme, beams, Fraction(1, 10)).passed
+
+
 def test_hand_computed_beam():
     topo = build_wyner(2)
     channels = ChannelRealization(
