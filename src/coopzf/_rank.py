@@ -6,8 +6,8 @@ rows to transmitter columns.  Deliverability (:func:`_deliverable`),
 beam supports (:func:`_support_matching`) and the group bounds of
 :mod:`coopzf.converse` all read it from :func:`_matching`, which takes
 rows of column indices; the two kernels take transmitter bitmasks.
-:func:`_konig_cover` reads a minimum vertex cover off a maximum
-matching, the other half of the witness the certificate auditor checks.
+The certificate auditor calls nothing here: it checks the builders'
+dual multipliers by arithmetic.
 """
 
 from __future__ import annotations
@@ -45,30 +45,6 @@ def _matching(rows: Sequence[Collection[int]]) -> dict[int, int]:
     for r in range(len(rows)):
         _augment(rows, match_col, r, set())
     return match_col
-
-
-def _konig_cover(
-    labels: Sequence[int], rows: Sequence[Collection[int]], matching: dict[int, int]
-) -> tuple[set[int], set[int]]:
-    """König's minimum vertex cover, read off a maximum ``matching`` of ``rows``.
-
-    Walks the alternating paths from every unmatched row; the cover is
-    the rows not reached, named by ``labels[row]``, and the columns
-    reached, returned as those two sets.
-    """
-    reached = set(range(len(rows))) - set(matching.values())
-    stack = list(reached)
-    right: set[int] = set()
-    while stack:
-        for c in rows[stack.pop()]:
-            if c in right:
-                continue
-            right.add(c)
-            p = matching.get(c)
-            if p is not None and p not in reached:
-                reached.add(p)
-                stack.append(p)
-    return {x for p, x in enumerate(labels) if p not in reached}, right
 
 
 def _mask(members: Iterable[int]) -> int:

@@ -20,7 +20,9 @@ is solved in closed form: its optimum is ``|live| - nu/2``, with ``nu``
 the maximum matching of the bipartite double cover of its conflicts.
 The builders keep every such bound in half units, as the int
 ``2|live| - nu``, and turn it into a ``Fraction`` once per group when
-they emit the certificate.
+they emit the certificate.  Each matched edge ``(i, k)`` of the double
+cover is kept as one of the group's ``halves``: a dual multiplier of ½
+on the pair fact between ``i`` and ``k``.
 
 Two group builders are provided: :func:`algorithm1_certify` works from
 a message assignment with per-message cooperation at most one, and
@@ -28,9 +30,9 @@ a message assignment with per-message cooperation at most one, and
 through the assignment :func:`schedule_assignment` reads off it.  Both
 take every constraint from the facts, and :func:`validate_certificate`
 accepts exactly the lemma's facts, testing each recorded constraint
-against the hearer sets directly.  The auditor trusts no solver: it
-checks each group's bound against a matching and a vertex cover of
-equal size, which certify the optimum by weak duality.
+against the hearer sets directly.  The auditor runs no solver: it
+proves each group's bound by weak duality from the group's recorded
+halves, with counts and one sum.
 :func:`backhaul_converse` is the linear-network counterpart: it scans
 candidate cooperation sizes and bounds the served count under an
 average-backhaul budget, with :func:`reconstructibility_check`
@@ -47,7 +49,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._rank import _konig_cover, _matching
+from ._rank import _matching
 from .assignment import MessageAssignment
 from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
 from .oracle import AvoidanceSchedule, validate_schedule
@@ -130,29 +132,39 @@ class CertifiedGroup:
             facts, each individually valid for the assignment the
             certificate was built from.
         note: short human-readable tag for how the group was formed.
+        halves: the dual multipliers, one ``(i, k)`` entry per ½ on the
+            pair fact between live members ``i`` and ``k``.  Each live
+            member's slack is what its entries leave of one unit.
     """
 
     nodes: tuple[int, ...]
     bound: Fraction
     constraints: tuple[Constraint, ...] = ()
     note: str = ""
+    halves: tuple[tuple[int, int], ...] = ()
 
     def to_json(self) -> dict:
-        """The JSON object form, each constraint as a ``{"kind", "i"[, "k"]}`` object.
+        """The JSON object form: each constraint a ``{"kind", "i"[, "k"]}`` object, each half ``[i, k]``.
 
         Raises:
             InvalidParameterError: a constraint is not a tuple shaped
-                ``("pair", i, k)`` or ``("zero", i)``.
+                ``("pair", i, k)`` or ``("zero", i)``, ``halves`` is not
+                a tuple, or one of its entries is not a pair of ints.
         """
         recorded = []
         for c in self.constraints:
             if not _shaped(c):
                 raise InvalidParameterError(f"group {list(self.nodes)} holds a malformed constraint {c!r}")
             recorded.append(dict(zip(("kind", "i", "k"), c)))
+        halves = self.halves if type(self.halves) is tuple else (self.halves,)
+        for h in halves:
+            if not _is_half(h):
+                raise InvalidParameterError(f"group {list(self.nodes)} holds a malformed half {h!r}")
         return {
             "nodes": list(self.nodes),
             "bound": str(self.bound),
             "constraints": recorded,
+            "halves": [list(h) for h in halves],
             "note": self.note,
         }
 
@@ -201,8 +213,8 @@ def _double_cover(
     return live, [joined[x] for x in live]
 
 
-def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> int:
-    """Twice the exact max of sum of d_i over d in [0, 1]^n meeting the constraints.
+def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> tuple[int, list[int], dict[int, int]]:
+    """Twice the exact max of sum of d_i over d in [0, 1]^n meeting the constraints, with its dual.
 
     Pair constraints cap ``d_i + d_k <= 1`` (only when both endpoints
     are members); zero constraints force ``d_i = 0``.  With ``y = 1 - d``
@@ -211,50 +223,51 @@ def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> int:
     1975) and equals half the maximum matching ``nu`` of the graph's
     bipartite double cover (König), so the bound is
     ``(2 |live| - nu) / 2``.  It is returned in half units, as the int
-    ``2 |live| - nu``.
+    ``2 |live| - nu``, with the live members and the matching
+    ``{k: p}`` that proves it: ½ on the pair fact of each matched edge
+    ``(live[p], k)`` is a dual solution of the same value.
     """
     live, rows = _double_cover(nodes, constraints)
-    return 2 * len(live) - len(_matching(rows))
-
-
-def _bound_problems(group: CertifiedGroup) -> list[str]:
-    """Audit ``group.bound`` with a matching and a König cover of its double cover.
-
-    The witness is checked against the recorded constraints alone: the
-    matching ``M`` uses only their edges and no endpoint twice, the
-    cover ``C`` meets every edge, and ``|C| = |M|``.  By weak duality
-    ``M`` is then maximum whatever code produced it, so the group's
-    optimum is ``|live| - |M|/2``; it is compared with the recorded
-    bound in half units, as ``2|live| - |M|``.
-    """
-    live, rows = _double_cover(group.nodes, group.constraints)
     matching = _matching(rows)
-    left_cover, right_cover = _konig_cover(live, rows, matching)
-    matched = {(live[p], c) for c, p in matching.items()}
+    return 2 * len(live) - len(matching), live, matching
 
-    zeros = {c[1] for c in group.constraints if c[0] == "zero"}
-    alive = set(group.nodes) - zeros
-    edges = {
-        (c[1], c[2])
-        for c in group.constraints
-        if c[0] == "pair" and c[1] in alive and c[2] in alive
-    }
-    edges |= {(k, i) for i, k in edges}
-    proven = (
-        len({i for i, _ in matched}) == len({k for _, k in matched}) == len(matched)
-        and matched <= edges
-        and all(i in left_cover or k in right_cover for i, k in edges)
-        and len(left_cover) + len(right_cover) == len(matched)
-    )
-    if not proven:
-        return [f"group {list(group.nodes)} has no matching-and-cover witness for its system"]
-    twice = 2 * len(alive) - len(matched)
-    if 2 * group.bound.numerator != twice * group.bound.denominator:
-        return [
-            f"group {list(group.nodes)} records bound {group.bound} "
-            f"but its system solves to {Fraction(twice, 2)}"
-        ]
-    return []
+
+def _is_half(h: object) -> bool:
+    """Whether ``h`` is shaped as a half: a tuple of two ints."""
+    return type(h) is tuple and len(h) == 2 and type(h[0]) is int and type(h[1]) is int
+
+
+def _dual_problems(group: CertifiedGroup) -> list[str]:
+    """Audit ``group.bound`` by weak duality from ``group.halves``, by arithmetic alone.
+
+    Each half must sit on a recorded pair fact between live members, in
+    either order, and no live member may meet more than two (a self-pair
+    meets its member twice), so no slack is negative.  The dual's value
+    ``|live| - |halves|/2`` must then equal the recorded bound.  Every
+    constraint must be shaped, so that the set of them can be built.
+    """
+    halves, bound, where = group.halves, group.bound, list(group.nodes)
+    if type(halves) is not tuple:
+        return [f"group {where} records halves {halves!r}, not a tuple"]
+    recorded = set(group.constraints)
+    met = dict.fromkeys(group.nodes, 0)  # the live members, once the zeros are dropped
+    for c in recorded:
+        if c[0] == "zero":
+            met.pop(c[1], None)
+    problems = []
+    for h in halves:
+        between_live = _is_half(h) and h[0] in met and h[1] in met
+        if between_live and (("pair", *h) in recorded or ("pair", h[1], h[0]) in recorded):
+            met[h[0]] += 1
+            met[h[1]] += 1
+        else:
+            problems.append(f"group {where} puts a half on {h!r}, not a recorded pair of live members")
+    if halves and max(met.values(), default=0) > 2:
+        problems += [f"group {where} puts more than two halves on member {x}" for x, n in met.items() if n > 2]
+    twice = 2 * len(met) - len(halves)
+    if not problems and 2 * bound.numerator != twice * bound.denominator:
+        problems.append(f"group {where} records bound {bound} but its multipliers sum to {Fraction(twice, 2)}")
+    return problems
 
 
 def _select(facts: Facts, subjects: Sequence[int], members: Sequence[int]) -> list[Constraint]:
@@ -296,9 +309,10 @@ class _GroupBuilder:
     """Mutable accumulator for groups while a certify pass runs.
 
     Every constraint is selected from ``facts``, the output of
-    :func:`_facts`.  Each group keeps its exact bound
-    in half units, the int :func:`_lp_bound` returns, solved once when
-    the group is opened or grown; :meth:`finish` makes it a ``Fraction``.
+    :func:`_facts`.  Each group keeps what :func:`_lp_bound` returns, its
+    exact bound in half units with the matching behind it, solved once
+    when the group is opened or grown; :meth:`finish` makes the bound a
+    ``Fraction`` and the matched edges its halves.
     """
 
     def __init__(self, facts: Facts) -> None:
@@ -310,38 +324,36 @@ class _GroupBuilder:
         """Open a group on ``nodes`` constrained by the facts about ``subjects``."""
         gid = len(self.groups)
         constraints = _select(self.facts, subjects, nodes)
-        bound = _lp_bound(tuple(nodes), tuple(constraints))
-        self.groups.append(
-            {"nodes": list(nodes), "constraints": constraints, "note": note, "bound": bound}
-        )
+        solved = _lp_bound(nodes, constraints)
+        self.groups.append({"nodes": list(nodes), "constraints": constraints, "note": note, "solved": solved})
         for x in nodes:
             self.of[x] = gid
 
-    def merge(self, x: int, gid: int, bound: int | None = None) -> None:
+    def merge(self, x: int, gid: int, solved: tuple[int, list[int], dict[int, int]] | None = None) -> None:
         """Add ``x`` to group ``gid`` with its pair facts against the members.
 
-        ``bound`` is the grown group's bound, in half units, when the
-        caller has solved it.
+        ``solved`` is the grown group's :func:`_lp_bound`, when the caller
+        has solved it.
         """
         g = self.groups[gid]
         g["constraints"].extend(_select(self.facts, [x], g["nodes"]))
         g["nodes"].append(x)
-        if bound is None:
-            bound = _lp_bound(tuple(g["nodes"]), tuple(g["constraints"]))
-        g["bound"] = bound
+        g["solved"] = solved or _lp_bound(g["nodes"], g["constraints"])
         self.of[x] = gid
 
     def finish(self, uncovered: set[int]) -> GroupCertificate:
         done = [
             CertifiedGroup(
                 nodes=tuple(sorted(g["nodes"])),
-                bound=Fraction(g["bound"], 2),
+                bound=Fraction(twice, 2),
                 constraints=tuple(g["constraints"]),
                 note=g["note"],
+                halves=tuple([(live[p], k) for k, p in matching.items()]),
             )
             for g in self.groups
+            for twice, live, matching in (g["solved"],)
         ]
-        total = Fraction(sum(g["bound"] for g in self.groups), 2) + len(uncovered)
+        total = Fraction(sum(g["solved"][0] for g in self.groups), 2) + len(uncovered)
         return GroupCertificate(
             groups=tuple(done),
             uncovered=frozenset(uncovered),
@@ -466,15 +478,15 @@ def algorithm1_certify(
         gids = {builder.of[k] for k in rivals[x] if k != x and k in builder.of}
         # Bounds in half units: a grown group bound above (|nodes| + 1) / 2
         # dilutes it.
-        best: tuple[int, int, int] | None = None
+        best: tuple[int, int, tuple[int, list[int], dict[int, int]]] | None = None
         for gid in sorted(gids):
             g = builder.groups[gid]
             extra = _select(facts, [x], g["nodes"])
-            new = _lp_bound(tuple(g["nodes"]) + (x,), tuple(g["constraints"] + extra))
-            key = (new - g["bound"], gid, new)
+            solved = _lp_bound(g["nodes"] + [x], g["constraints"] + extra)
+            key = (solved[0] - g["solved"][0], gid, solved)
             if best is None or key[:2] < best[:2]:
                 best = key
-        if best is None or best[2] > len(builder.groups[best[1]]["nodes"]) + 1:
+        if best is None or best[2][0] > len(builder.groups[best[1]]["nodes"]) + 1:
             uncovered.add(x)  # no partner, or attaching would dilute the group
         else:
             builder.merge(x, best[1], best[2])
@@ -493,13 +505,14 @@ def validate_certificate(
     of its group (so a self-pair ``("pair", i, i)`` is never accepted,
     nor anything not shaped ``("pair", i, k)`` or ``("zero", i)``),
     tested against each message's hearer set without expanding the
-    facts; and that every group's bound equals the exact optimum of
-    its recorded constraint system.  The optimum is not taken from the
-    builders' solver: the auditor finds a maximum matching and a König
-    vertex cover of the group's double cover and checks that they are a
-    matching and a cover of the recorded system of equal size, which
-    proves the optimum by weak duality; a group with a misshapen
-    constraint has no such system, so its bound is not audited.
+    facts; and that every group's bound is a ``Fraction`` that its
+    halves prove by weak duality.  The proof is arithmetic and runs no
+    solver: each half sits on a recorded pair fact between live members,
+    no live member meets more than two, and the bound equals
+    ``|live| - |halves|/2``.  A bound so proven is sound, though not
+    necessarily the optimum; a group with a misshapen constraint has no
+    packing program, so its bound is not audited, and the totals are
+    checked only when every bound is a ``Fraction``.
 
     Returns:
         A list of problem descriptions; empty when the certificate is
@@ -535,8 +548,12 @@ def validate_certificate(
             if not _is_fact(c, g.nodes, facts):
                 problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
                 shaped = shaped and _shaped(c)
-        if shaped:
-            problems.extend(_bound_problems(g))
+        if not isinstance(g.bound, Fraction):
+            problems.append(f"group {list(g.nodes)} records bound {g.bound!r}, not a Fraction")
+        elif shaped:
+            problems.extend(_dual_problems(g))
+    if not all(isinstance(g.bound, Fraction) for g in certificate.groups):
+        return problems
     # One Fraction over the common denominator, exact for any recorded bounds.
     den = math.lcm(*(g.bound.denominator for g in certificate.groups))
     units = sum(g.bound.numerator * (den // g.bound.denominator) for g in certificate.groups)

@@ -759,8 +759,10 @@ def test_certify_states_exits_one_on_tampered_bound(capsys, monkeypatch):
     schedule = _coset_schedule(capsys, 6)
     code, out, _ = _run(["certify", "--states", "--n", "6"], capsys, monkeypatch, stdin=schedule)
     assert code == 1
-    problems = json.loads(out)["problems"]
-    assert any("solves to" in p for p in problems)
+    doc = json.loads(out)
+    g0 = doc["groups"][0]
+    honest = Fraction(g0["bound"]) + 1
+    assert f"group {g0['nodes']} records bound {g0['bound']} but its multipliers sum to {honest}" in doc["problems"]
 
 
 def test_certify_groups_exits_one_on_tampered_bound(capsys, monkeypatch):
@@ -778,7 +780,7 @@ def test_certify_groups_exits_one_on_tampered_bound(capsys, monkeypatch):
     doc = json.loads(out)
     g0 = doc["groups"][0]
     assert g0["bound"] == "0"
-    assert f"group {g0['nodes']} records bound 0 but its system solves to 1" in doc["problems"]
+    assert f"group {g0['nodes']} records bound 0 but its multipliers sum to 1" in doc["problems"]
 
 
 @pytest.mark.parametrize("pairs", [[[99, 99]], [[0, 1]], [[1, 99]]], ids=["99-99", "0-1", "1-99"])
@@ -912,8 +914,8 @@ _TRANSCRIPT_SHA256 = [
     "01e9e6877713df29eeb067a255df20911092e5eee19329fd5700b43dc4739099",
     "78e5cc7234eb73ec7089df06afee9eacac32c7c0a8c02cf546d9402aedf1fcc5",
     "98fed51f15db93fa0c861923ecd957bb62c52262fdf6a04f962f2d9e5352247f",
-    "5f385efa967eaf936f17fee932bd38bcfdc43327999a11a5ad71a07fdf2bcb99",
-    "7624cf137b8f2434cec9bb0e6ebc766e5ece37e63fd5677bfe295b9fa28b76fa",
+    "847530fe1e0d48567180cd08b58f988abd72ec716a7c6f49014989dfabab8abd",
+    "c1c3e47ffaf9f26a2afb7d25a8a0875bd3a2439fa7d33cf566149e67da1a70a1",
     "a23cc549d9a5629dc99b8db182678afc47296452163e0ccf61430b7091deb281",
     "2f9f328c450249153b120d67c4fb59485a9ec3365a1178b91b3d823d3760e06f",
     "c8577c4fd0c6722197c24bd5cac6681920460171574fb2c0d1bd3022e26fffac",

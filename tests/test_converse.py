@@ -40,8 +40,8 @@ from coopzf import (
     validate_schedule,
     wyner_backhaul_scheme,
 )
-from coopzf import converse
-from coopzf.converse import _bound_problems, _lp_bound
+from coopzf import _rank, converse
+from coopzf.converse import _dual_problems, _lp_bound
 from test_zf_engine import _CountingVector
 from worked_example import toy_instance
 
@@ -254,7 +254,7 @@ def test_validate_certificate_flags_tampering():
     _, lattice, assignment, _ = toy_instance()
     cert = algorithm1_certify(lattice, assignment)
     g0 = cert.groups[0]
-    fake = type(g0)(nodes=g0.nodes, bound=g0.bound + 1, constraints=g0.constraints, note=g0.note)
+    fake = dataclasses.replace(g0, bound=g0.bound + 1)
     tampered = type(cert)(
         groups=(fake,) + cert.groups[1:],
         uncovered=cert.uncovered,
@@ -262,7 +262,7 @@ def test_validate_certificate_flags_tampering():
         bound_total=cert.bound_total,
     )
     problems = validate_certificate(lattice, assignment, tampered)
-    assert any("solves to" in p for p in problems)
+    assert f"group {list(g0.nodes)} records bound {g0.bound + 1} but its multipliers sum to {g0.bound}" in problems
     assert any("bound_total" in p for p in problems)
 
 
@@ -285,8 +285,10 @@ def test_certificate_total_is_exact_for_any_recorded_bounds():
         return validate_certificate(lattice, assignment, cert)
 
     exact = problems(Fraction(160, 21))  # 1/3 + 2/7 + 7
-    assert sum("solves to" in p for p in exact) == 2
-    assert not any("bound_total" in p or "certified_bound" in p for p in exact)
+    assert exact == [
+        "group [1] records bound 1/3 but its multipliers sum to 1",
+        "group [2] records bound 2/7 but its multipliers sum to 1",
+    ]
     for wrong in (Fraction(160, 21) + Fraction(1, 10**12), Fraction(31, 4), 7):
         assert any("bound_total" in p for p in problems(wrong)), wrong
 
@@ -347,15 +349,15 @@ def test_lp_bound_and_audit_match_enumeration():
         for _ in range(count):
             nodes, constraints = _random_system(rng, n)
             optimum = _lp_bound_reference(nodes, constraints)
-            assert _lp_bound(nodes, constraints) == 2 * optimum, (nodes, constraints)
-            group = CertifiedGroup(nodes=nodes, bound=optimum, constraints=constraints)
-            assert _bound_problems(group) == []
+            twice, live, matching = _lp_bound(nodes, constraints)
+            assert twice == 2 * optimum, (nodes, constraints)
+            halves = tuple((live[p], k) for k, p in matching.items())
+            group = CertifiedGroup(nodes=nodes, bound=optimum, constraints=constraints, halves=halves)
+            assert _dual_problems(group) == []
             for wrong in (optimum - half, optimum + half):
-                problems = _bound_problems(
-                    CertifiedGroup(nodes=nodes, bound=wrong, constraints=constraints)
-                )
+                problems = _dual_problems(dataclasses.replace(group, bound=wrong))
                 assert problems == [
-                    f"group {list(nodes)} records bound {wrong} but its system solves to {optimum}"
+                    f"group {list(nodes)} records bound {wrong} but its multipliers sum to {optimum}"
                 ]
             checked += 1
     assert checked == 3000
@@ -416,7 +418,7 @@ def test_certificates_are_pinned():
     text = _certificate_record()
     assert len(text.splitlines()) == 139
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "93f255288dae54579d31a1115a72daa53718480254b12ba464bc38cb29eb33c5"
+        "709ae7e33bd8762e64b0860a0d5228c35bf3f879fef13ac461907bac5b68e7f6"
     )
 
 
@@ -442,24 +444,96 @@ def test_certify_calls_build_no_topology(monkeypatch):
     assert built == []
 
 
-_BAD_WITNESSES = {
-    "not-maximum": {"_matching": lambda rows: {}},
-    "not-a-matching": {"_matching": lambda rows: {c: 0 for row in rows for c in row}},
-    "off-system-edges": {"_matching": lambda rows: {-1 - p: p for p in range(len(rows))}},
-    "not-a-cover": {"_matching": lambda rows: {}, "_konig_cover": lambda *_: (set(), set())},
+def test_audit_runs_no_matcher(monkeypatch):
+    cases = []
+    for n in (6, 12):
+        _, lattice = build_hexagonal(n)
+        assignment = _random_single_tx_assignment(lattice, random.Random(n))
+        cases.append((lattice, assignment, algorithm1_certify(lattice, assignment)))
+        _, coset = hexagonal_coset_scheme(lattice)
+        served = frozenset((i, i) for i in coset.active_messages)
+        schedule = AvoidanceSchedule(pairs=served, value=len(served))
+        cases.append((lattice, schedule_assignment(schedule, n * n), triangle_state_bound(lattice, schedule)))
+
+    def refuse(*_):
+        raise AssertionError("the audit ran a solver")
+
+    for name in ("_matching", "_double_cover", "_lp_bound"):
+        monkeypatch.setattr(converse, name, refuse)
+    monkeypatch.setattr(_rank, "_matching", refuse)
+    assert all(any(g.halves for g in cert.groups) for _, _, cert in cases[::2])
+    for lattice, assignment, cert in cases:
+        assert validate_certificate(lattice, assignment, cert) == []
+
+
+_FAULTY_MATCHERS = {
+    "empty": lambda rows: {},
+    "one-member-many-columns": lambda rows: {c: 0 for row in rows for c in row},
+    "off-system-edges": lambda rows: {-1 - p: p for p in range(len(rows))},
 }
 
 
-@pytest.mark.parametrize("bad", sorted(_BAD_WITNESSES))
-def test_audit_rejects_a_bad_matching_witness(monkeypatch, bad):
-    # A faulty matcher or cover can only make the audit reject.
+@pytest.mark.parametrize("faulty", sorted(_FAULTY_MATCHERS))
+def test_a_faulty_matcher_gives_a_sound_certificate_or_a_rejected_one(monkeypatch, faulty):
     _, lattice, assignment, _ = toy_instance()
+    honest = algorithm1_certify(lattice, assignment)
+    monkeypatch.setattr(converse, "_matching", _FAULTY_MATCHERS[faulty])
     cert = algorithm1_certify(lattice, assignment)
-    for name, fake in _BAD_WITNESSES[bad].items():
-        monkeypatch.setattr(converse, name, fake)
     problems = validate_certificate(lattice, assignment, cert)
-    assert problems
-    assert all("no matching-and-cover witness" in p for p in problems)
+    if faulty == "empty":
+        # No halves: every live member keeps its whole unit, a looser bound.
+        assert problems == []
+        assert cert.bound_total > honest.bound_total
+    else:
+        assert problems
+        assert all("puts a half on" in p or "more than two halves" in p for p in problems)
+
+
+def _regroup(cert, gid, halves, shift=Fraction(0)):
+    """``cert`` with group ``gid`` holding ``halves`` at a bound ``shift`` above their value, and totals to match."""
+    g = cert.groups[gid]
+    live = len(set(g.nodes) - {c[1] for c in g.constraints if c[0] == "zero"})
+    new = dataclasses.replace(g, halves=halves, bound=live - Fraction(len(halves), 2) + shift)
+    total = cert.bound_total - g.bound + new.bound
+    return dataclasses.replace(
+        cert,
+        groups=cert.groups[:gid] + (new,) + cert.groups[gid + 1:],
+        bound_total=total,
+        certified_bound=int(total),
+    )
+
+
+def test_audit_rejects_tampered_halves():
+    _, lattice, assignment, L = toy_instance()
+    cert = algorithm1_certify(lattice, assignment)
+    c1, c2, a1, a3, b2 = L["c1"], L["c2"], L["a1"], L["a3"], L["b2"]
+    assert cert.groups[0].halves == ((c1, c2), (c2, c1))  # the pair (c1, c2) at bound 1
+    assert cert.groups[1].constraints == (("pair", a3, b2), ("zero", b2))
+    honest = cert.groups[0].halves
+    half = Fraction(1, 2)
+
+    def problems(tampered):
+        return validate_certificate(lattice, assignment, tampered)
+
+    pair = f"group {[c1, c2]}"
+    assert problems(_regroup(cert, 0, honest[:1], -half)) == [f"{pair} records bound 1 but its multipliers sum to 3/2"]
+    for unrecorded in ((c1, a1), (c1, c1)):  # a non-member, and a self-pair no constraint records
+        assert problems(_regroup(cert, 0, (unrecorded, (c2, c1)))) == [
+            f"{pair} puts a half on {unrecorded}, not a recorded pair of live members"
+        ]
+    assert problems(_regroup(cert, 1, ((a3, b2),))) == [
+        f"group {[a3, b2]} puts a half on {(a3, b2)}, not a recorded pair of live members"
+    ]
+    # Three halves on each member would prove 1/2, but leave them no slack.
+    assert problems(_regroup(cert, 0, honest + ((c1, c2),))) == [
+        f"{pair} puts more than two halves on member {c1}",
+        f"{pair} puts more than two halves on member {c2}",
+    ]
+    assert problems(_regroup(cert, 0, honest)) == []
+    for shift in (half, -half):
+        assert problems(_regroup(cert, 0, honest, shift)) == [
+            f"{pair} records bound {1 + shift} but its multipliers sum to 1"
+        ]
 
 
 @pytest.mark.parametrize("where", ["grouped", "uncovered"])
@@ -512,7 +586,7 @@ def test_validate_certificate_rejects_self_pairs():
     assignment, scheme = hexagonal_coset_scheme(lattice)
     served = set(scheme.active_messages)
     groups = tuple(
-        CertifiedGroup(nodes=(i,), bound=Fraction(1, 2), constraints=(("pair", i, i),))
+        CertifiedGroup(nodes=(i,), bound=Fraction(1, 2), constraints=(("pair", i, i),), halves=((i, i),))
         if i in served
         else CertifiedGroup(nodes=(i,), bound=Fraction(0), constraints=(("zero", i),))
         for i in sorted(lattice.coords)
@@ -539,6 +613,29 @@ def _reference_select(facts, subjects, members):
     return out
 
 
+def _reference_dual(g):
+    """The group's halves read as explicit multipliers: ½ on a pair fact per entry, a slack per live member."""
+    where = f"group {list(g.nodes)}"
+    zeros = [c[1] for c in g.constraints if c[0] == "zero"]
+    live = [x for x in dict.fromkeys(g.nodes) if x not in zeros]
+    pairs = [c[1:] for c in g.constraints if c[0] == "pair" and len(c) == 3]
+    covered = {x: Fraction(0) for x in live}
+    problems = []
+    for h in g.halves:
+        if type(h) is tuple and len(h) == 2 and all(type(x) is int and x in live for x in h) and (
+            h in pairs or h[::-1] in pairs
+        ):
+            covered[h[0]] += Fraction(1, 2)
+            covered[h[1]] += Fraction(1, 2)
+        else:
+            problems.append(f"{where} puts a half on {h!r}, not a recorded pair of live members")
+    problems += [f"{where} puts more than two halves on member {x}" for x in live if covered[x] > 1]
+    value = sum((1 - w for w in covered.values()), Fraction(len(g.halves), 2))
+    if not problems and value != g.bound:
+        problems.append(f"{where} records bound {g.bound} but its multipliers sum to {value}")
+    return problems
+
+
 def _reference_group_audit(lattice, assignment, certificate):
     """Each group's problems, found by matching constraints against the expanded facts."""
     facts = _reference_lemma(lattice.topology, assignment)
@@ -548,7 +645,7 @@ def _reference_group_audit(lattice, assignment, certificate):
         for c in g.constraints:
             if c not in allowed:
                 problems.append(f"{c} is not a fact of this assignment within {list(g.nodes)}")
-        problems.extend(_bound_problems(g))
+        problems.extend(_reference_dual(g))
     return problems
 
 
@@ -691,23 +788,95 @@ _CONSTRAINTS = st.one_of(
 )
 
 
+_HALVES = st.one_of(
+    st.tuples(st.integers(min_value=-1, max_value=10), st.integers(min_value=-1, max_value=10)),
+    st.builds(tuple, _USERS),
+    _USERS,
+    st.tuples(st.integers(min_value=-1, max_value=10), st.one_of(st.booleans(), st.floats(), st.text(max_size=2))),
+    st.tuples(st.integers(min_value=-1, max_value=10), _USERS),
+    st.none(),
+    st.integers(),
+)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(_CONSTRAINTS, min_size=1, max_size=3))
-def test_auditor_and_group_writer_are_total(extra):
+@given(
+    st.lists(_CONSTRAINTS, min_size=1, max_size=3),
+    st.lists(_HALVES, max_size=3),
+    st.sampled_from((tuple, list, str)),
+    st.sampled_from(("honest", 1.0, 0.5, "1", None, Fraction(1, 2))),
+)
+def test_auditor_and_group_writer_are_total(extra, extra_halves, container, bound):
     # Whatever a group records, the auditor answers with problems and the
-    # writer either names a malformed constraint or writes each one back.
+    # writer either names a malformed constraint or half or writes each one back.
     _, lattice = build_hexagonal(3)
     assignment, _ = hexagonal_coset_scheme(lattice)
     certificate = algorithm1_certify(lattice, assignment)
-    g = dataclasses.replace(certificate.groups[0], constraints=certificate.groups[0].constraints + tuple(extra))
+    g0 = certificate.groups[0]
+    g = dataclasses.replace(
+        g0,
+        constraints=g0.constraints + tuple(extra),
+        halves=container(g0.halves + tuple(extra_halves)),
+        bound=g0.bound if bound == "honest" else bound,
+    )
     tampered = dataclasses.replace(certificate, groups=(g,) + certificate.groups[1:])
     problems = validate_certificate(lattice, assignment, tampered)
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+    if (extra_halves and bound == "honest") or container is not tuple or not isinstance(g.bound, Fraction):
+        assert problems
     try:
-        written = g.to_json()["constraints"]
+        written = g.to_json()
     except InvalidParameterError:
         return
-    assert [tuple(d.values()) for d in written] == list(g.constraints)
+    assert [tuple(d.values()) for d in written["constraints"]] == list(g.constraints)
+    assert [tuple(h) for h in written["halves"]] == list(g.halves)
+
+
+def _self_serving_certificate():
+    _, lattice = build_hexagonal(3)
+    assignment = MessageAssignment(K=9, transmit_sets={i: frozenset({i}) for i in range(1, 10)})
+    return lattice, assignment, algorithm1_certify(lattice, assignment)
+
+
+@pytest.mark.parametrize("bound", [1.0, 0.5, "1", None], ids=["1.0", "0.5", "str", "none"])
+def test_auditor_reports_a_bound_that_is_not_a_fraction(bound):
+    lattice, assignment, certificate = _self_serving_certificate()
+    g = dataclasses.replace(certificate.groups[0], bound=bound)
+    tampered = dataclasses.replace(certificate, groups=(g,) + certificate.groups[1:])
+    assert validate_certificate(lattice, assignment, tampered) == [
+        f"group [2, 5] records bound {bound!r}, not a Fraction"
+    ]
+
+
+@pytest.mark.parametrize(
+    "half",
+    [[2, 5], (2, 5, 2), (2, 5.0), (True, 5), ("2", 5), (2, [5])],
+    ids=["list", "3-tuple", "float", "bool", "str", "unhashable"],
+)
+def test_auditor_and_group_writer_name_a_malformed_half(half):
+    lattice, assignment, certificate = _self_serving_certificate()
+    g0 = certificate.groups[0]
+    assert g0.nodes == (2, 5) and g0.halves == ((2, 5), (5, 2))
+    g = dataclasses.replace(g0, halves=(g0.halves[0], half))
+    tampered = dataclasses.replace(certificate, groups=(g,) + certificate.groups[1:])
+    assert validate_certificate(lattice, assignment, tampered) == [
+        f"group [2, 5] puts a half on {half!r}, not a recorded pair of live members"
+    ]
+    with pytest.raises(InvalidParameterError, match="malformed half"):
+        g.to_json()
+
+
+@pytest.mark.parametrize("halves", [[(2, 5), (5, 2)], None, "((2, 5), (5, 2))"], ids=["list", "none", "str"])
+def test_auditor_and_group_writer_need_halves_as_a_tuple(halves):
+    lattice, assignment, certificate = _self_serving_certificate()
+    g = dataclasses.replace(certificate.groups[0], halves=halves)
+    tampered = dataclasses.replace(certificate, groups=(g,) + certificate.groups[1:])
+    assert validate_certificate(lattice, assignment, tampered) == [
+        f"group [2, 5] records halves {halves!r}, not a tuple"
+    ]
+    with pytest.raises(InvalidParameterError) as raised:
+        g.to_json()
+    assert str(raised.value) == f"group [2, 5] holds a malformed half {halves!r}"
 
 
 # ---------------------------------------------------------------------------
