@@ -33,8 +33,7 @@ class MessageAssignment:
     transmit_sets: dict[int, frozenset[int]]
 
     def __post_init__(self) -> None:
-        if _check_int("K", self.K) < 1:
-            raise InvalidParameterError("K must be >= 1")
+        _check_int("K", self.K, 1)
         # Count the keys before building 1..K (see NetworkTopology).
         sets = self.transmit_sets
         if len(sets) != self.K or set(sets) != (users := set(range(1, self.K + 1))):
@@ -103,10 +102,12 @@ def check_local_cooperation(assignment: MessageAssignment, r: int) -> bool:
 
     Args:
         assignment: the assignment to check.
-        r: nonnegative cooperation radius.
+        r: cooperation radius, an int of at least 0.
+
+    Raises:
+        InvalidParameterError: ``r`` is not an int of at least 0.
     """
-    if r < 0:
-        raise InvalidParameterError("r must be nonnegative")
+    r = _check_int("r", r, 0)
     for i, T in assignment.transmit_sets.items():
         if any(t < i - r or t > i + r for t in T):
             return False

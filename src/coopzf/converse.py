@@ -42,7 +42,6 @@ providing the supporting decodability argument.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from collections import Counter
 from collections.abc import Sequence
@@ -51,7 +50,7 @@ from fractions import Fraction
 
 from ._rank import _matching
 from .assignment import MessageAssignment
-from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
+from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError, _check_int, _check_real
 from .oracle import AvoidanceSchedule, validate_schedule
 from .topology import HexLattice, NetworkTopology
 
@@ -147,10 +146,13 @@ class CertifiedGroup:
         """The JSON object form: each constraint a ``{"kind", "i"[, "k"]}`` object, each half ``[i, k]``.
 
         Raises:
-            InvalidParameterError: a constraint is not a tuple shaped
-                ``("pair", i, k)`` or ``("zero", i)``, ``halves`` is not
-                a tuple, or one of its entries is not a pair of ints.
+            InvalidParameterError: ``nodes`` is not a tuple of ints, a
+                constraint is not a tuple shaped ``("pair", i, k)`` or
+                ``("zero", i)``, ``halves`` is not a tuple, or one of its
+                entries is not a pair of ints.
         """
+        if not _is_nodes(self.nodes):
+            raise InvalidParameterError(f"group holds malformed nodes {self.nodes!r}")
         recorded = []
         for c in self.constraints:
             if not _shaped(c):
@@ -230,6 +232,11 @@ def _lp_bound(nodes: Sequence[int], constraints: Sequence[Constraint]) -> tuple[
     live, rows = _double_cover(nodes, constraints)
     matching = _matching(rows)
     return 2 * len(live) - len(matching), live, matching
+
+
+def _is_nodes(nodes: object) -> bool:
+    """Whether ``nodes`` is a tuple of ints (or floats), so its members hash and sort together."""
+    return type(nodes) is tuple and {int, float}.issuperset(map(type, nodes))
 
 
 def _is_half(h: object) -> bool:
@@ -384,8 +391,8 @@ def algorithm1_certify(
             transmitter outside the message's own hearing range is
             useless: the lemma makes the message a zero fact.
         shuffle_seed: optional seed; permutes the sweep *iteration*
-            orders (tie-breaks stay deterministic), for checking that
-            the certified bound is order-insensitive.
+            orders (tie-breaks stay deterministic).  Every order gives a
+            sound, audit-clean bound, but the bounds may differ.
 
     Returns:
         A :class:`GroupCertificate`; the bound applies to every
@@ -512,7 +519,9 @@ def validate_certificate(
     ``|live| - |halves|/2``.  A bound so proven is sound, though not
     necessarily the optimum; a group with a misshapen constraint has no
     packing program, so its bound is not audited, and the totals are
-    checked only when every bound is a ``Fraction``.
+    checked only when every bound is a ``Fraction``.  A group whose
+    nodes are not a tuple of ints is reported, and neither its
+    constraints nor its bound are audited.
 
     Returns:
         A list of problem descriptions; empty when the certificate is
@@ -527,7 +536,12 @@ def validate_certificate(
     facts = _facts(lattice.topology, assignment)
 
     seen: set[int] = set()
+    groups = []  # the groups whose nodes can be audited
     for g in certificate.groups:
+        if not _is_nodes(g.nodes):
+            problems.append(f"group records nodes {g.nodes!r}, not a tuple of ints")
+            continue
+        groups.append(g)
         for x in g.nodes:
             if x in seen:
                 problems.append(f"node {x} appears in more than one group")
@@ -542,7 +556,7 @@ def validate_certificate(
     if outside:
         problems.append(f"nodes {sorted(outside)} are not nodes of the lattice")
 
-    for g in certificate.groups:
+    for g in groups:
         shaped = True  # every fact is shaped, so only a non-fact is checked
         for c in g.constraints:
             if not _is_fact(c, g.nodes, facts):
@@ -750,16 +764,11 @@ def backhaul_converse(assignment: MessageAssignment, B: int | Fraction) -> Backh
         PreconditionViolationError: if the assignment's average
             transmit-set size exceeds ``B``.
     """
-    if isinstance(B, bool) or not isinstance(B, numbers.Real):
-        raise InvalidParameterError(f"B must be a number, got {B!r}")
-    if not -math.inf < B < math.inf:
+    if not -math.inf < _check_real("B", B) < math.inf:
         raise InvalidParameterError(f"B must be finite, got {B}")
-    B_frac = Fraction(B)
-    if B_frac.denominator != 1:
+    if Fraction(B).denominator != 1:
         raise UnsupportedError("only integer backhaul budgets are scanned")
-    B_int = int(B_frac)
-    if B_int < 1:
-        raise InvalidParameterError("backhaul budget must be at least 1")
+    B_int = _check_int("B", int(B), 1)
     K, sets = assignment.K, assignment.transmit_sets
     sizes = [len(sets[i]) for i in range(1, K + 1)]
     if sum(sizes) > B_int * K:
@@ -800,10 +809,9 @@ def appendix_receiver_set(
         M: cooperation-size cutoff, an int of at least 0.
 
     Raises:
-        InvalidParameterError: if ``M`` is a bool, not an int, or negative.
+        InvalidParameterError: if ``M`` is not an int of at least 0.
     """
-    if isinstance(M, bool) or not isinstance(M, int) or M < 0:
-        raise InvalidParameterError(f"cutoff must be an int of at least 0, got {M!r}")
+    M = _check_int("M", M, 0)
     K, sets = assignment.K, assignment.transmit_sets
     S, kept = _low_cooperation_candidates([len(sets[i]) for i in range(1, K + 1)], M)
     reduced_sets = dict(sets)

@@ -8,9 +8,10 @@ that unexpectedly degenerates) and from deliberate resource guards on
 exponential searches.  The JSON readers share one context manager that
 reports a malformed document as an invalid parameter, one check of the
 user indices they read, and one check of the JSON type of their other
-fields.  Integer parameters of the generators and topology builders pass
-one check too.  The calls that build or walk per-user tables share one
-decorator that pauses the cyclic garbage collector while they run.
+fields.  Every numeric parameter passes one of two checks: integers,
+each with its floor, through :func:`_check_int`, and reals through
+:func:`_check_real`.  The calls that build or walk per-user tables share
+one decorator that pauses the cyclic garbage collector while they run.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 import functools
 import gc
+import numbers
 import operator
 
 
@@ -136,7 +138,7 @@ def _check_fields(kind: str, obj: dict, /, **types: type) -> None:
             )
 
 
-def _check_int(name: str, value) -> int:
+def _check_int(name: str, value, least: int | None = None) -> int:
     """``value`` as a plain ``int``, for an integer parameter called ``name``.
 
     A ``bool`` is refused, and so is any value that is not an integer
@@ -144,11 +146,23 @@ def _check_int(name: str, value) -> int:
     never reaches arithmetic that fails with a bare ``TypeError``.
 
     Raises:
+        InvalidParameterError: naming the parameter and the type given,
+            or the floor when ``least`` is given and ``value`` is below it.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidParameterError(f"{name} must be an integer, not {type(value).__name__}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _check_real(name: str, value):
+    """``value`` unchanged, unless it is a ``bool`` or not a :class:`numbers.Real`; callers check the range.
+
+    Raises:
         InvalidParameterError: naming the parameter and the type given.
     """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidParameterError(f"{name} must be an integer, not {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, not {type(value).__name__}")
+    return value

@@ -21,7 +21,7 @@ import time
 
 from ._rank import _bits, _deliverable, _mask
 from .assignment import MessageAssignment
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError, _check_int, _check_real
 from .schemes import ZfScheme, validate_scheme
 from .topology import NetworkTopology, _is_wyner_chain
 
@@ -91,15 +91,14 @@ class _Search:
     """The limits and node count of one exponential search; each node calls :meth:`tick`.
 
     Raises:
-        InvalidParameterError: ``node_limit`` is below 1, or
-            ``time_limit`` is set but not finite and positive.
+        InvalidParameterError: ``node_limit`` is not an int of at least
+            1, or ``time_limit`` is set but not a finite positive real.
         ResourceLimitError: ``K`` exceeds ``node_limit``.
     """
 
     def __init__(self, K: int, node_limit: int, time_limit: float | None):
-        if node_limit < 1:
-            raise InvalidParameterError(f"node_limit must be >= 1, got {node_limit}")
-        if time_limit is not None and not 0 < time_limit < math.inf:
+        node_limit = _check_int("node_limit", node_limit, 1)
+        if time_limit is not None and not 0 < _check_real("time_limit", time_limit) < math.inf:
             raise InvalidParameterError(f"time_limit must be finite and > 0, got {time_limit}")
         if K > node_limit:
             raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")
@@ -225,8 +224,8 @@ def max_avoidance_m1(
     other service.
 
     Raises:
-        InvalidParameterError: ``node_limit`` is below 1, or
-            ``time_limit`` is not finite and positive.
+        InvalidParameterError: ``node_limit`` is not an int of at least
+            1, or ``time_limit`` is not a finite positive real.
         ResourceLimitError: ``K`` exceeds ``node_limit``, or the time
             limit is hit.
     """
@@ -331,12 +330,12 @@ def max_avoidance_cooperative(
     ``k``-th member, are nondecreasing.
 
     Raises:
-        InvalidParameterError: ``B`` is negative or not finite,
-            ``node_limit`` is below 1, or ``time_limit`` is not finite
-            and positive.
+        InvalidParameterError: ``B`` is not a real number, is negative
+            or is not finite, ``node_limit`` is not an int of at least
+            1, or ``time_limit`` is not a finite positive real.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
-    if B < 0:
+    if _check_real("B", B) < 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
     if not B < math.inf:
         raise InvalidParameterError(f"B must be finite, got {B}")
@@ -607,8 +606,8 @@ def max_activation_for_assignment(
 
     Raises:
         InvalidParameterError: topology and assignment sizes disagree,
-            ``node_limit`` is below 1, or ``time_limit`` is not finite
-            and positive.
+            ``node_limit`` is not an int of at least 1, or
+            ``time_limit`` is not a finite positive real.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
     if topology.K != assignment.K:

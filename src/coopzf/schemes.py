@@ -210,15 +210,13 @@ def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
     ``B``.
 
     Raises:
-        InvalidParameterError: ``K`` or ``B`` not an integer, ``B < 1``
-            or ``4B`` not dividing ``K``.
+        InvalidParameterError: ``K`` or ``B`` not an integer of at least
+            1, or ``4B`` not dividing ``K``.
     """
-    B = _check_int("B", B)
-    if B < 1:
-        raise InvalidParameterError("B must be a positive integer")
+    B = _check_int("B", B, 1)
     F = 4 * B
-    K = _check_int("K", K)
-    if K < 1 or K % F != 0:
+    K = _check_int("K", K, 1)
+    if K % F != 0:
         raise InvalidParameterError(f"K must be a positive multiple of {F}")
     users = range(1, K + 1)
     blocks = [(2 * B, 1, 2 * B - 1, 0)] * (K // F)
@@ -238,15 +236,11 @@ def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment,
         InvalidParameterError: non-integer or nonpositive parameters, or
             ``(2M+L)`` not dividing ``K``.
     """
-    L = _check_int("L", L)
-    if L < 1:
-        raise InvalidParameterError("L must be a positive integer")
-    M = _check_int("M", M)
-    if M < 1:
-        raise InvalidParameterError("M must be a positive integer")
+    L = _check_int("L", L, 1)
+    M = _check_int("M", M, 1)
     F = 2 * M + L
-    K = _check_int("K", K)
-    if K < 1 or K % F != 0:
+    K = _check_int("K", K, 1)
+    if K % F != 0:
         raise InvalidParameterError(f"K must be a positive multiple of {F}")
     users = range(1, K + 1)
     blocks = [(M, L, M, L // 2)] * (K // F)
@@ -304,8 +298,8 @@ def table1_scheme(K: int, L: int) -> tuple[MessageAssignment, ZfScheme]:
     """
     row = table1_row(L)
     L = row["L"]
-    K = _check_int("K", K)
-    if K < 1 or K % row["K_min"] != 0:
+    K = _check_int("K", K, 1)
+    if K % row["K_min"] != 0:
         raise InvalidParameterError(f"K must be a positive multiple of {row['K_min']} for L={L}")
     m = K // row["K_min"]
     s = L // 2
@@ -334,9 +328,7 @@ def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
         InvalidParameterError: ``K`` not a perfect square or ``sqrt(K)``
             not a multiple of 12.
     """
-    K = _check_int("K", K)
-    if K < 1:
-        raise InvalidParameterError("K must be >= 1")
+    K = _check_int("K", K, 1)
     N = math.isqrt(K)
     if N * N != K:
         raise InvalidParameterError("K must be a perfect square")

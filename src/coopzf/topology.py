@@ -62,8 +62,7 @@ class NetworkTopology:
     _hearers: dict[int, frozenset[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if _check_int("K", self.K) < 1:
-            raise InvalidParameterError("K must be >= 1")
+        _check_int("K", self.K, 1)
         # Count the keys before building 1..K, so that a document claiming a
         # huge K with few rows is rejected without allocating the range.
         if len(self.hears) != self.K or set(self.hears) != (users := set(range(1, self.K + 1))):
@@ -128,9 +127,7 @@ def build_wyner(K: int) -> NetworkTopology:
     Args:
         K: number of users, at least 1.
     """
-    K = _check_int("K", K)
-    if K < 1:
-        raise InvalidParameterError("K must be >= 1")
+    K = _check_int("K", K, 1)
     hears = {i: frozenset(j for j in (i - 1, i) if 1 <= j <= K) for i in range(1, K + 1)}
     return NetworkTopology(kind="wyner", K=K, params={}, hears=hears)
 
@@ -150,12 +147,8 @@ def build_locally_connected(K: int, L: int) -> NetworkTopology:
         K: number of users, at least 1.
         L: connectivity parameter, at least 0.
     """
-    K = _check_int("K", K)
-    if K < 1:
-        raise InvalidParameterError("K must be >= 1")
-    L = _check_int("L", L)
-    if L < 0:
-        raise InvalidParameterError("L must be >= 0")
+    K = _check_int("K", K, 1)
+    L = _check_int("L", L, 0)
     lo, hi = -((L + 1) // 2), L // 2
     hears = {
         i: frozenset(j for j in range(i + lo, i + hi + 1) if 1 <= j <= K)
@@ -178,9 +171,7 @@ def build_two_dim(K: int) -> NetworkTopology:
     Args:
         K: a perfect square, at least 1.
     """
-    K = _check_int("K", K)
-    if K < 1:
-        raise InvalidParameterError("K must be >= 1")
+    K = _check_int("K", K, 1)
     N = math.isqrt(K)
     if N * N != K:
         raise InvalidParameterError("K must be a perfect square")
@@ -318,9 +309,7 @@ def build_hexagonal(n: int) -> tuple[NetworkTopology, HexLattice]:
     Args:
         n: side length, at least 1.
     """
-    n = _check_int("n", n)
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    n = _check_int("n", n, 1)
     coords = [(a, b) for b in range(n) for a in range(n)]
     lattice = HexLattice(coords={i: p for i, p in enumerate(coords, 1)}, n=n)
     return lattice.topology, lattice

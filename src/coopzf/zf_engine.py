@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
-from numbers import Real
 from typing import TYPE_CHECKING
 
 from ._rank import _mask, _support_matching
 from .assignment import MessageAssignment
-from .errors import InvalidParameterError, SolverFailureError, _check_int, _collector_paused
+from .errors import InvalidParameterError, SolverFailureError, _check_int, _check_real, _collector_paused
 from .schemes import ZfScheme
 from .topology import NetworkTopology
 
@@ -121,9 +120,7 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
         InvalidParameterError: ``seed`` is not an integer (a ``bool``
             included), or is negative.
     """
-    seed = _check_int("seed", seed)
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    seed = _check_int("seed", seed, 0)
     import numpy as np  # here, so that importing coopzf leaves numpy unloaded
 
     rng = np.random.default_rng(seed)
@@ -325,9 +322,7 @@ def verify(
     Raises:
         InvalidParameterError: ``tol`` is not a real number in (0, 1).
     """
-    if not isinstance(tol, Real):
-        raise InvalidParameterError(f"tol must be a real number, not {type(tol).__name__}")
-    if not 0 < tol < 1:
+    if not 0 < _check_real("tol", tol) < 1:
         raise InvalidParameterError(f"tol must be in (0, 1), got {tol}")
     active = sorted(scheme.active_messages)
     gains = channels.coefficients

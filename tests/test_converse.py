@@ -805,16 +805,19 @@ _HALVES = st.one_of(
     st.lists(_HALVES, max_size=3),
     st.sampled_from((tuple, list, str)),
     st.sampled_from(("honest", 1.0, 0.5, "1", None, Fraction(1, 2))),
+    st.sampled_from(("honest", ([2], 5), None, "25", ("2", 99), 25, [2, 5])),
 )
-def test_auditor_and_group_writer_are_total(extra, extra_halves, container, bound):
+def test_auditor_and_group_writer_are_total(extra, extra_halves, container, bound, nodes):
     # Whatever a group records, the auditor answers with problems and the
-    # writer either names a malformed constraint or half or writes each one back.
+    # writer either names a malformed constraint, half or node list or
+    # writes each one back.
     _, lattice = build_hexagonal(3)
     assignment, _ = hexagonal_coset_scheme(lattice)
     certificate = algorithm1_certify(lattice, assignment)
     g0 = certificate.groups[0]
     g = dataclasses.replace(
         g0,
+        nodes=g0.nodes if nodes == "honest" else nodes,
         constraints=g0.constraints + tuple(extra),
         halves=container(g0.halves + tuple(extra_halves)),
         bound=g0.bound if bound == "honest" else bound,
@@ -824,6 +827,8 @@ def test_auditor_and_group_writer_are_total(extra, extra_halves, container, boun
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
     if (extra_halves and bound == "honest") or container is not tuple or not isinstance(g.bound, Fraction):
         assert problems
+    if nodes != "honest":
+        assert f"group records nodes {nodes!r}, not a tuple of ints" in problems
     try:
         written = g.to_json()
     except InvalidParameterError:

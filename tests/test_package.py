@@ -235,7 +235,7 @@ def test_paused_calls_run_no_collection(name):
 
 # Argument guards that no other test reaches: (call, the message it raises).
 _GUARDS = {
-    "lc-scheme-M0": (lambda: coopzf.locally_connected_scheme(6, 2, 0), "M must be a positive integer"),
+    "lc-scheme-M0": (lambda: coopzf.locally_connected_scheme(6, 2, 0), "M must be >= 1"),
     "two-dim-scheme-K0": (lambda: coopzf.two_dim_scheme(0), "K must be >= 1"),
     "lc-K0": (lambda: coopzf.build_locally_connected(0, 2), "K must be >= 1"),
     "two-dim-K0": (lambda: coopzf.build_two_dim(0), "K must be >= 1"),
@@ -257,3 +257,76 @@ def test_argument_guards_raise(name):
     call, message = _GUARDS[name]
     with pytest.raises(coopzf.InvalidParameterError, match=message):
         call()
+
+
+def _wyner_pieces():
+    topology = coopzf.build_wyner(4)
+    assignment, scheme = coopzf.wyner_backhaul_scheme(4, 1)
+    channels = coopzf.sample_channels(topology, 0)
+    return topology, assignment, scheme, channels
+
+
+def _verify_at(tol):
+    topology, assignment, scheme, channels = _wyner_pieces()
+    beams = coopzf.design_beams(topology, channels, assignment, scheme)
+    return coopzf.verify(topology, channels, scheme, beams, tol=tol)
+
+
+# Every numeric parameter: its name, a call that passes ``v`` for it with
+# valid other arguments, and its floor (None for a real parameter).
+_NUMERIC = {
+    "NetworkTopology-K": ("K", lambda v: coopzf.NetworkTopology("x", v, {}, {1: frozenset({1})}), 1),
+    "build_wyner-K": ("K", lambda v: coopzf.build_wyner(v), 1),
+    "build_locally_connected-K": ("K", lambda v: coopzf.build_locally_connected(v, 2), 1),
+    "build_locally_connected-L": ("L", lambda v: coopzf.build_locally_connected(6, v), 0),
+    "build_two_dim-K": ("K", lambda v: coopzf.build_two_dim(v), 1),
+    "build_hexagonal-n": ("n", lambda v: coopzf.build_hexagonal(v), 1),
+    "MessageAssignment-K": ("K", lambda v: coopzf.MessageAssignment(v, {1: frozenset()}), 1),
+    "check_local_cooperation-r": ("r", lambda v: coopzf.check_local_cooperation(_wyner_pieces()[1], v), 0),
+    "wyner_backhaul_scheme-B": ("B", lambda v: coopzf.wyner_backhaul_scheme(8, v), 1),
+    "wyner_backhaul_scheme-K": ("K", lambda v: coopzf.wyner_backhaul_scheme(v, 1), 1),
+    "locally_connected_scheme-L": ("L", lambda v: coopzf.locally_connected_scheme(6, v, 2), 1),
+    "locally_connected_scheme-M": ("M", lambda v: coopzf.locally_connected_scheme(6, 2, v), 1),
+    "locally_connected_scheme-K": ("K", lambda v: coopzf.locally_connected_scheme(v, 2, 2), 1),
+    "table1_scheme-K": ("K", lambda v: coopzf.table1_scheme(v, 4), 1),
+    "two_dim_scheme-K": ("K", lambda v: coopzf.two_dim_scheme(v), 1),
+    "sample_channels-seed": ("seed", lambda v: coopzf.sample_channels(coopzf.build_wyner(4), v), 0),
+    "node_limit": ("node_limit", lambda v: coopzf.max_avoidance_m1(coopzf.build_wyner(4), node_limit=v), 1),
+    "appendix_receiver_set-M": ("M", lambda v: coopzf.appendix_receiver_set(_wyner_pieces()[1], v), 0),
+    "verify-tol": ("tol", _verify_at, None),
+    "time_limit": ("time_limit", lambda v: coopzf.max_avoidance_m1(coopzf.build_wyner(4), time_limit=v), None),
+    "max_avoidance_cooperative-B": ("B", lambda v: coopzf.max_avoidance_cooperative(coopzf.build_wyner(4), v), None),
+    "backhaul_converse-B": ("B", lambda v: coopzf.backhaul_converse(_wyner_pieces()[1], v), None),
+}
+
+
+def _numeric_cases():
+    for row, (name, call, least) in _NUMERIC.items():
+        # A time_limit of None is the documented "no limit".
+        values = [True, "1"] + ([] if row == "time_limit" else [None])
+        if least is not None:
+            values += [2.5, least - 1]
+        for value in values:
+            yield pytest.param(name, call, least, value, id=f"{row}-{value!r}")
+
+
+@pytest.mark.parametrize(("name", "call", "least", "value"), _numeric_cases())
+def test_numeric_parameters_raise_the_documented_error(name, call, least, value):
+    # Every numeric parameter refuses a bool, a string and None by type; an
+    # integer one refuses a float and anything below its floor by name.
+    if least is None:
+        message = f"{name} must be a real number, not {type(value).__name__}"
+    elif value == least - 1:
+        message = f"{name} must be >= {least}, got {value}"
+    else:
+        message = f"{name} must be an integer, not {type(value).__name__}"
+    with pytest.raises(coopzf.InvalidParameterError) as raised:
+        call(value)
+    assert str(raised.value) == message
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
