@@ -11,9 +11,9 @@ Each subcommand accepts only the flags it reads; any other flag is a
 usage error.  Exit codes: 0 success; 1 failed verification, unsound
 certificate, or table mismatch; 2 usage, invalid parameters, or a
 malformed stdin document; 3 resource guard trip.
-Only ``verify`` draws random channels.  Its seed is 0 unless ``--seed``
-or the ``COOPZF_SEED`` environment variable says otherwise (the flag
-wins); no other subcommand reads either.
+Only ``verify`` draws random channels, from ``--seed`` (0 when not
+given).  No subcommand reads the environment, so each output depends
+only on the arguments and stdin.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -60,8 +59,6 @@ from .topology import (
 
 # The numeric engine, the searches and the certificates load inside the
 # subcommands that call them, so scheme, report and table1 never import them.
-
-SEED_ENV_VAR = "COOPZF_SEED"
 
 _EXPECTED_TABLE1 = {
     2: Fraction(2, 3),
@@ -143,30 +140,17 @@ def _run_scheme(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_seed(parsed_seed: int | None) -> int:
-    if parsed_seed is not None:
-        return parsed_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParameterError(f"{SEED_ENV_VAR} must be an integer") from exc
-    return 0
-
-
 def _run_verify(args: argparse.Namespace) -> int:
     from .zf_engine import design_beams, sample_channels, verify
 
-    seed = _resolve_seed(args.seed)
     scheme, topology, assignment = scheme_from_json(sys.stdin.read())
-    channels = sample_channels(topology, seed)
+    channels = sample_channels(topology, args.seed)
     beams = design_beams(topology, channels, assignment, scheme)
     report = verify(topology, channels, scheme, beams, tol=args.tol)
     obj = report.to_dict()
     obj["active"] = report.dof
     obj["dof"] = str(Fraction(report.dof, scheme.K))
-    obj["seed"] = seed
+    obj["seed"] = args.seed
     _emit(json.dumps(obj))
     return 0 if report.passed else 1
 
@@ -403,7 +387,7 @@ _FLAGS = {
     "--M": {"type": int, "help": "cooperation order"},
     "--B": {"type": _fraction, "help": 'backhaul budget, e.g. "1" or "3/2"'},
     "--n": {"type": int, "help": "hexagonal lattice side length"},
-    "--seed": {"type": int, "help": "random seed (else $COOPZF_SEED, else 0)"},
+    "--seed": {"type": int, "default": 0, "help": "random seed"},
     "--tol": {"type": float, "default": 1e-8, "help": "relative interference tolerance"},
     "--format": {"dest": "fmt", "choices": ("json", "csv", "text"), "default": "json"},
     "--node-limit": {"type": int, "help": "exact-search size guard"},

@@ -42,7 +42,6 @@ providing the supporting decodability argument.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -50,7 +49,8 @@ from fractions import Fraction
 
 from ._rank import _matching
 from .assignment import MessageAssignment
-from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError, _check_int, _check_real
+from .errors import InvalidParameterError, PreconditionViolationError, UnsupportedError
+from .errors import _check_int, _check_real, _check_sizes
 from .oracle import AvoidanceSchedule, validate_schedule
 from .topology import HexLattice, NetworkTopology
 
@@ -88,8 +88,7 @@ def _facts(topology: NetworkTopology, assignment: MessageAssignment) -> Facts:
         PreconditionViolationError: if some transmit set has size > 1.
         InvalidParameterError: if sizes disagree.
     """
-    if topology.K != assignment.K:
-        raise InvalidParameterError("topology and assignment sizes disagree")
+    _check_sizes(topology=topology, assignment=assignment)
     hears, sets = topology.hears, assignment.transmit_sets
     rivals: dict[int, frozenset[int]] = {}
     zeros: set[int] = set()
@@ -369,11 +368,7 @@ class _GroupBuilder:
         )
 
 
-def algorithm1_certify(
-    lattice: HexLattice,
-    assignment: MessageAssignment,
-    shuffle_seed: int | None = None,
-) -> GroupCertificate:
+def algorithm1_certify(lattice: HexLattice, assignment: MessageAssignment) -> GroupCertificate:
     """Group certificate for a 1-cooperative assignment on a hexagonal lattice.
 
     Builds disjoint groups of lattice nodes such that each group's
@@ -383,16 +378,15 @@ def algorithm1_certify(
     grouped inside the linking triangle they are served across;
     (3) leftover cells are closed out, attaching stragglers to the
     existing group that costs the least.  Nodes that cannot be grouped
-    count one unit each as uncovered.
+    count one unit each as uncovered.  Sweeps 1 and 2 visit nodes in
+    increasing order and sweep 3 visits cells in lattice order, so the
+    certificate depends only on the lattice and the assignment.
 
     Args:
         lattice: hexagonal layout (any finite node set).
         assignment: transmit sets, each of size at most one.  A
             transmitter outside the message's own hearing range is
             useless: the lemma makes the message a zero fact.
-        shuffle_seed: optional seed; permutes the sweep *iteration*
-            orders (tie-breaks stay deterministic).  Every order gives a
-            sound, audit-clean bound, but the bounds may differ.
 
     Returns:
         A :class:`GroupCertificate`; the bound applies to every
@@ -423,14 +417,6 @@ def algorithm1_certify(
     uncovered = {x for x in nodes if mains[x] is None}
     uncovered |= {a for a in outsider_set if middles[a] is None}
 
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-
-    def ordered(seq: list) -> list:
-        seq = list(seq)
-        if rng is not None:
-            rng.shuffle(seq)
-        return seq
-
     builder = _GroupBuilder(facts)
 
     def done(x: int) -> bool:
@@ -438,7 +424,7 @@ def algorithm1_certify(
 
     # Sweep 1: self-serving nodes pair up inside their own cell.
     coords = lattice.coords
-    for x in ordered(sorted(self_servers)):
+    for x in sorted(self_servers):
         if done(x):
             continue
         pool = [y for y in mains[x] if y != x and not done(y)]
@@ -450,7 +436,7 @@ def algorithm1_certify(
         builder.new([x, partner], [x], "self-serving pair")
 
     # Sweep 2: nodes served from outside their cell, grouped per linking triangle.
-    for a in ordered(sorted(outsider_set)):
+    for a in sorted(outsider_set):
         if done(a):
             continue
         outs = [o for o in middles[a] if not done(o) and o in outsider_set]
@@ -470,7 +456,7 @@ def algorithm1_certify(
             builder.new([a, j], [a], "served-across pair")
 
     # Sweep 3: close out every complete cell.
-    for mt in ordered(lattice.cells):
+    for mt in lattice.cells:
         t = [x for x in mt if not done(x)]
         if not t:
             continue
@@ -849,9 +835,7 @@ def reconstructibility_check(
         InvalidParameterError: if the sizes disagree, or ``A`` holds
             anything but ints in ``1..K``.
     """
-    if topology.K != assignment.K:
-        raise InvalidParameterError("topology and assignment sizes disagree")
-    K = topology.K
+    K = _check_sizes(topology=topology, assignment=assignment)
     A = frozenset(A)
     if A and (set(map(type, A)) != {int} or min(A) < 1 or max(A) > K):
         raise InvalidParameterError(f"receiver set holds a value that is not an int in 1..{K}")

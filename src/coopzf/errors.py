@@ -10,7 +10,9 @@ reports a malformed document as an invalid parameter, one check of the
 user indices they read, and one check of the JSON type of their other
 fields.  Every numeric parameter passes one of two checks: integers,
 each with its floor, through :func:`_check_int`, and reals through
-:func:`_check_real`.  The calls that build or walk per-user tables share
+:func:`_check_real`; the calls that take a topology, an assignment or a
+scheme together check that they agree on ``K`` through one more,
+:func:`_check_sizes`.  The calls that build or walk per-user tables share
 one decorator that pauses the cyclic garbage collector while they run.
 """
 
@@ -120,6 +122,15 @@ def _check_users(kind: str, K, users: Iterable) -> None:
             raise InvalidParameterError(
                 f"malformed {kind} document (user {u!r} is not an int or lies outside 1..{K})"
             )
+
+
+def _check_sizes(**parts) -> int:
+    """The ``K`` all of ``parts`` share; else ``InvalidParameterError("a and b sizes disagree")`` names them."""
+    K, *others = {part.K for part in parts.values()}
+    if others:
+        *first, last = parts
+        raise InvalidParameterError(f"{', '.join(first)} and {last} sizes disagree")
+    return K
 
 
 def _check_fields(kind: str, obj: dict, /, **types: type) -> None:

@@ -21,7 +21,7 @@ import time
 
 from ._rank import _bits, _deliverable, _mask
 from .assignment import MessageAssignment
-from .errors import InvalidParameterError, ResourceLimitError, _check_int, _check_real
+from .errors import InvalidParameterError, ResourceLimitError, _check_int, _check_real, _check_sizes
 from .schemes import ZfScheme, validate_scheme
 from .topology import NetworkTopology, _is_wyner_chain
 
@@ -54,26 +54,34 @@ class CooperativeWitness:
 
 
 def validate_schedule(topology: NetworkTopology, schedule: AvoidanceSchedule) -> list[str]:
-    """Check one-shot avoidance semantics; returns violations.
+    """Check one-shot avoidance semantics; returns violations and never raises.
 
-    A pair naming a receiver or transmitter outside ``1..K`` is a
-    violation, and its audibility is not checked.
+    A pair that is not a 2-tuple of users, ints (not bools) in ``1..K``,
+    is a violation, and no other check reads it; such pairs are listed
+    after the distinctness violations, pairs of ints in numeric order
+    and then the rest in the order of their ``repr``.
     """
-    problems: list[str] = []
-    rxs = [r for r, _ in schedule.pairs]
-    txs = [t for _, t in schedule.pairs]
-    if len(set(rxs)) != len(rxs):
-        problems.append("receivers are not pairwise distinct")
-    if len(set(txs)) != len(txs):
-        problems.append("transmitters are not pairwise distinct")
-    # Audibility is only defined between users of the topology.
     K = topology.K
-    inside = []
-    for r, t in sorted(schedule.pairs):
-        if 1 <= r <= K and 1 <= t <= K:
-            inside.append((r, t))
+    inside, outside = [], []
+    for pair in schedule.pairs:
+        users = isinstance(pair, tuple) and len(pair) == 2
+        users = users and all(isinstance(u, int) and not isinstance(u, bool) and 1 <= u <= K for u in pair)
+        (inside if users else outside).append(pair)
+    inside.sort()
+    outside.sort(
+        key=lambda p: (0, p) if isinstance(p, tuple) and all(isinstance(u, int) for u in p) else (1, repr(p))
+    )
+    problems: list[str] = []
+    if len({r for r, _ in inside}) != len(inside):
+        problems.append("receivers are not pairwise distinct")
+    if len({t for _, t in inside}) != len(inside):
+        problems.append("transmitters are not pairwise distinct")
+    for pair in outside:
+        if isinstance(pair, tuple) and len(pair) == 2:
+            problems.append(f"pair {pair!r} names a user outside 1..{K}")
         else:
-            problems.append(f"pair ({r}, {t}) names a user outside 1..{K}")
+            problems.append(f"pair {pair!r} is not a (receiver, transmitter) 2-tuple")
+    # Audibility is only defined between users of the topology.
     sent_by: dict[int, list[int]] = {}
     for r, t in inside:
         sent_by.setdefault(t, []).append(r)
@@ -610,9 +618,7 @@ def max_activation_for_assignment(
             ``time_limit`` is not a finite positive real.
         ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
     """
-    if topology.K != assignment.K:
-        raise InvalidParameterError("topology and assignment sizes disagree")
-    K = topology.K
+    K = _check_sizes(topology=topology, assignment=assignment)
     search = _Search(K, node_limit, time_limit)
     heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
     sends = {i: _mask(T) for i, T in assignment.transmit_sets.items()}
@@ -648,7 +654,8 @@ def certify_lower_bound(
     active message passes :func:`_deliverable` against the active
     receivers in ``hearers(t)`` for ``t in T_i``; every exact optimum is
     then at least ``|active|``.  No search runs, and the cost is linear
-    in ``sum |T_i| * degree`` at any ``K``.
+    in ``sum |T_i| * degree`` at any ``K``.  Sizes that disagree raise
+    :class:`InvalidParameterError`, through :func:`validate_scheme`.
     """
     if validate_scheme(topology, assignment, scheme):
         return False

@@ -29,6 +29,7 @@ from .errors import (
     InvalidParameterError,
     _check_fields,
     _check_int,
+    _check_sizes,
     _check_users,
     _collector_paused,
     _document_errors,
@@ -94,7 +95,8 @@ class DofReport:
 
 
 def dof_report(scheme: ZfScheme, assignment: MessageAssignment) -> DofReport:
-    """Exact degrees-of-freedom and backhaul accounting for a scheme."""
+    """Exact degrees-of-freedom and backhaul accounting for a scheme and its same-size assignment."""
+    _check_sizes(scheme=scheme, assignment=assignment)
     achieved = len(scheme.active_messages)
     return DofReport(
         achieved_dof=achieved,
@@ -119,7 +121,9 @@ def validate_scheme(
 
     Coverage only visits the active receivers in ``hearers(t)`` for
     ``t in T_i``, so the cost is linear in ``sum |T_i| * degree``.
+    Sizes that disagree raise :class:`InvalidParameterError`.
     """
+    _check_sizes(topology=topology, assignment=assignment, scheme=scheme)
     problems: list[str] = []
     if not (set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at)):
         problems.append("serving/cancel_at keys must equal active_messages")
@@ -437,8 +441,10 @@ def scheme_to_json(scheme: ZfScheme, topology: NetworkTopology, assignment: Mess
     transmit sets as :meth:`MessageAssignment.to_dict` lists.  The
     ``"deactivated"`` list, the transmitters no active message uses, is
     derived here for readers of the document; :func:`scheme_from_json`
-    does not read it.
+    does not read it.  Sizes that disagree raise
+    :class:`InvalidParameterError`, so no document its reader refuses is written.
     """
+    _check_sizes(scheme=scheme, topology=topology, assignment=assignment)
     used = frozenset().union(*(assignment.transmit_sets[i] for i in scheme.active_messages))
     obj: dict = {
         "K": scheme.K,

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from ._rank import _mask, _support_matching
 from .assignment import MessageAssignment
-from .errors import InvalidParameterError, SolverFailureError, _check_int, _check_real, _collector_paused
+from .errors import InvalidParameterError, SolverFailureError, _check_int, _check_real, _check_sizes, _collector_paused
 from .schemes import ZfScheme
 from .topology import NetworkTopology
 
@@ -280,13 +280,14 @@ def design_beams(
     every generator's scheme, and what stays cyclic solved densely.
 
     Raises:
-        InvalidParameterError: an active message's serving transmitter
-            is outside its transmit set.
+        InvalidParameterError: the sizes disagree, or an active
+            message's serving transmitter is outside its transmit set.
         SolverFailureError: a message is not deliverable, or its system
             is singular on this realization (measure zero under generic
             channels).  When several apply, the error of the
             lowest-numbered message is raised.
     """
+    _check_sizes(topology=topology, assignment=assignment, scheme=scheme)
     beams = {}
     for i in sorted(scheme.active_messages):
         members = assignment.transmit_sets.get(i, frozenset())
@@ -320,8 +321,10 @@ def verify(
     cost is linear in ``sum |T_i| * degree``.
 
     Raises:
-        InvalidParameterError: ``tol`` is not a real number in (0, 1).
+        InvalidParameterError: the sizes disagree, or ``tol`` is not a
+            real number in (0, 1).
     """
+    _check_sizes(topology=topology, scheme=scheme)
     if not 0 < _check_real("tol", tol) < 1:
         raise InvalidParameterError(f"tol must be in (0, 1), got {tol}")
     active = sorted(scheme.active_messages)

@@ -397,49 +397,20 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, monkeypatch, argv, st
     assert "unrecognized arguments" in err
 
 
-def test_seed_variable_reaches_only_verify(capsys, monkeypatch):
-    doc = _wyner_document(8)
-    unseeded = [
-        (["table1", "--L", "4"], ""),
-        (["scheme", "--wyner", "--K", "8", "--B", "2"], ""),
-        (["report"], doc),
-    ]
-    monkeypatch.delenv("COOPZF_SEED", raising=False)
-    expected = [_run(argv, capsys, monkeypatch, stdin=text)[1] for argv, text in unseeded]
-    monkeypatch.setenv("COOPZF_SEED", "not-a-number")
-    for (argv, text), want in zip(unseeded, expected):
-        code, out, _ = _run(argv, capsys, monkeypatch, stdin=text)
-        assert (code, out) == (0, want), argv
-    code, out, err = _run(["verify"], capsys, monkeypatch, stdin=doc)
-    assert code == 2 and out == "" and "COOPZF_SEED" in err
-
-
 def test_seed_resolution_order(capsys, monkeypatch):
     _, doc, _ = _run(["scheme", "--wyner", "--K", "8", "--B", "1"], capsys)
-    monkeypatch.setenv("COOPZF_SEED", "41")
-    code, out, _ = _run(["verify"], capsys, monkeypatch, stdin=doc)
-    assert code == 0 and json.loads(out)["seed"] == 41
     code, out, _ = _run(["verify", "--seed", "7"], capsys, monkeypatch, stdin=doc)
     assert code == 0 and json.loads(out)["seed"] == 7
-    monkeypatch.setenv("COOPZF_SEED", "not-a-number")
-    code, _, err = _run(["verify"], capsys, monkeypatch, stdin=doc)
-    assert code == 2 and "COOPZF_SEED" in err
 
 
 def test_negative_seed_exits_two(capsys, monkeypatch):
     doc = _wyner_document(4)
-    monkeypatch.delenv("COOPZF_SEED", raising=False)
     code, out, err = _run(["verify", "--seed", "-5"], capsys, monkeypatch, stdin=doc)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: seed must be >= 0")
-    monkeypatch.setenv("COOPZF_SEED", "-5")
-    code, out, err = _run(["verify"], capsys, monkeypatch, stdin=doc)
     assert (code, out) == (2, "")
     assert err.startswith("error: seed must be >= 0")
 
 
 def test_default_seed_is_zero(capsys, monkeypatch):
-    monkeypatch.delenv("COOPZF_SEED", raising=False)
     _, doc, _ = _run(["scheme", "--wyner", "--K", "4", "--B", "1"], capsys)
     code, out, _ = _run(["verify"], capsys, monkeypatch, stdin=doc)
     assert code == 0 and json.loads(out)["seed"] == 0
@@ -943,12 +914,21 @@ def _transcript(capsys, monkeypatch) -> tuple[list[int], list[str]]:
 
 def test_pinned_cli_transcript(capsys, monkeypatch):
     """Two runs of the script in one process print the pinned bytes both times."""
-    monkeypatch.delenv("COOPZF_SEED", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
     for _ in range(2):
         codes, digests = _transcript(capsys, monkeypatch)
         assert codes == [code for _, _, code in _TRANSCRIPT]
         assert digests == _TRANSCRIPT_SHA256
+
+
+@pytest.mark.parametrize("value", ["41", "not-a-number"])
+def test_no_command_reads_the_environment(capsys, monkeypatch, value):
+    """A seed variable in the environment changes no byte of the transcript."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("COOPZF_SEED", value)
+    codes, digests = _transcript(capsys, monkeypatch)
+    assert codes == [code for _, _, code in _TRANSCRIPT]
+    assert digests == _TRANSCRIPT_SHA256
 
 
 def test_parser_is_built_once():
@@ -968,7 +948,6 @@ def test_reused_parser_prints_to_the_streams_current_at_each_call(monkeypatch, a
 
 
 def test_no_parsed_value_carries_over_to_the_next_call(capsys, monkeypatch):
-    monkeypatch.delenv("COOPZF_SEED", raising=False)
     doc = _wyner_document(8)
     code, out, _ = _run(["verify", "--seed", "5"], capsys, monkeypatch, stdin=doc)
     assert code == 0 and json.loads(out)["seed"] == 5
@@ -983,7 +962,7 @@ def test_no_parsed_value_carries_over_to_the_next_call(capsys, monkeypatch):
 # The real entry point, ``sys.exit(main())`` under ``python -m coopzf.cli``,
 # in fresh interpreters that import the package from this checkout.
 _SUBPROCESS_ENV = {
-    **{key: value for key, value in os.environ.items() if key != "COOPZF_SEED"},
+    **os.environ,
     "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
 }
 

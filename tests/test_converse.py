@@ -191,17 +191,6 @@ def test_certify_worked_example_exactly():
     assert validate_certificate(lattice, assignment, cert) == []
 
 
-def test_certify_worked_example_shuffle_invariant():
-    _, lattice, assignment, _ = toy_instance()
-    reference = algorithm1_certify(lattice, assignment)
-    ref_shape = {(frozenset(g.nodes), g.bound) for g in reference.groups}
-    for seed in range(12):
-        cert = algorithm1_certify(lattice, assignment, shuffle_seed=seed)
-        assert cert.certified_bound == 4
-        assert {(frozenset(g.nodes), g.bound) for g in cert.groups} == ref_shape
-        assert validate_certificate(lattice, assignment, cert) == []
-
-
 def test_certify_rejects_cooperation():
     _, lattice, _, _ = toy_instance()
     sets = {i: frozenset() for i in range(1, 10)}
@@ -379,10 +368,9 @@ def _certificate_record() -> str:
 
     Per lattice (the worked example, then hex n = 3, 5, 6, 9, 12): the
     sorted interior users and the complete cells; ``algorithm1_certify``
-    under shuffle seeds None, 1 and 2 with its audit, on the worked
-    example's assignment and on 8 seeded single-transmitter assignments
-    per grid; and ``triangle_state_bound`` with its audit on the coset
-    schedule and on a seeded greedy one.
+    with its audit, on the worked example's assignment and on 8 seeded
+    single-transmitter assignments per grid; and ``triangle_state_bound``
+    with its audit on the coset schedule and on a seeded greedy one.
     """
     rng = random.Random(20261018)
     lines = []
@@ -391,9 +379,8 @@ def _certificate_record() -> str:
         lines.append(json.dumps([sorted(lattice.interior), list(lattice.cells)]))
 
     def certify(lattice, assignment):
-        for seed in (None, 1, 2):
-            cert = algorithm1_certify(lattice, assignment, shuffle_seed=seed)
-            lines.append(json.dumps([cert.to_json(), validate_certificate(lattice, assignment, cert)]))
+        cert = algorithm1_certify(lattice, assignment)
+        lines.append(json.dumps([cert.to_json(), validate_certificate(lattice, assignment, cert)]))
 
     _, toy, toy_assignment, _ = toy_instance()
     geometry(toy)
@@ -416,9 +403,9 @@ def test_certificates_are_pinned():
     # Any change to a certificate, an audit or the lattice geometry must
     # update this digest and record the reason in CHANGES.md.
     text = _certificate_record()
-    assert len(text.splitlines()) == 139
+    assert len(text.splitlines()) == 57
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "709ae7e33bd8762e64b0860a0d5228c35bf3f879fef13ac461907bac5b68e7f6"
+        "891d6e4587e63e39d7ccef2a269c0b495c5d25cf3e81ae97659b475905e78891"
     )
 
 
@@ -933,7 +920,11 @@ def test_state_bound_rejects_invalid_schedule():
         triangle_state_bound(lattice, bad)
 
 
-@pytest.mark.parametrize("pair", [(99, 99), (0, 1), (1, 99)], ids=["99-99", "0-1", "1-99"])
+@pytest.mark.parametrize(
+    "pair",
+    [(99, 99), (0, 1), (1, 99), ("a", 1), (None, 1), (1.0, 1), (True, 1)],
+    ids=["99-99", "0-1", "1-99", "str", "none", "float", "bool"],
+)
 def test_state_bound_rejects_users_outside_lattice(pair):
     _, lattice = build_hexagonal(3)
     schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)

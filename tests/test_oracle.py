@@ -954,11 +954,36 @@ def test_activation_search_rejects_size_mismatch(topology_K, assignment_K):
         max_activation_for_assignment(build_wyner(topology_K), a)
 
 
-@pytest.mark.parametrize("pair", [(99, 99), (0, 1), (1, 99)], ids=["99-99", "0-1", "1-99"])
+@pytest.mark.parametrize(
+    "pair",
+    [(99, 99), (0, 1), (1, 99), ("a", 1), (None, 1), (1.0, 1), (True, 1)],
+    ids=["99-99", "0-1", "1-99", "str", "none", "float", "bool"],
+)
 def test_schedule_naming_users_outside_topology_is_a_violation(pair):
     topo, _ = build_hexagonal(3)
     schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)
     assert validate_schedule(topo, schedule) == [f"pair {pair} names a user outside 1..9"]
+
+
+@pytest.mark.parametrize("pair", [(1, 1, 1), 5], ids=["triple", "int"])
+def test_schedule_entry_that_is_not_a_pair_is_a_violation(pair):
+    topo, _ = build_hexagonal(3)
+    schedule = AvoidanceSchedule(pairs=frozenset({pair}), value=1)
+    assert validate_schedule(topo, schedule) == [f"pair {pair!r} is not a (receiver, transmitter) 2-tuple"]
+
+
+def test_schedule_violations_of_mixed_pairs_are_listed_in_order():
+    # The set's own order varies with string hashing; the list must not.
+    topo, _ = build_hexagonal(3)
+    pairs = frozenset({(10, 1), (9, 1), ("x", 2), (None, None), (1, 1), 5})
+    assert validate_schedule(topo, AvoidanceSchedule(pairs=pairs, value=6)) == [
+        "transmitters are not pairwise distinct",
+        "pair (10, 1) names a user outside 1..9",
+        "pair ('x', 2) names a user outside 1..9",
+        "pair (None, None) names a user outside 1..9",
+        "pair 5 is not a (receiver, transmitter) 2-tuple",
+        "receiver 9 does not hear its transmitter 1",
+    ]
 
 
 def test_schedule_value_must_count_its_pairs():

@@ -74,6 +74,22 @@ def test_every_export_has_a_caller():
     assert sorted(set(_AWAITING_CALLERS) - uncalled) == []
 
 
+def test_every_import_is_read():
+    # A name an import binds, such as a leftover ``os`` or ``random``,
+    # must be read somewhere in its module.
+    unread = []
+    for path in sorted(Path(coopzf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []
+
+
 def _public_calls():
     """One zero-argument call per public entry point, its inputs built up front."""
     _, lattice = coopzf.build_hexagonal(6)
@@ -257,6 +273,32 @@ def test_argument_guards_raise(name):
     call, message = _GUARDS[name]
     with pytest.raises(coopzf.InvalidParameterError, match=message):
         call()
+
+
+# The calls that take a topology, an assignment or a scheme together, each
+# given parts of two sizes; the searches and certificates have their own tests.
+def _mismatched_calls(topology_K, scheme_K):
+    topology = coopzf.build_wyner(topology_K)
+    channels = coopzf.sample_channels(topology, 0)
+    assignment, scheme = coopzf.wyner_backhaul_scheme(scheme_K, 1)
+    own = coopzf.build_wyner(scheme_K)
+    beams = coopzf.design_beams(own, coopzf.sample_channels(own, 0), assignment, scheme)
+    other, _ = coopzf.wyner_backhaul_scheme(topology_K, 1)
+    return {
+        "validate_scheme": lambda: coopzf.validate_scheme(topology, assignment, scheme),
+        "certify_lower_bound": lambda: coopzf.certify_lower_bound(topology, scheme, assignment),
+        "design_beams": lambda: coopzf.design_beams(topology, channels, assignment, scheme),
+        "verify": lambda: coopzf.verify(topology, channels, scheme, beams),
+        "scheme_to_json": lambda: coopzf.scheme_to_json(scheme, topology, assignment),
+        "dof_report": lambda: coopzf.dof_report(scheme, other),
+    }
+
+
+@pytest.mark.parametrize("name", list(_mismatched_calls(8, 12)))
+@pytest.mark.parametrize(("topology_K", "scheme_K"), [(8, 12), (12, 8)], ids=["smaller-network", "larger-network"])
+def test_mismatched_sizes_raise(name, topology_K, scheme_K):
+    with pytest.raises(coopzf.InvalidParameterError, match="sizes disagree"):
+        _mismatched_calls(topology_K, scheme_K)[name]()
 
 
 def _wyner_pieces():
