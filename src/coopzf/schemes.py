@@ -120,14 +120,21 @@ def validate_scheme(
     the rank test and the numeric path.
 
     Coverage only visits the active receivers in ``hearers(t)`` for
-    ``t in T_i``, so the cost is linear in ``sum |T_i| * degree``.
-    Sizes that disagree raise :class:`InvalidParameterError`.
+    ``t in T_i``, so the cost is linear in ``sum |T_i| * degree``.  It
+    counts first: a message whose ``C_i`` leaves out ``i``, lies within
+    the active receivers that hear ``T_i`` and has one fewer member than
+    them when ``i`` is among them (as many when not) is covered, and
+    nothing is sorted.  Only on a mismatch are the receivers left out
+    named, in ascending order.  Sizes that disagree raise
+    :class:`InvalidParameterError`.
     """
     _check_sizes(topology=topology, assignment=assignment, scheme=scheme)
     problems: list[str] = []
-    if not (set(scheme.serving) == scheme.active_messages == set(scheme.cancel_at)):
+    active = scheme.active_messages
+    if not (set(scheme.serving) == active == set(scheme.cancel_at)):
         problems.append("serving/cancel_at keys must equal active_messages")
-    for i in sorted(scheme.active_messages):
+    hearers = topology.hearers
+    for i in sorted(active):
         T = assignment.transmit_sets.get(i, frozenset())
         if not T:
             problems.append(f"active message {i} has an empty transmit set")
@@ -138,17 +145,21 @@ def validate_scheme(
         if t is not None and t not in topology.hears[i]:
             problems.append(f"serving transmitter of message {i} is not heard at receiver {i}")
         C = scheme.cancel_at.get(i, ())
-        if len(set(C)) != len(C):
+        cs = set(C)
+        if len(cs) != len(C):
             problems.append(f"cancellation list of message {i} has duplicates")
-        if i in C:
+        if i in cs:
             problems.append(f"message {i} lists its own receiver for cancellation")
         audible_at = set()
         for tx in T:
-            audible_at |= topology.hearers(tx)
-        if not set(C) <= audible_at:
+            audible_at |= hearers(tx)
+        if not cs <= audible_at:
             problems.append(f"cancellation list of message {i} includes receivers that hear none of its transmitters")
-        for k in sorted(audible_at & scheme.active_messages):
-            if k != i and k not in C:
+        covered = audible_at & active
+        if i not in cs and cs <= covered and len(covered) == len(cs) + (i in covered):
+            continue
+        for k in sorted(covered):
+            if k != i and k not in cs:
                 problems.append(f"active receiver {k} hears message {i} but is not in its cancellation list")
     return problems
 
@@ -461,7 +472,8 @@ def scheme_to_json(scheme: ZfScheme, topology: NetworkTopology, assignment: Mess
         "topology": topology.to_dict(),
         "transmit_sets": assignment.to_dict()["transmit_sets"],
     }
-    return json.dumps(obj)
+    # The object is built here and holds no cycle, so the encoder's cycle check is skipped.
+    return json.dumps(obj, check_circular=False)
 
 
 @_collector_paused

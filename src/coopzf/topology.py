@@ -166,7 +166,10 @@ def build_two_dim(K: int) -> NetworkTopology:
     Transmitter ``j`` is heard at its own receiver, its right neighbor
     ``j+1`` and lower-right neighbor ``j+N+1`` (when not in the last
     column), and its lower neighbor ``j+N`` (when not in the last row).
-    Interference never wraps across rows.
+    Interference never wraps across rows.  Each receiver's set is
+    written in closed form from the receiver's side: receiver ``i``
+    hears ``i``, ``i-1`` off the first column, ``i-N`` off the first
+    row, and ``i-N-1`` off both, each set built in ascending order.
 
     Args:
         K: a perfect square, at least 1.
@@ -175,17 +178,14 @@ def build_two_dim(K: int) -> NetworkTopology:
     N = math.isqrt(K)
     if N * N != K:
         raise InvalidParameterError("K must be a perfect square")
-    heard_at: dict[int, set[int]] = {i: set() for i in range(1, K + 1)}
-    for j in range(1, K + 1):
-        row, col = (j - 1) // N + 1, (j - 1) % N + 1
-        targets = {j}
-        if col < N:
-            targets.update(t for t in (j + 1, j + N + 1) if t <= K)
-        if row < N:
-            targets.add(j + N)
-        for rx in targets:
-            heard_at[rx].add(j)
-    hears = {i: frozenset(ts) for i, ts in heard_at.items()}
+    hears = {}
+    for i in range(1, K + 1):
+        if i <= N:  # first row
+            hears[i] = frozenset((i - 1, i) if i > 1 else (i,))
+        elif (i - 1) % N:
+            hears[i] = frozenset((i - N - 1, i - N, i - 1, i))
+        else:  # first column
+            hears[i] = frozenset((i - N, i))
     return NetworkTopology(kind="two_dim", K=K, params={"N": N}, hears=hears)
 
 

@@ -11,10 +11,11 @@ The channel draw takes all its normals in one call and reads them as one
 array of complex gains.  Beam design finishes each message's beam before
 it starts the next, and depends only on the set of the message's
 cancellation receivers: it solves one coefficient at a time where it
-can, reads the beam's support off the matching that decides
+can (one peel, :func:`_peel`), reads the beam's support off the matching that decides
 deliverability where it cannot, and finishes the cyclic rest with one
 dense solve.  Verification scatters each beam over the active receivers
-that hear it, so its cost is linear in ``sum |T_i| * degree``.
+that hear it, reading each transmitter's gains once, so its cost is
+linear in ``sum |T_i| * degree``.
 """
 
 from __future__ import annotations
@@ -140,6 +141,55 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
     return ChannelRealization(coefficients=coefficients, seed=seed)
 
 
+def _peel(
+    gains: dict[tuple[int, int], complex],
+    hears: dict[int, frozenset[int]],
+    message: int,
+    members: frozenset[int],
+    v: dict[int, complex],
+    rows: list[int],
+) -> list[int]:
+    """Set in ``v`` each coefficient that one row of ``rows`` determines; return the rows left.
+
+    A row ``c`` with one coefficient ``u`` of ``members`` heard at ``c``
+    and not yet in ``v`` sets ``v[u] = -sum(H[c,t] * v[t]) / H[c,u]``,
+    summed from int 0 over the other heard ``t`` ascending (the pinned
+    beam bits depend on this order).  A row is sorted only when it sets
+    a coefficient.  The first pass takes ``rows`` in the given order and
+    later passes alternate direction over the rows left, so a chain peels
+    in two passes whichever way it runs; peeling stops when a pass sets
+    nothing.  A row left has no unset coefficient or several.
+
+    Raises:
+        SolverFailureError: the pivot gain ``H[c,u]`` is zero.
+    """
+    while True:
+        left = []
+        for c in rows:
+            involved = hears[c] & members
+            u = None
+            for t in involved:
+                if t not in v:
+                    if u is not None:  # a second unset coefficient
+                        u = None
+                        break
+                    u = t
+            if u is None:
+                left.append(c)
+                continue
+            h_u = gains.get((c, u), 0j)
+            if h_u == 0:
+                raise SolverFailureError(f"cancellation system for message {message} is singular")
+            acc = 0
+            for t in sorted(involved):
+                if t != u:
+                    acc += gains.get((c, t), 0j) * v[t]
+            v[u] = -acc / h_u
+        if not left or len(left) == len(rows):
+            return left
+        rows = left[::-1]
+
+
 def _support(
     gains: dict[tuple[int, int], complex],
     hears: dict[int, frozenset[int]],
@@ -150,76 +200,44 @@ def _support(
 ) -> dict[int, complex]:
     """A message's beam over its transmit set ``members``, designed start to finish.
 
-    ``T`` below is ``members`` in ascending order.
-
-    Peeling solves each row with one unset coefficient ``u`` as
-    ``-sum(H[c,t] * v[t]) / H[c,u]`` over the other ``t`` in ``T`` heard
-    at ``c``, ascending.  The serving coefficient is pinned to 1 and the
-    cancellation rows are peeled; untouched coefficients are 0.  If rows
-    are left, the support is read off the matching that decides generic
-    deliverability (:func:`coopzf._rank._deliverable`): the desired
-    row's column is pinned to 1, unmatched columns are 0, unmatched rows
-    are dropped (generically in the span of the matched ones), and the
-    rest is peeled again.  Rows still left form a square system with a
-    perfect matching, which :func:`_solve_cyclic` finishes.  Each
-    coefficient is set by the one row that can set it; the first pass
-    takes the rows ascending and later passes alternate direction over
-    the rows left, so only the sorted set of ``cancel`` matters.
+    The serving coefficient is pinned to 1 and the cancellation rows,
+    ascending, are peeled (:func:`_peel`).  If none are left, the
+    coefficients still unset are 0, appended in ascending order; a beam
+    the peel fills sorts nothing.  Otherwise the support is read off the
+    matching that decides generic deliverability
+    (:func:`coopzf._rank._deliverable`): the desired row's column is
+    pinned to 1, unmatched columns are 0, unmatched rows are dropped
+    (generically in the span of the matched ones), and the rest is
+    peeled again.  Rows still left form a square system with a perfect
+    matching, which :func:`_solve_cyclic` finishes.  Each coefficient is
+    set by the one row that can set it, so only the sorted set of
+    ``cancel`` matters.
 
     Raises:
-        InvalidParameterError: ``serving`` is outside ``T``.
+        InvalidParameterError: ``serving`` is outside ``members``.
         SolverFailureError: the desired row is unmatched (the message is
             not deliverable), a pivot gain is zero, or the square system
             is singular.
     """
-    def peel(v: dict[int, complex], rows: list[int]) -> list[int]:
-        # Passes alternate direction, so a chain peels in two whichever way
-        # it runs; a row left has no unset coefficient or several.
-        while True:
-            left = []
-            for c in rows:
-                involved = sorted(hears[c] & members)
-                u = None
-                for t in involved:
-                    if t not in v:
-                        if u is not None:  # a second unset coefficient
-                            u = None
-                            break
-                        u = t
-                if u is None:
-                    left.append(c)
-                    continue
-                h_u = gains.get((c, u), 0j)
-                if h_u == 0:
-                    raise SolverFailureError(f"cancellation system for message {message} is singular")
-                # From int 0 in ascending t: the pinned beam bits depend on this order.
-                acc = 0
-                for t in involved:
-                    if t != u:
-                        acc += gains.get((c, t), 0j) * v[t]
-                v[u] = -acc / h_u
-            if not left or len(left) == len(rows):
-                return left
-            rows = left[::-1]
-
-    T = sorted(members)
     if serving not in members:
         raise InvalidParameterError(
-            f"serving transmitter {serving} of message {message} is outside its transmit set {T}"
+            f"serving transmitter {serving} of message {message} is outside its transmit set {sorted(members)}"
         )
     rows = sorted(cancel)
     v = {serving: 1.0 + 0j}
-    if not peel(v, rows):
-        for t in T:
-            v.setdefault(t, 0j)
+    if not _peel(gains, hears, message, members, v, rows):
+        if len(v) < len(members):
+            for t in sorted(members):
+                v.setdefault(t, 0j)
         return v
+    T = sorted(members)
     crows = [_mask(hears[c] & members) for c in rows]
     match = _support_matching(_mask(hears[message] & members), crows)
     if len(rows) not in match.values():
         raise SolverFailureError(f"cancellation system for message {message} is singular")
     v = {t: 1.0 + 0j for t, r in match.items() if r == len(rows)}
     v.update((t, 0j) for t in T if t not in match)
-    rows = peel(v, [rows[r] for r in sorted(match.values())[:-1]])
+    rows = _peel(gains, hears, message, members, v, [rows[r] for r in sorted(match.values())[:-1]])
     if rows:
         _solve_cyclic(gains, message, v, [t for t in T if t not in v], rows)
     return v
@@ -288,12 +306,12 @@ def design_beams(
             lowest-numbered message is raised.
     """
     _check_sizes(topology=topology, assignment=assignment, scheme=scheme)
+    gains, hears = channels.coefficients, topology.hears
+    transmit_sets, serving, cancel_at = assignment.transmit_sets, scheme.serving, scheme.cancel_at
+    empty = frozenset()
     beams = {}
     for i in sorted(scheme.active_messages):
-        members = assignment.transmit_sets.get(i, frozenset())
-        beams[i] = _support(
-            channels.coefficients, topology.hears, i, members, scheme.serving.get(i), scheme.cancel_at[i]
-        )
+        beams[i] = _support(gains, hears, i, transmit_sets.get(i, empty), serving.get(i), cancel_at[i])
     return BeamDesign(beams=beams)
 
 
@@ -318,7 +336,9 @@ def verify(
     ``hearers(t)``, taking the beam's items in order from a start of 0,
     as :func:`sum` does.  A message whose beam uses no transmitter heard
     at ``k`` contributes exactly zero there and is never visited, so the
-    cost is linear in ``sum |T_i| * degree``.
+    cost is linear in ``sum |T_i| * degree``.  Each transmitter's active
+    hearers and their gains from it are read once per call, when a beam
+    first uses it, and each desired magnitude is taken once.
 
     Raises:
         InvalidParameterError: the sizes disagree, or ``tol`` is not a
@@ -327,34 +347,35 @@ def verify(
     _check_sizes(topology=topology, scheme=scheme)
     if not 0 < _check_real("tol", tol) < 1:
         raise InvalidParameterError(f"tol must be in (0, 1), got {tol}")
-    active = sorted(scheme.active_messages)
+    active_set = scheme.active_messages
+    active = sorted(active_set)
     gains = channels.coefficients
-    audience: dict[int, frozenset[int]] = {}  # transmitter -> its active hearers
     received: dict[int, dict[int, complex]] = {k: {} for k in active}
+    # transmitter -> (row, gain) for each of its active hearers, read once
+    audience: dict[int, list[tuple[dict[int, complex], complex]]] = {}
     for i in active:
         for t, v in beams.beams[i].items():
             listeners = audience.get(t)
             if listeners is None:
-                listeners = audience[t] = topology.hearers(t) & scheme.active_messages
-            for k in listeners:
-                row = received[k]
-                row[i] = row.get(i, 0) + gains.get((k, t), 0j) * v
+                listeners = audience[t] = [
+                    (received[k], gains.get((k, t), 0j)) for k in topology.hearers(t) & active_set
+                ]
+            for row, h in listeners:
+                row[i] = row.get(i, 0) + h * v
     per_receiver: list[dict] = []
     passed = True
     max_residual = 0.0
     for k in active:
         row = received[k]
-        desired = row.pop(k, 0j)
+        desired = abs(row.pop(k, 0j))
         # the fold max(worst, |coef|) from 0.0 in message order, NaNs included
         worst = max([0.0, *map(abs, row.values())])
-        per_receiver.append(
-            {"rx": k, "desired_mag": float(abs(desired)), "max_interf": float(worst)}
-        )
-        if abs(desired) <= _MAGNITUDE_FLOOR:
+        per_receiver.append({"rx": k, "desired_mag": desired, "max_interf": worst})
+        if desired <= _MAGNITUDE_FLOOR:
             passed = False
             max_residual = float("inf") if worst else max_residual
             continue
-        residual = worst / abs(desired)
+        residual = worst / desired
         max_residual = max(max_residual, residual)
         if residual >= tol:
             passed = False

@@ -544,6 +544,18 @@ def test_validate_scheme_names_each_inconsistency():
     ]
 
 
+def test_validate_scheme_names_a_gap_behind_its_own_receiver():
+    # C_1 = (1,) has as many entries as the other active receivers that hear
+    # T_1 = {1, 2}, but it names receiver 1 instead of receiver 2.
+    topo = build_wyner(12)
+    a, s = wyner_backhaul_scheme(12, 1)
+    s.cancel_at[1] = (1,)
+    assert validate_scheme(topo, a, s) == [
+        "message 1 lists its own receiver for cancellation",
+        "active receiver 2 hears message 1 but is not in its cancellation list",
+    ]
+
+
 def test_validate_scheme_flags_empty_transmit_set():
     topo = build_wyner(2)
     a = MessageAssignment(K=2, transmit_sets={1: frozenset(), 2: frozenset()})

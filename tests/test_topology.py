@@ -84,6 +84,24 @@ def test_two_dim_support_is_symmetric_in_size():
             assert 1 <= j <= 16
 
 
+@pytest.mark.parametrize("N", range(1, 14))
+def test_two_dim_matches_the_transmitter_side_rule(N):
+    # Transmitter j is heard at j, at j+1 and j+N+1 unless j is in the last
+    # column, and at j+N unless j is in the last row.
+    K = N * N
+    heard_at = {i: set() for i in range(1, K + 1)}
+    for j in range(1, K + 1):
+        targets = [j]
+        if j % N:  # not in the last column
+            targets += [j + 1, j + N + 1]
+        if j <= K - N:  # not in the last row
+            targets.append(j + N)
+        for rx in targets:
+            if rx <= K:
+                heard_at[rx].add(j)
+    assert build_two_dim(K).hears == heard_at
+
+
 def test_hexagonal_coset_counts_balanced():
     _, lat = build_hexagonal(6)
     counts = Counter(lat.cosets.values())

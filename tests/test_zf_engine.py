@@ -464,8 +464,14 @@ def _coverage_all_pairs(topology, assignment, scheme) -> list[str]:
     return problems
 
 
-def _variants(assignment, scheme):
-    """The scheme as generated plus four edits of it, keyed by name."""
+def _variants(topo, assignment, scheme):
+    """The scheme as generated plus five edits of it, keyed by name.
+
+    ``"swapped"`` trades the first cancellation receiver of the lowest
+    message that an inactive receiver hears for the lowest such inactive
+    receiver: the list keeps its length and stays within the receivers
+    that hear ``T_i``, so only naming every active one catches it.
+    """
 
     def edited(cancel=None, extra=None):
         tsets, serving = dict(assignment.transmit_sets), dict(scheme.serving)
@@ -490,6 +496,13 @@ def _variants(assignment, scheme):
     if inactive:
         out["extra_user"] = edited(extra=inactive[0])
     out["scrambled"] = edited(cancel={i: c[1:] + c[:1] for i, c in scheme.cancel_at.items()})
+    for i in sorted(scheme.active_messages):
+        C = scheme.cancel_at[i]
+        heard = frozenset().union(*map(topo.hearers, assignment.transmit_sets[i]))
+        idle = sorted(heard - scheme.active_messages - set(C))
+        if C and idle:
+            out["swapped"] = edited(cancel={**scheme.cancel_at, i: (idle[0], *C[1:])})
+            break
     return out
 
 
@@ -509,7 +522,7 @@ def _cross_check_cases():
     return [
         (f"{name}-{variant}", topo, *pair)
         for name, topo, assignment, scheme in schemes
-        for variant, pair in _variants(assignment, scheme).items()
+        for variant, pair in _variants(topo, assignment, scheme).items()
     ]
 
 
