@@ -121,11 +121,9 @@ def validate_scheme(
 
     Coverage only visits the active receivers in ``hearers(t)`` for
     ``t in T_i``, so the cost is linear in ``sum |T_i| * degree``.  It
-    counts first: a message whose ``C_i`` leaves out ``i``, lies within
-    the active receivers that hear ``T_i`` and has one fewer member than
-    them when ``i`` is among them (as many when not) is covered, and
-    nothing is sorted.  Only on a mismatch are the receivers left out
-    named, in ascending order.  Sizes that disagree raise
+    takes the active receivers that hear ``T_i``, less ``C_i`` and ``i``,
+    as one set difference and names what is left, in ascending order; a
+    covered message leaves nothing to sort.  Sizes that disagree raise
     :class:`InvalidParameterError`.
     """
     _check_sizes(topology=topology, assignment=assignment, scheme=scheme)
@@ -155,11 +153,11 @@ def validate_scheme(
             audible_at |= hearers(tx)
         if not cs <= audible_at:
             problems.append(f"cancellation list of message {i} includes receivers that hear none of its transmitters")
-        covered = audible_at & active
-        if i not in cs and cs <= covered and len(covered) == len(cs) + (i in covered):
-            continue
-        for k in sorted(covered):
-            if k != i and k not in cs:
+        missing = audible_at & active
+        missing -= cs
+        missing.discard(i)
+        if missing:
+            for k in sorted(missing):
                 problems.append(f"active receiver {k} hears message {i} but is not in its cancellation list")
     return problems
 
