@@ -3,11 +3,11 @@
 With generic channel gains the rank of a zero-forcing system is the
 term rank of its support, the size of a maximum bipartite matching of
 rows to transmitter columns.  Deliverability (:func:`_deliverable`),
-beam supports (:func:`_support_matching`) and the group bounds of
-:mod:`coopzf.converse` all read it from :func:`_matching`, which takes
-rows of column indices; the two kernels take transmitter bitmasks.
-The certificate auditor calls nothing here: it checks the builders'
-dual multipliers by arithmetic.
+beam supports (:func:`_support_matching`), and the group bounds and the
+reconstruction check of :mod:`coopzf.converse` all read it from
+:func:`_matching`, which takes rows of column indices; the two kernels
+take transmitter bitmasks.  The certificate auditor calls nothing
+here: it checks the builders' dual multipliers by arithmetic.
 """
 
 from __future__ import annotations
@@ -15,35 +15,44 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Sequence
 
 
-def _augment(
-    rows: Sequence[Collection[int]], match_col: dict[int, int], r: int, seen: set[int]
-) -> bool:
-    """Kuhn's augmenting step: match row ``r``, moving matched rows along the way.
-
-    Row ``r`` tries its columns in order, skipping those in ``seen``; a
-    column already in ``match_col`` is taken when its row can move on.
-    """
-    for c in rows[r]:
-        if c in seen:
-            continue
-        seen.add(c)
-        if c not in match_col or _augment(rows, match_col, match_col[c], seen):
-            match_col[c] = r
-            return True
-    return False
-
-
 def _matching(rows: Sequence[Collection[int]]) -> dict[int, int]:
     """A maximum bipartite matching of row index to a member column, as ``{column: row}``.
 
-    Kuhn's augmenting paths: each row in turn tries its columns, evicting
-    a column's current row when that row can move to another column.
-    The step is a module function, not a closure, so a call leaves no
-    reference cycle for the garbage collector.
+    Kuhn's augmenting paths: each row in turn tries its columns in order,
+    skipping those its search has already tried, and evicts a column's
+    current row when that row can move on to another column.  The
+    depth-first search keeps its path on lists, not the call stack, so a
+    path through every row needs no recursion.  A row whose first column
+    is free takes it before any of that is built: it is the search's
+    first try, and most rows end there.
     """
     match_col: dict[int, int] = {}
-    for r in range(len(rows)):
-        _augment(rows, match_col, r, set())
+    for root, row in enumerate(rows):
+        first = next(iter(row), None)
+        if first is not None and first not in match_col:
+            match_col[first] = root
+            continue
+        seen: set[int] = set()
+        tries, taken = [iter(row)], []  # the path's rows, and the column each is trying
+        while tries:
+            for c in tries[-1]:
+                if c not in seen:
+                    break
+            else:  # the last row's columns are spent: back up to the row before it
+                tries.pop()
+                if taken:
+                    taken.pop()
+                continue
+            seen.add(c)
+            taken.append(c)
+            r = match_col.get(c)
+            if r is not None:
+                tries.append(iter(rows[r]))
+                continue
+            r = root  # a free column: each row on the path moves to the column it tried
+            for c in taken:
+                match_col[c], r = r, match_col.get(c)
+            break
     return match_col
 
 

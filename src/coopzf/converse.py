@@ -36,13 +36,12 @@ halves, with counts and one sum.
 :func:`backhaul_converse` is the linear-network counterpart: it scans
 candidate cooperation sizes and bounds the served count under an
 average-backhaul budget, with :func:`reconstructibility_check`
-providing the supporting decodability argument.
+deciding the supporting decodability step by term rank.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -813,21 +812,25 @@ def appendix_receiver_set(
 def reconstructibility_check(
     topology: NetworkTopology, assignment: MessageAssignment, A: frozenset[int] | set[int]
 ) -> bool:
-    """Whether receivers in ``A`` pin down every transmitted signal.
+    """Whether receivers in ``A`` pin down every transmitted signal, for generic gains.
 
-    The walk reads only ``topology.hears`` and ``topology.hearers``.  The
-    unknowns are the transmitters that carry a message of a receiver
-    outside ``A``.  A worklist holds the receivers in ``A`` that hear one
-    unknown; each resolves it and updates only that transmitter's
-    hearers, so the walk costs ``sum(|T_i| for i not in A)`` times the
-    hearing degree.  Returns True when every transmitter is resolved,
-    which is the decodability fact behind deactivating the complement of
-    ``A``.  Each unknown is resolved as the only unknown that some
-    receiver of ``A`` hears, so a True verdict proves, on any network,
-    that ``A`` pins down every transmitted signal.
+    The unknowns are the transmitters that carry a message of a receiver
+    outside ``A``; every other signal is known once the messages of ``A``
+    are.  Taking those away leaves the unknown signals seen at ``A``
+    through the gain block from the unknowns to ``A``, nonzero at
+    ``(j, t)`` exactly when ``j`` hears ``t``, and they are pinned down iff
+    the block has full column rank: iff some square minor keeping every
+    unknown column is nonzero.  A minor's determinant has one monomial per
+    perfect matching of its support, so for generic gains it is nonzero
+    iff one exists (generic rank is term rank, Edmonds 1967).  The rank
+    is thus full iff a matching saturates the unknowns, which
+    :func:`~coopzf._rank._matching` decides with one row per unknown: the
+    receivers of ``A`` that hear it.  This is the decodability fact behind
+    deactivating the complement of ``A``.  The check reads only
+    ``topology.hearers`` of the unknowns.
 
     Args:
-        topology: the network whose hearing sets the walk reads.
+        topology: the network whose hearing sets the check reads.
         assignment: transmit sets (which messages each transmitter carries).
         A: receiver subset doing the reconstruction.
 
@@ -842,17 +845,4 @@ def reconstructibility_check(
 
     sets = assignment.transmit_sets
     unknown = set().union(*(sets[i] for i in frozenset(range(1, K + 1)).difference(A)))
-    pending = Counter(j for t in unknown for j in topology.hearers(t) if j in A)
-    ready = [j for j, count in pending.items() if count == 1]
-    while ready:
-        j = ready.pop()
-        if pending[j] != 1:
-            continue  # its last unknown was resolved by another receiver
-        (t,) = topology.hears[j] & unknown
-        unknown.remove(t)
-        for h in topology.hearers(t):
-            if h in A:
-                pending[h] -= 1
-                if pending[h] == 1:
-                    ready.append(h)
-    return not unknown
+    return len(_matching([topology.hearers(t) & A for t in unknown])) == len(unknown)

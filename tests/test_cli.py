@@ -1048,6 +1048,34 @@ def test_entry_point_pipes_scheme_into_verify():
     assert report["pass"] is True and report["seed"] == 7
 
 
+def _long_path_document(K):
+    """A valid Wyner document whose first message needs an augmenting path through all its rows.
+
+    Message 1 is sent on every transmitter and nulled at receivers 2..K,
+    whose rows each take their lower transmitter, so its own row can be
+    matched only by moving all of them one transmitter on.  Every later
+    message ``k`` is sent on transmitter ``k`` alone and cannot be nulled
+    at ``k + 1``, so the scheme is not certified.
+    """
+    return json.dumps(
+        {
+            "K": K,
+            "active": list(range(1, K + 1)),
+            "serving": {k: k for k in range(1, K + 1)},
+            "cancel_at": {1: list(range(2, K + 1)), **{k: [k + 1] for k in range(2, K)}, K: []},
+            "topology": {"kind": "wyner", "K": K, "params": {}, "hears": [[1], *([j - 1, j] for j in range(2, K + 1))]},
+            "transmit_sets": [list(range(1, K + 1)), *([k] for k in range(2, K + 1))],
+        }
+    )
+
+
+def test_certify_lower_bound_follows_a_path_through_every_user():
+    certify = _coopzf("certify", "--lower-bound", stdin=subprocess.PIPE)
+    out, err = certify.communicate(_long_path_document(1_500), timeout=60)
+    assert (certify.returncode, json.loads(out)) == (1, {"certified": False, "active": 1_500, "K": 1_500})
+    assert "Traceback" not in err and "RecursionError" not in err
+
+
 @pytest.mark.parametrize(
     ("document", "code"),
     [("not json", 2), (_DROPPED_CANCELLATION, 1)],

@@ -7,6 +7,7 @@ from fractions import Fraction
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import numpy as np
@@ -350,6 +351,16 @@ def test_deliverability_kernel_agrees_with_reference_and_rank():
         assert got == _rank_deliverable(desired, crows, columns, rng), (desired, crows)
         verdicts.append(got)
     assert 500 < sum(verdicts) < 1_500
+
+
+def test_matching_follows_an_augmenting_path_through_every_row():
+    # row j takes column j, so the last row, which hears only column 0,
+    # moves every other row one column on: a path longer than the
+    # interpreter's recursion limit
+    n = 5_000
+    assert n > sys.getrecursionlimit()
+    rows = [(j, j + 1) for j in range(n - 1)] + [(0,)]
+    assert _matching(rows) == {0: n - 1, **{j + 1: j for j in range(n - 1)}}
 
 
 def _cooperative_reference(topology, B):
