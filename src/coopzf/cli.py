@@ -162,9 +162,8 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def _search_limits(args: argparse.Namespace) -> dict:
-    """The exact-search guards the caller set; unset ones keep the oracle defaults."""
-    limits = {"node_limit": args.node_limit, "time_limit": args.time_limit}
-    return {key: value for key, value in limits.items() if value is not None}
+    """The node budget the caller set; unset, the oracle default applies."""
+    return {} if args.node_limit is None else {"node_limit": args.node_limit}
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
@@ -390,8 +389,7 @@ _FLAGS = {
     "--seed": {"type": int, "default": 0, "help": "random seed"},
     "--tol": {"type": float, "default": 1e-8, "help": "relative interference tolerance"},
     "--format": {"dest": "fmt", "choices": ("json", "csv", "text"), "default": "json"},
-    "--node-limit": {"type": int, "help": "exact-search size guard"},
-    "--time-limit": {"type": float, "help": "exact-search seconds guard"},
+    "--node-limit": {"type": int, "help": "exact-search node budget"},
 }
 
 _TOPOLOGY_KINDS = ("wyner", "lc", "two-dim", "hex")
@@ -445,7 +443,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("oracle", help="exact combinatorial searches")
     _add_one_of(sub, "mode", ("m1", "coop", "max-activation"))
     _add_one_of(sub, "kind", _TOPOLOGY_KINDS)
-    _add_flags(sub, "--K", "--L", "--n", "--B", "--node-limit", "--time-limit")
+    _add_flags(sub, "--K", "--L", "--n", "--B", "--node-limit")
     sub.set_defaults(run=_run_oracle)
 
     sub = subs.add_parser("certify", help="certified upper bounds and audits")

@@ -46,7 +46,7 @@ class SolverFailureError(CoopZfError):
 
 
 class ResourceLimitError(CoopZfError):
-    """An exact search exceeded its node or time budget."""
+    """An exact search passed its node budget, ``node_limit``."""
 
 
 class _document_errors:

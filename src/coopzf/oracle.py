@@ -4,10 +4,11 @@ Three exhaustive-but-pruned searches serve as ground truth on small
 instances: the best schedule when every message sits at one flexibly
 chosen transmitter, the best activation count when transmit sets may be
 designed under a backhaul budget, and the best activation count when
-the transmit sets are already fixed.  All values are exact optima;
-instances larger than the node limits are refused rather than
-approximated.  Certifying that a given scheme attains its active set
-needs no search: one deliverability test per active message decides it.
+the transmit sets are already fixed.  All values are exact optima; a
+search that would pass its node budget, ``node_limit``, stops with
+:class:`ResourceLimitError` rather than approximate.  Certifying that a
+given scheme attains its active set needs no search: one deliverability
+test per active message decides it.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import math
-import time
 
 from ._rank import _bits, _deliverable, _mask
 from .assignment import MessageAssignment
 from .errors import InvalidParameterError, ResourceLimitError, _check_int, _check_real, _check_sizes
 from .schemes import ZfScheme, validate_scheme
 from .topology import NetworkTopology, _is_wyner_chain
+
+NODE_LIMIT = 1_000_000
+"""The default node budget of every search."""
 
 
 @dataclass
@@ -96,28 +99,40 @@ def validate_schedule(topology: NetworkTopology, schedule: AvoidanceSchedule) ->
 
 
 class _Search:
-    """The limits and node count of one exponential search; each node calls :meth:`tick`.
+    """The node budget and node count of one exponential search; each node calls :meth:`tick`.
+
+    ``setup`` is work done before the first node, charged against the
+    budget but not counted in :attr:`nodes`; a charge that alone passes
+    the budget raises at once, before the work is done.
 
     Raises:
-        InvalidParameterError: ``node_limit`` is not an int of at least
-            1, or ``time_limit`` is set but not a finite positive real.
-        ResourceLimitError: ``K`` exceeds ``node_limit``.
+        InvalidParameterError: ``node_limit`` is not an int of at least 1.
+        ResourceLimitError: ``setup`` exceeds ``node_limit``.
     """
 
-    def __init__(self, K: int, node_limit: int, time_limit: float | None):
-        node_limit = _check_int("node_limit", node_limit, 1)
-        if time_limit is not None and not 0 < _check_real("time_limit", time_limit) < math.inf:
-            raise InvalidParameterError(f"time_limit must be finite and > 0, got {time_limit}")
-        if K > node_limit:
-            raise ResourceLimitError(f"K={K} exceeds node_limit={node_limit}")
-        self.expires = None if time_limit is None else time.monotonic() + time_limit
-        self.nodes = 0
+    def __init__(self, node_limit: int, setup: int = 0):
+        self.limit = _check_int("node_limit", node_limit, 1)
+        self.setup = setup
+        self.left = self.limit - setup
+        if self.left < 0:
+            self.overrun()
+
+    @property
+    def nodes(self) -> int:
+        """The nodes counted so far."""
+        return self.limit - self.setup - self.left
 
     def tick(self) -> None:
-        """Count a node; read the clock on the first tick and on every 1024th after it."""
-        self.nodes += 1
-        if self.expires is not None and self.nodes % 1024 == 1 and time.monotonic() > self.expires:
-            raise ResourceLimitError("search time limit exceeded")
+        """Count a node; raise once the count passes what the setup charge left of the budget."""
+        self.left -= 1
+        if self.left < 0:
+            self.overrun()
+
+    def overrun(self) -> None:
+        """Raise :class:`ResourceLimitError` naming the budget, the setup charge and the nodes."""
+        raise ResourceLimitError(
+            f"search passed node_limit={self.limit}: setup charge {self.setup}, {self.nodes} nodes"
+        )
 
 
 def _expand(
@@ -208,7 +223,7 @@ def _clash_masks(topology: NetworkTopology, pairs: list[tuple[int, int]]) -> lis
 
 
 def max_avoidance_m1(
-    topology: NetworkTopology, node_limit: int = 36, time_limit: float | None = None
+    topology: NetworkTopology, node_limit: int = NODE_LIMIT
 ) -> tuple[int, AvoidanceSchedule]:
     """Best schedule with each message at one flexibly chosen transmitter.
 
@@ -231,16 +246,18 @@ def max_avoidance_m1(
     services costs about ``3n`` ORs instead of a test against every
     other service.
 
+    The clash masks and compatibility bitsets hold about ``3n**2`` bits,
+    so the setup is charged ``ceil(n**2 / 64)`` of the node budget, one
+    per 64 bit-pairs, before they are built.
+
     Raises:
-        InvalidParameterError: ``node_limit`` is not an int of at least
-            1, or ``time_limit`` is not a finite positive real.
-        ResourceLimitError: ``K`` exceeds ``node_limit``, or the time
-            limit is hit.
+        InvalidParameterError: ``node_limit`` is not an int of at least 1.
+        ResourceLimitError: the setup charge and the nodes pass ``node_limit``.
     """
-    search = _Search(topology.K, node_limit, time_limit)
     hears = topology.hears
+    n = sum(map(len, hears.values()))
+    search = _Search(node_limit, -(-n * n // 64))
     pairs = [(r, t) for r in range(1, topology.K + 1) for t in sorted(hears[r])]
-    n = len(pairs)
 
     # Fewest clashes is highest degree; the stable sort keeps pair-index
     # order among equal degrees.
@@ -280,8 +297,7 @@ def _delivers(i: int, sends: dict[int, int], heard: dict[int, int], rivals: Iter
 def max_avoidance_cooperative(
     topology: NetworkTopology,
     B: Fraction | int,
-    node_limit: int = 12,
-    time_limit: float | None = None,
+    node_limit: int = NODE_LIMIT,
 ) -> tuple[int, CooperativeWitness]:
     """Best activation count over all assignments with backhaul at most ``B``.
 
@@ -339,16 +355,15 @@ def max_avoidance_cooperative(
 
     Raises:
         InvalidParameterError: ``B`` is not a real number, is negative
-            or is not finite, ``node_limit`` is not an int of at least
-            1, or ``time_limit`` is not a finite positive real.
-        ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
+            or is not finite, or ``node_limit`` is not an int of at least 1.
+        ResourceLimitError: the search needs more than ``node_limit`` nodes.
     """
     if _check_real("B", B) < 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
     if not B < math.inf:
         raise InvalidParameterError(f"B must be finite, got {B}")
     K = topology.K
-    search = _Search(K, node_limit, time_limit)
+    search = _Search(node_limit)
     budget = int(Fraction(B) * K)
     if _is_wyner_chain(topology.hears[i] for i in range(1, K + 1)):
         A, sets = _wyner_runs(search, K, budget)
@@ -406,7 +421,7 @@ def _wyner_runs(
     each receiver active iff a completion within the budget remains,
     which yields the lex-first active set of that size.  Each message
     takes the span the span lemma names.  A node is a size tried or a
-    receiver decided, so the time limit still applies.
+    receiver decided, so the node budget still applies.
     """
     for size in range(min(K, budget), 0, -1):
         search.tick()
@@ -489,8 +504,8 @@ def _levelwise_cooperative(
     :func:`_deliverable`, keyed by the rows.  Sets are bitmasks, and a
     subset that misses the own receiver is rejected by one ``&``.  A
     node is a prefix extension of the walk, whole active sets included,
-    or a subset tried from level 2 on; each ticks the time limit, so a
-    run of memo hits still reads the clock.
+    or a subset tried from level 2 on; each ticks the node budget, so a
+    run of memo hits still counts against it.
     """
     K = topology.K
     heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
@@ -601,8 +616,7 @@ def _levelwise_cooperative(
 def max_activation_for_assignment(
     topology: NetworkTopology,
     assignment: MessageAssignment,
-    node_limit: int = 24,
-    time_limit: float | None = None,
+    node_limit: int = NODE_LIMIT,
 ) -> tuple[int, CooperativeWitness]:
     """Best activation count when the transmit sets are already fixed.
 
@@ -614,12 +628,11 @@ def max_activation_for_assignment(
 
     Raises:
         InvalidParameterError: topology and assignment sizes disagree,
-            ``node_limit`` is not an int of at least 1, or
-            ``time_limit`` is not a finite positive real.
-        ResourceLimitError: ``K`` exceeds ``node_limit`` or time is up.
+            or ``node_limit`` is not an int of at least 1.
+        ResourceLimitError: the search needs more than ``node_limit`` nodes.
     """
     K = _check_sizes(topology=topology, assignment=assignment)
-    search = _Search(K, node_limit, time_limit)
+    search = _Search(node_limit)
     heard = {i: _mask(topology.hears[i]) for i in range(1, K + 1)}
     sends = {i: _mask(T) for i, T in assignment.transmit_sets.items()}
     order = [i for i in range(1, K + 1) if sends[i] & heard[i]]

@@ -264,21 +264,9 @@ def _solve_cyclic(
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         x = None
-    if x is None or not _meets(A @ x, b):
+    if x is None or not np.isclose(A @ x, b, rtol=1e-9, atol=1e-12).all():
         raise SolverFailureError(f"cancellation system for message {message} is singular")
     v.update(zip(columns, x.tolist()))
-
-
-def _meets(r, b) -> bool:
-    """Whether ``np.isclose(r, b, rtol=1e-9, atol=1e-12).all()``, without its call overhead.
-
-    The expression is the one numpy 2's ``isclose`` evaluates, so the
-    verdict is the same for infinities and NaN too.
-    """
-    import numpy as np
-
-    with np.errstate(invalid="ignore"):
-        return bool(((abs(r - b) <= 1e-12 + 1e-9 * abs(b)) & np.isfinite(b) | (r == b)).all())
 
 
 @_collector_paused

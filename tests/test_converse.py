@@ -905,7 +905,7 @@ def test_state_bound_on_empty_schedule():
 @pytest.mark.parametrize(("n", "optimum"), [(6, 15), (7, 20)], ids=["6", "7"])
 def test_state_bound_covers_optimal_schedule(n, optimum):
     topo, lattice = build_hexagonal(n)
-    value, witness = max_avoidance_m1(topo, node_limit=topo.K)
+    value, witness = max_avoidance_m1(topo)
     cert = triangle_state_bound(lattice, witness)
     assert cert.certified_bound >= value == optimum
     for g in cert.groups:

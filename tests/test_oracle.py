@@ -9,6 +9,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def _milp_m1(topology) -> int:
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_single_transmitter_matches_milp_on_lattice(n):
     topo, _ = build_hexagonal(n)
-    value, _ = max_avoidance_m1(topo, node_limit=topo.K)
+    value, _ = max_avoidance_m1(topo)
     assert value == _milp_m1(topo)
 
 
@@ -223,10 +224,10 @@ def test_cooperative_chain_values():
         assert witness.nodes_explored > 0
 
 
-def _levelwise(topology, B, node_limit=None):
+def _levelwise(topology, B):
     """The level-wise search alone, as ``(value, active, transmit_sets, nodes)``."""
     K = topology.K
-    search = oracle._Search(K, node_limit or K, None)
+    search = oracle._Search(oracle.NODE_LIMIT)
     A, sets = oracle._levelwise_cooperative(search, topology, int(Fraction(B) * K))
     return len(A), frozenset(A), {**{i: frozenset() for i in range(1, K + 1)}, **sets}, search.nodes
 
@@ -247,7 +248,7 @@ def test_wyner_runs_match_the_levelwise_search():
     for K in range(1, 13):
         topo = build_wyner(K)
         for B in _DP_BUDGETS:
-            value, witness = max_avoidance_cooperative(topo, B, node_limit=K)
+            value, witness = max_avoidance_cooperative(topo, B)
             got = (value, witness.active, witness.assignment.transmit_sets)
             assert got == _levelwise(topo, B)[:3], (K, B)
 
@@ -282,7 +283,7 @@ def test_completion_takes_the_smallest_candidate_marginals():
 def test_wyner_runs_reach_k400():
     topo = build_wyner(400)
     start = time.perf_counter()
-    value, witness = max_avoidance_cooperative(topo, 3, node_limit=400)
+    value, witness = max_avoidance_cooperative(topo, 3)
     assert time.perf_counter() - start < 1.0
     assert value == 367 == len(witness.active)
     assert metrics(witness.assignment).B <= 3
@@ -606,7 +607,7 @@ def test_level_one_is_closed_form_and_price_bounds_the_cost(topo):
     ids=["wyner16", "hex4"],
 )
 def test_cooperative_b1_optimum_at_k16(topo, value):
-    got, witness = max_avoidance_cooperative(topo, 1, node_limit=16)
+    got, witness = max_avoidance_cooperative(topo, 1)
     assert got == value == len(witness.active)
     assert metrics(witness.assignment).B <= 1
     reached, _ = max_activation_for_assignment(topo, witness.assignment)
@@ -642,7 +643,7 @@ def _oracle_digest() -> str:
         digest.update(repr(items).encode() + b"\n")
 
     for name, topo, B in _coop_cases():
-        value, witness = max_avoidance_cooperative(topo, B, node_limit=topo.K)
+        value, witness = max_avoidance_cooperative(topo, B)
         sets = sorted((i, sorted(T)) for i, T in witness.assignment.transmit_sets.items())
         put("coop", name, str(B), value, sorted(witness.active), sets, witness.nodes_explored)
         if value:
@@ -651,7 +652,7 @@ def _oracle_digest() -> str:
     m1 = [(f"hex{n}", build_hexagonal(n)[0]) for n in range(2, 7)]
     m1 += list(_chains(range(1, 13))) + [(f"grid{K}", build_two_dim(K)) for K in (4, 9, 16)]
     for name, topo in m1:
-        value, schedule = max_avoidance_m1(topo, node_limit=topo.K)
+        value, schedule = max_avoidance_m1(topo)
         put("m1", name, value, sorted(schedule.pairs), schedule.nodes_explored)
     return digest.hexdigest()
 
@@ -680,7 +681,7 @@ def test_cooperative_matches_whole_pool_reference(family):
     grid = [(f"grid{K}", build_two_dim(K), B) for K in (9, 16) for B in _BUDGETS[:3]]
     for name, topo, B in _coop_cases() + grid:
         if name.startswith(family):
-            value, witness = max_avoidance_cooperative(topo, B, node_limit=topo.K)
+            value, witness = max_avoidance_cooperative(topo, B)
             got = (value, witness.active, witness.assignment.transmit_sets)
             assert got == _whole_pool_reference(topo, B), (name, B)
 
@@ -688,8 +689,8 @@ def test_cooperative_matches_whole_pool_reference(family):
 @pytest.mark.parametrize(
     "topo", [build_wyner(10), build_locally_connected(8, 2)], ids=["wyner10", "lc2-8"]
 )
-def test_every_counted_node_ticks_the_deadline(monkeypatch, topo):
-    # A node skipped without a tick would escape --time-limit.
+def test_every_counted_node_ticks_the_budget(monkeypatch, topo):
+    # A node skipped without a tick would escape the node budget.
     ticks = 0
     tick = oracle._Search.tick
 
@@ -893,18 +894,67 @@ def test_certify_runs_no_search_at_any_size(monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
+def _small_search(name):
+    """One small run of the named search, as ``(call, setup charge)``."""
+    if name == "m1":
+        hex4, _ = build_hexagonal(4)
+        services = sum(len(hex4.hears[r]) for r in range(1, hex4.K + 1))
+        return lambda limit: max_avoidance_m1(hex4, node_limit=limit), -(-services * services // 64)
+    if name == "coop":
+        hex3, _ = build_hexagonal(3)
+        return lambda limit: max_avoidance_cooperative(hex3, 1, node_limit=limit), 0
+    a, _ = locally_connected_scheme(12, 2, 2)
+    return lambda limit: max_activation_for_assignment(build_locally_connected(12, 2), a, node_limit=limit), 0
+
+
+@pytest.mark.parametrize("name", ["m1", "coop", "activation"])
+def test_node_limit_is_a_budget_on_nodes(name):
+    # The setup charge and every node count against the budget: a budget
+    # of exactly their sum gives the default's answer, one less stops the search.
+    call, setup = _small_search(name)
+    value, witness = call(oracle.NODE_LIMIT)
+    used = setup + witness.nodes_explored
+    assert witness.nodes_explored > 1
+    assert call(used) == (value, witness)
+    with pytest.raises(ResourceLimitError, match=f"node_limit={used - 1}"):
+        call(used - 1)
+
+
 def test_node_limits_enforced():
-    with pytest.raises(ResourceLimitError):
-        max_avoidance_m1(build_wyner(40))
-    with pytest.raises(ResourceLimitError):
-        max_avoidance_m1(build_wyner(6), node_limit=4)
-    with pytest.raises(ResourceLimitError):
-        max_avoidance_cooperative(build_wyner(16), 1)
-    with pytest.raises(ResourceLimitError):
-        max_activation_for_assignment(
-            build_wyner(30),
-            MessageAssignment(K=30, transmit_sets={i: frozenset() for i in range(1, 31)}),
-        )
+    hex4, _ = build_hexagonal(4)
+    # hex n=4 at B=2 needs 2.75 million nodes; the budget stops it at 10,001.
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="node_limit=10000: setup charge 0, 10001 nodes"):
+        max_avoidance_cooperative(hex4, 2, node_limit=10_000)
+    assert time.perf_counter() - start < 1.0
+    # m1 on hex n=7 needs 20,258 nodes after a setup charge of 683.
+    hex7, _ = build_hexagonal(7)
+    with pytest.raises(ResourceLimitError, match="node_limit=10000: setup charge 683, 9318 nodes"):
+        max_avoidance_m1(hex7, node_limit=10_000)
+    # A setup charge past the budget stops m1 before its first node.
+    with pytest.raises(ResourceLimitError, match="node_limit=5: setup charge 98, 0 nodes"):
+        max_avoidance_m1(build_wyner(40), node_limit=5)
+    # Every set empty: nothing to order, so one node whatever K.
+    K = 300
+    empty = MessageAssignment(K=K, transmit_sets={i: frozenset() for i in range(1, K + 1)})
+    assert max_activation_for_assignment(build_wyner(K), empty, node_limit=1)[0] == 0
+
+
+def test_m1_setup_charge_guards_its_memory():
+    # The clash masks grow with the square of the services: about 280,000
+    # on hex n=200 would take gigabytes, so the charge refuses them unbuilt.
+    topo, _ = build_hexagonal(200)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="node_limit"):
+            max_avoidance_m1(topo)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("limit", [0, -4])
@@ -917,45 +967,6 @@ def test_node_limit_must_be_positive(limit):
         max_avoidance_cooperative(topo, 1, node_limit=limit)
     with pytest.raises(InvalidParameterError, match="node_limit must be >= 1"):
         max_activation_for_assignment(topo, a, node_limit=limit)
-
-
-def test_time_limit_enforced():
-    with pytest.raises(ResourceLimitError):
-        max_avoidance_cooperative(build_wyner(8), 2, time_limit=1e-9)
-
-
-def test_time_limit_stops_a_long_cooperative_search():
-    # hex n=4 at B=2 takes 2.75 million nodes; the deadline is read within
-    # 1024 nodes, memo hits included, since every active set tried ticks.
-    topo, _ = build_hexagonal(4)
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="time limit"):
-        max_avoidance_cooperative(topo, 2, node_limit=topo.K, time_limit=1e-3)
-    assert time.perf_counter() - start < 1.0
-
-
-def test_expired_time_limit_stops_tiny_searches():
-    # Each search reads the clock on its first node, not only every 1024th.
-    topo = build_wyner(3)
-    all_self = MessageAssignment(K=3, transmit_sets={i: frozenset({i}) for i in range(1, 4)})
-    with pytest.raises(ResourceLimitError, match="time limit"):
-        max_avoidance_m1(topo, time_limit=1e-9)
-    with pytest.raises(ResourceLimitError, match="time limit"):
-        max_avoidance_cooperative(topo, 1, time_limit=1e-9)
-    with pytest.raises(ResourceLimitError, match="time limit"):
-        max_activation_for_assignment(topo, all_self, time_limit=1e-9)
-
-
-@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.0])
-def test_time_limit_must_be_finite_and_positive(seconds):
-    topo = build_wyner(4)
-    a, _ = wyner_backhaul_scheme(4, 1)
-    with pytest.raises(InvalidParameterError, match="time_limit"):
-        max_avoidance_m1(topo, time_limit=seconds)
-    with pytest.raises(InvalidParameterError, match="time_limit"):
-        max_avoidance_cooperative(topo, 1, time_limit=seconds)
-    with pytest.raises(InvalidParameterError, match="time_limit"):
-        max_activation_for_assignment(topo, a, time_limit=seconds)
 
 
 @pytest.mark.parametrize(("topology_K", "assignment_K"), [(8, 4), (4, 8)])

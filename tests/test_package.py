@@ -336,7 +336,6 @@ _NUMERIC = {
     "node_limit": ("node_limit", lambda v: coopzf.max_avoidance_m1(coopzf.build_wyner(4), node_limit=v), 1),
     "appendix_receiver_set-M": ("M", lambda v: coopzf.appendix_receiver_set(_wyner_pieces()[1], v), 0),
     "verify-tol": ("tol", _verify_at, None),
-    "time_limit": ("time_limit", lambda v: coopzf.max_avoidance_m1(coopzf.build_wyner(4), time_limit=v), None),
     "max_avoidance_cooperative-B": ("B", lambda v: coopzf.max_avoidance_cooperative(coopzf.build_wyner(4), v), None),
     "backhaul_converse-B": ("B", lambda v: coopzf.backhaul_converse(_wyner_pieces()[1], v), None),
 }
@@ -344,8 +343,7 @@ _NUMERIC = {
 
 def _numeric_cases():
     for row, (name, call, least) in _NUMERIC.items():
-        # A time_limit of None is the documented "no limit".
-        values = [True, "1"] + ([] if row == "time_limit" else [None])
+        values = [True, "1", None]
         if least is not None:
             values += [2.5, least - 1]
         for value in values:
