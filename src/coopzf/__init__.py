@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _HOME = {
     "AvoidanceSchedule": "oracle",
     "BackhaulConverseResult": "converse",
-    "BeamDesign": "zf_engine",
     "CertifiedGroup": "converse",
     "ChannelRealization": "zf_engine",
     "CooperationMetrics": "assignment",

@@ -147,10 +147,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     channels = sample_channels(topology, args.seed)
     beams = design_beams(topology, channels, assignment, scheme)
     report = verify(topology, channels, scheme, beams, tol=args.tol)
-    obj = report.to_dict()
-    obj["active"] = report.dof
-    obj["dof"] = str(Fraction(report.dof, scheme.K))
-    obj["seed"] = args.seed
+    obj = {**report.to_dict(), "active": report.dof, "dof": str(Fraction(report.dof, scheme.K)), "seed": args.seed}
     _emit(json.dumps(obj))
     return 0 if report.passed else 1
 

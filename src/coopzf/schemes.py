@@ -52,9 +52,7 @@ class ZfScheme:
             documents keep the stored order.
         declared_pudof: the generator's exact per-user DoF claim.
         declared_backhaul: the generator's exact backhaul-load claim.
-        name: human-readable generator tag.
-        family: the network family the scheme is built for and its
-            parameter, e.g. ``("linear", L)``.
+        name: human-readable generator tag; the network is the topology's.
     """
 
     K: int
@@ -64,7 +62,6 @@ class ZfScheme:
     declared_pudof: Fraction
     declared_backhaul: Fraction
     name: str = ""
-    family: tuple = ()
 
 
 @dataclass
@@ -162,7 +159,7 @@ def validate_scheme(
     return problems
 
 
-def _chain(K: int, rows, name: str, family: tuple) -> tuple[MessageAssignment, ZfScheme]:
+def _chain(K: int, rows, name: str) -> tuple[MessageAssignment, ZfScheme]:
     """Lay chain blocks ``(a, gap, b, s)`` end to end along rows of a ``K``-user network.
 
     Each row is ``(blocks, rx, tx)``: its blocks are laid from local
@@ -176,7 +173,7 @@ def _chain(K: int, rows, name: str, family: tuple) -> tuple[MessageAssignment, Z
     nearest first.  Users no block serves get empty transmit sets.  The
     declared values come from each block's closed form, ``a+b``
     messages served at load ``(a(a+1) + b(b+1))/2``, summed over every
-    block and divided by ``K``.
+    block and divided by ``K``.  The scheme names no network.
     """
     tsets: dict[int, frozenset[int]] = dict.fromkeys(range(1, K + 1), frozenset())
     serving: dict[int, int] = {}
@@ -208,7 +205,6 @@ def _chain(K: int, rows, name: str, family: tuple) -> tuple[MessageAssignment, Z
         declared_pudof=Fraction(served, K),
         declared_backhaul=Fraction(load, 2 * K),
         name=name,
-        family=family,
     )
     return MessageAssignment(K=K, transmit_sets=tsets), scheme
 
@@ -233,7 +229,7 @@ def wyner_backhaul_scheme(K: int, B: int) -> tuple[MessageAssignment, ZfScheme]:
         raise InvalidParameterError(f"K must be a positive multiple of {F}")
     users = range(1, K + 1)
     blocks = [(2 * B, 1, 2 * B - 1, 0)] * (K // F)
-    return _chain(K, [(blocks, users, users)], f"wyner_backhaul_B{B}", ("linear", 1))
+    return _chain(K, [(blocks, users, users)], f"wyner_backhaul_B{B}")
 
 
 @_collector_paused
@@ -257,7 +253,7 @@ def locally_connected_scheme(K: int, L: int, M: int) -> tuple[MessageAssignment,
         raise InvalidParameterError(f"K must be a positive multiple of {F}")
     users = range(1, K + 1)
     blocks = [(M, L, M, L // 2)] * (K // F)
-    return _chain(K, [(blocks, users, users)], f"locally_connected_L{L}_M{M}", ("linear", L))
+    return _chain(K, [(blocks, users, users)], f"locally_connected_L{L}_M{M}")
 
 
 def table1_row(L: int) -> dict:
@@ -318,7 +314,7 @@ def table1_scheme(K: int, L: int) -> tuple[MessageAssignment, ZfScheme]:
     s = L // 2
     blocks = [(2, L, 2, s)] * (m * row["blocks_m2"]) + [(3, L, 3, s)] * (m * row["blocks_m3"])
     users = range(1, K + 1)
-    return _chain(K, [(blocks, users, users)], f"table1_L{L}", ("linear", L))
+    return _chain(K, [(blocks, users, users)], f"table1_L{L}")
 
 
 def _row_blocks(N: int) -> list[tuple[int, int, int, int]]:
@@ -359,7 +355,7 @@ def two_dim_scheme(K: int) -> tuple[MessageAssignment, ZfScheme]:
         rx = range((rho - 1) * N + 1, rho * N + 1)
         tx = range((t_row - 1) * N + 1, t_row * N + 1)
         rows.append((blocks, rx, tx))
-    return _chain(K, rows, f"two_dim_N{N}", ("two_dim", N))
+    return _chain(K, rows, f"two_dim_N{N}")
 
 
 def hexagonal_coset_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfScheme]:
@@ -373,7 +369,7 @@ def hexagonal_coset_scheme(lattice: HexLattice) -> tuple[MessageAssignment, ZfSc
     """
     circles = sorted(i for i in lattice.coords if lattice.cosets[i] == "circle")
     rows = [([(1, 0, 0, 0)] * len(circles), circles, circles)]
-    return _chain(len(lattice.coords), rows, "hexagonal_coset", ("hexagonal", lattice.n or 0))
+    return _chain(len(lattice.coords), rows, "hexagonal_coset")
 
 
 def _check_hex_coop_side(n: int | None) -> None:
@@ -437,7 +433,7 @@ def hexagonal_cooperative_scheme(lattice: HexLattice) -> tuple[MessageAssignment
     """
     _, chains = decompose_hexagonal_to_linear(lattice)
     rows = [([(3, 2, 3, 1)] * (len(chain) // 8), chain, chain) for chain in chains]
-    return _chain(len(lattice.coords), rows, "hexagonal_cooperative", ("hexagonal", lattice.n))
+    return _chain(len(lattice.coords), rows, "hexagonal_cooperative")
 
 
 @_collector_paused
@@ -466,7 +462,6 @@ def scheme_to_json(scheme: ZfScheme, topology: NetworkTopology, assignment: Mess
             "backhaul": str(scheme.declared_backhaul),
         },
         "name": scheme.name,
-        "family": list(scheme.family),
         "topology": topology.to_dict(),
         "transmit_sets": assignment.to_dict()["transmit_sets"],
     }
@@ -483,8 +478,8 @@ def scheme_from_json(text: str) -> tuple[ZfScheme, NetworkTopology, MessageAssig
     against ``K`` without building ``1..K``, and the embedded lists are
     counted against ``K`` first, so a document that claims a huge ``K``
     is rejected without memory or time proportional to ``K``.  The
-    ``"deactivated"`` list is derived data: like any key the reader does
-    not know, it is never read.
+    derived ``"deactivated"`` list and the network tag older documents
+    carry are never read, like any key the reader does not know.
 
     Raises:
         InvalidParameterError: malformed JSON or shape, a missing
@@ -493,9 +488,9 @@ def scheme_from_json(text: str) -> tuple[ZfScheme, NetworkTopology, MessageAssig
             integral float is not), ``serving``/``cancel_at`` keys other
             than the decimal forms ``str(i)`` of the active users (so
             ``"01"``, ``"+1"`` and ``" 1"`` are refused), a ``name`` that
-            is not a string, a ``family`` that is not a list, declared
-            fractions that are not strings, or an embedded topology of
-            another ``K`` or of the wrong field types.
+            is not a string, declared fractions that are not strings, or
+            an embedded topology of another ``K`` or of the wrong field
+            types.
     """
     with _document_errors("scheme"):
         obj = json.loads(text)
@@ -512,7 +507,7 @@ def scheme_from_json(text: str) -> tuple[ZfScheme, NetworkTopology, MessageAssig
             raise InvalidParameterError(
                 "malformed scheme document (serving/cancel_at not keyed by active)"
             )
-        _check_fields("scheme", obj, name=str, family=list, declared=dict)
+        _check_fields("scheme", obj, name=str, declared=dict)
         declared = obj.get("declared", {})
         _check_fields("scheme", declared, pudof=str, backhaul=str)
         scheme = ZfScheme(
@@ -523,7 +518,6 @@ def scheme_from_json(text: str) -> tuple[ZfScheme, NetworkTopology, MessageAssig
             declared_pudof=Fraction(declared.get("pudof", "0")),
             declared_backhaul=Fraction(declared.get("backhaul", "0")),
             name=obj.get("name", ""),
-            family=tuple(obj.get("family", ())),
         )
         topology = topology_from_dict(obj["topology"])
         if topology.K != scheme.K:

@@ -46,21 +46,16 @@ class ChannelRealization:
             defined exactly for ``transmitter in hears(receiver)``; no
             stored gain has magnitude below 1e-6 (resampled).
         seed: the RNG seed that produced the draw.
+        hears: the hearing map the draw was made on (``topology.hears`` itself).
     """
 
     coefficients: dict[tuple[int, int], complex]
     seed: int
+    hears: dict[int, frozenset[int]]
 
     def gain(self, receiver: int, transmitter: int) -> complex:
         """Coefficient from ``transmitter`` at ``receiver`` (0 outside support)."""
         return self.coefficients.get((receiver, transmitter), 0j)
-
-
-@dataclass
-class BeamDesign:
-    """Per-message beam coefficient vectors over the transmit sets."""
-
-    beams: dict[int, dict[int, complex]]
 
 
 @dataclass
@@ -138,7 +133,16 @@ def sample_channels(topology: NetworkTopology, seed: int) -> ChannelRealization:
         while abs(h) < _MAGNITUDE_FLOOR:
             h = complex(next(stream), next(stream)) / scale
         coefficients[key] = h
-    return ChannelRealization(coefficients=coefficients, seed=seed)
+    return ChannelRealization(coefficients=coefficients, seed=seed, hears=topology.hears)
+
+
+def _check_drawn_on(topology: NetworkTopology, channels: ChannelRealization) -> None:
+    """Refuse ``channels`` drawn on another hearing map than ``topology``'s, naming a receiver that differs."""
+    drawn, hears = channels.hears, topology.hears
+    if drawn is not hears and drawn != hears:  # the same map object costs one identity test
+        k = min(k for k in drawn.keys() | hears.keys() if drawn.get(k) != hears.get(k))
+        there, here = sorted(drawn.get(k, ())), sorted(hears.get(k, ()))
+        raise InvalidParameterError(f"channels were drawn on a network where receiver {k} hears {there}, not {here}")
 
 
 def _peel(
@@ -275,8 +279,8 @@ def design_beams(
     channels: ChannelRealization,
     assignment: MessageAssignment,
     scheme: ZfScheme,
-) -> BeamDesign:
-    """Solve every active message's beam vector.
+) -> dict[int, dict[int, complex]]:
+    """Solve every active message's beam vector: ``{message: {transmitter: coefficient}}``.
 
     Each receiver in a message's cancellation list contributes one
     linear constraint zeroing the message's received coefficient there;
@@ -286,21 +290,23 @@ def design_beams(
     every generator's scheme, and what stays cyclic solved densely.
 
     Raises:
-        InvalidParameterError: the sizes disagree, or an active
-            message's serving transmitter is outside its transmit set.
+        InvalidParameterError: the sizes disagree, ``channels`` were
+            drawn on another network, or an active message's serving
+            transmitter is outside its transmit set.
         SolverFailureError: a message is not deliverable, or its system
             is singular on this realization (measure zero under generic
             channels).  When several apply, the error of the
             lowest-numbered message is raised.
     """
     _check_sizes(topology=topology, assignment=assignment, scheme=scheme)
+    _check_drawn_on(topology, channels)
     gains, hears = channels.coefficients, topology.hears
     transmit_sets, serving, cancel_at = assignment.transmit_sets, scheme.serving, scheme.cancel_at
     empty = frozenset()
     beams = {}
     for i in sorted(scheme.active_messages):
         beams[i] = _support(gains, hears, i, transmit_sets.get(i, empty), serving.get(i), cancel_at[i])
-    return BeamDesign(beams=beams)
+    return beams
 
 
 @_collector_paused
@@ -308,19 +314,19 @@ def verify(
     topology: NetworkTopology,
     channels: ChannelRealization,
     scheme: ZfScheme,
-    beams: BeamDesign,
+    beams: dict[int, dict[int, complex]],
     tol: float = _DEFAULT_TOL,
 ) -> VerificationReport:
     """Check interference-free delivery on a concrete realization.
 
     For every active receiver ``k``, the received coefficient of each
     active message ``i`` is ``sum over t in T_i heard at k of
-    H[k,t] * v_i[t]``.  The desired coefficient (``i = k``) must exceed
+    H[k,t] * beams[i][t]``.  The desired coefficient (``i = k``) must exceed
     the 1e-6 magnitude floor; every other must stay below ``tol`` times
     the desired magnitude.  Failures are reported as data, never raised.
 
     The sums are scattered: each active message's beam, in ascending
-    message order, adds ``H[k,t] * v_i[t]`` at every active ``k`` in
+    message order, adds ``H[k,t] * beams[i][t]`` at every active ``k`` in
     ``hearers(t)``, taking the beam's items in order from a start of 0,
     as :func:`sum` does.  A message whose beam uses no transmitter heard
     at ``k`` contributes exactly zero there and is never visited, so the
@@ -329,10 +335,12 @@ def verify(
     first uses it, and each desired magnitude is taken once.
 
     Raises:
-        InvalidParameterError: the sizes disagree, or ``tol`` is not a
-            real number in (0, 1).
+        InvalidParameterError: the sizes disagree, ``channels`` were
+            drawn on another network, or ``tol`` is not a real number in
+            (0, 1).
     """
     _check_sizes(topology=topology, scheme=scheme)
+    _check_drawn_on(topology, channels)
     if not 0 < _check_real("tol", tol) < 1:
         raise InvalidParameterError(f"tol must be in (0, 1), got {tol}")
     active_set = scheme.active_messages
@@ -342,7 +350,7 @@ def verify(
     # transmitter -> (row, gain) for each of its active hearers, read once
     audience: dict[int, list[tuple[dict[int, complex], complex]]] = {}
     for i in active:
-        for t, v in beams.beams[i].items():
+        for t, v in beams[i].items():
             listeners = audience.get(t)
             if listeners is None:
                 listeners = audience[t] = [

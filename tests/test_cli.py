@@ -167,13 +167,12 @@ _INCONSISTENT_SCHEMES = {
 }
 
 # Scheme documents whose other fields have the wrong JSON type; the readers
-# would echo them (name), split them (family) or read them as numbers
-# (declared fractions, which are strings in every written document).
+# would echo them (name) or read them as numbers (declared fractions, which
+# are strings in every written document).
 _WYNER_TOPOLOGY = json.loads(build_wyner(4).to_json())
 _MISTYPED_FIELDS = {
     "name 5": _wyner_document(name=5),
     "name object": _wyner_document(name={"a": 1}),
-    "family 'ab'": _wyner_document(family="ab"),
     "declared pudof 1.5": _wyner_document(declared={"pudof": 1.5, "backhaul": "1"}),
     "declared pudof true": _wyner_document(declared={"pudof": True, "backhaul": "1"}),
     "declared backhaul 1": _wyner_document(declared={"pudof": "3/4", "backhaul": 1}),
@@ -254,6 +253,29 @@ _DERIVED_DEACTIVATED = {
     ],
 )
 def test_deactivated_is_derived_not_read(capsys, monkeypatch, argv, document):
+    generated = _run(argv, capsys, monkeypatch, stdin=_wyner_document())
+    assert generated[0] == 0
+    assert _run(argv, capsys, monkeypatch, stdin=document) == generated
+
+
+# Documents with the network "family" tag that older writers added; it is
+# never read, whatever its JSON type.
+_LEGACY_FAMILY = {
+    "family ['linear', 1]": _wyner_document(family=["linear", 1]),
+    "family 'ab'": _wyner_document(family="ab"),
+    "family 5": _wyner_document(family=5),
+}
+
+
+@pytest.mark.parametrize(
+    ("argv", "document"),
+    [
+        pytest.param(argv, document, id=f"{' '.join(argv)}-{label}")
+        for argv in (["verify"], ["report"], ["certify", "--lower-bound"])
+        for label, document in _LEGACY_FAMILY.items()
+    ],
+)
+def test_legacy_family_is_not_read(capsys, monkeypatch, argv, document):
     generated = _run(argv, capsys, monkeypatch, stdin=_wyner_document())
     assert generated[0] == 0
     assert _run(argv, capsys, monkeypatch, stdin=document) == generated
@@ -854,20 +876,20 @@ _TRANSCRIPT = [
 ]
 
 _TRANSCRIPT_SHA256 = [
-    "fecfb9958a0b1d760ab871fa16a9b59d47166b25d807d249bafe02ec0909b40f",
+    "1efc174795cd40e18ef36ec922c87ff30f706b40fcbda9e4819431d8c7c25cbd",
     "74d4858d247d342145b6a4b6bc535b4496cc9cac12c7900c41cf03589a6849ce",
     "b8b9b811ebb96163ec2cb8054a65733a5a3e840b300031c9ead8c9c5594d54ea",
     "74934500f926ec26ab5687b628115e6ca5dcc7f3faf9c7ee1ee88a1c3b35ac20",
-    "29a76c35f375d13ff39f35332477c1defa3068e2691f527b85f941ff37f34d7c",
+    "8a2eecacbe32ef5c9dbafa3b270ff5b355a398940d66560f80d3d3efc4f5bb30",
     "6c7718d9912aad54a4a5e79a35b378e2d6dfe21ebea7b2c3a658b79f4f3f3694",
-    "0b702ab2b7782d534dc65307ec8e46e17efaed8695e8e8e33b95772cd6eaae73",
+    "4f32df76f8f8a940ac56402579850672d2b07ab6af3d7b95538145c909c20e03",
     "7c0006f7e45ee272266d75f4e6c81d5146599d36fdad88f1bd702e73c3123e16",
-    "5e4beb57fdd608b9ad8c5e739da0db7ad95d9cb249ab5eb50adc57e1bc1dcf0a",
+    "5dace5f18529ad42c4c4652bbfd9681c71d67fec9192975b4807db4ef7abaffb",
     "e16981dfa35dba4d6fe66844501ddcd608bc7e80715a8d2ef310e45af3002ac9",
-    "5a211610b6916602c6b7dfb532aafc850ff9bc3e0aa672d4b2596fe674bf57cc",
+    "a73dab950f12b6b48e5ee2dda9039556ba26c7593e099c19ad0973be89832d9f",
     "4cedd47406efe99e6160e8c87fdae499b6ddf11281f6240fa73c4781ae50f256",
     "ee785335d8abfc5914d6cb066e4b5ac17f87fb8a1c60ae0806c418b77e8c5917",
-    "406a8f914f1f8cf4a3bb11068c40751ac2a49f32245dc95949fa7ad738109a87",
+    "b76fcca1faa1cd97c85831507ba8bdc763ee9a2c90fc2cb049bb6bd3137d8d79",
     "01e9e6877713df29eeb067a255df20911092e5eee19329fd5700b43dc4739099",
     "78e5cc7234eb73ec7089df06afee9eacac32c7c0a8c02cf546d9402aedf1fcc5",
     "98fed51f15db93fa0c861923ecd957bb62c52262fdf6a04f962f2d9e5352247f",

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 from fractions import Fraction
 import hashlib
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +16,7 @@ from coopzf import (
     HexLattice,
     InvalidParameterError,
     MessageAssignment,
+    ZfScheme,
     build_hexagonal,
     build_locally_connected,
     build_two_dim,
@@ -34,6 +39,7 @@ from coopzf import (
     verify,
     wyner_backhaul_scheme,
 )
+from coopzf import schemes
 from coopzf.schemes import _chain
 
 # Two order-2 blocks and one order-3 block on the L=3 chain, under the
@@ -43,7 +49,7 @@ _MIXED_NAME = "2xlocally_connected_L3_M2+1xlocally_connected_L3_M3"
 
 
 def _mixed():
-    return _chain(23, [(_MIXED_BLOCKS, range(1, 24), range(1, 24))], _MIXED_NAME, ("linear", 3))
+    return _chain(23, [(_MIXED_BLOCKS, range(1, 24), range(1, 24))], _MIXED_NAME)
 
 
 def _generators():
@@ -206,7 +212,7 @@ def test_table_rows_exact():
 def test_mixture_weighted_fractions():
     # seven users of order 2 to three of order 3 on the L=3 chain
     blocks = [(2, 3, 2, 1)] * 3 + [(3, 3, 3, 1)]
-    a, s = _chain(30, [(blocks, range(1, 31), range(1, 31))], "mix", ("linear", 3))
+    a, s = _chain(30, [(blocks, range(1, 31), range(1, 31))], "mix")
     assert s.K == 30
     assert s.declared_pudof == Fraction(3, 5)
     assert s.declared_backhaul == 1
@@ -414,31 +420,31 @@ def test_cooperative_lattice_needs_side_multiple_of_six(n):
 _PINNED_DOCUMENTS = {
     "wyner_backhaul_scheme": (
         lambda: (build_wyner(16), *wyner_backhaul_scheme(16, 2)),
-        "35eb04aabeabf090eed4b74f138dc598985adf3fc308c8c20417f643ab8f8f38",
+        "d2e6508a10afcde5bead710aac9a195457c181c7c5151bd0978738ddd63c47bf",
     ),
     "locally_connected_scheme": (
         lambda: (build_locally_connected(14, 3), *locally_connected_scheme(14, 3, 2)),
-        "e263cf201d56143646cd95840bb8eba3bbc18db7db773e6bbaaf9587a427aa13",
+        "4bddf1ac2bbd8430fcd912bf04fb47a20aac90b4ae76659b57c75ff7b2a1407e",
     ),
     "convex_combination": (
         lambda: (build_locally_connected(23, 3), *_mixed()),
-        "41126e913a01f5dd91d7b68a233e11c18b37cc19fd34e3c8af04523e29910cb7",
+        "a402f2345309b93f337aa19df05953faa543cf579d7e6be8116cc044bbf6992a",
     ),
     "table1_scheme": (
         lambda: (build_locally_connected(18, 4), *table1_scheme(18, 4)),
-        "2ebdc9699956d213859df054738041230c5353aec47d2115fda5401703278533",
+        "84b6e13da266062c049ab249171001048e44704c92967fcd0e3b110c110ce7d3",
     ),
     "two_dim_scheme": (
         lambda: (build_two_dim(144), *two_dim_scheme(144)),
-        "db253944cb2a29133d6aab767c5adbd23c03ad9dc164b3395e19da1ad54161b3",
+        "aafee3aacacac648b2c8510c0ff3c4bca64d58c949c474021c7f188a66bede5e",
     ),
     "hexagonal_coset_scheme": (
         lambda: (build_hexagonal(6)[0], *hexagonal_coset_scheme(build_hexagonal(6)[1])),
-        "48ffa42d15e05f9b10d629fa8d4cc36d0652d5aa74d51f732e76bfc30892fa64",
+        "a9b90a0125e05292a0f3f042c08f34ccc752d59ebcd876ddd4e85f77c39a4718",
     ),
     "hexagonal_cooperative_scheme": (
         lambda: (build_hexagonal(6)[0], *hexagonal_cooperative_scheme(build_hexagonal(6)[1])),
-        "b5409a083567e5e64f6ba0b4fdf686f177e95c3076a21b67c615e389c4c27241",
+        "0345e6826c90b88415a2b03283d8792c559a769752b7187ae1699446396f7573",
     ),
 }
 
@@ -483,7 +489,7 @@ def test_scheme_documents_are_pinned_across_sizes():
     )
     assert (
         hashlib.sha256(documents.encode()).hexdigest()
-        == "14b91aac1e654230a3dcc3ccd79d81f7e8ae66e8039aaadcc66fd6caa9e43366"
+        == "4d53f5d15ba4bde80cc5406281103388881d3a6234f4cf0daabb76259c28e8fd"
     )
 
 
@@ -491,6 +497,76 @@ def test_read_documents_are_written_back_byte_for_byte():
     for topology, assignment, scheme in _grid_instances():
         document = scheme_to_json(scheme, topology=topology, assignment=assignment)
         assert scheme_to_json(*scheme_from_json(document)) == document, scheme.name
+
+
+class _Recording(dict):
+    """A decoded JSON object that records each key looked up in it."""
+
+    def __init__(self, obj):
+        super().__init__(obj)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def _fields_read_outside(skipped: set[str]) -> set[str]:
+    """Every attribute name coopzf's modules load, outside the functions named in ``skipped``."""
+    read: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name in skipped:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for path in Path(schemes.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()))
+    return read
+
+
+def test_no_document_field_is_write_only(monkeypatch):
+    # The reader looks up every top-level key the writer puts in a
+    # document but the derived "deactivated" list, and every scheme field
+    # it fills is read by something other than the writer and the reader.
+    decoded = []
+
+    def record(obj):
+        decoded.append(_Recording(obj))
+        return decoded[-1]
+
+    recording_json = SimpleNamespace(dumps=json.dumps, loads=lambda text: json.loads(text, object_hook=record))
+    monkeypatch.setattr(schemes, "json", recording_json)
+    for generator, (build, _) in _PINNED_DOCUMENTS.items():
+        topology, assignment, scheme = build()
+        document = scheme_to_json(scheme, topology=topology, assignment=assignment)
+        scheme_from_json(document)
+        top = decoded[-1]  # the hook sees the outermost object last
+        assert set(top) - top.read == {"deactivated"}, generator
+    fields = {f.name for f in dataclasses.fields(ZfScheme)}
+    assert fields - _fields_read_outside({"scheme_to_json", "scheme_from_json"}) == set()
+
+
+@pytest.mark.parametrize("family", [["linear", 1], "ab", 5], ids=["list", "string", "int"])
+def test_legacy_family_tag_is_ignored(family):
+    # Older documents carry a "family" tag; any JSON value of it reads as no tag.
+    topology, assignment, scheme = _PINNED_DOCUMENTS["wyner_backhaul_scheme"][0]()
+    document = scheme_to_json(scheme, topology=topology, assignment=assignment)
+    legacy = json.dumps({**json.loads(document), "family": family})
+    scheme2, topology2, assignment2 = scheme_from_json(legacy)
+    assert (scheme2, topology2, assignment2) == scheme_from_json(document)
+    assert scheme_to_json(scheme2, topology=topology2, assignment=assignment2) == document
 
 
 def test_scheme_json_round_trip():

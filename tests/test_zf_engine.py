@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from coopzf import (
-    BeamDesign,
     ChannelRealization,
     CoopZfError,
     InvalidParameterError,
@@ -88,6 +87,41 @@ def test_sampling_rejects_a_seed_that_is_not_an_int(seed):
         sample_channels(build_wyner(4), seed)
 
 
+def test_a_draw_keeps_the_hearing_map_it_was_made_on():
+    topo = build_wyner(6)
+    assert sample_channels(topo, 3).hears is topo.hears
+
+
+@pytest.mark.parametrize(
+    ("drawn_on", "message"),
+    [
+        (build_wyner(8), r"receiver 9 hears \[\], not \[8, 9\]"),
+        (build_locally_connected(12, 2), r"receiver 1 hears \[1, 2\], not \[1\]"),
+    ],
+    ids=["wyner-8", "lc-12-L2"],
+)
+def test_channels_drawn_on_another_network_are_refused(drawn_on, message):
+    topo = build_wyner(12)
+    assignment, scheme = wyner_backhaul_scheme(12, 1)
+    channels = sample_channels(drawn_on, 0)
+    with pytest.raises(InvalidParameterError, match="channels were drawn on a network where " + message):
+        design_beams(topo, channels, assignment, scheme)
+    beams = design_beams(topo, sample_channels(topo, 0), assignment, scheme)
+    with pytest.raises(InvalidParameterError, match="channels were drawn on a network where " + message):
+        verify(topo, channels, scheme, beams)
+
+
+def test_channels_drawn_on_an_equal_network_are_accepted():
+    topo, twin = build_wyner(12), build_wyner(12)
+    assert twin.hears is not topo.hears
+    assignment, scheme = wyner_backhaul_scheme(12, 1)
+    own = sample_channels(topo, 0)
+    beams = design_beams(topo, own, assignment, scheme)
+    assert design_beams(topo, sample_channels(twin, 0), assignment, scheme) == beams
+    assert verify(topo, sample_channels(twin, 0), scheme, beams) == verify(topo, own, scheme, beams)
+    assert verify(topo, own, scheme, beams).passed
+
+
 @pytest.mark.parametrize("tol", ["0.1", None, 1j])
 def test_verify_rejects_a_tolerance_that_is_not_real(tol):
     topology = build_wyner(8)
@@ -104,6 +138,7 @@ def test_hand_computed_beam():
     channels = ChannelRealization(
         coefficients={(1, 1): 1.0 + 0j, (2, 1): 0.5 + 0j, (2, 2): 0.25 + 0j},
         seed=-1,
+        hears=topo.hears,
     )
     assignment = MessageAssignment(K=2, transmit_sets={1: frozenset({1, 2}), 2: frozenset()})
     scheme = ZfScheme(
@@ -115,8 +150,8 @@ def test_hand_computed_beam():
         declared_backhaul=Fraction(1),
     )
     beams = design_beams(topo, channels, assignment, scheme)
-    assert beams.beams[1][1] == 1.0 + 0j
-    assert abs(beams.beams[1][2] - (-2.0 + 0j)) < 1e-12
+    assert beams[1][1] == 1.0 + 0j
+    assert abs(beams[1][2] - (-2.0 + 0j)) < 1e-12
     report = verify(topo, channels, scheme, beams)
     assert report.passed and report.dof == 1
 
@@ -134,14 +169,14 @@ def test_empty_cancellation_gives_unit_beam():
         declared_backhaul=Fraction(1, 2),
     )
     beams = design_beams(topo, channels, assignment, scheme)
-    assert beams.beams[1] == {1: 1.0 + 0j}
+    assert beams[1] == {1: 1.0 + 0j}
 
 
 def test_chain_and_dense_routes_agree():
     # the dense solve, handed a generator message's whole system, reproduces the peeled beam
     for topo, assignment, scheme in _representatives():
         channels = sample_channels(topo, 5)
-        peeled = design_beams(topo, channels, assignment, scheme).beams
+        peeled = design_beams(topo, channels, assignment, scheme)
         assert sorted(peeled) == sorted(scheme.active_messages)
         for i, v in peeled.items():
             dense = {scheme.serving[i]: 1 + 0j}
@@ -188,7 +223,7 @@ def test_each_cyclic_beam_is_finished_by_its_own_dense_solve(monkeypatch):
         "_solve_cyclic",
         lambda g, message, v, columns, rows: (solved.append(rows), solve(g, message, v, columns, rows)),
     )
-    beams = design_beams(topo, channels, assignment, scheme).beams
+    beams = design_beams(topo, channels, assignment, scheme)
     assert sorted(map(len, solved)) == [2] * 4 + [3] * 4
     for i, v in beams.items():
         for c in scheme.cancel_at[i]:
@@ -197,7 +232,7 @@ def test_each_cyclic_beam_is_finished_by_its_own_dense_solve(monkeypatch):
         alone = dataclasses.replace(
             scheme, active_messages=frozenset({i}), serving={i: i}, cancel_at={i: scheme.cancel_at[i]}
         )
-        assert design_beams(topo, channels, assignment, alone).beams == {i: v}
+        assert design_beams(topo, channels, assignment, alone) == {i: v}
 
 
 def test_singular_system_in_a_stack_is_named():
@@ -207,7 +242,7 @@ def test_singular_system_in_a_stack_is_named():
     # differently, and likewise 14 and 15: the lower message is named
     for m in (7, 13):
         gains[(m + 2, m + 1)], gains[(m + 2, m + 2)] = gains[(m + 1, m + 1)], gains[(m + 1, m + 2)]
-    channels = ChannelRealization(coefficients=gains, seed=-1)
+    channels = ChannelRealization(coefficients=gains, seed=-1, hears=topo.hears)
     with pytest.raises(SolverFailureError, match="message 7 is singular"):
         design_beams(topo, channels, assignment, scheme)
     # message 13 cannot null receivers 12 and 14 from transmitters 13 and 14,
@@ -223,7 +258,7 @@ def test_singular_system_in_a_stack_is_named():
 def test_zero_pivot_gain_is_named():
     # receiver 2 must null message 1 through transmitter 2, which it does not hear
     topo = build_wyner(2)
-    channels = ChannelRealization(coefficients={(1, 1): 1.0 + 0j, (2, 1): 0.5 + 0j}, seed=-1)
+    channels = ChannelRealization(coefficients={(1, 1): 1.0 + 0j, (2, 1): 0.5 + 0j}, seed=-1, hears=topo.hears)
     assignment = MessageAssignment(K=2, transmit_sets={1: frozenset({1, 2}), 2: frozenset()})
     scheme = ZfScheme(
         K=2,
@@ -277,12 +312,13 @@ def test_verification_invariant_under_channel_scaling():
         scaled = ChannelRealization(
             coefficients={kt: alpha * h for kt, h in base.coefficients.items()},
             seed=base.seed,
+            hears=base.hears,
         )
         b0 = design_beams(topo, base, assignment, scheme)
         b1 = design_beams(topo, scaled, assignment, scheme)
         for i in scheme.active_messages:
-            for t, v in b0.beams[i].items():
-                assert abs(v - b1.beams[i][t]) <= 1e-9 * max(1.0, abs(v))
+            for t, v in b0[i].items():
+                assert abs(v - b1[i][t]) <= 1e-9 * max(1.0, abs(v))
         assert verify(topo, scaled, scheme, b1).passed
 
 
@@ -314,7 +350,9 @@ def test_uncovered_interference_is_reported_not_raised():
 def test_desired_signal_below_the_floor_fails():
     # receiver 1 hears only transmitter 1, receiver 2 hears both
     topo = build_wyner(2)
-    channels = ChannelRealization(coefficients={(1, 1): 1 + 0j, (2, 1): 0.5 + 0j, (2, 2): 1 + 0j}, seed=-1)
+    channels = ChannelRealization(
+        coefficients={(1, 1): 1 + 0j, (2, 1): 0.5 + 0j, (2, 2): 1 + 0j}, seed=-1, hears=topo.hears
+    )
     scheme = ZfScheme(
         K=2,
         active_messages=frozenset({1, 2}),
@@ -324,12 +362,12 @@ def test_desired_signal_below_the_floor_fails():
         declared_backhaul=Fraction(1),
     )
     # a faint desired signal with interference beside it: the residual is infinite
-    report = verify(topo, channels, scheme, BeamDesign(beams={1: {1: 1 + 0j}, 2: {2: 1e-9 + 0j}}))
+    report = verify(topo, channels, scheme, {1: {1: 1 + 0j}, 2: {2: 1e-9 + 0j}})
     assert not report.passed
     assert report.max_residual == float("inf")
     assert report.per_receiver[1] == {"rx": 2, "desired_mag": 1e-9, "max_interf": 0.5}
     # a faint desired signal alone fails too, but adds no residual
-    report = verify(topo, channels, scheme, BeamDesign(beams={1: {1: 1e-9 + 0j}, 2: {2: 1 + 0j}}))
+    report = verify(topo, channels, scheme, {1: {1: 1e-9 + 0j}, 2: {2: 1 + 0j}})
     assert not report.passed
     assert report.max_residual == 5e-10
     assert report.per_receiver[0] == {"rx": 1, "desired_mag": 1e-9, "max_interf": 0.0}
@@ -367,7 +405,7 @@ def test_all_inactive_scheme_passes_vacuously():
     beams = design_beams(topo, channels, assignment, scheme)
     report = verify(topo, channels, scheme, beams)
     assert report.passed and report.dof == 0 and report.max_residual == 0.0
-    assert beams == BeamDesign(beams={})
+    assert beams == {}
 
 
 def test_report_json_uses_pass_key():
@@ -425,7 +463,7 @@ def _verify_all_pairs(topology, channels, scheme, beams) -> VerificationReport:
         worst = 0.0
         for i in active:
             coef = sum(
-                channels.gain(k, t) * v for t, v in beams.beams[i].items() if t in heard
+                channels.gain(k, t) * v for t, v in beams[i].items() if t in heard
             )
             if i == k:
                 desired = coef
@@ -622,7 +660,7 @@ def test_random_schemes_ignore_the_cancellation_order():
         for cancel_at in (scheme.cancel_at, {i: c[::-1] for i, c in scheme.cancel_at.items()}):
             try:
                 beams = design_beams(topo, channels, assignment, dataclasses.replace(scheme, cancel_at=cancel_at))
-                outcomes.append(repr([(i, list(v.items())) for i, v in beams.beams.items()]))
+                outcomes.append(repr([(i, list(v.items())) for i, v in beams.items()]))
             except SolverFailureError as error:
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1], (assignment, scheme)
@@ -675,7 +713,7 @@ def test_numeric_path_is_pinned(topo, pair, digest):
     assignment, scheme = pair
     channels = sample_channels(topo, 0)
     beams = design_beams(topo, channels, assignment, scheme)
-    body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
+    body = repr([(i, list(v.items())) for i, v in beams.items()])
     body += verify(topo, channels, scheme, beams).to_json()
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
@@ -693,7 +731,7 @@ def test_dense_route_is_pinned(monkeypatch):
             beams = design_beams(topo, channels, assignment, scheme)
         except CoopZfError as error:
             return type(error).__name__ + str(error)
-        body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
+        body = repr([(i, list(v.items())) for i, v in beams.items()])
         return body + verify(topo, channels, scheme, beams).to_json()
 
     lines = []
@@ -724,7 +762,7 @@ def test_cancellation_order_changes_no_bit(topo, pair):
     def numeric(cancel_at):
         reordered = dataclasses.replace(scheme, cancel_at=cancel_at)
         beams = design_beams(topo, channels, assignment, reordered)
-        body = repr([(i, list(v.items())) for i, v in beams.beams.items()])
+        body = repr([(i, list(v.items())) for i, v in beams.items()])
         return body + verify(topo, channels, reordered, beams).to_json()
 
     generated = numeric(scheme.cancel_at)
@@ -787,8 +825,8 @@ def test_verify_cost_grows_linearly_with_users():
         channels = sample_channels(topo, 0)
         beams = design_beams(topo, channels, assignment, scheme)
         tally = [0]
-        counting = {i: _CountingVector(v, tally) for i, v in beams.beams.items()}
-        assert verify(topo, channels, scheme, BeamDesign(beams=counting)).passed
+        counting = {i: _CountingVector(v, tally) for i, v in beams.items()}
+        assert verify(topo, channels, scheme, counting).passed
         counts.append(tally[0])
     assert counts[0] > 0, counts
     assert counts[1] <= 9 * counts[0], counts
